@@ -369,9 +369,9 @@ def _cmd_esvla_audit(args) -> Report:
     except ValueError as e:
         return _error_report(command, inputs, "E_INPUT", "config", str(e))
     rep = esvla.audit_esvla(cfg)
-    A = esvla.build_esvla(cfg)
     findings = [
-        ReportFinding("info", f.code, f.location, f.detail) for f in A.findings
+        ReportFinding("info", f.code, f.location, f.detail)
+        for f in rep.instantiation_findings
     ]
     findings.extend(
         ReportFinding(

@@ -21,6 +21,7 @@ from .algebra import (
     AlgebraInstance,
     AlternatingViolation,
     Element,
+    Finding,
     GeneratorId,
     JacobiAudit,
     center,
@@ -161,7 +162,7 @@ class EsvlaAuditReport:
     dim: int
     boundary_pairs: int
     dropped_terms: int
-    instantiation_findings: int
+    instantiation_findings: list[Finding]
     alternating: list[AlternatingViolation]
     jacobi: JacobiAudit
     center_basis: list[Element]
@@ -186,7 +187,7 @@ class EsvlaAuditReport:
             "dim": self.dim,
             "boundary_pairs": self.boundary_pairs,
             "dropped_terms": self.dropped_terms,
-            "instantiation_findings": self.instantiation_findings,
+            "instantiation_findings": len(self.instantiation_findings),
             "alternating_violations": len(self.alternating),
             "jacobi_examined": self.jacobi.examined,
             "jacobi_skipped": self.jacobi.skipped_boundary,
@@ -227,7 +228,7 @@ def audit_esvla(cfg: EsvlaConfig) -> EsvlaAuditReport:
         dim=A.dim,
         boundary_pairs=len(A.boundary_pairs),
         dropped_terms=A.dropped_terms,
-        instantiation_findings=len(A.findings),
+        instantiation_findings=A.findings,
         alternating=check_alternating(A),
         jacobi=jacobi_audit(A, scope="interior"),
         center_basis=center(A),

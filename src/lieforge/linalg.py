@@ -1,33 +1,28 @@
 """Exact rational linear algebra: rank, nullspace, solve.
 
-All scalars are ``fractions.Fraction``; nothing here ever rounds.  Two
-elimination routes are provided and must agree (the reduced row echelon form
-over the rationals is unique, so any correct route lands on the same answer):
+All scalars are ``fractions.Fraction``; nothing here ever rounds.  There is
+one elimination route, fraction-free: each rational row is scaled by the lcm
+of its denominators (which changes neither rank nor nullspace), forward
+elimination runs on the integer rows, and the echelon form is normalized back
+to the canonical reduced row echelon form over the rationals.
 
-* ``fraction_free`` (default): rows are scaled to integers and forward
-  elimination runs on the integer kernel selected by :mod:`lieforge.kernel`
-  (compiled when available).  Bareiss-style on dense rows, gcd-reduced
-  cross-multiplication on sparse rows.
-* ``rational``: plain Gaussian elimination on Fractions, pure Python.  Kept
-  as an independent cross-check of the accelerated route.
-
-Matrices below 64 rows/cols use dense lists; larger ones stay in sparse dict
-rows throughout.
+The shape of the matrix picks the integer kernel.  Below ``DENSE_LIMIT``
+rows and columns it is Bareiss elimination on dense lists (E. H. Bareiss,
+Math. Comp. 22 (1968) 565-578); larger matrices stay in sparse dict rows and
+use gcd-reduced cross-multiplication.  Both pivot on the first nonzero entry
+in the current row order, columns scanned left to right, so the output is
+deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
-
-from lieforge import kernel
 
 Rational = Fraction
 
 DENSE_LIMIT = 64
-
-_METHODS = ("auto", "fraction_free", "rational")
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
@@ -135,11 +130,57 @@ def _integer_rows(row_dicts: list[dict[int, Fraction]]) -> list[dict[int, int]]:
     return out
 
 
-def _forward_rational(row_dicts: list[dict[int, Fraction]], ncols: int):
-    """Gaussian forward elimination over Fractions; same pivot policy as the
-    fraction-free kernels."""
-    pending = [dict(r) for r in row_dicts if r]
-    done: list[dict[int, Fraction]] = []
+def _ff_forward_dense(rows: list[list[int]], ncols: int):
+    """Bareiss elimination on dense integer rows.
+
+    Mutates ``rows``.  Returns ``(pivot_cols, echelon_rows)`` where row ``r``
+    has its leading nonzero entry in column ``pivot_cols[r]``.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f == 0 and prev == 1:
+                # scaling by piv/1 with f=0 still required by Bareiss, but
+                # piv*x//1 == piv*x, so only the multiply is needed
+                for j in range(c + 1, ncols):
+                    row[j] = piv * row[j]
+            else:
+                for j in range(c + 1, ncols):
+                    row[j] = (piv * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        pivots.append(c)
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return pivots, rows[:r]
+
+
+def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
+    """Sparse integer elimination with per-row gcd reduction.
+
+    ``rows`` maps column index to nonzero integer entry.  Only rows with a
+    nonzero entry in the pivot column are combined; each combined row is
+    divided by the gcd of its entries to bound coefficient growth.
+    """
+    pending = [row for row in rows if row]
+    done: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(ncols):
         if not pending:
@@ -157,14 +198,19 @@ def _forward_rational(row_dicts: list[dict[int, Fraction]], ncols: int):
             f = row.get(c)
             if f is None:
                 continue
-            factor = f / piv
-            new: dict[int, Fraction] = {}
-            for j in set(row) | set(prow):
+            new: dict[int, int] = {}
+            for j in sorted(set(row) | set(prow)):
                 if j == c:
                     continue
-                v = row.get(j, Fraction(0)) - factor * prow.get(j, Fraction(0))
+                v = piv * row.get(j, 0) - f * prow.get(j, 0)
                 if v:
                     new[j] = v
+            if new:
+                g = 0
+                for v in new.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    new = {j: v // g for j, v in new.items()}
             pending[i] = new
         pending = [row for row in pending if row]
         done.append(prow)
@@ -195,38 +241,32 @@ def _normalize(pivots: list[int], echelon_rows: list[dict[int, Fraction]]) -> Ec
     return Echelon(tuple(pivots), tuple(rows))
 
 
-def rref(m: SparseMatrix, method: str = "auto") -> Echelon:
+def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals)."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    row_dicts = m.row_dicts()
-    if method == "rational":
-        pivots, rows = _forward_rational(row_dicts, m.cols)
-        return _normalize(pivots, rows)
-    int_rows = _integer_rows(row_dicts)
+    int_rows = _integer_rows(m.row_dicts())
     if max(m.rows, m.cols) < DENSE_LIMIT:
         dense = [[0] * m.cols for _ in range(m.rows)]
         for r, row in enumerate(int_rows):
             for c, v in row.items():
                 dense[r][c] = v
-        pivots, ech = kernel.ff_forward_dense(dense, m.cols)
+        pivots, ech = _ff_forward_dense(dense, m.cols)
         ech_dicts = [
             {c: Fraction(v) for c, v in enumerate(row) if v} for row in ech
         ]
     else:
-        pivots, ech = kernel.ff_forward_sparse(int_rows, m.cols)
+        pivots, ech = _ff_forward_sparse(int_rows, m.cols)
         ech_dicts = [{c: Fraction(v) for c, v in row.items()} for row in ech]
     return _normalize(pivots, ech_dicts)
 
 
-def rank(m: SparseMatrix, method: str = "auto") -> int:
-    return len(rref(m, method).pivots)
+def rank(m: SparseMatrix) -> int:
+    return len(rref(m).pivots)
 
 
-def nullspace(m: SparseMatrix, method: str = "auto") -> list[list[Fraction]]:
+def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     """Canonical nullspace basis, one vector per free column in ascending
     column order.  Every returned v satisfies m @ v = 0 exactly."""
-    ech = rref(m, method)
+    ech = rref(m)
     pivot_set = set(ech.pivots)
     basis = []
     for free in range(m.cols):
@@ -242,9 +282,7 @@ def nullspace(m: SparseMatrix, method: str = "auto") -> list[list[Fraction]]:
     return basis
 
 
-def solve(
-    m: SparseMatrix, b: list, method: str = "auto"
-) -> Optional[list[Fraction]]:
+def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
     """Some exact solution of m x = b, or None when inconsistent.  Free
     variables are set to zero."""
     if len(b) != m.rows:
@@ -255,7 +293,7 @@ def solve(
         if f:
             entries[(r, m.cols)] = f
     aug = SparseMatrix(m.rows, m.cols + 1, entries)
-    ech = rref(aug, method)
+    ech = rref(aug)
     if m.cols in ech.pivots:
         return None
     x = [Fraction(0)] * m.cols

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lieforge.algebra import AlgebraInstance, Element, GeneratorId
+from lieforge.linalg import SparseMatrix
 
 
 def _pair_value(A: AlgebraInstance, g: GeneratorId, h: GeneratorId):
@@ -152,3 +153,32 @@ def esvla_w3_cyclic(p, m, r) -> Fraction:
     if p + m + b + 1 != 0:
         return Fraction(0)
     return m + Fraction(p, 2) - b
+
+
+def rational_rref(m: SparseMatrix) -> tuple[tuple[int, ...], tuple[dict, ...]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on a dense grid
+    of Fractions: each pivot row is scaled to 1 and its column cleared in
+    every other row at once.  Returns ``(pivot_cols, rows)`` with each row
+    as a dict of its nonzero entries, the shape of ``linalg.rref``."""
+    grid = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        grid[r][c] = Fraction(v)
+    pivots = []
+    top = 0
+    for c in range(m.cols):
+        if top == m.rows:
+            break
+        pr = next((i for i in range(top, m.rows) if grid[i][c] != 0), None)
+        if pr is None:
+            continue
+        grid[top], grid[pr] = grid[pr], grid[top]
+        piv = grid[top][c]
+        grid[top] = [v / piv for v in grid[top]]
+        for i in range(m.rows):
+            if i != top and grid[i][c] != 0:
+                f = grid[i][c]
+                grid[i] = [a - f * b for a, b in zip(grid[i], grid[top])]
+        pivots.append(c)
+        top += 1
+    rows = tuple({c: v for c, v in enumerate(grid[i]) if v} for i in range(top))
+    return tuple(pivots), rows

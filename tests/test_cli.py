@@ -1,7 +1,6 @@
 """CLI dispatch, report schema, exit codes, and output determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,7 +358,6 @@ def test_console_entry_point():
         capture_output=True,
         text=True,
         cwd=str(REPO),
-        env={**os.environ, "LIEFORGE_PURE": "1"},
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout

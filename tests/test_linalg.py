@@ -17,6 +17,7 @@ from lieforge.linalg import (
     rref,
     solve,
 )
+from oracles import rational_rref
 
 
 def dense(rows):
@@ -122,12 +123,13 @@ def test_random_rank_transpose_and_nullity():
 
 
 def test_random_methods_agree():
-    # rational Gaussian elimination and fraction-free elimination must land
-    # on the same reduced echelon form (it is unique over the rationals)
+    # fraction-free elimination (dense below 64 rows/cols) and the oracle's
+    # Gauss-Jordan on Fractions must land on the same reduced echelon form
+    # (it is unique over the rationals)
     rng = random.Random(7)
     for _ in range(200):
         m = _random_matrix(rng)
-        assert rref(m, "fraction_free") == rref(m, "rational")
+        assert rref(m) == rational_rref(m)
 
 
 def test_random_solve_consistent_systems():
@@ -150,18 +152,18 @@ def test_sparse_path_agrees_with_rational():
             entries[(r, rng.randrange(70))] = Fraction(
                 rng.randint(-5, 5), rng.choice([1, 2, 3])
             )
-    m = SparseMatrix(40, 70, entries)
-    assert rref(m, "fraction_free") == rref(m, "rational")
-    r = rank(m)
-    basis = nullspace(m)
-    assert r + len(basis) == 70
-    for v in basis[:10]:
-        assert all(x == 0 for x in matvec(m, v))
-
-
-def test_rref_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        rref(SparseMatrix(1, 1), "float")
+    random_rows = SparseMatrix(40, 70, entries)
+    # entries far beyond machine words
+    bigint_rows = SparseMatrix(
+        3, 70, {(0, 0): 10**40, (0, 5): -3, (1, 0): 7, (1, 5): 10**40, (2, 5): 1}
+    )
+    for m in (random_rows, bigint_rows):
+        assert rref(m) == rational_rref(m)
+        r = rank(m)
+        basis = nullspace(m)
+        assert r + len(basis) == 70
+        for v in basis[:10]:
+            assert all(x == 0 for x in matvec(m, v))
 
 
 def test_invert_dense_roundtrip():
