@@ -1,15 +1,19 @@
 """Generators, elements, bracket tables, and structural checks.
 
-A bracket table stores entries exactly as assigned, keyed by ordered
-generator pair.  Lookup for a missing direction extends by the convention's
-symmetry (plain: [h,g] = -[g,h]; super: [h,g] = -(-1)^{|g||h|}[g,h]), so a
-table given only one side of each pair is always symmetric-consistent, while
-a table assigned on both sides, or on a diagonal, can violate the convention
-and ``check_alternating`` will say exactly where.
+``PairTable`` is the one symmetric-extension lookup: values stay keyed by
+ordered generator pair exactly as assigned, and a missing direction is read
+through the convention's symmetry (plain: [h,g] = -[g,h]; super:
+[h,g] = -(-1)^{|g||h|}[g,h]).  ``BracketTable`` (Element values) and
+``cohomology.Cochain2`` (scalar values) are its two kinds, so a table given
+only one side of each pair is always symmetric-consistent, while one assigned
+on both sides, or on a diagonal, can violate the convention and
+``PairTable.symmetry_residuals`` says exactly where.
 
-Window-truncated instances never treat a dropped (out-of-window) bracket
-result as zero: evaluations touching such a pair raise a boundary flag, and
-triple checks skip and count them instead of reporting fake residuals.
+Every triple identity visits generator triples through one enumerator,
+``AlgebraInstance.checkable_triples``.  Window-truncated instances never
+treat a dropped (out-of-window) bracket result as zero: evaluations touching
+such a pair raise a boundary flag, and the enumerator skips and counts those
+triples instead of reporting fake residuals.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from lieforge.linalg import SparseMatrix, nullspace, rat, rref
 
@@ -113,6 +117,9 @@ class Element:
         res.terms = {g: v * f for g, v in self.terms.items()}
         return res
 
+    def __rmul__(self, c) -> "Element":
+        return self.scale(c)
+
     def sorted_terms(self) -> list[tuple[GeneratorId, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0])
 
@@ -133,48 +140,81 @@ class Element:
         return f"Element({self})"
 
 
-class BracketTable:
-    """Structure constants stored exactly as assigned.
+class PairTable:
+    """Values on ordered generator pairs, stored exactly as assigned and read
+    through the convention's symmetry.
 
     ``parity`` maps family symbol to 0 (even) or 1 (odd); unlisted families
-    are even.  ``convention`` is "plain" or "super".
+    are even.  ``convention`` is "plain" or "super".  Subclasses fix the
+    value type through ``zero()``, the value of a pair stored in neither
+    direction; values must support ``int * value``.
     """
+
+    __slots__ = ("parity", "convention", "raw")
 
     def __init__(self, parity: Mapping[str, int] = (), convention: str = "plain"):
         if convention not in ("plain", "super"):
             raise ValueError(f"unknown convention {convention!r}")
         self.parity = dict(parity.items() if isinstance(parity, Mapping) else parity)
         self.convention = convention
-        self.raw: dict[tuple[GeneratorId, GeneratorId], Element] = {}
+        self.raw: dict = {}
 
     def family_parity(self, family: str) -> int:
         return self.parity.get(family, EVEN)
 
     def swap_sign(self, g: GeneratorId, h: GeneratorId) -> int:
-        """Sign s with [h,g] = s*[g,h] under this table's convention."""
+        """Sign s with v(h,g) = s*v(g,h) under this table's convention."""
         if self.convention == "super":
             if self.family_parity(g.family) and self.family_parity(h.family):
                 return 1
         return -1
 
-    def assign(self, g: GeneratorId, h: GeneratorId, value: Element) -> None:
-        if (g, h) in self.raw:
-            raise ValueError(f"duplicate bracket entry for ({g}, {h})")
-        self.raw[(g, h)] = value
-
-    def add_to(self, g: GeneratorId, h: GeneratorId, value: Element) -> None:
-        cur = self.raw.get((g, h))
-        self.raw[(g, h)] = value if cur is None else cur + value
-
-    def value(self, g: GeneratorId, h: GeneratorId) -> Element:
-        """[g,h] as stored, extending a one-sided entry by symmetry."""
+    def value(self, g: GeneratorId, h: GeneratorId):
+        """v(g,h) as stored, extending a one-sided entry by symmetry."""
         v = self.raw.get((g, h))
         if v is not None:
             return v
         w = self.raw.get((h, g))
         if w is not None:
-            return w.scale(self.swap_sign(h, g))
-        return Element.zero()
+            return self.swap_sign(h, g) * w
+        return self.zero()
+
+    def symmetry_residuals(
+        self, order: Callable[[GeneratorId], object]
+    ) -> list[tuple[GeneratorId, GeneratorId, object]]:
+        """Stored pairs contradicting the symmetry, as (a, b, residual) with
+        order(a) <= order(b): residual = v(b,a) - s*v(a,b) for a pair stored
+        in both directions, (1-s)*v(a,a) on a diagonal.  Unsorted."""
+        seen: set[tuple[GeneratorId, GeneratorId]] = set()
+        out = []
+        for g, h in self.raw:
+            a, b = (g, h) if order(g) <= order(h) else (h, g)
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            s = self.swap_sign(a, b)
+            if a == b:
+                residual = (1 - s) * self.raw[(a, a)]
+            else:
+                v_ab = self.raw.get((a, b))
+                v_ba = self.raw.get((b, a))
+                if v_ab is None or v_ba is None:
+                    continue
+                residual = v_ba - s * v_ab
+            if residual:
+                out.append((a, b, residual))
+        return out
+
+
+class BracketTable(PairTable):
+    """Structure constants: Element values stored exactly as assigned."""
+
+    zero = staticmethod(Element.zero)
+
+    def assign(self, g: GeneratorId, h: GeneratorId, value: Element) -> None:
+        if (g, h) in self.raw:
+            raise ValueError(f"duplicate bracket entry for ({g}, {h})")
+        self.raw[(g, h)] = value
 
 
 @dataclass(frozen=True)
@@ -216,6 +256,9 @@ class AlgebraInstance:
         self.window = window
         self.interior_margin = interior_margin
         self.boundary_pairs = set(boundary_pairs)
+        self._flagged = frozenset(
+            self.boundary_pairs | {(h, g) for g, h in self.boundary_pairs}
+        )
         self.dropped_terms = dropped_terms
         self.findings = list(findings)
         self.metadata = metadata or {}
@@ -250,7 +293,24 @@ class AlgebraInstance:
         return [g for g in self.generators if self.is_interior(g)]
 
     def pair_flagged(self, g: GeneratorId, h: GeneratorId) -> bool:
-        return (g, h) in self.boundary_pairs or (h, g) in self.boundary_pairs
+        return (g, h) in self._flagged
+
+    def checkable_triples(self, scope: str, repeats: bool) -> "TripleScan":
+        """Generator triples in position order for a triple identity.
+
+        scope "interior" draws from the interior generators, "all" from every
+        generator; ``repeats`` allows x = y or y = z.  Triples with a
+        window-flagged cyclic pair are dropped and counted by the scan.
+        """
+        if scope not in ("interior", "all"):
+            raise ValueError(f"unknown scope {scope!r}")
+        gens = self.interior_generators() if scope == "interior" else self.generators
+        combinations = (
+            itertools.combinations_with_replacement
+            if repeats
+            else itertools.combinations
+        )
+        return TripleScan(combinations(gens, 3), self._flagged)
 
     def coords(self, x: Element) -> list[Fraction]:
         v = [Fraction(0)] * self.dim
@@ -262,6 +322,25 @@ class AlgebraInstance:
         return Element(
             {g: c for g, c in zip(self.generators, v) if rat(c)}
         )
+
+
+class TripleScan:
+    """One pass over generator triples.  A triple with a window-flagged
+    cyclic pair (x,y), (y,z) or (z,x) is not yielded; ``skipped`` counts it."""
+
+    def __init__(self, triples: Iterable[tuple], flagged: frozenset):
+        self._triples = triples
+        self._flagged = flagged
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        flagged = self._flagged
+        for t in self._triples:
+            x, y, z = t
+            if (x, y) in flagged or (y, z) in flagged or (z, x) in flagged:
+                self.skipped += 1
+            else:
+                yield t
 
 
 def finite_instance(
@@ -312,25 +391,10 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     [h,g] = s*[g,h]; a diagonal entry (g,g) must satisfy (1-s)*[g,g] = 0,
     which constrains it to zero except for odd generators under super.
     """
-    table = A.table
-    seen: set[tuple[GeneratorId, GeneratorId]] = set()
-    out = []
-    for (g, h) in table.raw:
-        a, b = (g, h) if A.position(g) <= A.position(h) else (h, g)
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        s = table.swap_sign(a, b)
-        if a == b:
-            residual = table.raw[(a, a)].scale(1 - s)
-        else:
-            v_ab = table.raw.get((a, b))
-            v_ba = table.raw.get((b, a))
-            if v_ab is None or v_ba is None:
-                continue
-            residual = v_ba - v_ab.scale(s)
-        if residual:
-            out.append(AlternatingViolation(a, b, residual))
+    out = [
+        AlternatingViolation(a, b, residual)
+        for a, b, residual in A.table.symmetry_residuals(A.position)
+    ]
     out.sort(key=lambda v: (A.position(v.left), A.position(v.right)))
     return out
 
@@ -360,54 +424,48 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
     Plain convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over
     distinct triples.  Super convention: the graded cyclic sum with signs
     (-1)^{|x||z|}, over triples with repetition (a repeated odd generator is
-    a real constraint there).  Triples touching a boundary-flagged pair are
-    skipped and counted, never scored as violations.
+    a real constraint there).  Triples touching a boundary-flagged pair,
+    outer or inner, are skipped and counted, never scored as violations.
     """
-    if scope not in ("interior", "all"):
-        raise ValueError(f"unknown scope {scope!r}")
-    gens = A.interior_generators() if scope == "interior" else list(A.generators)
-    table = A.table
-    sup = table.convention == "super"
-    if sup:
-        triples = itertools.combinations_with_replacement(gens, 3)
-    else:
-        triples = itertools.combinations(gens, 3)
+    sup = A.table.convention == "super"
+    triples = A.checkable_triples(scope, repeats=sup)
     examined = 0
-    skipped = 0
+    inner_skipped = 0
     violations = []
     for x, y, z in triples:
-        total = Element.zero()
-        bad = False
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            if A.pair_flagged(b, c):
-                bad = True
-                break
-            inner = table.value(b, c)
-            part = Element.zero()
-            hit = False
-            for g, coeff in inner.terms.items():
-                if A.pair_flagged(a, g):
-                    hit = True
-                    break
-                part = part + table.value(a, g).scale(coeff)
-            if hit:
-                bad = True
-                break
-            if sup:
-                pa = table.family_parity(a.family)
-                pc = table.family_parity(c.family)
-                if pa and pc:
-                    part = part.scale(-1)
-            total = total + part
-        if bad:
-            skipped += 1
+        total = _jacobi_sum(A, x, y, z, sup)
+        if total is None:
+            inner_skipped += 1
             continue
         examined += 1
         if total:
             violations.append(JacobiViolation((x, y, z), total))
     return JacobiAudit(
-        scope, table.convention, examined, skipped, violations
+        scope,
+        A.table.convention,
+        examined,
+        triples.skipped + inner_skipped,
+        violations,
     )
+
+
+def _jacobi_sum(
+    A: AlgebraInstance, x: GeneratorId, y: GeneratorId, z: GeneratorId, sup: bool
+) -> Optional[Element]:
+    """The (graded) cyclic sum, or None when an inner bracket [a,t] of it
+    is window-flagged."""
+    table = A.table
+    total = Element.zero()
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        part = Element.zero()
+        for t, coeff in table.value(b, c).terms.items():
+            if A.pair_flagged(a, t):
+                return None
+            part = part + table.value(a, t).scale(coeff)
+        if sup and table.family_parity(a.family) and table.family_parity(c.family):
+            part = part.scale(-1)
+        total = total + part
+    return total
 
 
 def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[JacobiViolation]:

@@ -20,7 +20,14 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__, esvla, snla, specfile
-from .algebra import AlgebraInstance, center, check_alternating, jacobi_audit
+from .algebra import (
+    AlgebraInstance,
+    AlternatingViolation,
+    JacobiAudit,
+    center,
+    check_alternating,
+    jacobi_audit,
+)
 from .automorphisms import (
     CoefficientFamily,
     check_automorphism,
@@ -155,28 +162,37 @@ def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_input(path: str, inputs: list[tuple[str, str]]) -> str:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    inputs.append((os.path.basename(path), _digest_bytes(data)))
-    return data.decode("utf-8")
+def _read_input(
+    command: str, path: str, inputs: list[tuple[str, str]]
+) -> tuple[Optional[str], Optional[Report]]:
+    """The file's UTF-8 text, or an E_INPUT report when it cannot be read
+    or decoded."""
+    name = os.path.basename(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        detail = f"cannot read file: {e.strerror}"
+    else:
+        inputs.append((name, _digest_bytes(data)))
+        try:
+            return data.decode("utf-8"), None
+        except UnicodeDecodeError as e:
+            detail = f"not UTF-8 text: {e.reason} at byte {e.start}"
+    return None, _error_report(command, inputs, "E_INPUT", name, detail)
 
 
 def _load_doc(
     command: str, path: str, inputs: list[tuple[str, str]]
 ) -> tuple[Optional[specfile.AlgebraSpecDoc], Optional[Report]]:
-    name = os.path.basename(path)
-    try:
-        text = _read_input(path, inputs)
-    except OSError as e:
-        return None, _error_report(
-            command, inputs, "E_INPUT", name, f"cannot read file: {e.strerror}"
-        )
+    text, err = _read_input(command, path, inputs)
+    if err:
+        return None, err
     try:
         return specfile.parse(text), None
     except specfile.ParseError as e:
         return None, _error_report(
-            command, inputs, "E_PARSE", f"{name}:{e.line}", str(e)
+            command, inputs, "E_PARSE", f"{os.path.basename(path)}:{e.line}", str(e)
         )
 
 
@@ -201,7 +217,9 @@ def _triple_loc(t) -> str:
     return f"({x},{y},{z})"
 
 
-def _structure_findings(A: AlgebraInstance) -> list[ReportFinding]:
+def _structure_findings(
+    alternating: list[AlternatingViolation], jac: JacobiAudit
+) -> list[ReportFinding]:
     out = [
         ReportFinding(
             "violation",
@@ -209,9 +227,8 @@ def _structure_findings(A: AlgebraInstance) -> list[ReportFinding]:
             _pair_loc(v.left, v.right),
             f"residual {v.residual}",
         )
-        for v in check_alternating(A)
+        for v in alternating
     ]
-    jac = jacobi_audit(A, scope="interior")
     out.extend(
         ReportFinding(
             "violation", "V_JACOBI", _triple_loc(v.triple), f"residual {v.residual}"
@@ -232,18 +249,20 @@ def _cmd_check(args) -> Report:
     A, err = _instantiate(command, doc, args.window, inputs)
     if err:
         return err
-    findings = _structure_findings(A)
+    alternating = check_alternating(A)
     jac = jacobi_audit(A, scope="interior")
     summaries = {
         "dim": A.dim,
         "boundary_pairs": len(A.boundary_pairs),
-        "alternating_violations": len(check_alternating(A)),
+        "alternating_violations": len(alternating),
         "jacobi_examined": jac.examined,
         "jacobi_skipped": jac.skipped_boundary,
         "jacobi_violations": len(jac.violations),
         "center_dim": len(center(A)),
     }
-    return _finalize(command, inputs, findings, summaries)
+    return _finalize(
+        command, inputs, _structure_findings(alternating, jac), summaries
+    )
 
 
 def _cmd_cohomology(args) -> Report:
@@ -337,12 +356,7 @@ def _cmd_extend(args) -> Report:
     ]
     ext = central_extension(A, omega)
     jac = jacobi_audit(ext, scope="interior")
-    findings.extend(
-        ReportFinding(
-            "violation", "V_JACOBI", _triple_loc(v.triple), f"residual {v.residual}"
-        )
-        for v in jac.violations
-    )
+    findings.extend(_structure_findings([], jac))
     summaries = {
         "dim": A.dim,
         "extended_dim": ext.dim,
@@ -373,21 +387,7 @@ def _cmd_esvla_audit(args) -> Report:
         ReportFinding("info", f.code, f.location, f.detail)
         for f in rep.instantiation_findings
     ]
-    findings.extend(
-        ReportFinding(
-            "violation",
-            "V_ALT",
-            _pair_loc(v.left, v.right),
-            f"residual {v.residual}",
-        )
-        for v in rep.alternating
-    )
-    findings.extend(
-        ReportFinding(
-            "violation", "V_JACOBI", _triple_loc(v.triple), f"residual {v.residual}"
-        )
-        for v in rep.jacobi.violations
-    )
+    findings.extend(_structure_findings(rep.alternating, rep.jacobi))
     for name, aud in sorted(rep.cocycles.items()):
         findings.extend(
             ReportFinding(
@@ -547,12 +547,9 @@ def _cmd_aut_verify(args) -> Report:
     if err:
         return err
     map_name = os.path.basename(args.map)
-    try:
-        map_text = _read_input(args.map, inputs)
-    except OSError as e:
-        return _error_report(
-            command, inputs, "E_INPUT", map_name, f"cannot read file: {e.strerror}"
-        )
+    map_text, err = _read_input(command, args.map, inputs)
+    if err:
+        return err
     try:
         phi = parse_map_file(map_text)
     except ValueError as e:
@@ -629,12 +626,9 @@ def _cmd_aut_recurrences(args) -> Report:
         command += f" --window {args.window}"
     inputs: list[tuple[str, str]] = []
     name = os.path.basename(args.file)
-    try:
-        text = _read_input(args.file, inputs)
-    except OSError as e:
-        return _error_report(
-            command, inputs, "E_INPUT", name, f"cannot read file: {e.strerror}"
-        )
+    text, err = _read_input(command, args.file, inputs)
+    if err:
+        return err
     try:
         cf = parse_coeff_file(text)
     except ValueError as e:

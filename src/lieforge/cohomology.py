@@ -4,9 +4,11 @@ All spaces are computed as exact nullspaces or column spans over the
 rationals.  On window-truncated instances every constraint whose data was
 clipped by the window (a boundary-flagged pair) is skipped and counted, so
 truncation can shrink the constraint set but never fabricates or deletes
-solutions silently.  Super-convention cochains are graded-skew with the
-same swap sign as the bracket; parity-mixing pairs are allowed and their
-verdicts reported without interpreting the grading.
+solutions silently.  Cochains read through the same symmetric lookup as
+bracket tables (``algebra.PairTable``), so super-convention cochains are
+graded-skew with the bracket's swap sign; parity-mixing pairs are allowed
+and their verdicts reported without interpreting the grading.  Triple
+identities visit triples through ``AlgebraInstance.checkable_triples``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from lieforge.algebra import (
     Element,
     Finding,
     GeneratorId,
+    PairTable,
 )
 from lieforge.linalg import SparseMatrix, nullspace, rank, rat, rref
 
@@ -92,15 +95,18 @@ class LinearEndo:
         return isinstance(other, LinearEndo) and self.matrix == other.matrix
 
 
-class Cochain2:
+class Cochain2(PairTable):
     """Scalar-valued bilinear 2-cochain stored on ordered pairs as written.
 
-    Lookup extends one-sided entries by the convention's symmetry (skew for
-    plain, graded-skew for super); ``symmetry_violations`` reports stored
-    pairs that contradict it, so as-written data remains auditable.
+    A ``PairTable`` of Fractions: lookup is the bracket table's own
+    symmetric extension (skew for plain, graded-skew for super), and
+    ``symmetry_violations`` reports stored pairs that contradict it, so
+    as-written data remains auditable.
     """
 
-    __slots__ = ("parity", "convention", "raw")
+    __slots__ = ()
+
+    zero = staticmethod(Fraction)
 
     def __init__(
         self,
@@ -108,56 +114,19 @@ class Cochain2:
         convention: str = "plain",
         raw: Union[Mapping, Iterable] = (),
     ):
-        if convention not in ("plain", "super"):
-            raise ValueError(f"unknown convention {convention!r}")
-        self.parity = dict(parity.items() if isinstance(parity, Mapping) else parity)
-        self.convention = convention
+        super().__init__(parity, convention)
         items = raw.items() if isinstance(raw, Mapping) else raw
-        store: dict[tuple[GeneratorId, GeneratorId], Fraction] = {}
         for (g, h), v in items:
             f = rat(v)
             if f:
-                store[(g, h)] = f
-        self.raw = store
-
-    def swap_sign(self, g: GeneratorId, h: GeneratorId) -> int:
-        if self.convention == "super":
-            if self.parity.get(g.family, 0) and self.parity.get(h.family, 0):
-                return 1
-        return -1
-
-    def value(self, g: GeneratorId, h: GeneratorId) -> Fraction:
-        v = self.raw.get((g, h))
-        if v is not None:
-            return v
-        w = self.raw.get((h, g))
-        if w is not None:
-            return self.swap_sign(h, g) * w
-        return Fraction(0)
+                self.raw[(g, h)] = f
 
     def symmetry_violations(self) -> list[tuple[GeneratorId, GeneratorId, Fraction]]:
-        """Stored pairs violating the symmetry: (g, h, residual) with
+        """Stored pairs violating the symmetry: (g, h, residual) with g <= h,
         residual = stored(h,g) - s*stored(g,h), or (1-s)*stored(g,g)."""
-        out = []
-        seen = set()
-        for (g, h) in sorted(self.raw, key=lambda p: (p[0], p[1])):
-            key = tuple(sorted((g, h)))
-            if key in seen:
-                continue
-            seen.add(key)
-            a, b = key
-            s = self.swap_sign(a, b)
-            if a == b:
-                residual = (1 - s) * self.raw[(a, a)]
-            else:
-                va = self.raw.get((a, b))
-                vb = self.raw.get((b, a))
-                if va is None or vb is None:
-                    continue
-                residual = vb - s * va
-            if residual:
-                out.append((a, b, residual))
-        return out
+        return sorted(
+            self.symmetry_residuals(lambda g: g), key=lambda t: (t[0], t[1])
+        )
 
     def support(self) -> list[tuple[GeneratorId, GeneratorId]]:
         return sorted(self.raw, key=lambda p: (p[0], p[1]))
@@ -191,10 +160,6 @@ def _pair_iter(A: AlgebraInstance):
     if A.table.convention == "super":
         return itertools.combinations_with_replacement(A.generators, 2)
     return itertools.combinations(A.generators, 2)
-
-
-def _grade_key(shift: Optional[Fraction], g: GeneratorId, h: GeneratorId) -> bool:
-    return shift is None or h.index - g.index == shift
 
 
 def derivation_space(
@@ -379,28 +344,15 @@ def _cochain_from_vector(
     return Cochain2(A.table.parity, A.table.convention, raw)
 
 
-def _cocycle_rows(A: AlgebraInstance, unknowns, scope: str = "all"):
+def _cocycle_rows(A: AlgebraInstance, unknowns):
     """Linear constraint rows of the cyclic cocycle identity, one candidate
-    row per triple, expressed over the unknown pair slots."""
-    gens = (
-        A.interior_generators() if scope == "interior" else list(A.generators)
-    )
+    row per checkable triple, expressed over the unknown pair slots."""
     sup = A.table.convention == "super"
     par = A.table.family_parity
-    triples = (
-        itertools.combinations_with_replacement(gens, 3)
-        if sup
-        else itertools.combinations(gens, 3)
-    )
-    skipped = 0
     rows = []
-    for x, y, z in triples:
+    for x, y, z in A.checkable_triples("all", repeats=sup):
         row: dict[int, Fraction] = {}
-        bad = False
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            if A.pair_flagged(a, b):
-                bad = True
-                break
             sign = 1
             if sup and par(a.family) and par(c.family):
                 sign = -1
@@ -416,12 +368,9 @@ def _cocycle_rows(A: AlgebraInstance, unknowns, scope: str = "all"):
                 row[u] = row.get(u, Fraction(0)) + coeff
                 if not row[u]:
                     del row[u]
-        if bad:
-            skipped += 1
-            continue
         if row:
             rows.append(row)
-    return rows, skipped
+    return rows
 
 
 def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
@@ -430,7 +379,7 @@ def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain
     unknowns = _cochain_unknowns(A, grade_zero)
     if not unknowns:
         return []
-    rows, _ = _cocycle_rows(A, unknowns)
+    rows = _cocycle_rows(A, unknowns)
     entries = {
         (r, u): v for r, row in enumerate(rows) for u, v in row.items()
     }
@@ -507,40 +456,30 @@ def cocycle_audit(
     A: AlgebraInstance, omega: Cochain2, scope: str = "interior"
 ) -> CocycleAudit:
     """Evaluate the cyclic cocycle identity for a concrete cochain."""
-    if scope not in ("interior", "all"):
-        raise ValueError(f"unknown scope {scope!r}")
-    gens = (
-        A.interior_generators() if scope == "interior" else list(A.generators)
-    )
+    return _cocycle_audit(A, omega, scope, A.table.convention == "super")
+
+
+def _cocycle_audit(
+    A: AlgebraInstance, omega: Cochain2, scope: str, repeats: bool
+) -> CocycleAudit:
+    """cocycle_audit with the triple repeats chosen by the caller."""
     sup = A.table.convention == "super"
     par = A.table.family_parity
-    triples = (
-        itertools.combinations_with_replacement(gens, 3)
-        if sup
-        else itertools.combinations(gens, 3)
-    )
+    triples = A.checkable_triples(scope, repeats)
     examined = 0
-    skipped = 0
     violations = []
     for x, y, z in triples:
         total = Fraction(0)
-        bad = False
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            if A.pair_flagged(a, b):
-                bad = True
-                break
             sign = 1
             if sup and par(a.family) and par(c.family):
                 sign = -1
             for t, ct in A.table.value(a, b).terms.items():
                 total += sign * ct * omega.value(t, c)
-        if bad:
-            skipped += 1
-            continue
         examined += 1
         if total:
             violations.append(CocycleViolation((x, y, z), total))
-    return CocycleAudit(scope, examined, skipped, violations)
+    return CocycleAudit(scope, examined, triples.skipped, violations)
 
 
 def check_cocycle(

@@ -25,7 +25,12 @@ from lieforge.algebra import (
     gid,
     is_two_step_solvable,
 )
-from lieforge.cohomology import Cochain2, central_extension, h2_dimension
+from lieforge.cohomology import (
+    Cochain2,
+    _cocycle_audit,
+    central_extension,
+    h2_dimension,
+)
 from lieforge.linalg import SparseMatrix, rank, rat
 from lieforge import specfile
 
@@ -267,19 +272,15 @@ def check_symplectic_cocycle(
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
     omega([y,z],x) + omega([z,x],y).  Repeats are included so non-alternating
     explicit tables stay auditable."""
-    out = []
     gens = [gid(family, i) for i in range(1, f.dim + 1)]
-    for x, y, z in itertools.combinations_with_replacement(gens, 3):
-        total = Fraction(0)
-        for a, bb, c in ((x, y, z), (y, z, x), (z, x, y)):
-            total += f.pair(b.value(a, bb), Element.of(c))
-        if total:
-            out.append(
-                FormCocycleViolation(
-                    (int(x.index), int(y.index), int(z.index)), total
-                )
-            )
-    return out
+    omega = Cochain2(
+        raw={(g, h): v for g, row in zip(gens, f.matrix) for h, v in zip(gens, row)}
+    )
+    audit = _cocycle_audit(AlgebraInstance("form", gens, b), omega, "all", True)
+    return [
+        FormCocycleViolation(tuple(int(g.index) for g in v.triple), v.residual)
+        for v in audit.violations
+    ]
 
 
 _CHECK_ORDER = (

@@ -1,6 +1,7 @@
 """CLI dispatch, report schema, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,26 @@ def test_check_missing_file(capsys):
     assert rep.findings[0].code == "E_INPUT"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{bad}"],
+        ["aut", "verify", H3, "--map", "{bad}"],
+        ["aut", "recurrences", "--file", "{bad}"],
+    ],
+    ids=["spec", "map", "recurrences"],
+)
+def test_non_utf8_input_is_an_input_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.lie"
+    bad.write_bytes(b"algebra x\n\xff\n")
+    code, rep, _ = run_cli([a.format(bad=bad) for a in argv], capsys)
+    assert code == 2
+    assert rep.verdict == "error"
+    [f] = rep.findings
+    assert (f.code, f.location) == ("E_INPUT", "bad.lie")
+    assert "not UTF-8" in f.detail
+
+
 def test_cohomology_heisenberg(capsys):
     code, rep, _ = run_cli(["cohomology", H3], capsys)
     assert code == 0
@@ -117,6 +138,15 @@ def test_esvla_audit_matches_golden(capsys):
     assert outs[0] == outs[1] == outs[2]
     golden = (GOLDEN / "esvla_audit_w4_extended.json").read_text()
     assert outs[0] == golden
+
+
+def test_esvla_audit_plain_matches_golden(capsys):
+    # the plain convention takes the distinct-triple path of Jacobi and of
+    # the cocycle audits; the other golden covers the super (repeats) path
+    argv = ["esvla", "audit", "--window", "6", "--convention", "plain"]
+    code, _, out = run_cli(argv, capsys)
+    assert code == 1
+    assert out == (GOLDEN / "esvla_audit_w6_plain.txt").read_text()
 
 
 def test_esvla_audit_json_schema(capsys):
@@ -353,11 +383,15 @@ def test_text_report_shape(capsys):
 
 
 def test_console_entry_point():
+    # the child does not inherit pytest's `pythonpath`, so hand it src
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "lieforge", "check", H3],
         capture_output=True,
         text=True,
         cwd=str(REPO),
+        env=env,
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout

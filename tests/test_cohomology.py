@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from lieforge.algebra import (
+    BracketTable,
     Element,
     center,
+    check_alternating,
     check_jacobi,
     derived_subalgebra,
     finite_instance,
@@ -93,6 +95,47 @@ def test_cochain_symmetry_violations():
     Y = gid("Y", Fraction(1, 2))
     ok = Cochain2(parity={"Y": 1}, convention="super", raw={(Y, Y): 3})
     assert ok.symmetry_violations() == []
+
+
+L1, Y1, Y3 = gid("L", 1), gid("Y", Fraction(1, 2)), gid("Y", Fraction(3, 2))
+Z0 = gid("Z", 0)
+
+
+@pytest.mark.parametrize(
+    "convention, g, h, sign",
+    [
+        ("plain", E1, E2, -1),
+        ("plain", E1, E1, -1),
+        ("super", L1, Y1, -1),
+        ("super", Y1, Y3, 1),
+        ("super", Y1, Y1, 1),
+    ],
+    ids=["plain", "plain-diagonal", "even-odd", "odd-odd", "odd-odd-diagonal"],
+)
+def test_bracket_table_and_cochain_agree(convention, g, h, sign):
+    parity = {"Y": 1}
+    table = BracketTable(parity, convention)
+    table.assign(g, h, Element.of(Z0, 2))
+    omega = Cochain2(parity, convention, {(g, h): 2})
+    for t in (table, omega):
+        assert t.swap_sign(g, h) == t.swap_sign(h, g) == sign
+    # one-sided entries extend by the same symmetry
+    assert omega.value(h, g) == (2 if g == h else 2 * sign)
+    assert table.value(h, g) == Element.of(Z0, omega.value(h, g))
+    # both directions stored (one diagonal entry when g == h)
+    raw = {(g, h): Fraction(2), (h, g): Fraction(5)}
+    A = finite_instance(
+        "t",
+        list(dict.fromkeys([g, h, Z0])),
+        {p: Element.of(Z0, v) for p, v in raw.items()},
+        parity,
+        convention,
+    )
+    expected = (1 - sign) * 5 if g == h else 5 - sign * 2
+    alt = [(v.left, v.right, v.residual) for v in check_alternating(A)]
+    both = Cochain2(parity, convention, raw)
+    sym = [(a, b, Element.of(Z0, r)) for a, b, r in both.symmetry_violations()]
+    assert alt == sym == ([(g, h, Element.of(Z0, expected))] if expected else [])
 
 
 def test_ad_matrix_values():
