@@ -9,8 +9,12 @@ only one side of each pair is always symmetric-consistent, while one assigned
 on both sides, or on a diagonal, can violate the convention and
 ``PairTable.symmetry_residuals`` says exactly where.
 
-Every triple identity visits generator triples through one enumerator,
-``AlgebraInstance.checkable_triples``.  Window-truncated instances never
+Each ``AlgebraInstance`` compiles its table once into an ``IndexedView``:
+the symmetric-extended structure constants, window flags, parities and
+interior generators, all indexed by generator position.  Every triple
+identity visits position triples through one enumerator,
+``AlgebraInstance.checkable_triples``, and works on plain ints, building
+generator objects only for what it reports.  Window-truncated instances never
 treat a dropped (out-of-window) bracket result as zero: evaluations touching
 such a pair raise a boundary flag, and the enumerator skips and counts those
 triples instead of reporting fake residuals.
@@ -19,7 +23,7 @@ triples instead of reporting fake residuals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -225,8 +229,22 @@ class Finding:
     location: str
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"code": self.code, "location": self.location, "detail": self.detail}
+
+@dataclass(frozen=True)
+class IndexedView:
+    """An instance's table compiled to generator positions.
+
+    ``terms[i][j]`` holds the nonzero ``(k, coefficient)`` terms of
+    [g_i, g_j]: stored entries exactly as written, a one-sided entry extended
+    by the convention's swap sign.  ``flagged[i]`` is the set of positions j
+    with (g_i, g_j) window-flagged, in either order.  ``odd[i]`` is the
+    parity of g_i; ``interior`` lists the interior positions in order.
+    """
+
+    terms: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    flagged: tuple[frozenset[int], ...]
+    odd: tuple[bool, ...]
+    interior: tuple[int, ...]
 
 
 class AlgebraInstance:
@@ -256,9 +274,6 @@ class AlgebraInstance:
         self.window = window
         self.interior_margin = interior_margin
         self.boundary_pairs = set(boundary_pairs)
-        self._flagged = frozenset(
-            self.boundary_pairs | {(h, g) for g, h in self.boundary_pairs}
-        )
         self.dropped_terms = dropped_terms
         self.findings = list(findings)
         self.metadata = metadata or {}
@@ -273,6 +288,40 @@ class AlgebraInstance:
             for g in self.generators:
                 if abs(g.doubled_index) > 2 * window:
                     raise ValueError(f"generator {g} outside window {window}")
+        self.view = self._compile()
+
+    def _compile(self) -> IndexedView:
+        pos, n = self._pos, self.dim
+        terms = [[()] * n for _ in range(n)]
+        for key, v in self.indexed_values(self.table).items():
+            i, j = divmod(key, n)
+            terms[i][j] = tuple((pos[t], c) for t, c in v.terms.items())
+        flagged = [set() for _ in range(n)]
+        for g, h in self.boundary_pairs:
+            i, j = self.position(g), self.position(h)
+            flagged[i].add(j)
+            flagged[j].add(i)
+        return IndexedView(
+            tuple(map(tuple, terms)),
+            tuple(map(frozenset, flagged)),
+            tuple(bool(self.table.family_parity(g.family)) for g in self.generators),
+            tuple(i for i, g in enumerate(self.generators) if self.is_interior(g)),
+        )
+
+    def indexed_values(self, table: PairTable) -> dict[int, object]:
+        """``table.value(g_i, g_j)`` keyed by i * dim + j on every pair of
+        this instance's generators stored in either direction; pairs naming
+        other generators are left out."""
+        pos, n = self._pos, self.dim
+        out = {}
+        for (g, h), v in table.raw.items():
+            i, j = pos.get(g), pos.get(h)
+            if i is None or j is None:
+                continue
+            out[i * n + j] = v
+            if (h, g) not in table.raw:
+                out[j * n + i] = table.swap_sign(g, h) * v
+        return out
 
     @property
     def dim(self) -> int:
@@ -293,42 +342,36 @@ class AlgebraInstance:
         return [g for g in self.generators if self.is_interior(g)]
 
     def pair_flagged(self, g: GeneratorId, h: GeneratorId) -> bool:
-        return (g, h) in self._flagged
+        i, j = self._pos.get(g), self._pos.get(h)
+        return i is not None and j is not None and j in self.view.flagged[i]
 
     def checkable_triples(self, scope: str, repeats: bool) -> "TripleScan":
-        """Generator triples in position order for a triple identity.
+        """Position triples in order for a triple identity.
 
-        scope "interior" draws from the interior generators, "all" from every
-        generator; ``repeats`` allows x = y or y = z.  Triples with a
+        scope "interior" draws from the interior positions, "all" from every
+        position; ``repeats`` allows x = y or y = z.  Triples with a
         window-flagged cyclic pair are dropped and counted by the scan.
         """
         if scope not in ("interior", "all"):
             raise ValueError(f"unknown scope {scope!r}")
-        gens = self.interior_generators() if scope == "interior" else self.generators
+        positions = self.view.interior if scope == "interior" else range(self.dim)
         combinations = (
             itertools.combinations_with_replacement
             if repeats
             else itertools.combinations
         )
-        return TripleScan(combinations(gens, 3), self._flagged)
+        return TripleScan(combinations(positions, 3), self.view.flagged)
 
-    def coords(self, x: Element) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        for g, c in x.terms.items():
-            v[self.position(g)] = c
-        return v
-
-    def from_coords(self, v: Iterable) -> Element:
-        return Element(
-            {g: c for g, c in zip(self.generators, v) if rat(c)}
-        )
+    def generators_at(self, positions: Iterable[int]) -> tuple[GeneratorId, ...]:
+        """The generators at the given positions, in order."""
+        return tuple(self.generators[i] for i in positions)
 
 
 class TripleScan:
-    """One pass over generator triples.  A triple with a window-flagged
+    """One pass over position triples.  A triple with a window-flagged
     cyclic pair (x,y), (y,z) or (z,x) is not yielded; ``skipped`` counts it."""
 
-    def __init__(self, triples: Iterable[tuple], flagged: frozenset):
+    def __init__(self, triples: Iterable[tuple], flagged: tuple[frozenset, ...]):
         self._triples = triples
         self._flagged = flagged
         self.skipped = 0
@@ -337,7 +380,7 @@ class TripleScan:
         flagged = self._flagged
         for t in self._triples:
             x, y, z = t
-            if (x, y) in flagged or (y, z) in flagged or (z, x) in flagged:
+            if y in flagged[x] or z in flagged[y] or x in flagged[z]:
                 self.skipped += 1
             else:
                 yield t
@@ -428,18 +471,35 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
     outer or inner, are skipped and counted, never scored as violations.
     """
     sup = A.table.convention == "super"
+    terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     triples = A.checkable_triples(scope, repeats=sup)
     examined = 0
     inner_skipped = 0
     violations = []
-    for x, y, z in triples:
-        total = _jacobi_sum(A, x, y, z, sup)
-        if total is None:
+    for t in triples:
+        x, y, z = t
+        total: dict[int, Fraction] = {}
+        clipped = False
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            row, skip = terms[a], flagged[a]
+            flip = sup and odd[a] and odd[c]
+            for k, ck in terms[b][c]:
+                if k in skip:
+                    clipped = True
+                    break
+                if flip:
+                    ck = -ck
+                for u, cu in row[k]:
+                    total[u] = total.get(u, 0) + ck * cu
+            if clipped:
+                break
+        if clipped:
             inner_skipped += 1
             continue
         examined += 1
-        if total:
-            violations.append(JacobiViolation((x, y, z), total))
+        residual = {A.generators[u]: v for u, v in total.items() if v}
+        if residual:
+            violations.append(JacobiViolation(A.generators_at(t), Element(residual)))
     return JacobiAudit(
         scope,
         A.table.convention,
@@ -447,25 +507,6 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
         triples.skipped + inner_skipped,
         violations,
     )
-
-
-def _jacobi_sum(
-    A: AlgebraInstance, x: GeneratorId, y: GeneratorId, z: GeneratorId, sup: bool
-) -> Optional[Element]:
-    """The (graded) cyclic sum, or None when an inner bracket [a,t] of it
-    is window-flagged."""
-    table = A.table
-    total = Element.zero()
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        part = Element.zero()
-        for t, coeff in table.value(b, c).terms.items():
-            if A.pair_flagged(a, t):
-                return None
-            part = part + table.value(a, t).scale(coeff)
-        if sup and table.family_parity(a.family) and table.family_parity(c.family):
-            part = part.scale(-1)
-        total = total + part
-    return total
 
 
 def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[JacobiViolation]:
@@ -478,23 +519,19 @@ def center(A: AlgebraInstance) -> list[Element]:
     Constraints use in-window bracket components only; the truncation caveat
     is visible through the instance's boundary data, not silently absorbed.
     """
-    cols = A.interior_generators()
-    col_pos = {g: i for i, g in enumerate(cols)}
+    cols = A.view.interior
+    terms = A.view.terms
     entries: dict[tuple[int, int], Fraction] = {}
-    row_of: dict[tuple[GeneratorId, GeneratorId], int] = {}
-    for h in cols:
+    row_of: dict[tuple[int, int], int] = {}
+    for col, h in enumerate(cols):
         for g in cols:
-            v = A.table.value(h, g)
-            for t, c in v.terms.items():
-                key = (g, t)
-                if key not in row_of:
-                    row_of[key] = len(row_of)
-                entries[(row_of[key], col_pos[h])] = entries.get(
-                    (row_of[key], col_pos[h]), Fraction(0)
-                ) + c
+            for t, c in terms[h][g]:
+                r = row_of.setdefault((g, t), len(row_of))
+                entries[(r, col)] = entries.get((r, col), Fraction(0)) + c
     m = SparseMatrix(max(len(row_of), 1), len(cols), entries)
     return [
-        Element({g: c for g, c in zip(cols, v) if c}) for v in nullspace(m)
+        Element({A.generators[p]: c for p, c in zip(cols, v) if c})
+        for v in nullspace(m)
     ]
 
 

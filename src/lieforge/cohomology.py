@@ -8,7 +8,9 @@ solutions silently.  Cochains read through the same symmetric lookup as
 bracket tables (``algebra.PairTable``), so super-convention cochains are
 graded-skew with the bracket's swap sign; parity-mixing pairs are allowed
 and their verdicts reported without interpreting the grading.  Triple
-identities visit triples through ``AlgebraInstance.checkable_triples``.
+identities and constraint rows run on the instance's position-indexed view
+(``AlgebraInstance.view``) and visit triples through
+``AlgebraInstance.checkable_triples``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from lieforge.algebra import (
     AlgebraInstance,
     BracketTable,
     Element,
-    Finding,
     GeneratorId,
     PairTable,
 )
@@ -155,11 +156,11 @@ def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:
 
 
 def _pair_iter(A: AlgebraInstance):
-    """Unordered generator pairs; diagonals included under super (an odd
+    """Unordered position pairs; diagonals included under super (an odd
     generator may bracket with itself)."""
     if A.table.convention == "super":
-        return itertools.combinations_with_replacement(A.generators, 2)
-    return itertools.combinations(A.generators, 2)
+        return itertools.combinations_with_replacement(range(A.dim), 2)
+    return itertools.combinations(range(A.dim), 2)
 
 
 def derivation_space(
@@ -176,58 +177,52 @@ def derivation_space(
     shift = None if grade_restriction is None else rat(grade_restriction)
     gens = A.generators
     n = A.dim
-    par = A.table.family_parity
+    terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     sup = A.table.convention == "super"
 
+    # unknowns[(i, j)]: the entry D[i][j]; column[j] maps i to its unknown
     unknowns: dict[tuple[int, int], int] = {}
+    column: list[dict[int, int]] = [{} for _ in range(n)]
     for j, g in enumerate(gens):
         for i, t in enumerate(gens):
             if shift is not None and t.index - g.index != shift:
                 continue
-            if sup and par(t.family) != par(g.family):
+            if sup and odd[i] != odd[j]:
                 continue
-            unknowns[(i, j)] = len(unknowns)
+            unknowns[(i, j)] = column[j][i] = len(unknowns)
     if not unknowns:
         return []
 
     rows: list[dict[int, Fraction]] = []
     for a, b in _pair_iter(A):
-        if A.pair_flagged(a, b):
+        if b in flagged[a]:
             continue
-        ja, jb = A.position(a), A.position(b)
-        usable = True
-        for i, t in enumerate(gens):
-            if (i, ja) in unknowns and A.pair_flagged(t, b):
-                usable = False
-                break
-            if (i, jb) in unknowns and A.pair_flagged(a, t):
-                usable = False
-                break
-        if not usable:
+        col_a, col_b = column[a], column[b]
+        if any(i in flagged[b] for i in col_a) or any(
+            i in flagged[a] for i in col_b
+        ):
             continue
         # componentwise D(v) - [Da,b] - [a,Db] = 0, one row per component
         comp: dict[int, dict[int, Fraction]] = {}
 
-        def put(component: int, key: tuple[int, int], c: Fraction):
-            u = unknowns.get(key)
-            if u is None:
-                return
+        def put(component: int, u: int, c: Fraction):
             row = comp.setdefault(component, {})
             row[u] = row.get(u, Fraction(0)) + c
             if not row[u]:
                 del row[u]
 
-        for t, c in A.table.value(a, b).terms.items():
-            jt = A.position(t)
-            for i in range(n):
-                put(i, (i, jt), c)
-        for i, t in enumerate(gens):
-            if (i, ja) in unknowns:
-                for u, cu in A.table.value(t, b).terms.items():
-                    put(A.position(u), (i, ja), -cu)
-            if (i, jb) in unknowns:
-                for u, cu in A.table.value(a, t).terms.items():
-                    put(A.position(u), (i, jb), -cu)
+        for t, c in terms[a][b]:
+            for i, u in column[t].items():
+                put(i, u, c)
+        for i in sorted(col_a.keys() | col_b.keys()):
+            u = col_a.get(i)
+            if u is not None:
+                for k, ck in terms[i][b]:
+                    put(k, u, -ck)
+            u = col_b.get(i)
+            if u is not None:
+                for k, ck in terms[a][i]:
+                    put(k, u, -ck)
         rows.extend(r for r in comp.values() if r)
 
     entries = {
@@ -251,7 +246,9 @@ def check_derivation(
 ) -> list[tuple[GeneratorId, GeneratorId, Element]]:
     """Pairs where D[g,h] != [Dg,h] + [g,Dh], with residuals."""
     out = []
-    for a, b in _pair_iter(A):
+    gens = A.generators
+    for i, j in _pair_iter(A):
+        a, b = gens[i], gens[j]
         if A.pair_flagged(a, b):
             continue
         v = A.table.value(a, b)
@@ -313,59 +310,56 @@ def inner_split(
     return inner, r_der - inner
 
 
-def _cochain_unknowns(
-    A: AlgebraInstance, grade_zero: bool
-) -> dict[tuple[GeneratorId, GeneratorId], int]:
-    """Canonical unknown slots: unordered pairs (by position), diagonal only
-    for odd generators under super, optionally restricted to index-sum 0."""
+def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
+    """Canonical unknown slots keyed i * dim + j for position pairs i <= j,
+    diagonal only for odd generators under super, optionally restricted to
+    index-sum 0."""
     sup = A.table.convention == "super"
-    par = A.table.family_parity
-    out: dict[tuple[GeneratorId, GeneratorId], int] = {}
-    for i, g in enumerate(A.generators):
-        for j in range(i, A.dim):
-            h = A.generators[j]
-            if i == j and not (sup and par(g.family)):
+    gens, odd, n = A.generators, A.view.odd, A.dim
+    out: dict[int, int] = {}
+    for i, g in enumerate(gens):
+        for j in range(i, n):
+            if i == j and not (sup and odd[i]):
                 continue
-            if grade_zero and g.index + h.index != 0:
+            if grade_zero and g.index + gens[j].index != 0:
                 continue
-            out[(g, h)] = len(out)
+            out[i * n + j] = len(out)
     return out
 
 
 def _cochain_from_vector(
-    A: AlgebraInstance,
-    unknowns: dict[tuple[GeneratorId, GeneratorId], int],
-    vec: list[Fraction],
+    A: AlgebraInstance, unknowns: dict[int, int], vec: list[Fraction]
 ) -> Cochain2:
+    gens = A.generators
     raw = {}
-    for (g, h), u in unknowns.items():
+    for key, u in unknowns.items():
         if vec[u]:
-            raw[(g, h)] = vec[u]
+            i, j = divmod(key, A.dim)
+            raw[(gens[i], gens[j])] = vec[u]
     return Cochain2(A.table.parity, A.table.convention, raw)
 
 
-def _cocycle_rows(A: AlgebraInstance, unknowns):
+def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
     """Linear constraint rows of the cyclic cocycle identity, one candidate
     row per checkable triple, expressed over the unknown pair slots."""
     sup = A.table.convention == "super"
-    par = A.table.family_parity
+    terms, odd, n = A.view.terms, A.view.odd, A.dim
     rows = []
     for x, y, z in A.checkable_triples("all", repeats=sup):
         row: dict[int, Fraction] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            sign = 1
-            if sup and par(a.family) and par(c.family):
-                sign = -1
-            for t, ct in A.table.value(a, b).terms.items():
-                key = (t, c) if A.position(t) <= A.position(c) else (c, t)
-                u = unknowns.get(key)
+            sign = -1 if sup and odd[a] and odd[c] else 1
+            for t, ct in terms[a][b]:
+                if t <= c:
+                    u = unknowns.get(t * n + c)
+                    coeff = sign * ct
+                else:
+                    # omega(t,c) is read through the slot (c,t) by the swap sign
+                    u = unknowns.get(c * n + t)
+                    coeff = (sign if sup and odd[c] and odd[t] else -sign) * ct
                 if u is None:
                     continue
-                s = 1
-                if key != (t, c):
-                    s = A.table.swap_sign(c, t)
-                coeff = sign * ct * s
-                row[u] = row.get(u, Fraction(0)) + coeff
+                row[u] = row.get(u, 0) + coeff
                 if not row[u]:
                     del row[u]
         if row:
@@ -396,27 +390,21 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
     unknowns = _cochain_unknowns(A, grade_zero)
     if not unknowns:
         return []
-    duals = [
-        t
-        for t in A.generators
-        if not grade_zero or t.index == 0
-    ]
-    vectors = []
-    for t in duals:
-        vec = [Fraction(0)] * len(unknowns)
-        nonzero = False
-        for (g, h), u in unknowns.items():
-            c = A.table.value(g, h).terms.get(t)
-            if c:
+    # vector of delta(dual of g_k) over the unknown slots, for each dual k
+    duals: dict[int, dict[int, Fraction]] = {
+        k: {} for k, t in enumerate(A.generators) if not grade_zero or t.index == 0
+    }
+    terms = A.view.terms
+    for key, u in unknowns.items():
+        i, j = divmod(key, A.dim)
+        for k, c in terms[i][j]:
+            vec = duals.get(k)
+            if vec is not None:
                 vec[u] = c
-                nonzero = True
-        if nonzero:
-            vectors.append(vec)
+    vectors = [vec for vec in duals.values() if vec]
     if not vectors:
         return []
-    entries = {
-        (r, c): v for r, vec in enumerate(vectors) for c, v in enumerate(vec) if v
-    }
+    entries = {(r, u): c for r, vec in enumerate(vectors) for u, c in vec.items()}
     ech = rref(SparseMatrix(len(vectors), len(unknowns), entries))
     basis = []
     for row in ech.rows:
@@ -464,21 +452,27 @@ def _cocycle_audit(
 ) -> CocycleAudit:
     """cocycle_audit with the triple repeats chosen by the caller."""
     sup = A.table.convention == "super"
-    par = A.table.family_parity
+    terms, odd, n = A.view.terms, A.view.odd, A.dim
+    om = A.indexed_values(omega)
     triples = A.checkable_triples(scope, repeats)
     examined = 0
     violations = []
-    for x, y, z in triples:
-        total = Fraction(0)
+    for t in triples:
+        x, y, z = t
+        total = 0
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            sign = 1
-            if sup and par(a.family) and par(c.family):
-                sign = -1
-            for t, ct in A.table.value(a, b).terms.items():
-                total += sign * ct * omega.value(t, c)
+            part = 0
+            for k, ck in terms[a][b]:
+                w = om.get(k * n + c)
+                if w is not None:
+                    part += ck * w
+            if sup and odd[a] and odd[c]:
+                total -= part
+            else:
+                total += part
         examined += 1
         if total:
-            violations.append(CocycleViolation((x, y, z), total))
+            violations.append(CocycleViolation(A.generators_at(t), total))
     return CocycleAudit(scope, examined, triples.skipped, violations)
 
 

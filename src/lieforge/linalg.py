@@ -71,12 +71,6 @@ class SparseMatrix:
             {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)},
         )
 
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}

@@ -554,6 +554,16 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     dim = len(indices)
     if indices != list(range(1, dim + 1)):
         raise ValueError("generator indices must be exactly 1..dim")
+    declared = {(g.family, g.index) for g in doc.generators}
+    refs = [
+        (e.line, (e.left, e.right, *((f, ix) for _, f, ix in e.value)))
+        for e in doc.products + doc.entries
+    ]
+    refs += [(fe.line, (fe.left, fe.right)) for fe in doc.forms]
+    for line, gens in refs:
+        for f, ix in gens:
+            if (f, ix) not in declared:
+                raise ValueError(f"line {line}: {f}[{ix}] is not a declared generator")
 
     entries: dict[tuple[int, int], Element] = {}
     for e in doc.products:

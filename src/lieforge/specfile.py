@@ -37,6 +37,11 @@ from lieforge.algebra import (
 
 RESERVED = {"m", "n", "when"}
 
+# Largest power a polynomial may take: in "p^e", e times the degree of p
+# (a constant counts as degree 1) may not exceed it.  Powers are expanded
+# by repeated multiplication, so an unbounded exponent would not return.
+MAX_EXPONENT = 16
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<arrow>=>)"
     r"|(?P<punct>[\[\]()+\-*/^=,]))"
@@ -465,6 +470,11 @@ class _LineParser:
             if t.kind != "int":
                 self.fail("expected integer exponent", t)
             e = int(t.text)
+            degree = e * max(p.degree(), 1)
+            if degree > MAX_EXPONENT:
+                self.fail(
+                    f"power of degree {degree} exceeds the limit {MAX_EXPONENT}", t
+                )
             out = Poly2.const(1)
             for _ in range(e):
                 out = out * p

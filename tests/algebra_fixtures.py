@@ -13,6 +13,7 @@ from lieforge.algebra import (
     finite_instance,
     gid,
 )
+from lieforge.cohomology import Cochain2
 
 
 def heisenberg3() -> AlgebraInstance:
@@ -105,6 +106,44 @@ def super_bad() -> AlgebraInstance:
     return AlgebraInstance("superbad", [Y], table)
 
 
+def mixed_entries(convention: str) -> AlgebraInstance:
+    """Five generators (Y, V odd) whose table holds one-sided entries
+    (even-even, even-odd, odd-odd), a pair stored on both sides
+    inconsistently, an odd diagonal and one window-flagged pair, which an
+    inner bracket [L1, M1] of the Jacobi identity reaches."""
+    L0, L1, M1 = gid("L", 0), gid("L", 1), gid("M", 1)
+    Yh, Vh = gid("Y", Fraction(1, 2)), gid("V", Fraction(1, 2))
+    table = BracketTable(parity={"Y": 1, "V": 1}, convention=convention)
+    table.assign(L0, L1, Element.of(L1))
+    table.assign(L0, Yh, Element.of(Yh, Fraction(1, 2)))
+    table.assign(Yh, Vh, Element({L1: 1, M1: -1}))
+    table.assign(L1, M1, Element.of(M1, 2))
+    table.assign(M1, L1, Element({M1: 1, L0: 1}))
+    table.assign(Yh, Yh, Element.of(L1, 3))
+    table.assign(Vh, L0, Element.of(Vh, -1))
+    return AlgebraInstance(
+        f"mixed_{convention}",
+        [L0, L1, M1, Yh, Vh],
+        table,
+        window=1,
+        interior_margin=0,
+        boundary_pairs={(Vh, M1)},
+        dropped_terms=1,
+    )
+
+
+def random_cochain(rng: random.Random, A: AlgebraInstance) -> Cochain2:
+    """Scalars on a random half of the ordered generator pairs, so some
+    pairs are stored on one side, some on both (inconsistently) and some on
+    the diagonal."""
+    raw = {}
+    for g in A.generators:
+        for h in A.generators:
+            if rng.random() < 0.5:
+                raw[(g, h)] = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+    return Cochain2(A.table.parity, A.table.convention, raw)
+
+
 def random_table(rng: random.Random, dim: int) -> AlgebraInstance:
     """Random antisymmetric structure constants; Jacobi usually fails."""
     gens = [gid("e", i + 1) for i in range(dim)]
@@ -120,6 +159,24 @@ def random_table(rng: random.Random, dim: int) -> AlgebraInstance:
             if terms:
                 entries[(gens[i], gens[j])] = Element(terms)
     return finite_instance(f"random{dim}", gens, entries)
+
+
+def random_super_table(rng: random.Random, even: int, odd: int) -> AlgebraInstance:
+    """Sparse random parity-respecting super table (families e even, o odd),
+    each bracket stored on one side; Jacobi usually fails."""
+    gens = [gid("e", i + 1) for i in range(even)] + [gid("o", i + 1) for i in range(odd)]
+    table = BracketTable(parity={"o": 1}, convention="super")
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            if g == h and g.family == "e" or rng.random() < 0.5:
+                continue
+            family = "o" if (g.family == "o") != (h.family == "o") else "e"
+            terms = {
+                t: rng.randint(-2, 2) for t in gens if t.family == family and rng.random() < 0.5
+            }
+            if any(terms.values()):
+                table.assign(g, h, Element(terms))
+    return AlgebraInstance(f"rsuper{even}_{odd}", gens, table)
 
 
 def random_element(rng: random.Random, A: AlgebraInstance) -> Element:

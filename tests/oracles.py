@@ -52,6 +52,68 @@ def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:
     return failures
 
 
+def naive_windowed_audit(A: AlgebraInstance, scope: str, omega=None, repeats=None):
+    """Window-aware Jacobi audit (``omega`` None) or cyclic cocycle audit of
+    the 2-cochain ``omega``, by nested index loops over generator-keyed
+    lookups.
+
+    Triples come from the interior generators (scope "interior") or from
+    all of them, with repetition under super unless ``repeats`` says
+    otherwise.  A triple with a window-flagged cyclic pair is skipped, and
+    so is a Jacobi triple one of whose inner brackets [a,t] is flagged.
+    Returns (examined, skipped, [(triple, residual)]): a Jacobi residual is
+    a {generator: coefficient} dict, a cocycle residual a Fraction.
+    """
+    sup = A.table.convention == "super"
+    if repeats is None:
+        repeats = sup
+    par = A.table.family_parity
+    flagged = set(A.boundary_pairs) | {(h, g) for g, h in A.boundary_pairs}
+    gens = [g for g in A.generators if scope == "all" or A.is_interior(g)]
+    n = len(gens)
+
+    def omega_value(g, h):
+        v = omega.raw.get((g, h))
+        if v is not None:
+            return v
+        w = omega.raw.get((h, g))
+        return Fraction(0) if w is None else omega.swap_sign(h, g) * w
+
+    examined = skipped = 0
+    violations = []
+    for i in range(n):
+        for j in range(i if repeats else i + 1, n):
+            for k in range(j if repeats else j + 1, n):
+                x, y, z = gens[i], gens[j], gens[k]
+                if (x, y) in flagged or (y, z) in flagged or (z, x) in flagged:
+                    skipped += 1
+                    continue
+                clipped = False
+                jacobi: dict[GeneratorId, Fraction] = {}
+                cocycle = Fraction(0)
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    sign = -1 if sup and par(a.family) and par(c.family) else 1
+                    if omega is None:
+                        for t, ct in _pair_value(A, b, c).items():
+                            if (a, t) in flagged:
+                                clipped = True
+                            for u, cu in _pair_value(A, a, t).items():
+                                jacobi[u] = jacobi.get(u, Fraction(0)) + sign * ct * cu
+                    else:
+                        for t, ct in _pair_value(A, a, b).items():
+                            cocycle += sign * ct * omega_value(t, c)
+                if clipped:
+                    skipped += 1
+                    continue
+                examined += 1
+                residual = (
+                    {u: v for u, v in jacobi.items() if v} if omega is None else cocycle
+                )
+                if residual:
+                    violations.append(((x, y, z), residual))
+    return examined, skipped, violations
+
+
 def naive_is_derivation(A: AlgebraInstance, images: dict) -> bool:
     """Check D[g,h] = [Dg,h] + [g,Dh] on every assigned pair by expansion.
     ``images`` maps generator to Element."""

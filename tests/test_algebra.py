@@ -14,6 +14,7 @@ from lieforge.algebra import (
     check_alternating,
     check_jacobi,
     derived_subalgebra,
+    finite_instance,
     gid,
     is_two_step_solvable,
     jacobi_audit,
@@ -165,6 +166,15 @@ def test_center_abelian_full():
 
 def test_center_sl2_trivial():
     assert center(sl2_type()) == []
+
+
+def test_center_finds_combinations():
+    # [e1,e3] = [e2,e3] = e4: e1 - e2 is central, neither e1 nor e2 is
+    e1, e2, e3, e4 = (gid("e", i) for i in range(1, 5))
+    A = finite_instance(
+        "twin", [e1, e2, e3, e4], {(e1, e3): Element.of(e4), (e2, e3): Element.of(e4)}
+    )
+    assert [z.terms for z in center(A)] == [{e1: -1, e2: 1}, {e4: 1}]
 
 
 def test_center_vectors_commute():

@@ -3,6 +3,7 @@
 import json
 import os
 import subprocess
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,13 @@ def test_esvla_audit_plain_matches_golden(capsys):
     assert out == (GOLDEN / "esvla_audit_w6_plain.txt").read_text()
 
 
+def test_esvla_audit_default_matches_golden(capsys):
+    # the default configuration (super, strict)
+    code, _, out = run_cli(["esvla", "audit", "--window", "5"], capsys)
+    assert code == 1
+    assert out == (GOLDEN / "esvla_audit_w5.txt").read_text()
+
+
 def test_esvla_audit_json_schema(capsys):
     _, _, out = run_cli(
         ["esvla", "audit", "--window", "4", "--n-index", "extended", "--json"],
@@ -218,6 +226,54 @@ def test_snla_verify_pass(tmp_path, capsys):
     assert code == 0
     assert rep.summaries["center_dim"] == 2
     assert rep.summaries["h2_dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("entry e[1] e[2] => 1 e[5]", "e[5]"),
+        ("entry e[3] e[2] => 1 e[1]", "e[3]"),
+        ("product e[1] e[2] => 1 e[4]", "e[4]"),
+        ("form e[1] e[3] => 1", "e[3]"),
+        ("form e[1] f[2] => 1", "f[2]"),
+    ],
+)
+def test_snla_verify_undeclared_generator(line, bad, tmp_path, capsys):
+    spec = tmp_path / "undeclared.lie"
+    spec.write_text(
+        "algebra u convention plain\n"
+        "family e integer even\n"
+        "family f integer even\n"
+        "generator e[1]\n"
+        "generator e[2]\n"
+        f"{line}\n"
+    )
+    code, rep, _ = run_cli(["snla", "verify", str(spec)], capsys)
+    assert code == 2
+    assert [f.code for f in rep.findings] == ["E_INPUT"]
+    assert f"line 6: {bad} is not a declared generator" in rep.findings[0].detail
+
+
+def test_rule_exponent_limit_ends_quickly(tmp_path, capsys):
+    spec = tmp_path / "power.lie"
+    spec.write_text(
+        "algebra w convention plain\n"
+        "family L integer even\n"
+        "rule L[m] L[n] => (n - m)^99999999 L[m+n]\n"
+    )
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the run did not end within a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, rep, _ = run_cli(["check", str(spec), "--window", "3"], capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert [f.code for f in rep.findings] == ["E_PARSE"]
 
 
 def test_snla_search_frozen_catalog(capsys):

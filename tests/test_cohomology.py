@@ -175,6 +175,18 @@ def test_derivation_basis_passes_oracle():
             assert naive_is_derivation(A, images_of(A, D))
 
 
+def test_super_derivations_stay_parity_pure():
+    # super_heisenberg also has the parity-mixing solution Y -> Z
+    A = super_heisenberg()
+    odd = [A.table.family_parity(g.family) for g in A.generators]
+    basis = derivation_space(A)
+    assert basis
+    for D in basis:
+        for i, row in enumerate(D.matrix):
+            for j, v in enumerate(row):
+                assert not v or odd[i] == odd[j]
+
+
 def test_derivation_check_agrees_with_oracle():
     rng = random.Random(404)
     for _ in range(30):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +226,13 @@ def test_audit_determinism():
     assert [str(e) for e in a.center_basis] == [str(e) for e in b.center_basis]
     for name in ("w1", "w2", "w3"):
         assert a.cocycles[name].violations == b.cocycles[name].violations
+
+
+def test_window8_summaries_match_benchmark_answer():
+    # the benchmark checks `esvla audit --window 8` against these numbers
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    report = esvla.audit_esvla(esvla.EsvlaConfig(workloads.ESVLA_WINDOW))
+    assert report.summaries() == workloads.ESVLA_SUMMARIES

@@ -18,6 +18,7 @@ from lieforge.specfile import (
     FormEntry,
     GeneratorDecl,
     GenPat,
+    MAX_EXPONENT,
     LinCond,
     ParseError,
     Poly2,
@@ -367,6 +368,31 @@ def test_instantiate_deterministic_dump():
 def test_instantiate_rejects_bad_mode():
     with pytest.raises(ValueError):
         instantiate(parse(WITT), window=2, kind_mode="loose")
+
+
+@pytest.mark.parametrize(
+    "poly, ok",
+    [
+        (f"(n - m)^{MAX_EXPONENT}", True),
+        (f"2^{MAX_EXPONENT}", True),
+        ("((n - m)^4)^4", True),
+        (f"(n - m)^{MAX_EXPONENT + 1}", False),
+        (f"2^{MAX_EXPONENT + 1}", False),
+        ("((n - m)^8)^4", False),
+        ("(n - m)^99999999", False),
+    ],
+)
+def test_power_limit(poly, ok):
+    text = (
+        "algebra a convention plain\nfamily L integer even\n"
+        f"rule L[m] L[n] => {poly} L[m+n]\n"
+    )
+    if ok:
+        parse(text)
+    else:
+        with pytest.raises(ParseError, match="exceeds the limit") as exc:
+            parse(text)
+        assert exc.value.line == 3
 
 
 def test_poly_eval_and_render():
