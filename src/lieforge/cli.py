@@ -455,25 +455,6 @@ def _cmd_snla_verify(args) -> Report:
     return _finalize(command, inputs, findings, summaries)
 
 
-def _workers_from_env(command, inputs) -> tuple[Optional[int], Optional[Report]]:
-    raw = os.environ.get("LIEFORGE_WORKERS")
-    if raw is None:
-        return 1, None
-    try:
-        w = int(raw)
-    except ValueError:
-        w = 0
-    if w < 1:
-        return None, _error_report(
-            command,
-            inputs,
-            "E_INPUT",
-            "LIEFORGE_WORKERS",
-            f"must be a positive integer, got {raw!r}",
-        )
-    return w, None
-
-
 def _cmd_snla_search(args) -> Report:
     try:
         coeffs = sorted({rat(tok) for tok in args.coeffs.split(",") if tok.strip()})
@@ -490,13 +471,8 @@ def _cmd_snla_search(args) -> Report:
         return _error_report(
             command, inputs, "E_INPUT", "--coeffs", "expected comma-separated rationals"
         )
-    workers, err = _workers_from_env(command, inputs)
-    if err:
-        return err
     try:
-        res = snla.snla_search(
-            args.dim, coeffs, budget=args.budget, workers=workers
-        )
+        res = snla.snla_search(args.dim, coeffs, budget=args.budget)
     except ValueError as e:
         return _error_report(command, inputs, "E_INPUT", "search", str(e))
     findings = []

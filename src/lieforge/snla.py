@@ -4,16 +4,16 @@ Product tables with 1-based generator indices, the standard symplectic
 form, the four identity checks (Novikov right-commutativity, associativity,
 form compatibility, symplectic 2-cocycle), an aggregate verifier, central
 extensions (standard and the experimental as-written variant), and a
-deterministic brute-force structure search over finite coefficient sets.
+deterministic structure search over finite coefficient sets that solves the
+linear identities exactly before it verifies anything.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -31,7 +31,7 @@ from lieforge.cohomology import (
     central_extension,
     h2_dimension,
 )
-from lieforge.linalg import SparseMatrix, rank, rat
+from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge import specfile
 
 
@@ -348,74 +348,76 @@ def _slot_list(dim: int) -> list[tuple[int, int, int]]:
     return [(i, j, k) for i in r for j in r for k in r]
 
 
-def _fast_pass(cs: tuple, dim: int, form: list[list[Fraction]]) -> bool:
-    """Early-exit coefficient-level version of the verify pipeline, used
-    only to pre-filter search candidates; survivors are rebuilt as tables."""
-    n = dim
+def linear_constraints(f: SymplecticForm) -> SparseMatrix:
+    """Form compatibility and the form's 2-cocycle condition for the
+    commutator bracket, as rows over the n^3 structure constants c_ij^k
+    (column ((i-1)n + (j-1))n + (k-1), the order of ``_slot_list``).  With
+    the form fixed both identities are linear in the constants."""
+    n = f.dim
+    m = f.matrix
+    r = range(n)
+    rows: list[dict[int, Fraction]] = []
 
-    def c(i, j, k):
-        return cs[((i - 1) * n + (j - 1)) * n + (k - 1)]
+    def add(row: dict, i: int, j: int, k: int, v: Fraction) -> None:
+        col = (i * n + j) * n + k
+        row[col] = row.get(col, 0) + v
 
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    lhs = sum(c(i, j, t) * c(t, k, l) for t in rng)
-                    if lhs != sum(c(i, k, t) * c(t, j, l) for t in rng):
-                        return False
-                    if lhs != sum(c(j, k, t) * c(i, t, l) for t in rng):
-                        return False
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                left = sum(c(i, j, t) * form[t - 1][k - 1] for t in rng)
-                right = sum(c(j, k, t) * form[i - 1][t - 1] for t in rng)
-                if left != right:
-                    return False
-
-    def br(a, b, l):
-        return c(a, b, l) - c(b, a, l)
-
-    for x in rng:
-        for y in rng:
-            if y <= x:
-                continue
-            for z in rng:
-                if z <= y:
-                    continue
-                total = sum(
-                    br(a, b, t) * form[t - 1][cc - 1]
-                    for a, b, cc in ((x, y, z), (y, z, x), (z, x, y))
-                    for t in rng
-                )
-                if total:
-                    return False
-    derived = [
-        [br(i, j, l) for l in rng] for i in rng for j in rng if i < j
-    ]
-    derived = [v for v in derived if any(v)]
-    for u in derived:
-        for v in derived:
-            for l in rng:
-                total = sum(
-                    u[a - 1] * v[b - 1] * br(a, b, l) for a in rng for b in rng
-                )
-                if total:
-                    return False
-    return True
+    for i, j, k in itertools.product(r, r, r):
+        row: dict[int, Fraction] = {}
+        for t in r:
+            add(row, i, j, t, m[t][k])
+            add(row, j, k, t, -m[i][t])
+        rows.append(row)
+    for x, y, z in itertools.combinations(r, 3):
+        row = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for t in r:
+                add(row, a, b, t, m[t][c])
+                add(row, b, a, t, -m[t][c])
+        rows.append(row)
+    return SparseMatrix(
+        len(rows),
+        n ** 3,
+        {(ri, col): v for ri, row in enumerate(rows) for col, v in row.items()},
+    )
 
 
-def _search_block(args) -> list[tuple]:
-    dim, coeff_list, lead, take, form = args
-    nslots = dim ** 3
-    hits = []
-    it = itertools.product(coeff_list, repeat=nslots - 1)
-    for rest in itertools.islice(it, take):
-        cs = (lead,) + rest
-        if _fast_pass(cs, dim, form):
-            hits.append(cs)
-    return hits
+def _lex_solutions(
+    system: SparseMatrix, coeff_list: tuple[Fraction, ...]
+) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
+    """Solutions of ``system`` (columns as slots) with every slot in the
+    sorted coefficient set, in lexicographic order, each with its position
+    among all tuples over the set.
+
+    Eliminating with the columns reversed makes each pivot slot depend only
+    on earlier free slots, so enumerating the free slots lexicographically
+    and forcing the pivots visits the solutions in lexicographic order; a
+    forced value outside the set rules the solution out."""
+    last = system.cols - 1
+    ech = rref(
+        SparseMatrix(
+            system.rows,
+            system.cols,
+            {(r, last - c): v for (r, c), v in system.entries.items()},
+        )
+    )
+    forced = {
+        last - pc: [(last - c, -v) for c, v in row.items() if c != pc]
+        for pc, row in zip(ech.pivots, ech.rows)
+    }
+    free = [s for s in range(system.cols) if s not in forced]
+    digit = {c: d for d, c in enumerate(coeff_list)}
+    base = len(coeff_list)
+    for values in itertools.product(coeff_list, repeat=len(free)):
+        cs = dict(zip(free, values))
+        for s, terms in forced.items():
+            cs[s] = sum((a * cs[f] for f, a in terms), Fraction(0))
+        if any(cs[s] not in digit for s in forced):
+            continue
+        position = 0
+        for s in range(system.cols):
+            position = position * base + digit[cs[s]]
+        yield position, tuple(cs[s] for s in range(system.cols))
 
 
 @dataclass
@@ -429,15 +431,16 @@ class SearchResult:
 
 
 def snla_search(
-    dim: int,
-    coeffs: Sequence,
-    budget: Optional[int] = None,
-    workers: int = 1,
+    dim: int, coeffs: Sequence, budget: Optional[int] = None
 ) -> SearchResult:
-    """Enumerate all structure-constant tuples over the coefficient set in
-    lexicographic order and keep those passing every check with the standard
-    form.  The space is partitioned by the leading coefficient, so worker
-    count never changes the result list."""
+    """All structure-constant tuples over the coefficient set that pass
+    every check with the standard form, in lexicographic order.
+
+    Only solutions of the linear identities (``linear_constraints``) are
+    candidates worth verifying, and they come in lexicographic order
+    (``_lex_solutions``); each goes through ``verify_snla``.  ``budget``
+    covers the first ``budget`` tuples of the full lexicographic order, so
+    ``examined`` counts tuples covered, not solutions visited."""
     if dim not in (2, 4):
         raise ValueError("search supports dim 2 or 4 only")
     coeff_list = tuple(sorted({rat(c) for c in coeffs}))
@@ -445,37 +448,18 @@ def snla_search(
         raise ValueError("coefficient set is empty")
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     slots = _slot_list(dim)
-    nslots = len(slots)
-    block = len(coeff_list) ** (nslots - 1)
-    total = block * len(coeff_list)
+    total = len(coeff_list) ** len(slots)
+    examined = total if budget is None else min(budget, total)
     form = standard_form(dim // 2)
-
-    jobs = []
-    for pos, lead in enumerate(coeff_list):
-        if budget is None:
-            take = block
-        else:
-            take = max(0, min(budget - pos * block, block))
-        if take:
-            jobs.append((dim, coeff_list, lead, take, form.matrix))
-    examined = sum(job[3] for job in jobs)
-
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            blocks = list(pool.map(_search_block, jobs))
-    else:
-        blocks = [_search_block(job) for job in jobs]
-
     instances = []
-    for hits in blocks:
-        for cs in hits:
-            table = ProductTable.from_coeffs(
-                dim, dict(zip(slots, cs))
-            )
-            instances.append(SnlaInstance(dim, table, form))
+    for position, cs in _lex_solutions(linear_constraints(form), coeff_list):
+        if position >= examined:
+            break
+        table = ProductTable.from_coeffs(dim, dict(zip(slots, cs)))
+        inst = SnlaInstance(dim, table, form)
+        if verify_snla(inst).passed:
+            instances.append(inst)
     return SearchResult(
         dim, coeff_list, examined, total, examined < total, instances
     )

@@ -42,6 +42,13 @@ RESERVED = {"m", "n", "when"}
 # by repeated multiplication, so an unbounded exponent would not return.
 MAX_EXPONENT = 16
 
+# Most decimal digits an integer literal, and the numerator or denominator
+# of a polynomial coefficient after any arithmetic, may have.  A product of
+# two such coefficients evaluated in the window stays far below Python's
+# 4,300-digit limit on int-to-str conversion, so residuals still render.
+MAX_DIGITS = 1000
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<arrow>=>)"
     r"|(?P<punct>[\[\]()+\-*/^=,]))"
@@ -80,7 +87,12 @@ def _tokenize(line: str, lineno: int) -> list[Token]:
         for kind in ("name", "int", "arrow", "punct"):
             text = m.group(kind)
             if text is not None:
-                out.append(Token(kind, text, m.start(kind) + 1))
+                col = m.start(kind) + 1
+                if kind == "int" and len(text) > MAX_DIGITS:
+                    raise ParseError(
+                        lineno, col, f"integer with more than {MAX_DIGITS} digits"
+                    )
+                out.append(Token(kind, text, col))
                 break
         pos = m.end()
     out.append(Token("end", "", len(stripped) + 1))
@@ -426,12 +438,19 @@ class _LineParser:
         p = self._poly_sum()
         return p
 
+    def _bounded(self, p: Poly2, tok: Token) -> Poly2:
+        """``p``, unless a coefficient has more than MAX_DIGITS digits."""
+        for c in p.mono.values():
+            if abs(c.numerator) >= _DIGIT_LIMIT or c.denominator >= _DIGIT_LIMIT:
+                self.fail(f"coefficient with more than {MAX_DIGITS} digits", tok)
+        return p
+
     def _poly_sum(self) -> Poly2:
         p = self._poly_product()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            t = self.next()
             q = self._poly_product()
-            p = p + q if op == "+" else p - q
+            p = self._bounded(p + q if t.text == "+" else p - q, t)
         return p
 
     def _poly_product(self) -> Poly2:
@@ -454,6 +473,7 @@ class _LineParser:
                 p = p * self._poly_factor()
             else:
                 return p
+            p = self._bounded(p, t)
 
     def _poly_factor(self) -> Poly2:
         t = self.peek()
@@ -478,7 +498,7 @@ class _LineParser:
             out = Poly2.const(1)
             for _ in range(e):
                 out = out * p
-            return out
+            return self._bounded(out, t)
         return p
 
     def _poly_atom(self) -> Poly2:

@@ -7,7 +7,9 @@ cannot cancel against itself in the tests.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from lieforge.algebra import AlgebraInstance, Element, GeneratorId
 from lieforge.linalg import SparseMatrix
@@ -201,6 +203,93 @@ def naive_form_compat(dim: int, coeff: dict, matrix) -> bool:
                 if left != right:
                     return False
     return True
+
+
+def brute_force_snla_pass(cs: tuple, dim: int) -> bool:
+    """Every SNLA check for one candidate, on raw structure constants with
+    early exit: cs lists c_ij^k in slot order (i, then j, then k, 1-based)
+    and the form is the standard one, +1 at (i, j) for i < j with
+    i + j = dim + 1.  Novikov, associativity, compatibility, the form
+    cocycle of the commutator bracket, and two-step solvability."""
+    n = dim
+    form = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        j = n - 1 - i
+        if i < j:
+            form[i][j], form[j][i] = Fraction(1), Fraction(-1)
+
+    def c(i, j, k):
+        return cs[((i - 1) * n + (j - 1)) * n + (k - 1)]
+
+    rng = range(1, n + 1)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in rng:
+                    lhs = sum(c(i, j, t) * c(t, k, l) for t in rng)
+                    if lhs != sum(c(i, k, t) * c(t, j, l) for t in rng):
+                        return False
+                    if lhs != sum(c(j, k, t) * c(i, t, l) for t in rng):
+                        return False
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                left = sum(c(i, j, t) * form[t - 1][k - 1] for t in rng)
+                right = sum(c(j, k, t) * form[i - 1][t - 1] for t in rng)
+                if left != right:
+                    return False
+
+    def br(a, b, l):
+        return c(a, b, l) - c(b, a, l)
+
+    for x in rng:
+        for y in rng:
+            if y <= x:
+                continue
+            for z in rng:
+                if z <= y:
+                    continue
+                total = sum(
+                    br(a, b, t) * form[t - 1][cc - 1]
+                    for a, b, cc in ((x, y, z), (y, z, x), (z, x, y))
+                    for t in rng
+                )
+                if total:
+                    return False
+    derived = [[br(i, j, l) for l in rng] for i in rng for j in rng if i < j]
+    derived = [v for v in derived if any(v)]
+    for u in derived:
+        for v in derived:
+            for l in rng:
+                total = sum(
+                    u[a - 1] * v[b - 1] * br(a, b, l) for a in rng for b in rng
+                )
+                if total:
+                    return False
+    return True
+
+
+class BruteForceSearch(NamedTuple):
+    hits: list[tuple]  # passing coefficient tuples, slot order
+    examined: int
+    total: int
+    partial: bool
+
+
+def brute_force_snla_search(dim: int, coeffs, budget: Optional[int]) -> BruteForceSearch:
+    """Check every tuple over the coefficient set, in lexicographic order
+    of the sorted set, stopping after ``budget`` tuples."""
+    coeff_list = sorted({Fraction(c) for c in coeffs})
+    nslots = dim ** 3
+    total = len(coeff_list) ** nslots
+    examined = total if budget is None else min(budget, total)
+    candidates = itertools.product(coeff_list, repeat=nslots)
+    hits = [
+        cs
+        for cs in itertools.islice(candidates, examined)
+        if brute_force_snla_pass(cs, dim)
+    ]
+    return BruteForceSearch(hits, examined, total, examined < total)
 
 
 def esvla_w3_cyclic(p, m, r) -> Fraction:

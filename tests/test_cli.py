@@ -254,12 +254,12 @@ def test_snla_verify_undeclared_generator(line, bad, tmp_path, capsys):
     assert f"line 6: {bad} is not a declared generator" in rep.findings[0].detail
 
 
-def test_rule_exponent_limit_ends_quickly(tmp_path, capsys):
-    spec = tmp_path / "power.lie"
+def check_rule_within_a_second(tmp_path, capsys, coefficient):
+    spec = tmp_path / "rule.lie"
     spec.write_text(
         "algebra w convention plain\n"
         "family L integer even\n"
-        "rule L[m] L[n] => (n - m)^99999999 L[m+n]\n"
+        f"rule L[m] L[n] => {coefficient} L[m+n]\n"
     )
 
     def too_slow(signum, frame):
@@ -268,12 +268,32 @@ def test_rule_exponent_limit_ends_quickly(tmp_path, capsys):
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        code, rep, _ = run_cli(["check", str(spec), "--window", "3"], capsys)
+        return run_cli(["check", str(spec), "--window", "3"], capsys)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_rule_exponent_limit_ends_quickly(tmp_path, capsys):
+    code, rep, _ = check_rule_within_a_second(tmp_path, capsys, "(n - m)^99999999")
     assert code == 2
     assert [f.code for f in rep.findings] == ["E_PARSE"]
+
+
+def test_nested_constant_powers_end_quickly(tmp_path, capsys):
+    code, rep, _ = check_rule_within_a_second(
+        tmp_path, capsys, "((((9^16)^16)^16)^16)^16"
+    )
+    assert code == 2
+    assert [f.code for f in rep.findings] == ["E_PARSE"]
+    assert "more than 1000 digits" in rep.findings[0].detail
+
+
+def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
+    code, rep, _ = check_rule_within_a_second(tmp_path, capsys, "9" * 5000)
+    assert code == 2
+    assert [f.code for f in rep.findings] == ["E_PARSE"]
+    assert "integer with more than 1000 digits" in rep.findings[0].detail
 
 
 def test_snla_search_frozen_catalog(capsys):
@@ -310,16 +330,45 @@ def test_snla_search_bad_coeffs(capsys):
     assert rep.findings[0].code == "E_INPUT"
 
 
-def test_snla_search_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("LIEFORGE_WORKERS", "zero")
-    code, rep, _ = run_cli(["snla", "search", "--dim", "2", "--coeffs", "0"], capsys)
-    assert code == 2
-    assert rep.findings[0].location == "LIEFORGE_WORKERS"
-
-    monkeypatch.setenv("LIEFORGE_WORKERS", "2")
-    code, rep, _ = run_cli(["snla", "search", "--dim", "2", "--coeffs", "0,1"], capsys)
+def test_snla_search_dim4_complete_catalog(capsys):
+    code, rep, _ = run_cli(
+        ["snla", "search", "--dim", "4", "--coeffs=-1,0,1"], capsys
+    )
     assert code == 0
+    assert rep.summaries["candidates"] == 3**64
+    assert rep.summaries["examined"] == 3**64
     assert rep.summaries["instances"] == 1
+    assert rep.summaries["partial"] == 0
+    assert [(f.code, f.detail) for f in rep.findings] == [
+        ("I_INSTANCE", "zero product")
+    ]
+
+
+def test_snla_search_dim4_budget(capsys):
+    code, rep, _ = run_cli(
+        ["snla", "search", "--dim", "4", "--coeffs=-1,0,1", "--budget", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert rep.summaries["examined"] == 5
+    assert rep.summaries["instances"] == 0
+    assert rep.summaries["partial"] == 1
+    assert [f.code for f in rep.findings] == ["I_PARTIAL"]
+
+
+def test_cli_import_starts_no_process_pool():
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = (
+        "import lieforge.cli, sys; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def write_map(path, rows):

@@ -29,16 +29,23 @@ from lieforge.snla import (
     check_symplectic_cocycle,
     commutator_bracket,
     doc_from_snla,
+    linear_constraints,
     snla_central_extension,
     snla_fingerprint,
     snla_from_doc,
     snla_search,
     standard_form,
     verify_snla,
-    _fast_pass,
 )
-from lieforge import specfile
-from oracles import naive_associative, naive_form_compat, naive_right_commutative
+from lieforge import snla, specfile
+from lieforge.linalg import SparseMatrix, matvec, rank
+from oracles import (
+    brute_force_snla_pass,
+    brute_force_snla_search,
+    naive_associative,
+    naive_form_compat,
+    naive_right_commutative,
+)
 
 E = [None] + [gid("e", i) for i in range(1, 5)]
 
@@ -236,13 +243,90 @@ def test_verify_explicit_bracket():
         SnlaInstance(4, ptable(2, {}), standard_form(2))
 
 
-def test_fast_pass_matches_verify_exhaustively():
+SLOTS2 = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+
+
+def searched(res):
+    """A dim-2 search result in the oracle's shape."""
+    hits = [tuple(s.product.coeff(*slot) for slot in SLOTS2) for s in res.instances]
+    return hits, res.examined, res.total, res.partial
+
+
+def test_brute_force_oracle_matches_verify_exhaustively():
     f = standard_form(1)
-    slots = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
     for cs in itertools.product((Fraction(0), Fraction(1)), repeat=8):
-        p = ProductTable.from_coeffs(2, dict(zip(slots, cs)))
+        p = ProductTable.from_coeffs(2, dict(zip(SLOTS2, cs)))
         s = SnlaInstance(2, p, f)
-        assert _fast_pass(cs, 2, f.matrix) == verify_snla(s).passed
+        assert brute_force_snla_pass(cs, 2) == verify_snla(s).passed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_linear_constraints_have_full_rank(n):
+    # compatibility and skew-symmetry give omega(xy, z) = -omega(xy, z), so
+    # nondegeneracy forces the zero product: one point survives elimination
+    m = linear_constraints(standard_form(n))
+    assert m.cols == (2 * n) ** 3
+    assert rank(m) == (2 * n) ** 3
+
+
+def constraint_rows(keep):
+    m = linear_constraints(standard_form(1))
+    rows = sorted(keep)
+    return SparseMatrix(
+        len(rows),
+        m.cols,
+        {(rows.index(r), c): v for (r, c), v in m.entries.items() if r in keep},
+    )
+
+
+@pytest.mark.parametrize(
+    "system, coeffs",
+    [
+        (SparseMatrix(0, 8), [0, 1]),
+        (constraint_rows({1, 2, 3, 4, 5, 6}), [-1, 0, 1]),
+        (constraint_rows({1, 3, 6}), [-1, 0, 1]),
+        (
+            SparseMatrix(
+                2, 8, {(0, 0): 1, (0, 3): -2, (1, 5): 1, (1, 2): 1, (1, 7): -1}
+            ),
+            ["-1/2", 0, 1],
+        ),
+    ],
+    ids=["no-rows", "six-rows", "three-rows", "fractional"],
+)
+def test_lex_solutions_are_the_filtered_product(system, coeffs):
+    coeff_list = tuple(sorted(Fraction(c) for c in coeffs))
+    want = [
+        (pos, cs)
+        for pos, cs in enumerate(itertools.product(coeff_list, repeat=8))
+        if not any(matvec(system, list(cs)))
+    ]
+    assert list(snla._lex_solutions(system, coeff_list)) == want
+
+
+def test_search_verifies_every_candidate(monkeypatch):
+    # with no linear rows every tuple is a candidate, so verify_snla alone
+    # must reproduce the brute-force oracle
+    monkeypatch.setattr(snla, "linear_constraints", lambda f: SparseMatrix(0, 8))
+    for budget in (0, 10, 100, 256):
+        res = snla_search(2, [0, 1], budget=budget)
+        assert searched(res) == tuple(brute_force_snla_search(2, [0, 1], budget))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0], [0, 1], [1, 2], [-1, 0, 1], ["-1/2", 0, 3], [-1, 0, 1, 2]],
+    ids=["0", "0,1", "1,2", "-1,0,1", "-1/2,0,3", "-1,0,1,2"],
+)
+def test_search_matches_brute_force_oracle(coeffs):
+    total = len(coeffs) ** 8
+    oracle = {}  # budgets at or past the total cover the same candidates
+    for budget in (0, 10, 3280, 3281, total, 10 ** 9):
+        res = snla_search(2, coeffs, budget=budget)
+        covered = min(budget, total)
+        if covered not in oracle:
+            oracle[covered] = brute_force_snla_search(2, coeffs, budget)
+        assert searched(res) == tuple(oracle[covered]), budget
 
 
 def test_search_single_candidate():
@@ -268,22 +352,13 @@ def test_search_dim2_full():
     ]
 
 
-def test_search_workers_deterministic():
-    one = snla_search(2, [0, 1], workers=1)
-    two = snla_search(2, [0, 1], workers=2)
-    assert one.examined == two.examined == 256
-    assert [s.product.entries for s in one.instances] == [
-        s.product.entries for s in two.instances
-    ]
-
-
 def test_search_budget():
     res = snla_search(2, [0, 1], budget=10)
     assert res.examined == 10 and res.partial
     assert len(res.instances) == 1  # the zero product is candidate #1
     empty = snla_search(2, [0, 1], budget=0)
     assert empty.examined == 0 and empty.instances == []
-    crossing = snla_search(2, [0, 1], budget=200, workers=2)
+    crossing = snla_search(2, [0, 1], budget=200)
     assert crossing.examined == 200 and crossing.partial
     big = snla_search(2, [0, 1], budget=10 ** 9)
     assert big.examined == 256 and not big.partial
@@ -296,8 +371,6 @@ def test_search_rejects_bad_input():
         snla_search(2, [])
     with pytest.raises(ValueError):
         snla_search(2, [0], budget=-1)
-    with pytest.raises(ValueError):
-        snla_search(2, [0], workers=0)
 
 
 def test_central_extension_standard():

@@ -18,6 +18,7 @@ from lieforge.specfile import (
     FormEntry,
     GeneratorDecl,
     GenPat,
+    MAX_DIGITS,
     MAX_EXPONENT,
     LinCond,
     ParseError,
@@ -391,6 +392,50 @@ def test_power_limit(poly, ok):
         parse(text)
     else:
         with pytest.raises(ParseError, match="exceeds the limit") as exc:
+            parse(text)
+        assert exc.value.line == 3
+
+
+NINES = "9" * MAX_DIGITS
+HALF = "9" * (MAX_DIGITS // 2 + 1)
+
+
+@pytest.mark.parametrize(
+    "poly, ok",
+    [
+        (f"{NINES} (n - m)", True),
+        (f"1/{NINES} (n - m)", True),
+        (f"9{NINES} (n - m)", False),
+        (f"1/9{NINES} (n - m)", False),
+        (f"{HALF} * {HALF}", False),
+        (f"{HALF} {HALF} m", False),
+        (f"1/{HALF} + 1/{HALF[:-1]}7", False),
+        ("(9^16)^16", True),
+        ("((9^16)^16)^16", False),
+        ("((((9^16)^16)^16)^16)^16", False),
+    ],
+    ids=[
+        "literal",
+        "denominator",
+        "long-literal",
+        "long-denominator",
+        "product",
+        "juxtaposition",
+        "sum",
+        "power",
+        "nested-power",
+        "deeply-nested-power",
+    ],
+)
+def test_digit_limit(poly, ok):
+    text = (
+        "algebra a convention plain\nfamily L integer even\n"
+        f"rule L[m] L[n] => {poly} L[m+n]\n"
+    )
+    if ok:
+        parse(text)
+    else:
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits") as exc:
             parse(text)
         assert exc.value.line == 3
 
