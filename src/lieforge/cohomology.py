@@ -89,9 +89,6 @@ class LinearEndo:
             ]
         )
 
-    def flat(self) -> list[Fraction]:
-        return [v for row in self.matrix for v in row]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearEndo) and self.matrix == other.matrix
 
@@ -146,12 +143,10 @@ def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:
         x = Element.of(x)
     n = A.dim
     m = [[Fraction(0)] * n for _ in range(n)]
-    for j, h in enumerate(A.generators):
-        img = Element.zero()
-        for g, c in x.terms.items():
-            img = img + A.table.value(g, h).scale(c)
-        for t, c in img.terms.items():
-            m[A.position(t)][j] = c
+    for g, c in x.terms.items():
+        for j, pair in enumerate(A.view.terms[A.position(g)]):
+            for t, ct in pair:
+                m[t][j] += c * ct
     return LinearEndo(m)
 
 
@@ -288,24 +283,29 @@ def inner_split(
     """
     if not ders:
         return 0, 0
+    n = A.dim
     gens = ad_generators if ad_generators is not None else A.generators
-    ad_vecs = [ad_matrix(A, g).flat() for g in gens]
-    der_vecs = [d.flat() for d in ders]
 
-    def rank_of(vectors: list[list[Fraction]]) -> int:
-        if not vectors:
-            return 0
-        entries = {
-            (r, c): v
-            for r, vec in enumerate(vectors)
-            for c, v in enumerate(vec)
+    def nonzero_entries(D: LinearEndo) -> dict[int, Fraction]:
+        # entry (i, j) of the map sits in column i * n + j of the rank rows
+        return {
+            i * n + j: v
+            for i, row in enumerate(D.matrix)
+            for j, v in enumerate(row)
             if v
         }
-        return rank(SparseMatrix(len(vectors), len(vectors[0]), entries))
 
-    r_ad = rank_of(ad_vecs)
-    r_der = rank_of(der_vecs)
-    r_union = rank_of(ad_vecs + der_vecs)
+    def rank_of(rows: list[dict[int, Fraction]]) -> int:
+        if not rows:
+            return 0
+        entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+        return rank(SparseMatrix(len(rows), n * n, entries))
+
+    ad_rows = [nonzero_entries(ad_matrix(A, g)) for g in gens]
+    der_rows = [nonzero_entries(d) for d in ders]
+    r_ad = rank_of(ad_rows)
+    r_der = rank_of(der_rows)
+    r_union = rank_of(ad_rows + der_rows)
     inner = r_ad + r_der - r_union
     return inner, r_der - inner
 

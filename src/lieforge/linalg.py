@@ -8,10 +8,12 @@ to the canonical reduced row echelon form over the rationals.
 
 The shape of the matrix picks the integer kernel.  Below ``DENSE_LIMIT``
 rows and columns it is Bareiss elimination on dense lists (E. H. Bareiss,
-Math. Comp. 22 (1968) 565-578); larger matrices stay in sparse dict rows and
-use gcd-reduced cross-multiplication.  Both pivot on the first nonzero entry
-in the current row order, columns scanned left to right, so the output is
-deterministic.
+Math. Comp. 22 (1968) 565-578).  Larger matrices stay in sparse dict rows and
+use gcd-reduced cross-multiplication over a column index: each column maps to
+the set of pending rows with a nonzero entry in it, so a pivot step reads only
+the rows that hold its column.  Both kernels scan columns left to right and
+pivot on the lowest-numbered row still pending with a nonzero entry in the
+column, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _integer_rows(row_dicts: list[dict[int, Fraction]]) -> list[dict[int, int]]:
             out.append({})
             continue
         scale = lcm(*(v.denominator for v in row.values()))
-        out.append({c: int(v * scale) for c, v in row.items()})
+        out.append({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
     return out
 
 
@@ -166,71 +168,95 @@ def _ff_forward_dense(rows: list[list[int]], ncols: int):
     return pivots, rows[:r]
 
 
+def _column_index(rows: Mapping[int, dict]) -> dict[int, set[int]]:
+    """Map each column to the set of row ids with a nonzero entry in it."""
+    holders: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            held = holders.get(c)
+            if held is None:
+                holders[c] = {i}
+            else:
+                held.add(i)
+    return holders
+
+
 def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
     """Sparse integer elimination with per-row gcd reduction.
 
-    ``rows`` maps column index to nonzero integer entry.  Only rows with a
-    nonzero entry in the pivot column are combined; each combined row is
-    divided by the gcd of its entries to bound coefficient growth.
+    ``rows`` maps column index to nonzero integer entry; the dicts are
+    consumed.  A column index maps each column to the pending rows that hold
+    it.  For each column in ascending order the lowest-numbered of those rows
+    is the pivot, and only the others are combined with it; each combined row
+    is divided by the gcd of its entries to bound coefficient growth.  The
+    index follows every fill-in and cancellation, and rows that cancel to
+    empty leave it.  Returns ``(pivot_cols, echelon_rows)``.
     """
-    pending = [row for row in rows if row]
+    pending = {i: row for i, row in enumerate(rows) if row}
+    holders = _column_index(pending)
     done: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(ncols):
         if not pending:
             break
-        pr = -1
-        for i, row in enumerate(pending):
-            if c in row:
-                pr = i
-                break
-        if pr < 0:
+        held = holders.pop(c, None)
+        if not held:
             continue
+        pr = min(held)
+        held.discard(pr)
         prow = pending.pop(pr)
         piv = prow[c]
-        for i, row in enumerate(pending):
-            f = row.get(c)
-            if f is None:
-                continue
-            new: dict[int, int] = {}
-            for j in sorted(set(row) | set(prow)):
-                if j == c:
-                    continue
-                v = piv * row.get(j, 0) - f * prow.get(j, 0)
-                if v:
-                    new[j] = v
+        rest = [(j, v) for j, v in prow.items() if j != c]
+        for j, _ in rest:
+            holders[j].discard(pr)
+        for i in held:
+            row = pending[i]
+            f = row.pop(c)
+            new = {j: piv * v for j, v in row.items()}
+            for j, v in rest:
+                w = new.get(j, 0) - f * v
+                if w:
+                    if j not in new:
+                        holders[j].add(i)
+                    new[j] = w
+                else:
+                    del new[j]
+                    holders[j].discard(i)
             if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
+                g = gcd(*new.values())
                 if g > 1:
                     new = {j: v // g for j, v in new.items()}
-            pending[i] = new
-        pending = [row for row in pending if row]
+                pending[i] = new
+            else:
+                del pending[i]
         done.append(prow)
         pivots.append(c)
     return pivots, done
 
 
-def _normalize(pivots: list[int], echelon_rows: list[dict[int, Fraction]]) -> Echelon:
-    """Back-eliminate above pivots and scale pivots to 1 (canonical RREF)."""
-    rows = [dict(r) for r in echelon_rows]
+def _normalize(pivots: list[int], rows: list[dict[int, Fraction]]) -> Echelon:
+    """Back-eliminate above pivots and scale pivots to 1 (canonical RREF).
+
+    Mutates ``rows``.  Each pivot column is cleared only in the earlier rows
+    that hold it.  Clearing adds entries in free columns alone, so the rows
+    that hold a pivot column can be read off once, before any clearing."""
+    holders = _column_index(dict(enumerate(rows)))
     for i in range(len(rows) - 1, -1, -1):
         c = pivots[i]
         piv = rows[i][c]
         if piv != 1:
             rows[i] = {j: v / piv for j, v in rows[i].items()}
         prow = rows[i]
-        for k in range(i):
-            f = rows[k].get(c)
-            if f is None:
+        for k in holders[c]:
+            if k == i:
                 continue
             row = rows[k]
+            f = row[c]
             for j, v in prow.items():
-                nv = row.get(j, Fraction(0)) - f * v
+                nv = row.get(j, 0) - f * v
                 if nv:
                     row[j] = nv
-                elif j in row:
+                else:
                     del row[j]
     return Echelon(tuple(pivots), tuple(rows))
 
@@ -262,18 +288,17 @@ def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     column order.  Every returned v satisfies m @ v = 0 exactly."""
     ech = rref(m)
     pivot_set = set(ech.pivots)
-    basis = []
+    basis: dict[int, list[Fraction]] = {}
     for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for i, c in enumerate(ech.pivots):
-            coeff = ech.rows[i].get(free)
-            if coeff:
-                v[c] = -coeff
-        basis.append(v)
-    return basis
+        if free not in pivot_set:
+            basis[free] = [Fraction(0)] * m.cols
+            basis[free][free] = Fraction(1)
+    # every non-pivot entry of a reduced row sits in a free column
+    for c, row in zip(ech.pivots, ech.rows):
+        for free, coeff in row.items():
+            if free != c:
+                basis[free][c] = -coeff
+    return list(basis.values())
 
 
 def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:

@@ -37,9 +37,12 @@ from lieforge.algebra import (
 
 RESERVED = {"m", "n", "when"}
 
-# Largest power a polynomial may take: in "p^e", e times the degree of p
-# (a constant counts as degree 1) may not exceed it.  Powers are expanded
-# by repeated multiplication, so an unbounded exponent would not return.
+# Largest total degree a polynomial may have.  In "p^e", e times the degree
+# of p (a constant counts as degree 1) may not exceed it, checked before the
+# power is expanded by repeated multiplication, since an unbounded exponent
+# would not return.  No product, written with "*" or by juxtaposition, may
+# exceed it either: evaluated in the window, a monomial of unbounded degree
+# outgrows the 4,300-digit limit on int-to-str conversion.
 MAX_EXPONENT = 16
 
 # Most decimal digits an integer literal, and the numerator or denominator
@@ -439,7 +442,13 @@ class _LineParser:
         return p
 
     def _bounded(self, p: Poly2, tok: Token) -> Poly2:
-        """``p``, unless a coefficient has more than MAX_DIGITS digits."""
+        """``p``, unless its degree exceeds MAX_EXPONENT or a coefficient has
+        more than MAX_DIGITS digits."""
+        degree = p.degree()
+        if degree > MAX_EXPONENT:
+            self.fail(
+                f"polynomial of degree {degree} exceeds the limit {MAX_EXPONENT}", tok
+            )
         for c in p.mono.values():
             if abs(c.numerator) >= _DIGIT_LIMIT or c.denominator >= _DIGIT_LIMIT:
                 self.fail(f"coefficient with more than {MAX_DIGITS} digits", tok)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from lieforge.algebra import AlgebraInstance, Element, GeneratorId
@@ -304,6 +305,40 @@ def esvla_w3_cyclic(p, m, r) -> Fraction:
     if p + m + b + 1 != 0:
         return Fraction(0)
     return m + Fraction(p, 2) - b
+
+
+def list_scan_forward(rows: list[dict[int, int]], ncols: int):
+    """Sparse integer forward elimination with no column index: for each
+    column, scan every pending row in row order for the first that holds
+    it, then combine every other pending row holding it with that row and
+    divide each result by the gcd of its entries.  Returns
+    ``(pivot_cols, echelon_rows)`` in the shape of the sparse kernel."""
+    pending = [dict(row) for row in rows if row]
+    done = []
+    pivots = []
+    for c in range(ncols):
+        pr = next((i for i, row in enumerate(pending) if c in row), None)
+        if pr is None:
+            continue
+        prow = pending.pop(pr)
+        piv = prow[c]
+        for i, row in enumerate(pending):
+            f = row.get(c)
+            if f is None:
+                continue
+            new = {}
+            for j in set(row) | set(prow):
+                v = piv * row.get(j, 0) - f * prow.get(j, 0)
+                if v:
+                    new[j] = v
+            g = 0
+            for v in new.values():
+                g = gcd(g, v)
+            pending[i] = {j: v // g for j, v in new.items()}
+        pending = [row for row in pending if row]
+        done.append(prow)
+        pivots.append(c)
+    return pivots, done
 
 
 def rational_rref(m: SparseMatrix) -> tuple[tuple[int, ...], tuple[dict, ...]]:

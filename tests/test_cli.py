@@ -296,6 +296,44 @@ def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
     assert "integer with more than 1000 digits" in rep.findings[0].detail
 
 
+def test_rule_degree_limit_covers_juxtaposition(tmp_path):
+    # 3,000 juxtaposed factors: no power, no long literal, but m^3000
+    # evaluated in the window would exceed the int-to-str digit limit
+    spec = tmp_path / "deg.lie"
+    spec.write_text(
+        "algebra w convention plain\n"
+        "family L integer even\n"
+        f"rule L[m] L[n] => {' '.join(['m'] * 3000)} L[m+n]\n"
+    )
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieforge", "check", str(spec), "--window", "8"]
+        + ["--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    findings = json.loads(proc.stdout)["findings"]
+    assert [f["code"] for f in findings] == ["E_PARSE"]
+    assert "polynomial of degree 17 exceeds the limit 16" in findings[0]["detail"]
+
+
+def test_rule_degree_at_the_limit_is_accepted(tmp_path, capsys):
+    spec = tmp_path / "deg16.lie"
+    spec.write_text(
+        "algebra w convention plain\n"
+        "family L integer even\n"
+        f"rule L[m] L[n] => {' '.join(['m'] * 8 + ['n'] * 8)} L[m+n]\n"
+    )
+    code, rep, _ = run_cli(["check", str(spec), "--window", "8"], capsys)
+    assert code in (0, 1)
+    assert "E_PARSE" not in [f.code for f in rep.findings]
+    assert rep.summaries["dim"] == 17
+
+
 def test_snla_search_frozen_catalog(capsys):
     code, rep, _ = run_cli(
         ["snla", "search", "--dim", "2", "--coeffs=-1,0,1"], capsys

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lieforge import cohomology, esvla, specfile
 from lieforge.linalg import (
+    DENSE_LIMIT,
     SparseMatrix,
+    _ff_forward_sparse,
+    _integer_rows,
     invert_dense,
     matvec,
     nullspace,
@@ -17,7 +23,7 @@ from lieforge.linalg import (
     rref,
     solve,
 )
-from oracles import rational_rref
+from oracles import list_scan_forward, rational_rref
 
 
 def dense(rows):
@@ -164,6 +170,117 @@ def test_sparse_path_agrees_with_rational():
         assert r + len(basis) == 70
         for v in basis[:10]:
             assert all(x == 0 for x in matvec(m, v))
+
+
+def assert_sparse_kernel_matches_oracles(m):
+    """The column-indexed kernel picks the same pivot rows as a list scan,
+    so its gcd-reduced integer rows match, and rref matches Gauss-Jordan."""
+    assert m.cols >= DENSE_LIMIT
+    assert _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols) == (
+        list_scan_forward(_integer_rows(m.row_dicts()), m.cols)
+    )
+    assert rref(m) == rational_rref(m)
+
+
+@st.composite
+def permuted_block_systems(draw):
+    """Block-diagonal rational matrix with at least DENSE_LIMIT columns, so
+    the sparse kernel runs, with rows and columns permuted at random.
+
+    Each block with three or more columns gets two extra rows that share
+    only one column: eliminating it with either fills in a column the other
+    did not hold.  Rational combinations of rows of one block are appended,
+    so rows cancel to empty."""
+    rng = draw(st.randoms(use_true_random=False))
+    target = DENSE_LIMIT + draw(st.integers(0, 16))
+    blocks = []
+    ncols = 0
+    while ncols < target:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+        blocks.append((ncols, shape))
+        ncols += shape[1]
+    rows: list[dict[int, Fraction]] = []
+    block_rows: list[list[int]] = []
+    for c0, (nr, nc) in blocks:
+        mine = []
+        for _ in range(nr):
+            row = {
+                c0 + c: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for c in range(nc)
+                if rng.random() < 0.5
+            }
+            mine.append(len(rows))
+            rows.append(row)
+        if nc >= 3:
+            for other in (1, 2):
+                mine.append(len(rows))
+                rows.append(
+                    {c0: Fraction(rng.randint(1, 3)), c0 + other: Fraction(-1, other)}
+                )
+        block_rows.append(mine)
+    for _ in range(draw(st.integers(1, 12))):
+        mine = rng.choice(block_rows)
+        combo: dict[int, Fraction] = {}
+        for r in rng.sample(mine, min(len(mine), rng.randint(1, 3))):
+            f = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            for c, v in rows[r].items():
+                combo[c] = combo.get(c, Fraction(0)) + f * v
+        rows.append(combo)
+    row_perm = list(range(len(rows)))
+    col_perm = list(range(ncols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    entries = {
+        (row_perm[r], col_perm[c]): v
+        for r, row in enumerate(rows)
+        for c, v in row.items()
+    }
+    return SparseMatrix(len(rows), ncols, entries), rng
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(permuted_block_systems())
+def test_sparse_kernel_on_permuted_block_systems(system):
+    m, rng = system
+    assert_sparse_kernel_matches_oracles(m)
+    assert rank(m) + len(nullspace(m)) == m.cols
+    x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.cols)]
+    b = matvec(m, x0)
+    x = solve(m, b)
+    assert x is not None
+    assert matvec(m, x) == b
+
+
+WITT = Path(__file__).resolve().parent / "data" / "witt.lie"
+
+
+def test_sparse_kernel_on_witt_cocycle_system():
+    # the system cocycle2_space eliminates, above DENSE_LIMIT columns
+    A = specfile.instantiate(specfile.parse(WITT.read_text()), window=8)
+    unknowns = cohomology._cochain_unknowns(A, False)
+    rows = cohomology._cocycle_rows(A, unknowns)
+    m = SparseMatrix(
+        len(rows),
+        len(unknowns),
+        {(r, u): v for r, row in enumerate(rows) for u, v in row.items()},
+    )
+    assert_sparse_kernel_matches_oracles(m)
+
+
+def test_sparse_kernel_on_esvla_derivation_system(monkeypatch):
+    # the grade-0 derivation system of the bundled ESVLA at window 4
+    systems = []
+    real_nullspace = cohomology.nullspace
+
+    def recording_nullspace(m):
+        systems.append(m)
+        return real_nullspace(m)
+
+    monkeypatch.setattr(cohomology, "nullspace", recording_nullspace)
+    A = esvla.build_esvla(esvla.EsvlaConfig(window=4))
+    cohomology.derivation_space(A, grade_restriction=0)
+    [m] = systems
+    assert_sparse_kernel_matches_oracles(m)
 
 
 def test_invert_dense_roundtrip():

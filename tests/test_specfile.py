@@ -381,6 +381,11 @@ def test_instantiate_rejects_bad_mode():
         (f"2^{MAX_EXPONENT + 1}", False),
         ("((n - m)^8)^4", False),
         ("(n - m)^99999999", False),
+        (" ".join(["m"] * MAX_EXPONENT), True),
+        ("m^8 * n^8", True),
+        (" ".join(["m"] * (MAX_EXPONENT + 1)), False),
+        (f"m^{MAX_EXPONENT} * n", False),
+        (f"(m^{MAX_EXPONENT}) (m - n)", False),
     ],
 )
 def test_power_limit(poly, ok):
