@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from lieforge.linalg import SparseMatrix, nullspace, rat, rref
 
 EVEN = 0
-ODD = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -338,9 +337,6 @@ class AlgebraInstance:
             return True
         return abs(g.doubled_index) <= 2 * (self.window - self.interior_margin)
 
-    def interior_generators(self) -> list[GeneratorId]:
-        return [g for g in self.generators if self.is_interior(g)]
-
     def pair_flagged(self, g: GeneratorId, h: GeneratorId) -> bool:
         i, j = self._pos.get(g), self._pos.get(h)
         return i is not None and j is not None and j in self.view.flagged[i]
@@ -384,20 +380,6 @@ class TripleScan:
                 self.skipped += 1
             else:
                 yield t
-
-
-def finite_instance(
-    name: str,
-    generators: Iterable[GeneratorId],
-    entries: Mapping[tuple[GeneratorId, GeneratorId], Element],
-    parity: Mapping[str, int] = (),
-    convention: str = "plain",
-) -> AlgebraInstance:
-    """Build a windowless instance from explicit as-written entries."""
-    table = BracketTable(parity, convention)
-    for (g, h), v in entries.items():
-        table.assign(g, h, v)
-    return AlgebraInstance(name, generators, table)
 
 
 def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import AlgebraInstance, Element, GeneratorId, bracket, gid
+from .algebra import AlgebraInstance, Element, GeneratorId
 from .cohomology import LinearEndo
 from .linalg import SparseMatrix, rank, rat
 from .snla import ProductTable, SymplecticForm
@@ -46,28 +46,36 @@ def check_automorphism(
     n = A.dim
     if phi.dim != n:
         raise ValueError(f"map dimension {phi.dim} != algebra dimension {n}")
-    entries = {
-        (i, j): v
-        for i, row in enumerate(phi.matrix)
-        for j, v in enumerate(row)
-        if v
-    }
+    cols = [phi.column(j) for j in range(n)]
+    entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
     r = rank(SparseMatrix(n, n, entries))
     if r < n:
         raise ValueError(f"singular map: rank {r} < {n}")
+    terms, flagged = A.view.terms, A.view.flagged
+
+    def element(acc: dict[int, Fraction]) -> Element:
+        return Element({A.generators[t]: v for t, v in acc.items()})
+
     out = []
-    gens = A.generators
-    for i in range(n):
+    for i, ci in enumerate(cols):
         for j in range(i, n):
-            g, h = gens[i], gens[j]
-            if A.pair_flagged(g, h):
+            cj = cols[j]
+            if j in flagged[i] or any(not flagged[a].isdisjoint(cj) for a in ci):
                 continue
-            lhs = phi.apply(A, A.table.value(g, h))
-            rhs, clipped = bracket(A, phi.image_of(A, g), phi.image_of(A, h))
-            if clipped:
-                continue
+            mapped: dict[int, Fraction] = {}  # phi([g_i, g_j]) by position
+            for k, ck in terms[i][j]:
+                for t, v in cols[k].items():
+                    mapped[t] = mapped.get(t, 0) + ck * v
+            of_images: dict[int, Fraction] = {}  # [phi(g_i), phi(g_j)]
+            for a, ca in ci.items():
+                row = terms[a]
+                for b, cb in cj.items():
+                    for t, ct in row[b]:
+                        of_images[t] = of_images.get(t, 0) + ca * cb * ct
+            lhs, rhs = element(mapped), element(of_images)
             if lhs != rhs:
-                out.append(AutomorphismViolation((g, h), lhs, rhs))
+                pair = (A.generators[i], A.generators[j])
+                out.append(AutomorphismViolation(pair, lhs, rhs))
     return out
 
 
@@ -79,14 +87,17 @@ def check_symplectomorphism(
     n = f.dim
     if phi.dim != n:
         raise ValueError(f"map dimension {phi.dim} != form dimension {n}")
-    m, om = phi.matrix, f.matrix
-    tmp = [
-        [sum((om[k][l] * m[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
-        for k in range(n)
+    om = f.matrix
+    cols = [phi.column(j) for j in range(n)]
+    # column j of Omega phi
+    om_cols = [
+        [sum((om[k][l] * v for l, v in col.items()), Fraction(0)) for k in range(n)]
+        for col in cols
     ]
     residual = [
         [
-            sum((m[k][i] * tmp[k][j] for k in range(n)), Fraction(0)) - om[i][j]
+            sum((v * om_cols[j][k] for k, v in cols[i].items()), Fraction(0))
+            - om[i][j]
             for j in range(n)
         ]
         for i in range(n)
@@ -110,17 +121,6 @@ class ProductPreservationViolation:
         )
 
 
-def _apply_to(phi: LinearEndo, gens: list[GeneratorId], x: Element) -> Element:
-    pos = {g: k for k, g in enumerate(gens)}
-    out = Element.zero()
-    for g, c in x.terms.items():
-        col = pos[g]
-        out = out + Element(
-            {gens[i]: phi.matrix[i][col] for i in range(len(gens))}
-        ).scale(c)
-    return out
-
-
 def check_product_preserved(
     p: ProductTable, phi: LinearEndo
 ) -> list[ProductPreservationViolation]:
@@ -128,14 +128,13 @@ def check_product_preserved(
     if phi.dim != p.dim:
         raise ValueError(f"map dimension {phi.dim} != product dimension {p.dim}")
     gens = p.generators()
-    images = [
-        Element({gens[i]: phi.matrix[i][j] for i in range(p.dim)})
-        for j in range(p.dim)
-    ]
+    images = [phi.image(gens, j) for j in range(p.dim)]
     out = []
     for i in range(1, p.dim + 1):
         for j in range(1, p.dim + 1):
-            lhs = _apply_to(phi, gens, p.value(i, j))
+            lhs = Element.zero()
+            for g, c in p.value(i, j).terms.items():
+                lhs = lhs + images[int(g.index) - 1].scale(c)
             rhs = p.mult(images[i - 1], images[j - 1])
             if lhs != rhs:
                 out.append(ProductPreservationViolation((i, j), lhs, rhs))
@@ -248,24 +247,6 @@ def check_recurrences(cf: CoefficientFamily) -> list[RecurrenceViolation]:
                 if lhs != rhs:
                     out.append(RecurrenceViolation("d", (m, n), lhs, rhs))
     return out
-
-
-def scaling_candidate(alpha, window: int) -> CoefficientFamily:
-    """The canonical solution family a_n = alpha^n with b = c = d = 0."""
-    al = rat(alpha)
-    if not al:
-        raise ValueError("alpha must be nonzero")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    grid = range(-window, window + 1)
-    zero = Fraction(0)
-    return CoefficientFamily(
-        a={n: al**n for n in grid},
-        b={n: zero for n in grid},
-        c={n: zero for n in grid},
-        d={k: zero for k in range(-2 * window, 2 * window + 1)},
-        window=window,
-    )
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
@@ -620,13 +619,16 @@ def _cmd_aut_recurrences(args) -> Report:
             )
         if args.window < cf.window:
             W = args.window
-            cf = CoefficientFamily(
-                {k: v for k, v in cf.a.items() if abs(k) <= W},
-                {k: v for k, v in cf.b.items() if abs(k) <= W},
-                {k: v for k, v in cf.c.items() if abs(k) <= W},
-                {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
-                W,
-            )
+            try:
+                cf = CoefficientFamily(
+                    {k: v for k, v in cf.a.items() if abs(k) <= W},
+                    {k: v for k, v in cf.b.items() if abs(k) <= W},
+                    {k: v for k, v in cf.c.items() if abs(k) <= W},
+                    {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
+                    W,
+                )
+            except ValueError as e:
+                return _error_report(command, inputs, "E_INPUT", name, str(e))
     viols = check_recurrences(cf)
     findings = [
         ReportFinding(

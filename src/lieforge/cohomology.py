@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -31,66 +31,49 @@ from lieforge.linalg import SparseMatrix, nullspace, rank, rat, rref
 
 
 class LinearEndo:
-    """Linear self-map in the generator basis: column j holds the image of
-    generator j."""
+    """Linear self-map in the generator basis.  Column j, the image of
+    generator j, is kept as a dict from row position to nonzero coefficient;
+    the rest of the package reads a map only through these methods."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("_cols",)
 
-    def __init__(self, matrix: list[list]):
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
+    def __init__(self, rows: list[list]):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self.matrix = [[rat(v) for v in row] for row in matrix]
+        self._cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                f = rat(v)
+                if f:
+                    self._cols[j][i] = f
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    @classmethod
+    def from_columns(cls, cols: list[dict[int, Fraction]]) -> "LinearEndo":
+        """The map whose column j is ``cols[j]``, nonzero Fractions keyed by
+        row position, kept as given."""
+        phi = cls.__new__(cls)
+        phi._cols = cols
+        return phi
 
     @classmethod
     def identity(cls, n: int) -> "LinearEndo":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return cls.from_columns([{j: Fraction(1)} for j in range(n)])
 
-    @classmethod
-    def from_images(
-        cls, A: AlgebraInstance, images: Mapping[GeneratorId, Element]
-    ) -> "LinearEndo":
-        """Build a map from generator images; unlisted generators map to 0."""
-        n = A.dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for g, img in images.items():
-            j = A.position(g)
-            for t, c in img.terms.items():
-                m[A.position(t)][j] = c
-        return cls(m)
+    @property
+    def dim(self) -> int:
+        return len(self._cols)
 
-    def image_of(self, A: AlgebraInstance, g: GeneratorId) -> Element:
-        j = A.position(g)
-        return Element(
-            {A.generators[i]: self.matrix[i][j] for i in range(self.dim)}
-        )
+    def column(self, j: int) -> Mapping[int, Fraction]:
+        """Nonzero entries of column j by row position; read only."""
+        return self._cols[j]
 
-    def apply(self, A: AlgebraInstance, x: Element) -> Element:
-        out = Element.zero()
-        for g, c in x.terms.items():
-            out = out + self.image_of(A, g).scale(c)
-        return out
-
-    def compose(self, other: "LinearEndo") -> "LinearEndo":
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
-        a, b = self.matrix, other.matrix
-        return LinearEndo(
-            [
-                [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+    def image(self, basis: Sequence[GeneratorId], j: int) -> Element:
+        """The image of ``basis[j]``, written in the same basis."""
+        return Element({basis[i]: v for i, v in self._cols[j].items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearEndo) and self.matrix == other.matrix
+        return isinstance(other, LinearEndo) and self._cols == other._cols
 
 
 class Cochain2(PairTable):
@@ -126,9 +109,6 @@ class Cochain2(PairTable):
             self.symmetry_residuals(lambda g: g), key=lambda t: (t[0], t[1])
         )
 
-    def support(self) -> list[tuple[GeneratorId, GeneratorId]]:
-        return sorted(self.raw, key=lambda p: (p[0], p[1]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain2)
@@ -141,13 +121,14 @@ def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:
     """The map ad_x = [x, -] in the generator basis."""
     if isinstance(x, GeneratorId):
         x = Element.of(x)
-    n = A.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
+    cols: list[dict[int, Fraction]] = [{} for _ in range(A.dim)]
     for g, c in x.terms.items():
-        for j, pair in enumerate(A.view.terms[A.position(g)]):
+        for col, pair in zip(cols, A.view.terms[A.position(g)]):
             for t, ct in pair:
-                m[t][j] += c * ct
-    return LinearEndo(m)
+                col[t] = col.get(t, 0) + c * ct
+    return LinearEndo.from_columns(
+        [{t: v for t, v in col.items() if v} for col in cols]
+    )
 
 
 def _pair_iter(A: AlgebraInstance):
@@ -224,50 +205,15 @@ def derivation_space(
         (r, u): v for r, row in enumerate(rows) for u, v in row.items()
     }
     m = SparseMatrix(max(len(rows), 1), len(unknowns), entries)
+    index_of = list(unknowns)  # unknown u is entry index_of[u] = (i, j)
     basis = []
-    index_of = {u: key for key, u in unknowns.items()}
-    for vec in nullspace(m):
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for u, val in enumerate(vec):
-            if val:
-                i, j = index_of[u]
-                mat[i][j] = val
-        basis.append(LinearEndo(mat))
+    for vec in rref(m).kernel(len(unknowns)):
+        cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for u, val in vec.items():
+            i, j = index_of[u]
+            cols[j][i] = val
+        basis.append(LinearEndo.from_columns(cols))
     return basis
-
-
-def check_derivation(
-    A: AlgebraInstance, D: LinearEndo
-) -> list[tuple[GeneratorId, GeneratorId, Element]]:
-    """Pairs where D[g,h] != [Dg,h] + [g,Dh], with residuals."""
-    out = []
-    gens = A.generators
-    for i, j in _pair_iter(A):
-        a, b = gens[i], gens[j]
-        if A.pair_flagged(a, b):
-            continue
-        v = A.table.value(a, b)
-        lhs = D.apply(A, v)
-        rhs = Element.zero()
-        skip = False
-        for t, c in D.image_of(A, a).terms.items():
-            if A.pair_flagged(t, b):
-                skip = True
-                break
-            rhs = rhs + A.table.value(t, b).scale(c)
-        if skip:
-            continue
-        for t, c in D.image_of(A, b).terms.items():
-            if A.pair_flagged(a, t):
-                skip = True
-                break
-            rhs = rhs + A.table.value(a, t).scale(c)
-        if skip:
-            continue
-        residual = lhs - rhs
-        if residual:
-            out.append((a, b, residual))
-    return out
 
 
 def inner_split(
@@ -288,12 +234,7 @@ def inner_split(
 
     def nonzero_entries(D: LinearEndo) -> dict[int, Fraction]:
         # entry (i, j) of the map sits in column i * n + j of the rank rows
-        return {
-            i * n + j: v
-            for i, row in enumerate(D.matrix)
-            for j, v in enumerate(row)
-            if v
-        }
+        return {i * n + j: v for j in range(n) for i, v in D.column(j).items()}
 
     def rank_of(rows: list[dict[int, Fraction]]) -> int:
         if not rows:

@@ -175,13 +175,6 @@ class EsvlaAuditReport:
     h2_grade0: int
     h2_note: str = H2_NOTE
 
-    def identities_hold(self) -> bool:
-        return (
-            not self.alternating
-            and not self.jacobi.violations
-            and all(not a.violations for a in self.cocycles.values())
-        )
-
     def summaries(self) -> dict[str, int]:
         out = {
             "dim": self.dim,

@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-Rational = Fraction
-
 DENSE_LIMIT = 64
 
 
@@ -104,6 +102,22 @@ class Echelon(NamedTuple):
 
     pivots: tuple[int, ...]
     rows: tuple  # tuple[dict[int, Fraction], ...], rows[i] pivoted at pivots[i]
+
+    def kernel(self, cols: int) -> list[dict[int, Fraction]]:
+        """Canonical nullspace basis of a matrix with ``cols`` columns and
+        this echelon form, as sparse vectors of nonzero entries: one per free
+        column in ascending order, 1 there and minus the reduced row's
+        coefficient at each pivot."""
+        pivot_set = set(self.pivots)
+        basis = {
+            free: {free: Fraction(1)} for free in range(cols) if free not in pivot_set
+        }
+        # every non-pivot entry of a reduced row sits in a free column
+        for c, row in zip(self.pivots, self.rows):
+            for free, coeff in row.items():
+                if free != c:
+                    basis[free][c] = -coeff
+        return list(basis.values())
 
 
 def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
@@ -286,19 +300,13 @@ def rank(m: SparseMatrix) -> int:
 def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     """Canonical nullspace basis, one vector per free column in ascending
     column order.  Every returned v satisfies m @ v = 0 exactly."""
-    ech = rref(m)
-    pivot_set = set(ech.pivots)
-    basis: dict[int, list[Fraction]] = {}
-    for free in range(m.cols):
-        if free not in pivot_set:
-            basis[free] = [Fraction(0)] * m.cols
-            basis[free][free] = Fraction(1)
-    # every non-pivot entry of a reduced row sits in a free column
-    for c, row in zip(ech.pivots, ech.rows):
-        for free, coeff in row.items():
-            if free != c:
-                basis[free][c] = -coeff
-    return list(basis.values())
+    basis = []
+    for vec in rref(m).kernel(m.cols):
+        dense = [Fraction(0)] * m.cols
+        for c, v in vec.items():
+            dense[c] = v
+        basis.append(dense)
+    return basis
 
 
 def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
@@ -319,24 +327,3 @@ def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
     for i, c in enumerate(ech.pivots):
         x[c] = ech.rows[i].get(m.cols, Fraction(0))
     return x
-
-
-def invert_dense(mat: list[list]) -> Optional[list[list[Fraction]]]:
-    """Exact inverse of a small dense square matrix, or None if singular."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    entries: dict[tuple[int, int], Fraction] = {}
-    for r in range(n):
-        for c in range(n):
-            entries[(r, c)] = rat(mat[r][c])
-        entries[(r, n + r)] = Fraction(1)
-    ech = rref(SparseMatrix(n, 2 * n, entries))
-    if len(ech.pivots) < n or any(p >= n for p in ech.pivots):
-        return None
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        row = ech.rows[i]
-        for j in range(n):
-            inv[i][j] = row.get(n + j, Fraction(0))
-    return inv

@@ -2,10 +2,10 @@
 
 Product tables with 1-based generator indices, the standard symplectic
 form, the four identity checks (Novikov right-commutativity, associativity,
-form compatibility, symplectic 2-cocycle), an aggregate verifier, central
-extensions (standard and the experimental as-written variant), and a
-deterministic structure search over finite coefficient sets that solves the
-linear identities exactly before it verifies anything.
+form compatibility, symplectic 2-cocycle), an aggregate verifier, instances
+read from spec documents, and a deterministic structure search over finite
+coefficient sets that solves the linear identities exactly before it
+verifies anything.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from lieforge.algebra import (
     gid,
     is_two_step_solvable,
 )
-from lieforge.cohomology import (
-    Cochain2,
-    _cocycle_audit,
-    central_extension,
-    h2_dimension,
-)
+from lieforge.cohomology import Cochain2, _cocycle_audit, h2_dimension
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge import specfile
 
@@ -120,16 +115,10 @@ class SymplecticForm:
             for j in range(n):
                 if rows[i][j] + rows[j][i]:
                     raise ValueError(f"form not skew-symmetric at ({i + 1},{j + 1})")
-        entries = {
-            (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v
-        }
-        if n and rank(SparseMatrix(n, n, entries)) != n:
+        if n and rank(SparseMatrix.from_dense(rows)) != n:
             raise ValueError("form is degenerate")
         self.dim = n
         self.matrix = rows
-
-    def value(self, i: int, j: int) -> Fraction:
-        return self.matrix[i - 1][j - 1]
 
     def pair(self, x: Element, y: Element) -> Fraction:
         total = Fraction(0)
@@ -283,17 +272,6 @@ def check_symplectic_cocycle(
     ]
 
 
-_CHECK_ORDER = (
-    "novikov",
-    "associative",
-    "compat",
-    "symplectic_cocycle",
-    "skew",
-    "nondegenerate",
-    "two_step_solvable",
-)
-
-
 @dataclass
 class VerdictReport:
     passed: bool
@@ -322,10 +300,7 @@ def verify_snla(s: SnlaInstance) -> VerdictReport:
         for j in range(i, s.dim):
             if m[i][j] + m[j][i]:
                 vio["skew"].append((i + 1, j + 1))
-    entries = {
-        (i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v
-    }
-    if rank(SparseMatrix(s.dim, s.dim, entries)) != s.dim:
+    if rank(SparseMatrix.from_dense(m)) != s.dim:
         vio["nondegenerate"].append("rank deficient")
     if not is_two_step_solvable(s.algebra()):
         vio["two_step_solvable"].append("derived subalgebra is not abelian")
@@ -465,63 +440,6 @@ def snla_search(
     )
 
 
-def snla_central_extension(
-    s: SnlaInstance, variant: str = "standard", designated: Optional[int] = None
-) -> AlgebraInstance:
-    """Adjoin a central z.
-
-    standard: [x,y]_ext = [x,y] + omega(x,y) z, the usual symplectic central
-    extension (requires the instance to verify).  as_written: experimental
-    literal reading of the displayed rule, adding omega(x*y, e_d) z for a
-    caller-designated basis element e_d; the interpretation is stamped into
-    the result metadata and no identity is assumed to survive.
-    """
-    if variant == "standard":
-        report = verify_snla(s)
-        if not report.passed:
-            bad = [k for k, v in report.violations.items() if v]
-            raise ValueError(f"instance fails verification: {', '.join(bad)}")
-        A = s.algebra()
-        raw = {}
-        for i in range(1, s.dim + 1):
-            for j in range(i + 1, s.dim + 1):
-                v = s.form.value(i, j)
-                if v:
-                    raw[(gid(s.product.family, i), gid(s.product.family, j))] = v
-        omega = Cochain2(raw=raw)
-        ext = central_extension(A, omega, center_family="z")
-        ext.metadata["variant"] = "standard"
-        return ext
-    if variant != "as_written":
-        raise ValueError(f"unknown variant {variant!r}")
-    if designated is None or not 1 <= designated <= s.dim:
-        raise ValueError("as_written variant needs a designated index in 1..dim")
-    fam = s.product.family
-    z = gid("z", 0)
-    bracket = s.bracket_table()
-    table = BracketTable(convention="plain")
-    for i in range(1, s.dim + 1):
-        for j in range(1, s.dim + 1):
-            gi, gj = gid(fam, i), gid(fam, j)
-            kappa = s.form.pair(
-                s.product.value(i, j), Element.of(gid(fam, designated))
-            )
-            v = bracket.value(gi, gj) + Element.of(z, kappa)
-            if v:
-                table.assign(gi, gj, v)
-    return AlgebraInstance(
-        "snla_ext_as_written",
-        s.product.generators() + [z],
-        table,
-        metadata={
-            "variant": "as_written",
-            "designated": f"{fam}[{designated}]",
-            "interpretation": "omega(x*y, e_d) z added to [x,y], both orders stored",
-            "status": "experimental",
-        },
-    )
-
-
 def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     """Build an instance from a parsed spec document: product lines give the
     table, form lines the matrix (skew-completed; standard form when absent),
@@ -583,56 +501,3 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
             table.assign(g, h, Element({gid(f, ix): c for c, f, ix in e.value}))
         return SnlaInstance(dim, product, form, "explicit", table)
     return SnlaInstance(dim, product, form)
-
-
-def doc_from_snla(s: SnlaInstance, name: str = "snla") -> specfile.AlgebraSpecDoc:
-    """Render an instance as a spec document (products and the form's upper
-    triangle; explicit brackets as entry lines)."""
-    fam = s.product.family
-    families = (specfile.FamilyDecl(fam, "integer", "even"),)
-    generators = tuple(
-        specfile.GeneratorDecl(fam, Fraction(i)) for i in range(1, s.dim + 1)
-    )
-    products = []
-    for (i, j) in sorted(s.product.entries):
-        v = s.product.entries[(i, j)]
-        value = tuple(
-            (c, g.family, g.index) for g, c in sorted(v.terms.items())
-        )
-        products.append(
-            specfile.ExplicitEntry(
-                "product", (fam, Fraction(i)), (fam, Fraction(j)), value
-            )
-        )
-    forms = []
-    for i in range(1, s.dim + 1):
-        for j in range(i + 1, s.dim + 1):
-            v = s.form.value(i, j)
-            if v:
-                forms.append(
-                    specfile.FormEntry((fam, Fraction(i)), (fam, Fraction(j)), v)
-                )
-    entries = []
-    if s.bracket_source == "explicit":
-        for (g, h), v in sorted(
-            s.explicit_bracket.raw.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            value = tuple(
-                (c, t.family, t.index) for t, c in sorted(v.terms.items())
-            )
-            entries.append(
-                specfile.ExplicitEntry(
-                    "entry", (g.family, g.index), (h.family, h.index), value
-                )
-            )
-    return specfile.AlgebraSpecDoc(
-        name,
-        "plain",
-        families,
-        generators,
-        (),
-        tuple(entries),
-        tuple(products),
-        tuple(forms),
-        (),
-    )

@@ -956,17 +956,3 @@ def instantiate(
         findings=findings,
         metadata={"kind_mode": kind_mode, "convention": doc.convention},
     )
-
-
-def canonical_dump(A: AlgebraInstance) -> str:
-    """Deterministic text dump of an instance: generators, then all raw
-    table entries sorted by generator position."""
-    lines = [f"instance {A.name} dim {A.dim}"]
-    lines.append("generators " + " ".join(str(g) for g in A.generators))
-    for (g, h), v in sorted(
-        A.table.raw.items(), key=lambda kv: (A.position(kv[0][0]), A.position(kv[0][1]))
-    ):
-        lines.append(f"[{g},{h}] = {v}")
-    lines.append(f"dropped_terms {A.dropped_terms}")
-    lines.append(f"findings {len(A.findings)}")
-    return "\n".join(lines) + "\n"

@@ -4,16 +4,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from lieforge.algebra import (
     AlgebraInstance,
     BracketTable,
     Element,
     GeneratorId,
-    finite_instance,
     gid,
 )
 from lieforge.cohomology import Cochain2
+
+
+def finite_instance(
+    name: str,
+    generators: Iterable[GeneratorId],
+    entries: Mapping[tuple[GeneratorId, GeneratorId], Element],
+    parity: Mapping[str, int] = (),
+    convention: str = "plain",
+) -> AlgebraInstance:
+    """A windowless instance from explicit as-written entries."""
+    table = BracketTable(parity, convention)
+    for (g, h), v in entries.items():
+        table.assign(g, h, v)
+    return AlgebraInstance(name, generators, table)
 
 
 def heisenberg3() -> AlgebraInstance:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from lieforge.algebra import AlgebraInstance, Element, GeneratorId
+from lieforge.algebra import AlgebraInstance, Element, GeneratorId, bracket
+from lieforge.automorphisms import AutomorphismViolation
 from lieforge.linalg import SparseMatrix
 
 
@@ -137,6 +138,85 @@ def naive_is_derivation(A: AlgebraInstance, images: dict) -> bool:
             if left.get(u, Fraction(0)) != right.get(u, Fraction(0)):
                 return False
     return True
+
+
+def map_image(A: AlgebraInstance, D, g: GeneratorId) -> Element:
+    """The image of generator g under the linear map D."""
+    return D.image(A.generators, A.position(g))
+
+
+def _map_apply(A: AlgebraInstance, D, x: Element) -> Element:
+    out = Element.zero()
+    for g, c in x.terms.items():
+        out = out + map_image(A, D, g).scale(c)
+    return out
+
+
+def check_derivation(A: AlgebraInstance, D) -> list[tuple]:
+    """Pairs (g, h, residual) where D[g,h] != [Dg,h] + [g,Dh], by
+    generator-keyed table lookups over unordered pairs (diagonals included
+    under super).  A pair is skipped when its own bracket, or a bracket of
+    an image term with the other generator, is window-flagged."""
+    out = []
+    gens = A.generators
+    n = len(gens)
+    sup = A.table.convention == "super"
+    for i in range(n):
+        for j in range(i if sup else i + 1, n):
+            a, b = gens[i], gens[j]
+            if A.pair_flagged(a, b):
+                continue
+            lhs = _map_apply(A, D, A.table.value(a, b))
+            rhs = Element.zero()
+            skip = False
+            for t, c in map_image(A, D, a).terms.items():
+                if A.pair_flagged(t, b):
+                    skip = True
+                    break
+                rhs = rhs + A.table.value(t, b).scale(c)
+            if skip:
+                continue
+            for t, c in map_image(A, D, b).terms.items():
+                if A.pair_flagged(a, t):
+                    skip = True
+                    break
+                rhs = rhs + A.table.value(a, t).scale(c)
+            if skip:
+                continue
+            residual = lhs - rhs
+            if residual:
+                out.append((a, b, residual))
+    return out
+
+
+def check_automorphism(A: AlgebraInstance, phi) -> list[AutomorphismViolation]:
+    """Generator pairs g <= h (by position) where phi([g,h]) differs from
+    [phi g, phi h], by generator-keyed table lookups and the bilinear
+    ``bracket``.  A singular map raises ValueError; a pair is skipped when
+    its own bracket or any bracket of image terms is window-flagged."""
+    n = A.dim
+    if phi.dim != n:
+        raise ValueError(f"map dimension {phi.dim} != algebra dimension {n}")
+    entries = {
+        (i, j): v for j in range(n) for i, v in phi.column(j).items()
+    }
+    r = len(rational_rref(SparseMatrix(n, n, entries))[0])
+    if r < n:
+        raise ValueError(f"singular map: rank {r} < {n}")
+    out = []
+    gens = A.generators
+    for i in range(n):
+        for j in range(i, n):
+            g, h = gens[i], gens[j]
+            if A.pair_flagged(g, h):
+                continue
+            lhs = _map_apply(A, phi, A.table.value(g, h))
+            rhs, clipped = bracket(A, map_image(A, phi, g), map_image(A, phi, h))
+            if clipped:
+                continue
+            if lhs != rhs:
+                out.append(AutomorphismViolation((g, h), lhs, rhs))
+    return out
 
 
 def naive_cocycle_residual(A: AlgebraInstance, omega) -> bool:

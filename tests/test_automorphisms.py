@@ -17,18 +17,61 @@ from lieforge.automorphisms import (
     check_symplectomorphism,
     parse_coeff_file,
     parse_map_file,
-    scaling_candidate,
 )
 from lieforge.cohomology import LinearEndo
-from lieforge.linalg import invert_dense
 from lieforge.snla import ProductTable, standard_form
-from algebra_fixtures import heisenberg3, witt_window
+import oracles
+from algebra_fixtures import (
+    abelian,
+    borel2,
+    filiform4,
+    heisenberg3,
+    mixed_entries,
+    random_super_table,
+    sl2_type,
+    super_heisenberg,
+    super_pair,
+    witt_window,
+)
+from test_linalg import invert_dense
 
 F = Fraction
 
 
 def endo(A, images):
-    return LinearEndo.from_images(A, images)
+    """The map sending each listed generator to its image, the others to 0."""
+    rows = [[F(0)] * A.dim for _ in range(A.dim)]
+    for g, img in images.items():
+        for t, c in img.terms.items():
+            rows[A.position(t)][A.position(g)] = c
+    return LinearEndo(rows)
+
+
+def matrix(phi):
+    rows = [[F(0)] * phi.dim for _ in range(phi.dim)]
+    for j in range(phi.dim):
+        for i, v in phi.column(j).items():
+            rows[i][j] = v
+    return rows
+
+
+def compose(phi, psi):
+    a, b, n = matrix(phi), matrix(psi), phi.dim
+    return LinearEndo(
+        [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
+def scaling_family(alpha, window):
+    """The solution family a_n = alpha^n with b = c = d = 0."""
+    grid = range(-window, window + 1)
+    return CoefficientFamily(
+        a={n: F(alpha) ** n for n in grid},
+        b={n: F(0) for n in grid},
+        c={n: F(0) for n in grid},
+        d={k: F(0) for k in range(-2 * window, 2 * window + 1)},
+        window=window,
+    )
 
 
 def test_automorphism_identity_and_rotation():
@@ -66,20 +109,79 @@ def test_automorphism_windowed_scaling():
     # phi(L_m) = alpha^m L_m intertwines (n-m)L_{m+n}; clipped pairs are
     # skipped so the truncation verdict is clean
     A = witt_window(4)
-    al = F(3)
-    phi = endo(
-        A,
-        {g: Element.of(g, al ** int(g.index)) for g in A.generators},
+    assert check_automorphism(A, witt_scaling(A, F(3))) == []
+    assert check_automorphism(A, witt_scaling(A, F(3), at_zero=2)) != []
+
+
+def random_map(rng, n, density):
+    """Nonzero diagonal plus off-diagonal entries drawn with ``density``;
+    usually invertible, occasionally singular."""
+    return LinearEndo(
+        [
+            [
+                F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+                if i == j
+                else F(rng.randint(-2, 2)) * (rng.random() < density)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
     )
-    assert check_automorphism(A, phi) == []
-    bad = endo(
+
+
+def witt_scaling(A, alpha, at_zero=1):
+    """phi(L_m) = alpha^m L_m for m != 0 and phi(L_0) = at_zero * L_0."""
+    return endo(
         A,
         {
-            g: Element.of(g, 2 if g.index == 0 else al ** int(g.index))
+            g: Element.of(g, at_zero if g.index == 0 else alpha ** int(g.index))
             for g in A.generators
         },
     )
-    assert check_automorphism(A, bad) != []
+
+
+PARITY_ALGEBRAS = {
+    "heisenberg3": heisenberg3,
+    "sl2_type": sl2_type,
+    "filiform4": filiform4,
+    "borel2": borel2,
+    "abelian3": lambda: abelian(3),
+    "witt4": lambda: witt_window(4),
+    "witt5_margin1": lambda: witt_window(5, margin=1),
+    "super_heisenberg": super_heisenberg,
+    "super_pair": lambda: super_pair(True),
+    "mixed_plain": lambda: mixed_entries("plain"),
+    "mixed_super": lambda: mixed_entries("super"),
+    "random_super": lambda: random_super_table(random.Random(3), 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+def test_check_automorphism_matches_generator_keyed_reference(name):
+    # the position-indexed check returns exactly the reference's violations,
+    # in the same order, and raises the same error on singular maps
+    A = PARITY_ALGEBRAS[name]()
+    rng = random.Random(f"aut-{name}")
+    density = 0.1 if A.boundary_pairs else 0.4
+    maps = [LinearEndo.identity(A.dim)]
+    maps += [random_map(rng, A.dim, density) for _ in range(12)]
+    if name.startswith("witt"):
+        maps += [witt_scaling(A, F(3)), witt_scaling(A, F(3), at_zero=2)]
+    compared = 0
+    for phi in maps:
+        try:
+            expected = oracles.check_automorphism(A, phi)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                check_automorphism(A, phi)
+            assert str(got.value) == str(e)
+            continue
+        assert check_automorphism(A, phi) == expected
+        compared += 1
+    assert compared > 1
+    if name.startswith("witt"):
+        # clipped pairs are skipped and the bad scaling still fails
+        assert A.boundary_pairs and check_automorphism(A, maps[-1])
 
 
 def test_symplectomorphism_examples():
@@ -141,9 +243,9 @@ def test_coefficient_family_validation():
 
 
 def test_recurrences_scaling_families():
-    assert check_recurrences(scaling_candidate(1, 4)) == []
-    assert check_recurrences(scaling_candidate(2, 8)) == []
-    assert check_recurrences(scaling_candidate(F(5, 7), 3)) == []
+    assert check_recurrences(scaling_family(1, 4)) == []
+    assert check_recurrences(scaling_family(2, 8)) == []
+    assert check_recurrences(scaling_family(F(5, 7), 3)) == []
 
 
 def test_recurrences_b_relation():
@@ -202,18 +304,6 @@ def test_d_relation_reads_integer_indices_literally():
     assert [v.pair for v in viols] == [(-1, 0), (-1, 1), (0, 0), (1, -1)]
 
 
-def test_scaling_candidate_values():
-    assert scaling_candidate(3, 4).a[4] == 81
-    assert scaling_candidate(F(1, 2), 3).a[-3] == 8
-    with pytest.raises(ValueError, match="nonzero"):
-        scaling_candidate(0, 3)
-    with pytest.raises(ValueError, match="window"):
-        scaling_candidate(2, 0)
-    x, y = scaling_candidate(F(2, 3), 5), scaling_candidate(F(9, 2), 5)
-    prod = {n: x.a[n] * y.a[n] for n in range(-5, 6)}
-    assert prod == scaling_candidate(F(2, 3) * F(9, 2), 5).a
-
-
 def test_automorphisms_compose_on_h3():
     # e1 -> a e1 + b e2, e2 -> c e1 + d e2, e3 -> (ad - bc) e3 preserves
     # [e1,e2] = e3 whenever ad - bc != 0
@@ -237,10 +327,10 @@ def test_automorphisms_compose_on_h3():
     maps = [sample() for _ in range(6)]
     for phi in maps:
         assert check_automorphism(A, phi) == []
-        inv = LinearEndo(invert_dense(phi.matrix))
+        inv = LinearEndo(invert_dense(matrix(phi)))
         assert check_automorphism(A, inv) == []
     for phi, psi in zip(maps, maps[1:]):
-        assert check_automorphism(A, phi.compose(psi)) == []
+        assert check_automorphism(A, compose(phi, psi)) == []
 
 
 def sl2_sample(rng):
@@ -261,11 +351,11 @@ def test_symplectomorphisms_form_a_group_2x2():
             (sl2_sample(rng) for _ in range(6))]
     for phi in maps:
         assert check_symplectomorphism(om, phi)[0]
-        inv = invert_dense(phi.matrix)
+        inv = invert_dense(matrix(phi))
         assert inv is not None
         assert check_symplectomorphism(om, LinearEndo(inv))[0]
     for phi, psi in zip(maps, maps[1:]):
-        assert check_symplectomorphism(om, phi.compose(psi))[0]
+        assert check_symplectomorphism(om, compose(phi, psi))[0]
 
 
 def test_symplectomorphisms_form_a_group_4x4():
@@ -284,11 +374,11 @@ def test_symplectomorphisms_form_a_group_4x4():
     maps = [block_map((0, 3)), block_map((1, 2)), block_map((0, 3))]
     for phi in maps:
         assert check_symplectomorphism(om, phi)[0]
-        inv = invert_dense(phi.matrix)
+        inv = invert_dense(matrix(phi))
         assert inv is not None
         assert check_symplectomorphism(om, LinearEndo(inv))[0]
     for phi, psi in zip(maps, maps[1:]):
-        assert check_symplectomorphism(om, phi.compose(psi))[0]
+        assert check_symplectomorphism(om, compose(phi, psi))[0]
 
 
 def test_parse_map_file():
@@ -300,7 +390,7 @@ def test_parse_map_file():
         0 1/2
         """
     )
-    assert phi.matrix == [[F(2), F(0)], [F(0), F(1, 2)]]
+    assert phi == LinearEndo([[2, 0], [0, F(1, 2)]])
     assert check_symplectomorphism(standard_form(1), phi)[0]
     with pytest.raises(ValueError, match="expected 'dim"):
         parse_map_file("rows 2\n1 0\n0 1")

@@ -1,5 +1,7 @@
 """CLI dispatch, report schema, exit codes, and output determinism."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -409,6 +411,27 @@ def test_cli_import_starts_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_trace_layers_name_callables():
+    # perfbench/trace_run.py records a binding it cannot find as unmeasured;
+    # every (module, attribute) in its LAYERS must still name a callable
+    path = REPO / "perfbench" / "trace_run.py"
+    tree = ast.parse(path.read_text())
+    [node] = [
+        n
+        for n in tree.body
+        if isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) == "LAYERS"
+    ]
+    layers = eval(compile(ast.Expression(node.value), str(path), "eval"), {})
+    sites = [site for sites in layers.values() for site in sites]
+    assert sites
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr in sites
+        if not callable(getattr(importlib.import_module(mod), attr, None))
+    ]
+    assert missing == []
+
+
 def write_map(path, rows):
     lines = [f"dim {len(rows)}"]
     lines += [" ".join(str(x) for x in row) for row in rows]
@@ -505,6 +528,18 @@ def test_aut_recurrences_window_restriction(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot widen" in rep.findings[0].detail
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_aut_recurrences_window_below_one_is_an_input_error(window, tmp_path, capsys):
+    p = coeff_file(tmp_path, 2, lambda n: Fraction(2) ** n)
+    code, rep, out = run_cli(
+        ["aut", "recurrences", "--file", str(p), "--window", window], capsys
+    )
+    assert code == 2
+    assert [(f.code, f.location) for f in rep.findings] == [("E_INPUT", "fam.coef")]
+    assert "window must be >= 1" in rep.findings[0].detail
+    assert out.startswith(f"lieforge {rep.tool_version} :: aut recurrences")
 
 
 def test_usage_error_exit_2(capsys):

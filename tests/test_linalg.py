@@ -15,7 +15,6 @@ from lieforge.linalg import (
     SparseMatrix,
     _ff_forward_sparse,
     _integer_rows,
-    invert_dense,
     matvec,
     nullspace,
     rank,
@@ -28,6 +27,17 @@ from oracles import list_scan_forward, rational_rref
 
 def dense(rows):
     return SparseMatrix.from_dense([[rat(v) for v in row] for row in rows])
+
+
+def invert_dense(mat):
+    """Exact inverse of a square matrix read off rref([mat | I]), or None
+    when it is singular."""
+    n = len(mat)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    ech = rref(dense(aug))
+    if len(ech.pivots) < n or any(p >= n for p in ech.pivots):
+        return None
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in ech.rows[:n]]
 
 
 def test_rat_parsing():
@@ -270,13 +280,13 @@ def test_sparse_kernel_on_witt_cocycle_system():
 def test_sparse_kernel_on_esvla_derivation_system(monkeypatch):
     # the grade-0 derivation system of the bundled ESVLA at window 4
     systems = []
-    real_nullspace = cohomology.nullspace
+    real_rref = cohomology.rref
 
-    def recording_nullspace(m):
+    def recording_rref(m):
         systems.append(m)
-        return real_nullspace(m)
+        return real_rref(m)
 
-    monkeypatch.setattr(cohomology, "nullspace", recording_nullspace)
+    monkeypatch.setattr(cohomology, "rref", recording_rref)
     A = esvla.build_esvla(esvla.EsvlaConfig(window=4))
     cohomology.derivation_space(A, grade_restriction=0)
     [m] = systems

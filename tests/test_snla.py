@@ -12,10 +12,8 @@ from lieforge.algebra import (
     AlgebraInstance,
     BracketTable,
     Element,
-    center,
     check_alternating,
     check_jacobi,
-    derived_subalgebra,
     gid,
 )
 from lieforge.snla import (
@@ -28,9 +26,7 @@ from lieforge.snla import (
     check_novikov,
     check_symplectic_cocycle,
     commutator_bracket,
-    doc_from_snla,
     linear_constraints,
-    snla_central_extension,
     snla_fingerprint,
     snla_from_doc,
     snla_search,
@@ -80,16 +76,14 @@ def test_symplectic_form_validation():
     with pytest.raises(ValueError):
         SymplecticForm([[0, 0], [0, 0]])  # degenerate
     f = SymplecticForm([[0, 2], [-2, 0]])
-    assert f.value(1, 2) == 2 and f.value(2, 1) == -2
+    assert f.matrix == [[0, 2], [-2, 0]]
 
 
 def test_standard_form_values():
     f1 = standard_form(1)
     assert f1.matrix == [[0, 1], [-1, 0]]
     f2 = standard_form(2)
-    assert f2.value(1, 4) == 1 and f2.value(2, 3) == 1
-    assert f2.value(4, 1) == -1 and f2.value(3, 2) == -1
-    assert f2.value(1, 2) == 0
+    assert f2.matrix == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
     for n in (1, 2, 3):
         assert standard_form(n).dim == 2 * n
     with pytest.raises(ValueError):
@@ -373,77 +367,64 @@ def test_search_rejects_bad_input():
         snla_search(2, [0], budget=-1)
 
 
-def test_central_extension_standard():
-    zero = SnlaInstance(2, ptable(2, {}), standard_form(1))
-    ext = snla_central_extension(zero, "standard")
-    assert ext.dim == 3
-    z = gid("z", 0)
-    assert ext.table.value(E[1], E[2]) == Element.of(z)
-    assert [x.terms for x in center(ext)] == [{z: Fraction(1)}]
-    assert [x.terms for x in derived_subalgebra(ext)] == [{z: Fraction(1)}]
-    assert check_jacobi(ext, scope="all") == []
-    assert ext.metadata["variant"] == "standard"
-
-
-def test_central_extension_standard_requires_verification():
-    s = SnlaInstance(2, ptable(2, {(1, 1, 2): 1}), standard_form(1))
-    with pytest.raises(ValueError, match="compat"):
-        snla_central_extension(s, "standard")
-
-
-def test_central_extension_as_written():
-    s = SnlaInstance(2, ptable(2, {(1, 1, 2): 1}), standard_form(1))
-    ext = snla_central_extension(s, "as_written", designated=1)
-    z = gid("z", 0)
-    assert ext.dim == 3
-    # omega(e1*e1, e1) = omega(e2, e1) = -1
-    assert ext.table.raw[(E[1], E[1])] == Element.of(z, -1)
-    assert check_alternating(ext) != []
-    assert ext.metadata["designated"] == "e[1]"
-    assert ext.metadata["status"] == "experimental"
-    with pytest.raises(ValueError):
-        snla_central_extension(s, "as_written")
-    with pytest.raises(ValueError):
-        snla_central_extension(s, "as_written", designated=5)
-    with pytest.raises(ValueError):
-        snla_central_extension(s, "sideways")
-
-
-def test_as_written_zero_product_is_direct_sum():
-    zero = SnlaInstance(2, ptable(2, {}), standard_form(1))
-    ext = snla_central_extension(zero, "as_written", designated=2)
-    assert ext.dim == 3 and ext.table.raw == {}
-    assert len(center(ext)) == 3
-
-
 def test_fingerprint_frozen():
     zero = SnlaInstance(2, ptable(2, {}), standard_form(1))
     assert snla_fingerprint(zero) == {"center": 2, "derived": 0, "h2": 1}
 
 
+SNLA4_DOC = """\
+algebra snla4 convention plain
+family e integer even
+generator e[1]
+generator e[2]
+generator e[3]
+generator e[4]
+product e[1] e[2] => 1/2 e[3]
+product e[2] e[1] => -2 e[4]
+product e[3] e[3] => 1 e[1]
+form e[1] e[4] => 1
+form e[2] e[3] => 1
+"""
+
+
 def test_doc_roundtrip_commutator():
-    p = ProductTable.from_coeffs(
+    # product and form lines give the table and the form; the instance
+    # survives rendering the document and parsing it again
+    doc = specfile.parse(SNLA4_DOC)
+    s = snla_from_doc(doc)
+    assert s.dim == 4
+    assert s.product == ProductTable.from_coeffs(
         4, {(1, 2, 3): Fraction(1, 2), (2, 1, 4): -2, (3, 3, 1): 1}
     )
-    s = SnlaInstance(4, p, standard_form(2))
-    doc = doc_from_snla(s, name="snla4")
-    text = specfile.render(doc)
-    back = snla_from_doc(specfile.parse(text))
-    assert back.dim == 4
-    assert back.product == s.product
-    assert back.form == s.form
-    assert back.bracket_source == "commutator"
-    assert specfile.parse(specfile.render(doc)) == doc
+    assert s.form == standard_form(2)
+    assert s.bracket_source == "commutator"
+    bracket = Element({E[3]: Fraction(1, 2), E[4]: 2})  # e1.e2 - e2.e1
+    assert s.bracket_table().raw == {(E[1], E[2]): bracket}
+    back = snla_from_doc(specfile.parse(specfile.render(doc)))
+    assert (back.product, back.form) == (s.product, s.form)
 
 
 def test_doc_roundtrip_explicit_bracket():
+    # entry lines give an explicit bracket that overrides the commutator
+    text = "\n".join(
+        [
+            "algebra snla2x convention plain",
+            "family e integer even",
+            "generator e[1]",
+            "generator e[2]",
+            "entry e[1] e[2] => 3 e[1]",
+            "form e[1] e[2] => 1",
+        ]
+    )
     table = BracketTable()
     table.assign(E[1], E[2], Element.of(E[1], 3))
-    s = SnlaInstance(2, ptable(2, {}), standard_form(1), "explicit", table)
-    doc = doc_from_snla(s, name="snla2x")
-    back = snla_from_doc(specfile.parse(specfile.render(doc)))
-    assert back.bracket_source == "explicit"
-    assert back.explicit_bracket.raw == table.raw
+    doc = specfile.parse(text)
+    for s in (snla_from_doc(doc), snla_from_doc(specfile.parse(specfile.render(doc)))):
+        assert s.bracket_source == "explicit"
+        assert s.explicit_bracket.raw == table.raw
+        assert s.bracket_table() is s.explicit_bracket
+        assert s.product.entries == {}
+        assert s.form == standard_form(1)
 
 
 def test_doc_with_explicit_form():
@@ -457,7 +438,7 @@ def test_doc_with_explicit_form():
         ]
     )
     s = snla_from_doc(specfile.parse(text))
-    assert s.form.value(1, 2) == 2 and s.form.value(2, 1) == -2
+    assert s.form.matrix == [[0, 2], [-2, 0]]
     assert s.product.entries == {}
 
 

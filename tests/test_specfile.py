@@ -24,7 +24,6 @@ from lieforge.specfile import (
     ParseError,
     Poly2,
     RuleTerm,
-    canonical_dump,
     instantiate,
     parse,
     render,
@@ -361,8 +360,11 @@ def test_instantiate_extended_promotes_family():
 
 def test_instantiate_deterministic_dump():
     doc = parse(MINI_SUPER)
-    d1 = canonical_dump(instantiate(doc, window=3, kind_mode="extended"))
-    d2 = canonical_dump(instantiate(doc, window=3, kind_mode="extended"))
+    def dump(A):
+        return (A.generators, list(A.table.raw.items()), A.dropped_terms, A.findings)
+
+    d1 = dump(instantiate(doc, window=3, kind_mode="extended"))
+    d2 = dump(instantiate(doc, window=3, kind_mode="extended"))
     assert d1 == d2
 
 
