@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from lieforge.linalg import SparseMatrix, nullspace, rat, rref
+from lieforge.linalg import SparseMatrix, rat, rref
+from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
 
 EVEN = 0
 
@@ -512,8 +513,8 @@ def center(A: AlgebraInstance) -> list[Element]:
                 entries[(r, col)] = entries.get((r, col), Fraction(0)) + c
     m = SparseMatrix(max(len(row_of), 1), len(cols), entries)
     return [
-        Element({A.generators[p]: c for p, c in zip(cols, v) if c})
-        for v in nullspace(m)
+        Element({A.generators[cols[k]]: v[k] for k in sorted(v)})
+        for v in rref(m).kernel(m.cols)
     ]
 
 

@@ -27,7 +27,8 @@ from lieforge.algebra import (
     GeneratorId,
     PairTable,
 )
-from lieforge.linalg import SparseMatrix, nullspace, rank, rat, rref
+from lieforge.linalg import SparseMatrix, rank, rat, rref
+from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
 
 
 class LinearEndo:
@@ -269,14 +270,14 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
 
 
 def _cochain_from_vector(
-    A: AlgebraInstance, unknowns: dict[int, int], vec: list[Fraction]
+    A: AlgebraInstance, slots: list[int], vec: Mapping[int, Fraction]
 ) -> Cochain2:
+    """The cochain with value ``vec[u]`` on slot ``slots[u]`` (nonzeros only)."""
     gens = A.generators
     raw = {}
-    for key, u in unknowns.items():
-        if vec[u]:
-            i, j = divmod(key, A.dim)
-            raw[(gens[i], gens[j])] = vec[u]
+    for u in sorted(vec):
+        i, j = divmod(slots[u], A.dim)
+        raw[(gens[i], gens[j])] = vec[u]
     return Cochain2(A.table.parity, A.table.convention, raw)
 
 
@@ -319,7 +320,8 @@ def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain
         (r, u): v for r, row in enumerate(rows) for u, v in row.items()
     }
     m = SparseMatrix(max(len(rows), 1), len(unknowns), entries)
-    return [_cochain_from_vector(A, unknowns, v) for v in nullspace(m)]
+    slots = list(unknowns)
+    return [_cochain_from_vector(A, slots, v) for v in rref(m).kernel(m.cols)]
 
 
 def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
@@ -347,13 +349,8 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
         return []
     entries = {(r, u): c for r, vec in enumerate(vectors) for u, c in vec.items()}
     ech = rref(SparseMatrix(len(vectors), len(unknowns), entries))
-    basis = []
-    for row in ech.rows:
-        vec = [Fraction(0)] * len(unknowns)
-        for c, v in row.items():
-            vec[c] = v
-        basis.append(_cochain_from_vector(A, unknowns, vec))
-    return basis
+    slots = list(unknowns)
+    return [_cochain_from_vector(A, slots, row) for row in ech.rows]
 
 
 def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:

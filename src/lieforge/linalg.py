@@ -6,14 +6,12 @@ of its denominators (which changes neither rank nor nullspace), forward
 elimination runs on the integer rows, and the echelon form is normalized back
 to the canonical reduced row echelon form over the rationals.
 
-The shape of the matrix picks the integer kernel.  Below ``DENSE_LIMIT``
-rows and columns it is Bareiss elimination on dense lists (E. H. Bareiss,
-Math. Comp. 22 (1968) 565-578).  Larger matrices stay in sparse dict rows and
-use gcd-reduced cross-multiplication over a column index: each column maps to
-the set of pending rows with a nonzero entry in it, so a pivot step reads only
-the rows that hold its column.  Both kernels scan columns left to right and
-pivot on the lowest-numbered row still pending with a nonzero entry in the
-column, so the output is deterministic.
+Forward elimination keeps the rows as sparse dicts and uses gcd-reduced
+cross-multiplication over a column index: each column maps to the set of
+pending rows with a nonzero entry in it, so a pivot step reads only the rows
+that hold its column.  Columns are scanned left to right and each pivots on
+the lowest-numbered row still pending with a nonzero entry in it, so the
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -22,17 +20,29 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-DENSE_LIMIT = 64
+# Most decimal digits a literal may have: an integer token of a ``.lie``
+# document, or a rational string such as ``-3/2`` or ``1.5e3``, whose exponent
+# e counts as |e| digits.  Products of two such numbers still render as text.
+MAX_DIGITS = 1000
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce ints, Fractions, and strings like ``-3/2`` to Fraction."""
+    """Coerce ints, Fractions, and strings like ``-3/2`` to Fraction.  A
+    string over MAX_DIGITS is refused with ValueError before ``Fraction``
+    builds any power of ten."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        mantissa, _, exponent = text.lower().partition("e")
+        # an exponent prefix one digit longer than MAX_DIGITS exceeds it
+        exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        shift = int(exponent[: len(str(MAX_DIGITS)) + 1]) if exponent.isdecimal() else 0
+        if sum(map(str.isdecimal, mantissa)) + shift > MAX_DIGITS:
+            raise ValueError(f"rational literal with more than {MAX_DIGITS} digits")
+        return Fraction(text)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -140,48 +150,6 @@ def _integer_rows(row_dicts: list[dict[int, Fraction]]) -> list[dict[int, int]]:
     return out
 
 
-def _ff_forward_dense(rows: list[list[int]], ncols: int):
-    """Bareiss elimination on dense integer rows.
-
-    Mutates ``rows``.  Returns ``(pivot_cols, echelon_rows)`` where row ``r``
-    has its leading nonzero entry in column ``pivot_cols[r]``.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if f == 0 and prev == 1:
-                # scaling by piv/1 with f=0 still required by Bareiss, but
-                # piv*x//1 == piv*x, so only the multiply is needed
-                for j in range(c + 1, ncols):
-                    row[j] = piv * row[j]
-            else:
-                for j in range(c + 1, ncols):
-                    row[j] = (piv * row[j] - f * prow[j]) // prev
-            row[c] = 0
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return pivots, rows[:r]
-
-
 def _column_index(rows: Mapping[int, dict]) -> dict[int, set[int]]:
     """Map each column to the set of row ids with a nonzero entry in it."""
     holders: dict[int, set[int]] = {}
@@ -277,20 +245,8 @@ def _normalize(pivots: list[int], rows: list[dict[int, Fraction]]) -> Echelon:
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals)."""
-    int_rows = _integer_rows(m.row_dicts())
-    if max(m.rows, m.cols) < DENSE_LIMIT:
-        dense = [[0] * m.cols for _ in range(m.rows)]
-        for r, row in enumerate(int_rows):
-            for c, v in row.items():
-                dense[r][c] = v
-        pivots, ech = _ff_forward_dense(dense, m.cols)
-        ech_dicts = [
-            {c: Fraction(v) for c, v in enumerate(row) if v} for row in ech
-        ]
-    else:
-        pivots, ech = _ff_forward_sparse(int_rows, m.cols)
-        ech_dicts = [{c: Fraction(v) for c, v in row.items()} for row in ech]
-    return _normalize(pivots, ech_dicts)
+    pivots, ech = _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols)
+    return _normalize(pivots, [{c: Fraction(v) for c, v in row.items()} for row in ech])
 
 
 def rank(m: SparseMatrix) -> int:
@@ -299,14 +255,10 @@ def rank(m: SparseMatrix) -> int:
 
 def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     """Canonical nullspace basis, one vector per free column in ascending
-    column order.  Every returned v satisfies m @ v = 0 exactly."""
-    basis = []
-    for vec in rref(m).kernel(m.cols):
-        dense = [Fraction(0)] * m.cols
-        for c, v in vec.items():
-            dense[c] = v
-        basis.append(dense)
-    return basis
+    column order.  Every returned v satisfies m @ v = 0 exactly.  The vectors
+    are dense lists; ``Echelon.kernel`` gives the same basis sparse."""
+    zero = Fraction(0)
+    return [[vec.get(c, zero) for c in range(m.cols)] for vec in rref(m).kernel(m.cols)]
 
 
 def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:

@@ -34,6 +34,7 @@ from lieforge.algebra import (
     Finding,
     GeneratorId,
 )
+from lieforge.linalg import MAX_DIGITS
 
 RESERVED = {"m", "n", "when"}
 
@@ -45,11 +46,9 @@ RESERVED = {"m", "n", "when"}
 # outgrows the 4,300-digit limit on int-to-str conversion.
 MAX_EXPONENT = 16
 
-# Most decimal digits an integer literal, and the numerator or denominator
-# of a polynomial coefficient after any arithmetic, may have.  A product of
-# two such coefficients evaluated in the window stays far below Python's
-# 4,300-digit limit on int-to-str conversion, so residuals still render.
-MAX_DIGITS = 1000
+# An integer literal, and the numerator or denominator of a polynomial
+# coefficient after any arithmetic, may have at most MAX_DIGITS digits, so a
+# product of two coefficients evaluated in the window still renders.
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 _TOKEN_RE = re.compile(

@@ -22,6 +22,9 @@ H3 = str(SAMPLES / "heisenberg.lie")
 WITT = str(SAMPLES / "witt.lie")
 H3_EXT = str(SAMPLES / "h3_extension.lie")
 SNLA_BAD = str(SAMPLES / "snla_compat_fail.lie")
+# a child process does not inherit pytest's `pythonpath`, so hand it src
+_PATHS = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATHS))}
 
 
 def run_cli(argv, capsys):
@@ -307,14 +310,12 @@ def test_rule_degree_limit_covers_juxtaposition(tmp_path):
         "family L integer even\n"
         f"rule L[m] L[n] => {' '.join(['m'] * 3000)} L[m+n]\n"
     )
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "lieforge", "check", str(spec), "--window", "8"]
         + ["--json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -397,15 +398,13 @@ def test_snla_search_dim4_budget(capsys):
 
 
 def test_cli_import_starts_no_process_pool():
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     probe = (
         "import lieforge.cli, sys; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
         "if m in sys.modules))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -542,6 +541,36 @@ def test_aut_recurrences_window_below_one_is_an_input_error(window, tmp_path, ca
     assert out.startswith(f"lieforge {rep.tool_version} :: aut recurrences")
 
 
+@pytest.mark.parametrize("command", ["aut verify", "aut recurrences", "snla search"])
+def test_oversized_rational_literal_is_an_input_error(command, tmp_path, capsys):
+    huge = "1e5000"  # over the literal bound; rendered, past 4,300 digits
+    write_map(tmp_path / "huge.map", [[1, 0, 0], [0, 1, 0], [0, 0, huge]])
+    coefs = coeff_file(tmp_path, 2, lambda n: huge if n == -1 else 1)
+    argv = {
+        "aut verify": ["aut", "verify", H3, "--map", str(tmp_path / "huge.map")],
+        "aut recurrences": ["aut", "recurrences", "--file", str(coefs)],
+        "snla search": ["snla", "search", "--dim", "2", f"--coeffs=0,{huge}"],
+    }[command]
+    code, rep, out = run_cli(argv, capsys)
+    assert (code, [f.code for f in rep.findings]) == (2, ["E_INPUT"])
+    assert out.startswith(f"lieforge {rep.tool_version} :: {command}")
+
+
+def test_huge_exponent_is_refused_within_a_second():
+    # Fraction would build 10^999999999 in C, where no Python alarm handler
+    # runs; in a child the default SIGALRM action ends the run instead
+    probe = (
+        "import signal, sys; from lieforge import cli; "
+        "signal.setitimer(signal.ITIMER_REAL, 1.0); "
+        "sys.exit(cli.main(['snla', 'search', '--dim', '2', '--coeffs=0,1e999999999']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=CHILD_ENV, timeout=30
+    )
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert b"E_INPUT" in proc.stdout
+
+
 def test_usage_error_exit_2(capsys):
     code, rep = cli.run([])
     capsys.readouterr()
@@ -561,15 +590,12 @@ def test_text_report_shape(capsys):
 
 
 def test_console_entry_point():
-    # the child does not inherit pytest's `pythonpath`, so hand it src
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "lieforge", "check", H3],
         capture_output=True,
         text=True,
         cwd=str(REPO),
-        env=env,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout

@@ -4,13 +4,16 @@ the table itself and against a generator-keyed oracle."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from algebra_fixtures import (
+    heisenberg3,
     mixed_entries,
     random_cochain,
     random_super_table,
+    sl2_type,
     super_bad,
     super_heisenberg,
     super_pair,
@@ -18,7 +21,12 @@ from algebra_fixtures import (
 )
 from lieforge import esvla
 from lieforge.algebra import jacobi_audit
-from lieforge.cohomology import Cochain2, cocycle2_space, cocycle_audit
+from lieforge.cohomology import (
+    Cochain2,
+    coboundary2_space,
+    cocycle2_space,
+    cocycle_audit,
+)
 from lieforge.linalg import SparseMatrix
 from oracles import naive_windowed_audit, rational_rref
 
@@ -98,16 +106,18 @@ def test_esvla_audits_match_oracle(name):
         )
 
 
-def _naive_z2_dim(A) -> int:
-    """dim Z2 as the nullity of the map cochain -> cocycle residuals, built
-    slot by slot with the oracle audit over all triples."""
+def assert_cochain_bases_match_oracle(A, grade_zero):
+    """Z2 is the canonical kernel basis of the oracle's cocycle residual map
+    and B2 the Gauss-Jordan rows of the coboundaries of dual 1-cochains, both
+    over the slots (generator pairs) in position order, compared in order."""
     sup = A.table.convention == "super"
     gens = A.generators
     slots = [
         (g, h)
         for i, g in enumerate(gens)
         for h in gens[i:]
-        if g != h or (sup and A.table.family_parity(g.family))
+        if (g != h or (sup and A.table.family_parity(g.family)))
+        and not (grade_zero and g.index + h.index != 0)
     ]
     row_of = {}
     entries = {}
@@ -115,15 +125,37 @@ def _naive_z2_dim(A) -> int:
         omega = Cochain2(A.table.parity, A.table.convention, {pair: 1})
         for triple, residual in naive_windowed_audit(A, "all", omega)[2]:
             entries[(row_of.setdefault(triple, len(row_of)), col)] = residual
-    pivots, _ = rational_rref(SparseMatrix(max(len(row_of), 1), len(slots), entries))
-    return len(slots) - len(pivots)
+    pivots, rows = rational_rref(SparseMatrix(max(len(row_of), 1), len(slots), entries))
+    kernel = {f: {f: Fraction(1)} for f in range(len(slots)) if f not in pivots}
+    for c, row in zip(pivots, rows):
+        for f, v in row.items():
+            if f != c:
+                kernel[f][c] = -v
+    duals = [t for t in gens if not grade_zero or t.index == 0]
+    deltas = {
+        (r, u): A.table.value(g, h).terms.get(t, 0)
+        for r, t in enumerate(duals)
+        for u, (g, h) in enumerate(slots)
+    }
+    _, rows = rational_rref(SparseMatrix(max(len(duals), 1), len(slots), deltas))
+    for space, basis in ((cocycle2_space, kernel.values()), (coboundary2_space, rows)):
+        assert [list(w.raw.items()) for w in space(A, grade_zero)] == [
+            [(slots[u], vec[u]) for u in sorted(vec)] for vec in basis
+        ]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cocycle_space_matches_oracle(seed):
     # odd-odd slots are read through the swap sign when assembling rows
     A = random_super_table(random.Random(seed), 1, 4)
-    basis = cocycle2_space(A)
-    assert len(basis) == _naive_z2_dim(A)
-    for omega in basis:
-        assert not naive_windowed_audit(A, "all", omega)[2]
+    assert_cochain_bases_match_oracle(A, grade_zero=False)
+
+
+@pytest.mark.parametrize("grade_zero", [False, True])
+@pytest.mark.parametrize(
+    "fixture",
+    [heisenberg3, sl2_type, lambda: witt_window(6), lambda: mixed_entries("super")],
+    ids=["heisenberg3", "sl2", "witt_window_6", "mixed_super"],
+)
+def test_cochain_bases_match_oracle(fixture, grade_zero):
+    assert_cochain_bases_match_oracle(fixture(), grade_zero)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieforge import cohomology, esvla, specfile
 from lieforge.linalg import (
-    DENSE_LIMIT,
+    MAX_DIGITS,
     SparseMatrix,
     _ff_forward_sparse,
     _integer_rows,
@@ -46,6 +46,15 @@ def test_rat_parsing():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+    # at most MAX_DIGITS digits, an exponent e counting as |e| of them
+    assert rat("1.5e3") == 1500
+    assert rat("1e999") == 10**999
+    assert rat("-1e-999") == Fraction(-1, 10**999)
+    assert rat("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    too_many = "9" * (MAX_DIGITS + 1)
+    for text in ("1e1000", "1.5e999", "1e99999", too_many, "1/" + too_many):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            rat(text)
 
 
 def test_sparse_matrix_drops_zero_entries():
@@ -139,13 +148,11 @@ def test_random_rank_transpose_and_nullity():
 
 
 def test_random_methods_agree():
-    # fraction-free elimination (dense below 64 rows/cols) and the oracle's
-    # Gauss-Jordan on Fractions must land on the same reduced echelon form
-    # (it is unique over the rationals)
+    # small matrices too: list-scan pivots, and the rref of Gauss-Jordan on
+    # Fractions (the form is unique over the rationals)
     rng = random.Random(7)
     for _ in range(200):
-        m = _random_matrix(rng)
-        assert rref(m) == rational_rref(m)
+        assert_sparse_kernel_matches_oracles(_random_matrix(rng))
 
 
 def test_random_solve_consistent_systems():
@@ -160,7 +167,7 @@ def test_random_solve_consistent_systems():
 
 
 def test_sparse_path_agrees_with_rational():
-    # 70 cols exceeds the dense threshold, exercising the sparse kernel
+    # 40 sparse rational rows over 70 cols
     rng = random.Random(3)
     entries = {}
     for r in range(40):
@@ -185,7 +192,6 @@ def test_sparse_path_agrees_with_rational():
 def assert_sparse_kernel_matches_oracles(m):
     """The column-indexed kernel picks the same pivot rows as a list scan,
     so its gcd-reduced integer rows match, and rref matches Gauss-Jordan."""
-    assert m.cols >= DENSE_LIMIT
     assert _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols) == (
         list_scan_forward(_integer_rows(m.row_dicts()), m.cols)
     )
@@ -194,15 +200,15 @@ def assert_sparse_kernel_matches_oracles(m):
 
 @st.composite
 def permuted_block_systems(draw):
-    """Block-diagonal rational matrix with at least DENSE_LIMIT columns, so
-    the sparse kernel runs, with rows and columns permuted at random.
+    """Block-diagonal rational matrix with at least 64 columns, rows and
+    columns permuted at random.
 
     Each block with three or more columns gets two extra rows that share
     only one column: eliminating it with either fills in a column the other
     did not hold.  Rational combinations of rows of one block are appended,
     so rows cancel to empty."""
     rng = draw(st.randoms(use_true_random=False))
-    target = DENSE_LIMIT + draw(st.integers(0, 16))
+    target = 64 + draw(st.integers(0, 16))
     blocks = []
     ncols = 0
     while ncols < target:
@@ -265,7 +271,7 @@ WITT = Path(__file__).resolve().parent / "data" / "witt.lie"
 
 
 def test_sparse_kernel_on_witt_cocycle_system():
-    # the system cocycle2_space eliminates, above DENSE_LIMIT columns
+    # the system cocycle2_space eliminates
     A = specfile.instantiate(specfile.parse(WITT.read_text()), window=8)
     unknowns = cohomology._cochain_unknowns(A, False)
     rows = cohomology._cocycle_rows(A, unknowns)
