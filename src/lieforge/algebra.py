@@ -406,9 +406,6 @@ class AlternatingViolation:
     right: GeneratorId
     residual: Element
 
-    def describe(self) -> str:
-        return f"([{self.left},{self.right}]) residual {self.residual}"
-
 
 def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     """Check the convention's symmetry axiom on every assigned pair.
@@ -429,10 +426,6 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
 class JacobiViolation:
     triple: tuple[GeneratorId, GeneratorId, GeneratorId]
     residual: Element
-
-    def describe(self) -> str:
-        x, y, z = self.triple
-        return f"({x},{y},{z}) residual {self.residual}"
 
 
 @dataclass

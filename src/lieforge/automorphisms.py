@@ -20,6 +20,10 @@ from .linalg import SparseMatrix, rank, rat
 from .snla import ProductTable, SymplecticForm
 
 
+class SingularMapError(ValueError):
+    """A candidate map that is not invertible."""
+
+
 @dataclass(frozen=True)
 class AutomorphismViolation:
     pair: tuple[GeneratorId, GeneratorId]
@@ -39,7 +43,7 @@ def check_automorphism(
 ) -> list[AutomorphismViolation]:
     """Generator pairs where phi fails to intertwine the bracket.
 
-    Singular maps are rejected outright; pairs whose own bracket is
+    A singular map raises SingularMapError; pairs whose own bracket is
     window-clipped, or whose image bracket touches a clipped pair, are
     skipped (their comparison would mix truncation artifacts in).
     """
@@ -50,7 +54,7 @@ def check_automorphism(
     entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
     r = rank(SparseMatrix(n, n, entries))
     if r < n:
-        raise ValueError(f"singular map: rank {r} < {n}")
+        raise SingularMapError(f"singular map: rank {r} < {n}")
     terms, flagged = A.view.terms, A.view.flagged
 
     def element(acc: dict[int, Fraction]) -> Element:
@@ -193,12 +197,6 @@ class RecurrenceViolation:
     lhs: Optional[Fraction]
     rhs: Optional[Fraction]
     note: str = ""
-
-    def describe(self) -> str:
-        m, n = self.pair
-        if self.note:
-            return f"{self.relation}@({m},{n}): {self.note}"
-        return f"{self.relation}@({m},{n}): {self.lhs} != {self.rhs}"
 
 
 def check_recurrences(cf: CoefficientFamily) -> list[RecurrenceViolation]:

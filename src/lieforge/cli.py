@@ -22,6 +22,7 @@ from . import __version__, esvla, snla, specfile
 from .algebra import (
     AlgebraInstance,
     AlternatingViolation,
+    Finding,
     JacobiAudit,
     center,
     check_alternating,
@@ -29,6 +30,7 @@ from .algebra import (
 )
 from .automorphisms import (
     CoefficientFamily,
+    SingularMapError,
     check_automorphism,
     check_product_preserved,
     check_recurrences,
@@ -145,66 +147,62 @@ def _finalize(
     return Report(__version__, command, inputs, kept, summaries, verdict)
 
 
-def _error_report(
-    command: str,
-    inputs: list[tuple[str, str]],
-    code: str,
-    location: str,
-    detail: str,
-) -> Report:
-    return _finalize(
-        command, inputs, [ReportFinding("error", code, location, detail)], {}
-    )
+class Refusal(Exception):
+    """Input a command cannot use.  ``run`` reports it as the one error
+    finding of an exit-2 report."""
+
+    def __init__(self, code: str, location: str, detail: str):
+        super().__init__(f"{code} {location}: {detail}")
+        self.finding = ReportFinding("error", code, location, detail)
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _refusing(location: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError it raises refused at
+    ``location``: E_SINGULAR for a singular map, E_INPUT otherwise."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        code = "E_SINGULAR" if isinstance(e, SingularMapError) else "E_INPUT"
+        raise Refusal(code, location, str(e)) from None
 
 
-def _read_input(
-    command: str, path: str, inputs: list[tuple[str, str]]
-) -> tuple[Optional[str], Optional[Report]]:
-    """The file's UTF-8 text, or an E_INPUT report when it cannot be read
-    or decoded."""
+def _read_input(path: str, inputs: list[tuple[str, str]]) -> str:
+    """The file's UTF-8 text; its name and digest join ``inputs`` once it
+    is read."""
     name = os.path.basename(path)
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
-        detail = f"cannot read file: {e.strerror}"
-    else:
-        inputs.append((name, _digest_bytes(data)))
-        try:
-            return data.decode("utf-8"), None
-        except UnicodeDecodeError as e:
-            detail = f"not UTF-8 text: {e.reason} at byte {e.start}"
-    return None, _error_report(command, inputs, "E_INPUT", name, detail)
-
-
-def _load_doc(
-    command: str, path: str, inputs: list[tuple[str, str]]
-) -> tuple[Optional[specfile.AlgebraSpecDoc], Optional[Report]]:
-    text, err = _read_input(command, path, inputs)
-    if err:
-        return None, err
+        raise Refusal("E_INPUT", name, f"cannot read file: {e.strerror}") from None
+    inputs.append((name, hashlib.sha256(data).hexdigest()))
     try:
-        return specfile.parse(text), None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        detail = f"not UTF-8 text: {e.reason} at byte {e.start}"
+        raise Refusal("E_INPUT", name, detail) from None
+
+
+def _load_doc(path: str, inputs: list[tuple[str, str]]) -> specfile.AlgebraSpecDoc:
+    text = _read_input(path, inputs)
+    try:
+        return specfile.parse(text)
     except specfile.ParseError as e:
-        return None, _error_report(
-            command, inputs, "E_PARSE", f"{os.path.basename(path)}:{e.line}", str(e)
-        )
+        location = f"{os.path.basename(path)}:{e.line}"
+        raise Refusal("E_PARSE", location, str(e)) from None
+
+
+def _info_findings(found: list[Finding]) -> list[ReportFinding]:
+    """Instantiation findings, such as dropped ill-kinded terms, as info."""
+    return [ReportFinding("info", f.code, f.location, f.detail) for f in found]
 
 
 def _instantiate(
-    command: str,
-    doc: specfile.AlgebraSpecDoc,
-    window: Optional[int],
-    inputs: list[tuple[str, str]],
-) -> tuple[Optional[AlgebraInstance], Optional[Report]]:
-    try:
-        return specfile.instantiate(doc, window=window), None
-    except ValueError as e:
-        return None, _error_report(command, inputs, "E_INPUT", doc.name, str(e))
+    doc: specfile.AlgebraSpecDoc, window: Optional[int]
+) -> tuple[AlgebraInstance, list[ReportFinding]]:
+    """The document's instance and the info findings of instantiating it."""
+    A = _refusing(doc.name, specfile.instantiate, doc, window=window)
+    return A, _info_findings(A.findings)
 
 
 def _pair_loc(g, h) -> str:
@@ -237,17 +235,8 @@ def _structure_findings(
     return out
 
 
-def _cmd_check(args) -> Report:
-    command = f"check {os.path.basename(args.spec)}"
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
-    A, err = _instantiate(command, doc, args.window, inputs)
-    if err:
-        return err
+def _cmd_check(args, inputs):
+    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
     alternating = check_alternating(A)
     jac = jacobi_audit(A, scope="interior")
     summaries = {
@@ -259,41 +248,18 @@ def _cmd_check(args) -> Report:
         "jacobi_violations": len(jac.violations),
         "center_dim": len(center(A)),
     }
-    return _finalize(
-        command, inputs, _structure_findings(alternating, jac), summaries
-    )
+    return findings + _structure_findings(alternating, jac), summaries
 
 
-def _cmd_cohomology(args) -> Report:
-    command = f"cohomology {os.path.basename(args.spec)}"
-    if args.grade_zero:
-        command += " --grade-zero"
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
-    A, err = _instantiate(command, doc, args.window, inputs)
-    if err:
-        return err
+def _cmd_cohomology(args, inputs):
+    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
     z2 = len(cocycle2_space(A, grade_zero=args.grade_zero))
     b2 = len(coboundary2_space(A, grade_zero=args.grade_zero))
-    summaries = {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
-    return _finalize(command, inputs, [], summaries)
+    return findings, {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
 
 
-def _cmd_derivations(args) -> Report:
-    command = f"derivations {os.path.basename(args.spec)}"
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
-    A, err = _instantiate(command, doc, args.window, inputs)
-    if err:
-        return err
+def _cmd_derivations(args, inputs):
+    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
     ders = derivation_space(A)
     inner, outer = inner_split(A, ders)
     summaries = {
@@ -302,49 +268,29 @@ def _cmd_derivations(args) -> Report:
         "inner": inner,
         "outer": outer,
     }
-    return _finalize(command, inputs, [], summaries)
+    return findings, summaries
 
 
-def _cmd_extend(args) -> Report:
-    command = (
-        f"extend {os.path.basename(args.spec)} "
-        f"--cocycle {os.path.basename(args.cocycle)}"
-    )
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
-    A, err = _instantiate(command, doc, args.window, inputs)
-    if err:
-        return err
+def _cmd_extend(args, inputs):
+    doc = _load_doc(args.spec, inputs)
+    A, findings = _instantiate(doc, args.window)
     decls = {c.name: c for c in doc.cocycles}
     if args.cocycle in decls:
         decl = decls[args.cocycle]
     elif os.path.exists(args.cocycle):
-        cdoc, err = _load_doc(command, args.cocycle, inputs)
-        if err:
-            return err
-        if not cdoc.cocycles:
-            return _error_report(
-                command,
-                inputs,
-                "E_INPUT",
-                os.path.basename(args.cocycle),
-                "file declares no cocycle",
-            )
-        decl = cdoc.cocycles[0]
+        cocycles = _load_doc(args.cocycle, inputs).cocycles
+        if not cocycles:
+            name = os.path.basename(args.cocycle)
+            raise Refusal("E_INPUT", name, "file declares no cocycle")
+        decl = cocycles[0]
     else:
-        return _error_report(
-            command,
-            inputs,
+        raise Refusal(
             "E_INPUT",
             args.cocycle,
             "no such cocycle name in the document and no such file",
         )
     omega = esvla.instantiate_cocycle(decl, A)
-    findings = [
+    findings.extend(
         ReportFinding(
             "violation",
             "V_SYM",
@@ -352,7 +298,7 @@ def _cmd_extend(args) -> Report:
             f"stored values contradict the convention's symmetry: residual {r}",
         )
         for g, h, r in omega.symmetry_violations()
-    ]
+    )
     ext = central_extension(A, omega)
     jac = jacobi_audit(ext, scope="interior")
     findings.extend(_structure_findings([], jac))
@@ -363,29 +309,21 @@ def _cmd_extend(args) -> Report:
         "jacobi_violations": len(jac.violations),
         "center_dim": len(center(ext)),
     }
-    return _finalize(command, inputs, findings, summaries)
+    return findings, summaries
 
 
-def _cmd_esvla_audit(args) -> Report:
-    command = (
-        f"esvla audit --window {args.window} --convention {args.convention} "
-        f"--n-index {args.n_index}"
-    )
+def _cmd_esvla_audit(args, inputs):
     bundled = resources.files("lieforge").joinpath("data/esvla.lie").read_bytes()
-    inputs = [("esvla.lie", _digest_bytes(bundled))]
-    try:
-        cfg = esvla.EsvlaConfig(
-            window=args.window,
-            convention=args.convention,
-            n_index_mode=args.n_index,
-        )
-    except ValueError as e:
-        return _error_report(command, inputs, "E_INPUT", "config", str(e))
+    inputs.append(("esvla.lie", hashlib.sha256(bundled).hexdigest()))
+    cfg = _refusing(
+        "config",
+        esvla.EsvlaConfig,
+        window=args.window,
+        convention=args.convention,
+        n_index_mode=args.n_index,
+    )
     rep = esvla.audit_esvla(cfg)
-    findings = [
-        ReportFinding("info", f.code, f.location, f.detail)
-        for f in rep.instantiation_findings
-    ]
+    findings = _info_findings(rep.instantiation_findings)
     findings.extend(_structure_findings(rep.alternating, rep.jacobi))
     for name, aud in sorted(rep.cocycles.items()):
         findings.extend(
@@ -397,7 +335,7 @@ def _cmd_esvla_audit(args) -> Report:
             )
             for v in aud.violations
         )
-    return _finalize(command, inputs, findings, rep.summaries())
+    return findings, rep.summaries()
 
 
 _SNLA_CODES = {
@@ -408,16 +346,9 @@ _SNLA_CODES = {
 }
 
 
-def _cmd_snla_verify(args) -> Report:
-    command = f"snla verify {os.path.basename(args.spec)}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
-    try:
-        s = snla.snla_from_doc(doc)
-    except ValueError as e:
-        return _error_report(command, inputs, "E_INPUT", doc.name, str(e))
+def _cmd_snla_verify(args, inputs):
+    doc = _load_doc(args.spec, inputs)
+    s = _refusing(doc.name, snla.snla_from_doc, doc)
     rep = snla.verify_snla(s)
     findings = []
     for check, code in _SNLA_CODES.items():
@@ -451,29 +382,23 @@ def _cmd_snla_verify(args) -> Report:
             "h2_dim": fp["h2"],
         }
     )
-    return _finalize(command, inputs, findings, summaries)
+    return findings, summaries
 
 
-def _cmd_snla_search(args) -> Report:
+def _coefficients(text: str) -> Optional[list]:
+    """The distinct rationals of a comma-separated list, sorted; None when
+    an item is not a rational."""
     try:
-        coeffs = sorted({rat(tok) for tok in args.coeffs.split(",") if tok.strip()})
+        return sorted({rat(tok) for tok in text.split(",") if tok.strip()})
     except (ValueError, ZeroDivisionError):
-        coeffs = None
-    canonical = (
-        ",".join(str(c) for c in coeffs) if coeffs else args.coeffs
-    )
-    command = f"snla search --dim {args.dim} --coeffs {canonical}"
-    if args.budget is not None:
-        command += f" --budget {args.budget}"
-    inputs: list[tuple[str, str]] = []
+        return None
+
+
+def _cmd_snla_search(args, inputs):
+    coeffs = _coefficients(args.coeffs)
     if coeffs is None:
-        return _error_report(
-            command, inputs, "E_INPUT", "--coeffs", "expected comma-separated rationals"
-        )
-    try:
-        res = snla.snla_search(args.dim, coeffs, budget=args.budget)
-    except ValueError as e:
-        return _error_report(command, inputs, "E_INPUT", "search", str(e))
+        raise Refusal("E_INPUT", "--coeffs", "expected comma-separated rationals")
+    res = _refusing("search", snla.snla_search, args.dim, coeffs, budget=args.budget)
     findings = []
     for k, inst in enumerate(res.instances, start=1):
         parts = []
@@ -507,128 +432,73 @@ def _cmd_snla_search(args) -> Report:
         "instances": len(res.instances),
         "partial": int(res.partial),
     }
-    return _finalize(command, inputs, findings, summaries)
+    return findings, summaries
 
 
-def _cmd_aut_verify(args) -> Report:
-    command = (
-        f"aut verify {os.path.basename(args.spec)} "
-        f"--map {os.path.basename(args.map)}"
-    )
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
-    doc, err = _load_doc(command, args.spec, inputs)
-    if err:
-        return err
+def _bracket_findings(
+    A: AlgebraInstance, phi, map_name: str
+) -> list[ReportFinding]:
+    """One V_BRACKET finding per generator pair phi fails to intertwine."""
+    return [
+        ReportFinding("violation", "V_BRACKET", _pair_loc(*v.pair), v.describe())
+        for v in _refusing(map_name, check_automorphism, A, phi)
+    ]
+
+
+def _cmd_aut_verify(args, inputs):
+    doc = _load_doc(args.spec, inputs)
     map_name = os.path.basename(args.map)
-    map_text, err = _read_input(command, args.map, inputs)
-    if err:
-        return err
-    try:
-        phi = parse_map_file(map_text)
-    except ValueError as e:
-        return _error_report(command, inputs, "E_INPUT", map_name, str(e))
-    findings = []
-    summaries: dict[str, int] = {}
-    if doc.products or doc.forms:
-        try:
-            s = snla.snla_from_doc(doc)
-        except ValueError as e:
-            return _error_report(command, inputs, "E_INPUT", doc.name, str(e))
-        try:
-            bracket_viols = check_automorphism(s.algebra(), phi)
-            prod_viols = check_product_preserved(s.product, phi)
-            ok, residual = check_symplectomorphism(s.form, phi)
-        except ValueError as e:
-            code = "E_SINGULAR" if "singular" in str(e) else "E_INPUT"
-            return _error_report(command, inputs, code, map_name, str(e))
-        findings.extend(
-            ReportFinding(
-                "violation", "V_BRACKET", _pair_loc(*v.pair), v.describe()
-            )
-            for v in bracket_viols
+    phi = _refusing(map_name, parse_map_file, _read_input(args.map, inputs))
+    if not (doc.products or doc.forms):
+        A, findings = _instantiate(doc, args.window)
+        brackets = _bracket_findings(A, phi, map_name)
+        return findings + brackets, {"dim": A.dim, "bracket_violations": len(brackets)}
+    s = _refusing(doc.name, snla.snla_from_doc, doc)
+    findings = _bracket_findings(s.algebra(), phi, map_name)
+    products = _refusing(map_name, check_product_preserved, s.product, phi)
+    ok, residual = _refusing(map_name, check_symplectomorphism, s.form, phi)
+    summaries = {
+        "dim": s.dim,
+        "bracket_violations": len(findings),
+        "product_violations": len(products),
+        "form_preserved": int(ok),
+    }
+    findings.extend(
+        ReportFinding("violation", "V_PRODUCT", _pair_loc(*v.pair), v.describe())
+        for v in products
+    )
+    if not ok:
+        rows = "; ".join(
+            "[" + ", ".join(str(x) for x in row) + "]" for row in residual
         )
-        findings.extend(
+        findings.append(
             ReportFinding(
                 "violation",
-                "V_PRODUCT",
-                f"({v.pair[0]},{v.pair[1]})",
-                v.describe(),
+                "V_FORM",
+                "phi^T.Omega.phi",
+                f"differs from Omega by {rows}",
             )
-            for v in prod_viols
         )
-        if not ok:
-            rows = "; ".join(
-                "[" + ", ".join(str(x) for x in row) + "]" for row in residual
-            )
-            findings.append(
-                ReportFinding(
-                    "violation",
-                    "V_FORM",
-                    "phi^T.Omega.phi",
-                    f"differs from Omega by {rows}",
-                )
-            )
-        summaries = {
-            "dim": s.dim,
-            "bracket_violations": len(bracket_viols),
-            "product_violations": len(prod_viols),
-            "form_preserved": int(ok),
-        }
-    else:
-        A, err = _instantiate(command, doc, args.window, inputs)
-        if err:
-            return err
-        try:
-            viols = check_automorphism(A, phi)
-        except ValueError as e:
-            code = "E_SINGULAR" if "singular" in str(e) else "E_INPUT"
-            return _error_report(command, inputs, code, map_name, str(e))
-        findings.extend(
-            ReportFinding(
-                "violation", "V_BRACKET", _pair_loc(*v.pair), v.describe()
-            )
-            for v in viols
-        )
-        summaries = {"dim": A.dim, "bracket_violations": len(viols)}
-    return _finalize(command, inputs, findings, summaries)
+    return findings, summaries
 
 
-def _cmd_aut_recurrences(args) -> Report:
-    command = f"aut recurrences --file {os.path.basename(args.file)}"
-    if args.window is not None:
-        command += f" --window {args.window}"
-    inputs: list[tuple[str, str]] = []
+def _cmd_aut_recurrences(args, inputs):
     name = os.path.basename(args.file)
-    text, err = _read_input(command, args.file, inputs)
-    if err:
-        return err
-    try:
-        cf = parse_coeff_file(text)
-    except ValueError as e:
-        return _error_report(command, inputs, "E_INPUT", name, str(e))
-    if args.window is not None:
-        if args.window > cf.window:
-            return _error_report(
-                command,
-                inputs,
-                "E_INPUT",
-                name,
-                f"file defines window {cf.window}, cannot widen to {args.window}",
-            )
-        if args.window < cf.window:
-            W = args.window
-            try:
-                cf = CoefficientFamily(
-                    {k: v for k, v in cf.a.items() if abs(k) <= W},
-                    {k: v for k, v in cf.b.items() if abs(k) <= W},
-                    {k: v for k, v in cf.c.items() if abs(k) <= W},
-                    {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
-                    W,
-                )
-            except ValueError as e:
-                return _error_report(command, inputs, "E_INPUT", name, str(e))
+    cf = _refusing(name, parse_coeff_file, _read_input(args.file, inputs))
+    W = args.window
+    if W is not None and W > cf.window:
+        detail = f"file defines window {cf.window}, cannot widen to {W}"
+        raise Refusal("E_INPUT", name, detail)
+    if W is not None and W < cf.window:
+        cf = _refusing(
+            name,
+            CoefficientFamily,
+            {k: v for k, v in cf.a.items() if abs(k) <= W},
+            {k: v for k, v in cf.b.items() if abs(k) <= W},
+            {k: v for k, v in cf.c.items() if abs(k) <= W},
+            {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
+            W,
+        )
     viols = check_recurrences(cf)
     findings = [
         ReportFinding(
@@ -644,7 +514,37 @@ def _cmd_aut_recurrences(args) -> Report:
         summaries[f"{rel}_violations"] = sum(
             1 for v in viols if v.relation == rel
         )
-    return _finalize(command, inputs, findings, summaries)
+    return findings, summaries
+
+
+def _canonical_coefficients(text: str) -> str:
+    coeffs = _coefficients(text)
+    return ",".join(str(c) for c in coeffs) if coeffs else text
+
+
+# How a report's command line shows each argument: files by base name, so
+# reports hold no absolute paths, and --coeffs as the set it denotes.
+_SHOWN_AS = {
+    "spec": os.path.basename,
+    "cocycle": os.path.basename,
+    "map": os.path.basename,
+    "file": os.path.basename,
+    "coeffs": _canonical_coefficients,
+}
+
+
+def _command_line(args) -> str:
+    """The invocation as its report names it: the subcommand, then each
+    argument in declaration order; unset options and --json are left out."""
+    words = [args.words]
+    for action in args.shown:
+        value = getattr(args, action.dest)
+        if value is None or value is False:
+            continue
+        words.extend(action.option_strings)
+        if value is not True:
+            words.append(_SHOWN_AS.get(action.dest, str)(value))
+    return " ".join(words)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -659,60 +559,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("check", parents=[common], help="alternating + Jacobi + center")
-    c.add_argument("spec")
-    c.add_argument("--window", type=int, help="window for rule documents")
-    c.set_defaults(func=_cmd_check)
+    def command(group, words, func, help):
+        """Add a subcommand; the returned ``arg`` declares its arguments in
+        the order its report's command line shows them."""
+        c = group.add_parser(words.split()[-1], parents=[common], help=help)
+        shown: list[argparse.Action] = []
+        c.set_defaults(func=func, words=words, shown=shown)
 
-    c = sub.add_parser("cohomology", parents=[common], help="Z2/B2/H2 dimensions")
-    c.add_argument("spec")
-    c.add_argument("--grade-zero", action="store_true")
-    c.add_argument("--window", type=int)
-    c.set_defaults(func=_cmd_cohomology)
+        def arg(name, **kwargs):
+            shown.append(c.add_argument(name, **kwargs))
 
-    c = sub.add_parser("derivations", parents=[common], help="derivation space + inner split")
-    c.add_argument("spec")
-    c.add_argument("--window", type=int)
-    c.set_defaults(func=_cmd_derivations)
+        return arg
 
-    c = sub.add_parser("extend", parents=[common], help="one-dimensional central extension")
-    c.add_argument("spec")
-    c.add_argument("--cocycle", required=True, help="cocycle name in the document, or a file")
-    c.add_argument("--window", type=int)
-    c.set_defaults(func=_cmd_extend)
+    arg = command(sub, "check", _cmd_check, "alternating + Jacobi + center")
+    arg("spec")
+    arg("--window", type=int, help="window for rule documents")
+
+    arg = command(sub, "cohomology", _cmd_cohomology, "Z2/B2/H2 dimensions")
+    arg("spec")
+    arg("--grade-zero", action="store_true")
+    arg("--window", type=int)
+
+    arg = command(sub, "derivations", _cmd_derivations, "derivation space + inner split")
+    arg("spec")
+    arg("--window", type=int)
+
+    arg = command(sub, "extend", _cmd_extend, "one-dimensional central extension")
+    arg("spec")
+    arg("--cocycle", required=True, help="cocycle name in the document, or a file")
+    arg("--window", type=int)
 
     g = sub.add_parser("esvla", help="bundled four-family algebra")
     gs = g.add_subparsers(dest="esvla_cmd", required=True)
-    c = gs.add_parser("audit", parents=[common], help="full window audit")
-    c.add_argument("--window", type=int, required=True)
-    c.add_argument("--convention", choices=["plain", "super"], default="super")
-    c.add_argument(
-        "--n-index", dest="n_index", choices=["strict", "extended"], default="strict"
-    )
-    c.set_defaults(func=_cmd_esvla_audit)
+    arg = command(gs, "esvla audit", _cmd_esvla_audit, "full window audit")
+    arg("--window", type=int, required=True)
+    arg("--convention", choices=["plain", "super"], default="super")
+    arg("--n-index", choices=["strict", "extended"], default="strict")
 
     g = sub.add_parser("snla", help="symplectic Novikov instances")
     gs = g.add_subparsers(dest="snla_cmd", required=True)
-    c = gs.add_parser("verify", parents=[common], help="all defining identities")
-    c.add_argument("spec")
-    c.set_defaults(func=_cmd_snla_verify)
-    c = gs.add_parser("search", parents=[common], help="enumerate small instances")
-    c.add_argument("--dim", type=int, required=True)
-    c.add_argument("--coeffs", required=True, help="comma-separated rationals")
-    c.add_argument("--budget", type=int)
-    c.set_defaults(func=_cmd_snla_search)
+    arg = command(gs, "snla verify", _cmd_snla_verify, "all defining identities")
+    arg("spec")
+    arg = command(gs, "snla search", _cmd_snla_search, "enumerate small instances")
+    arg("--dim", type=int, required=True)
+    arg("--coeffs", required=True, help="comma-separated rationals")
+    arg("--budget", type=int)
 
     g = sub.add_parser("aut", help="candidate-map verification")
     gs = g.add_subparsers(dest="aut_cmd", required=True)
-    c = gs.add_parser("verify", parents=[common], help="bracket/product/form preservation")
-    c.add_argument("spec")
-    c.add_argument("--map", required=True, help="matrix file: 'dim d' then d rows")
-    c.add_argument("--window", type=int)
-    c.set_defaults(func=_cmd_aut_verify)
-    c = gs.add_parser("recurrences", parents=[common], help="coefficient recurrences")
-    c.add_argument("--file", required=True)
-    c.add_argument("--window", type=int)
-    c.set_defaults(func=_cmd_aut_recurrences)
+    arg = command(gs, "aut verify", _cmd_aut_verify, "bracket/product/form preservation")
+    arg("spec")
+    arg("--map", required=True, help="matrix file: 'dim d' then d rows")
+    arg("--window", type=int)
+    arg = command(gs, "aut recurrences", _cmd_aut_recurrences, "coefficient recurrences")
+    arg("--file", required=True)
+    arg("--window", type=int)
 
     return p
 
@@ -724,7 +625,13 @@ def run(argv: list[str]) -> tuple[int, Optional[Report]]:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (e.code if isinstance(e.code, int) else 2), None
-    report = args.func(args)
+    command = _command_line(args)
+    inputs: list[tuple[str, str]] = []
+    try:
+        findings, summaries = args.func(args, inputs)
+    except Refusal as r:
+        findings, summaries = [r.finding], {}
+    report = _finalize(command, inputs, findings, summaries)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code(), report
 

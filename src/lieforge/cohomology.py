@@ -365,10 +365,6 @@ class CocycleViolation:
     triple: tuple[GeneratorId, GeneratorId, GeneratorId]
     residual: Fraction
 
-    def describe(self) -> str:
-        x, y, z = self.triple
-        return f"({x},{y},{z}) residual {self.residual}"
-
 
 @dataclass
 class CocycleAudit:

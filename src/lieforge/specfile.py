@@ -46,6 +46,11 @@ RESERVED = {"m", "n", "when"}
 # outgrows the 4,300-digit limit on int-to-str conversion.
 MAX_EXPONENT = 16
 
+# Deepest nesting a polynomial may have: each open parenthesis and each
+# unary minus counts one level.  The parser recurses once per level, so a
+# deeper expression is refused before it exhausts the interpreter's stack.
+MAX_NESTING = 32
+
 # An integer literal, and the numerator or denominator of a polynomial
 # coefficient after any arithmetic, may have at most MAX_DIGITS digits, so a
 # product of two coefficients evaluated in the window still renders.
@@ -381,6 +386,7 @@ class _LineParser:
         self.toks = tokens
         self.lineno = lineno
         self.pos = 0
+        self.depth = 0  # nesting of the polynomial being parsed
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -487,8 +493,17 @@ class _LineParser:
         t = self.peek()
         if t.text == "-":
             self.next()
-            return -self._poly_factor()
+            return -self._nested(t, self._poly_factor)
         return self._poly_power()
+
+    def _nested(self, tok: Token, parse) -> Poly2:
+        """``parse()`` one nesting level deeper, refused past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        p = parse()
+        self.depth -= 1
+        return p
 
     def _poly_power(self) -> Poly2:
         p = self._poly_atom()
@@ -516,7 +531,7 @@ class _LineParser:
         if t.text in ("m", "n"):
             return Poly2.var(t.text)
         if t.text == "(":
-            p = self._poly_sum()
+            p = self._nested(t, self._poly_sum)
             self.expect(")")
             return p
         self.fail("expected number, m, n, or '('", t)

@@ -11,6 +11,7 @@ from lieforge.algebra import Element, gid
 from lieforge.automorphisms import (
     CoefficientFamily,
     RecurrenceViolation,
+    SingularMapError,
     check_automorphism,
     check_product_preserved,
     check_recurrences,
@@ -96,13 +97,15 @@ def test_automorphism_center_scaling_fails():
 
 
 def test_automorphism_rejects_bad_maps():
+    # the CLI reports E_SINGULAR by the error's type, never by its text
     A = heisenberg3()
-    with pytest.raises(ValueError, match="rank 2 < 3"):
+    with pytest.raises(SingularMapError, match="rank 2 < 3"):
         check_automorphism(
             A, LinearEndo([[1, 0, 0], [0, 1, 0], [0, 1, 0]])
         )
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="dimension") as exc:
         check_automorphism(A, LinearEndo.identity(4))
+    assert not isinstance(exc.value, SingularMapError)
 
 
 def test_automorphism_windowed_scaling():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import signal
 import sys
@@ -17,6 +18,7 @@ from lieforge import cli
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = REPO / "tests" / "data"
 
 H3 = str(SAMPLES / "heisenberg.lie")
 WITT = str(SAMPLES / "witt.lie")
@@ -25,6 +27,15 @@ SNLA_BAD = str(SAMPLES / "snla_compat_fail.lie")
 # a child process does not inherit pytest's `pythonpath`, so hand it src
 _PATHS = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATHS))}
+# every subcommand that reads a spec; {spec} and {map} are filled in
+SPEC_COMMANDS = {
+    "check": ["check", "{spec}"],
+    "cohomology": ["cohomology", "{spec}"],
+    "derivations": ["derivations", "{spec}"],
+    "extend": ["extend", "{spec}", "--cocycle", "w"],
+    "snla-verify": ["snla", "verify", "{spec}"],
+    "aut-verify": ["aut", "verify", "{spec}", "--map", "{map}"],
+}
 
 
 def run_cli(argv, capsys):
@@ -160,6 +171,59 @@ def test_esvla_audit_default_matches_golden(capsys):
     code, _, out = run_cli(["esvla", "audit", "--window", "5"], capsys)
     assert code == 1
     assert out == (GOLDEN / "esvla_audit_w5.txt").read_text()
+
+
+# Fixed invocations, run from the repository root: every subcommand on
+# samples/ and tests/data/, one --json, and every kind of refusal.
+CLI_INVOCATIONS = [
+    "check samples/heisenberg.lie",
+    "check samples/witt.lie --window 4",
+    "check samples/witt.lie",
+    "check tests/data/sl2.lie --json",
+    "check tests/data/no_such_file.lie",
+    "check tests/data/cli/latin1.lie",
+    "check tests/data/corrupt/c06_missing_arrow.lie",
+    "cohomology tests/data/heisenberg.lie",
+    "cohomology tests/data/witt.lie --grade-zero --window 6",
+    "derivations samples/heisenberg.lie",
+    "derivations tests/data/abelian4.lie",
+    "derivations tests/data/witt.lie --window 4",
+    "extend samples/h3_extension.lie --cocycle w",
+    "extend samples/heisenberg.lie --cocycle samples/h3_extension.lie",
+    "extend samples/heisenberg.lie --cocycle samples/witt.lie",
+    "extend samples/heisenberg.lie --cocycle nope",
+    "esvla audit --window 3",
+    "esvla audit --window 1",
+    "snla verify samples/snla_compat_fail.lie",
+    "snla verify tests/data/heisenberg.lie",
+    "snla search --dim 2 --coeffs=1,0,-1,0",
+    "snla search --dim 2 --coeffs 0,1 --budget 10",
+    "snla search --dim 2 --coeffs 1/0",
+    "snla search --dim 2 --coeffs=,",
+    "aut verify samples/heisenberg.lie --map tests/data/cli/scale3.map",
+    "aut verify samples/heisenberg.lie --map tests/data/cli/singular3.map",
+    "aut verify samples/heisenberg.lie --map tests/data/cli/diag2.map",
+    "aut verify tests/data/witt.lie --map tests/data/cli/scale3.map --window 1",
+    "aut verify samples/snla_compat_fail.lie --map tests/data/cli/diag2.map",
+    "aut recurrences --file tests/data/cli/powers2.coef",
+    "aut recurrences --file tests/data/cli/powers2.coef --window 1",
+    "aut recurrences --file tests/data/cli/powers2.coef --window 9",
+    "aut recurrences --file tests/data/cli/powers2.coef --window 0",
+]
+
+
+def cli_transcript(capsys) -> str:
+    """Each invocation followed by its report and exit code."""
+    parts = []
+    for line in CLI_INVOCATIONS:
+        code, _, out = run_cli(shlex.split(line), capsys)
+        parts.append(f"$ lieforge {line}\n{out}exit {code}\n")
+    return "\n".join(parts)
+
+
+def test_cli_reports_match_golden(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert cli_transcript(capsys) == (GOLDEN / "cli_reports.txt").read_text()
 
 
 def test_esvla_audit_json_schema(capsys):
@@ -301,6 +365,30 @@ def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
     assert "integer with more than 1000 digits" in rep.findings[0].detail
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        "(" * 200 + "n - m" + ")" * 200,
+        "(" * 3000 + "n - m" + ")" * 3000,
+        "- " * 200 + "m",
+        "- " * 3000 + "m",
+    ],
+    ids=["parentheses-200", "parentheses-3000", "minus-200", "minus-3000"],
+)
+def test_deep_nesting_is_a_parse_error(coefficient, tmp_path, capsys):
+    code, rep, _ = check_rule_within_a_second(tmp_path, capsys, coefficient)
+    assert code == 2
+    assert [f.code for f in rep.findings] == ["E_PARSE"]
+    assert "nested deeper than 32 levels" in rep.findings[0].detail
+
+
+def test_nesting_at_the_limit_is_accepted(tmp_path, capsys):
+    coefficient = "(" * 32 + "n - m" + ")" * 32
+    code, rep, _ = check_rule_within_a_second(tmp_path, capsys, coefficient)
+    assert (code, rep.findings) == (0, [])
+    assert rep.summaries["dim"] == 7
+
+
 def test_rule_degree_limit_covers_juxtaposition(tmp_path):
     # 3,000 juxtaposed factors: no power, no long literal, but m^3000
     # evaluated in the window would exceed the int-to-str digit limit
@@ -335,6 +423,29 @@ def test_rule_degree_at_the_limit_is_accepted(tmp_path, capsys):
     assert code in (0, 1)
     assert "E_PARSE" not in [f.code for f in rep.findings]
     assert rep.summaries["dim"] == 17
+
+
+@pytest.mark.parametrize("command", [c for c in SPEC_COMMANDS if c != "snla-verify"])
+def test_ill_kinded_terms_are_reported(command, tmp_path, capsys):
+    # every bracket term lands on an integer index of the half family Y, so
+    # each of the 6 pairs with n != m in window 1 is dropped as E_KIND; the
+    # verdict stays pass
+    spec = tmp_path / "ik.lie"
+    spec.write_text(
+        "algebra ik convention plain\n"
+        "family L integer even\n"
+        "family Y half even\n"
+        "rule L[m] L[n] => (n - m) Y[m+n]\n"
+        "cocycle w L[m] L[n] => m when m + n = 0\n"
+    )
+    write_map(tmp_path / "id.map", [[int(i == j) for j in range(5)] for i in range(5)])
+    argv = [a.format(spec=spec, map=tmp_path / "id.map") for a in SPEC_COMMANDS[command]]
+    code, rep, out = run_cli([*argv, "--window", "1"], capsys)
+    assert (code, rep.verdict) == (0, "pass")
+    assert [(f.severity, f.code) for f in rep.findings] == [("info", "E_KIND")] * 6
+    assert rep.findings[0].location == "rule@4 [L[-1],L[0]]"
+    assert rep.findings[0].detail == "result index -1 invalid for half family 'Y'"
+    assert "[info] E_KIND rule@4 [L[-1],L[0]]" in out
 
 
 def test_snla_search_frozen_catalog(capsys):
@@ -617,3 +728,26 @@ H3_TEXT = (
     "generator e[3]\n"
     "entry e[1] e[2] => 1 e[3]\n"
 )
+
+
+UNUSABLE = {p.name: str(p) for p in sorted((DATA / "corrupt").glob("*.lie"))}
+UNUSABLE["missing"] = str(DATA / "no_such_file.lie")
+UNUSABLE["directory"] = str(DATA)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [a.format(spec=spec, map=DATA / "cli" / "scale3.map") for a in cmd]
+        for cmd in SPEC_COMMANDS.values()
+        for spec in UNUSABLE.values()
+    ]
+    + [["extend", H3, "--cocycle", str(DATA)]],
+    ids=[f"{c}-{s}" for c in SPEC_COMMANDS for s in UNUSABLE] + ["extend-cocycle-directory"],
+)
+def test_unusable_spec_is_refused(argv, capsys):
+    # the refusal contract: exit 2 with one error finding, never an exception
+    code, rep, _ = run_cli(argv, capsys)
+    assert (code, rep.verdict) == (2, "error")
+    assert [f.severity for f in rep.findings] == ["error"]
+    assert rep.findings[0].code in ("E_INPUT", "E_PARSE")

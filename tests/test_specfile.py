@@ -20,6 +20,7 @@ from lieforge.specfile import (
     GenPat,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_NESTING,
     LinCond,
     ParseError,
     Poly2,
@@ -443,6 +444,48 @@ def test_digit_limit(poly, ok):
         parse(text)
     else:
         with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits") as exc:
+            parse(text)
+        assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "poly, ok",
+    [
+        ("(" * MAX_NESTING + "n - m" + ")" * MAX_NESTING, True),
+        ("- " * MAX_NESTING + "m", True),
+        ("-(" * (MAX_NESTING // 2) + "m" + ")" * (MAX_NESTING // 2), True),
+        ("(" * (MAX_NESTING + 1) + "n - m" + ")" * (MAX_NESTING + 1), False),
+        ("- " * (MAX_NESTING + 1) + "m", False),
+        ("-(" * (MAX_NESTING // 2) + "-m" + ")" * (MAX_NESTING // 2), False),
+        ("(" * 200 + "n - m" + ")" * 200, False),
+        ("(" * 3000 + "n - m" + ")" * 3000, False),
+        ("- " * 200 + "m", False),
+        ("- " * 3000 + "m", False),
+    ],
+    ids=[
+        "parentheses",
+        "minus",
+        "mixed",
+        "parentheses-over",
+        "minus-over",
+        "mixed-over",
+        "parentheses-200",
+        "parentheses-3000",
+        "minus-200",
+        "minus-3000",
+    ],
+)
+def test_nesting_limit(poly, ok):
+    # parentheses and unary minus both count, so the recursive descent
+    # parser never nears the interpreter's recursion limit
+    text = (
+        "algebra a convention plain\nfamily L integer even\n"
+        f"rule L[m] L[n] => {poly} L[m+n]\n"
+    )
+    if ok:
+        parse(text)
+    else:
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as exc:
             parse(text)
         assert exc.value.line == 3
 
