@@ -10,11 +10,13 @@ on both sides, or on a diagonal, can violate the convention and
 ``PairTable.symmetry_residuals`` says exactly where.
 
 Each ``AlgebraInstance`` compiles its table once into an ``IndexedView``:
-the symmetric-extended structure constants, window flags, parities and
-interior generators, all indexed by generator position.  Every triple
-identity visits position triples through one enumerator,
-``AlgebraInstance.checkable_triples``, and works on plain ints, building
-generator objects only for what it reports.  Window-truncated instances never
+the symmetric-extended structure constants as integers over one common
+denominator, their reverse index, window flags, parities and interior
+generators, all indexed by generator position.  Every triple identity visits
+position triples through one enumerator, ``AlgebraInstance.checkable_triples``,
+narrowed to the triples that can be nonzero when the identity names a
+support, and works on plain ints, dividing once and building generator
+objects only for what it reports.  Window-truncated instances never
 treat a dropped (out-of-window) bracket result as zero: evaluations touching
 such a pair raise a boundary flag, and the enumerator skips and counts those
 triples instead of reporting fake residuals.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from lieforge.linalg import SparseMatrix, rat, rref
@@ -234,14 +237,20 @@ class Finding:
 class IndexedView:
     """An instance's table compiled to generator positions.
 
-    ``terms[i][j]`` holds the nonzero ``(k, coefficient)`` terms of
-    [g_i, g_j]: stored entries exactly as written, a one-sided entry extended
-    by the convention's swap sign.  ``flagged[i]`` is the set of positions j
-    with (g_i, g_j) window-flagged, in either order.  ``odd[i]`` is the
-    parity of g_i; ``interior`` lists the interior positions in order.
+    ``terms[i][j]`` holds the nonzero ``(k, c)`` terms of [g_i, g_j] as
+    integers over the common denominator ``scale`` (the lcm of every
+    coefficient's denominator): the coefficient of g_k is ``c / scale``.
+    Stored entries are read exactly as written, a one-sided entry extended
+    by the convention's swap sign.  ``producers[k]`` lists the ordered pairs
+    (i, j) with k in ``terms[i][j]``, as keys i * dim + j.  ``flagged[i]``
+    is the set of positions j with (g_i, g_j) window-flagged, in either
+    order.  ``odd[i]`` is the parity of g_i; ``interior`` lists the interior
+    positions in order.
     """
 
-    terms: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    scale: int
+    producers: tuple[tuple[int, ...], ...]
     flagged: tuple[frozenset[int], ...]
     odd: tuple[bool, ...]
     interior: tuple[int, ...]
@@ -289,13 +298,22 @@ class AlgebraInstance:
                 if abs(g.doubled_index) > 2 * window:
                     raise ValueError(f"generator {g} outside window {window}")
         self.view = self._compile()
+        # (checkable, skipped) per (scope, repeats), recorded by full scans
+        self._scan_counts: dict[tuple[str, bool], tuple[int, int]] = {}
 
     def _compile(self) -> IndexedView:
         pos, n = self._pos, self.dim
+        values = self.indexed_values(self.table)
+        scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
         terms = [[()] * n for _ in range(n)]
-        for key, v in self.indexed_values(self.table).items():
+        producers = [[] for _ in range(n)]
+        for key, v in values.items():
             i, j = divmod(key, n)
-            terms[i][j] = tuple((pos[t], c) for t, c in v.terms.items())
+            terms[i][j] = tuple(
+                (pos[t], c.numerator * (scale // c.denominator)) for t, c in v.terms.items()
+            )
+            for k, _ in terms[i][j]:
+                producers[k].append(key)
         flagged = [set() for _ in range(n)]
         for g, h in self.boundary_pairs:
             i, j = self.position(g), self.position(h)
@@ -303,6 +321,8 @@ class AlgebraInstance:
             flagged[j].add(i)
         return IndexedView(
             tuple(map(tuple, terms)),
+            scale,
+            tuple(map(tuple, producers)),
             tuple(map(frozenset, flagged)),
             tuple(bool(self.table.family_parity(g.family)) for g in self.generators),
             tuple(i for i, g in enumerate(self.generators) if self.is_interior(g)),
@@ -342,22 +362,27 @@ class AlgebraInstance:
         i, j = self._pos.get(g), self._pos.get(h)
         return i is not None and j is not None and j in self.view.flagged[i]
 
-    def checkable_triples(self, scope: str, repeats: bool) -> "TripleScan":
+    def checkable_triples(
+        self,
+        scope: str,
+        repeats: bool,
+        support: Optional[Iterable[tuple[int, int]]] = None,
+    ) -> "TripleScan":
         """Position triples in order for a triple identity.
 
         scope "interior" draws from the interior positions, "all" from every
         position; ``repeats`` allows x = y or y = z.  Triples with a
         window-flagged cyclic pair are dropped and counted by the scan.
+
+        An identity whose terms for a rotation (a, b, c) of a triple read
+        some value at (k, c) with k in ``terms[a][b]`` may pass the ordered
+        position pairs (k, c) it can read nonzero as ``support``; the scan
+        then yields only the triples with such a rotation, in the same order,
+        since every other triple contributes exactly zero.
         """
         if scope not in ("interior", "all"):
             raise ValueError(f"unknown scope {scope!r}")
-        positions = self.view.interior if scope == "interior" else range(self.dim)
-        combinations = (
-            itertools.combinations_with_replacement
-            if repeats
-            else itertools.combinations
-        )
-        return TripleScan(combinations(positions, 3), self.view.flagged)
+        return TripleScan(self, scope, repeats, support)
 
     def generators_at(self, positions: Iterable[int]) -> tuple[GeneratorId, ...]:
         """The generators at the given positions, in order."""
@@ -365,22 +390,95 @@ class AlgebraInstance:
 
 
 class TripleScan:
-    """One pass over position triples.  A triple with a window-flagged
-    cyclic pair (x,y), (y,z) or (z,x) is not yielded; ``skipped`` counts it."""
+    """One pass over an instance's position triples for one scope, in order.
 
-    def __init__(self, triples: Iterable[tuple], flagged: tuple[frozenset, ...]):
-        self._triples = triples
-        self._flagged = flagged
-        self.skipped = 0
+    A triple with a window-flagged cyclic pair (x,y), (y,z) or (z,x) is not
+    yielded.  ``checkable`` and ``skipped`` count the whole scope's triples
+    without and with such a pair, also when the scan is narrowed to a
+    support: a full scan records both in ``A._scan_counts`` as it ends, and a
+    narrowed scan reads them there, running one full scan per instance and
+    (scope, repeats) if none has run.
+    """
+
+    def __init__(
+        self,
+        A: AlgebraInstance,
+        scope: str,
+        repeats: bool,
+        support: Optional[Iterable[tuple[int, int]]] = None,
+    ):
+        self._A = A
+        self._key = (scope, repeats)
+        self._support = support
+
+    def _positions(self):
+        A = self._A
+        return A.view.interior if self._key[0] == "interior" else range(A.dim)
+
+    def _candidates(self) -> list[tuple[int, int, int]]:
+        """Sorted triples of the scope with a rotation (a, b, c) that has
+        k in ``terms[a][b]`` and (k, c) in the support."""
+        inside = set(self._positions())
+        wanted: dict[int, list[int]] = {}
+        for k, c in self._support:
+            if c in inside:
+                wanted.setdefault(k, []).append(c)
+        producers, n = self._A.view.producers, self._A.dim
+        found = set()
+        for k, cs in wanted.items():
+            for key in producers[k]:
+                a, b = divmod(key, n)
+                if a not in inside or b not in inside:
+                    continue
+                # the rotation of (a, b, c) that is in scan order, if any
+                for c in cs:
+                    if a <= b <= c:
+                        found.add((a, b, c))
+                    elif b <= c <= a:
+                        found.add((b, c, a))
+                    elif c <= a <= b:
+                        found.add((c, a, b))
+        if not self._key[1]:
+            found = {t for t in found if t[0] != t[1] != t[2]}
+        return sorted(found)
 
     def __iter__(self) -> Iterator[tuple]:
-        flagged = self._flagged
-        for t in self._triples:
+        flagged = self._A.view.flagged
+        full = self._support is None
+        if full:
+            combinations = (
+                itertools.combinations_with_replacement
+                if self._key[1]
+                else itertools.combinations
+            )
+            triples = combinations(self._positions(), 3)
+        else:
+            triples = self._candidates()
+        checkable = skipped = 0
+        for t in triples:
             x, y, z = t
             if y in flagged[x] or z in flagged[y] or x in flagged[z]:
-                self.skipped += 1
+                skipped += 1
             else:
+                checkable += 1
                 yield t
+        if full:
+            self._A._scan_counts[self._key] = (checkable, skipped)
+
+    def _counts(self) -> tuple[int, int]:
+        counts = self._A._scan_counts
+        if self._key not in counts:
+            for _ in TripleScan(self._A, *self._key):
+                pass
+        return counts[self._key]
+
+    @property
+    def checkable(self) -> int:
+        return self._counts()[0]
+
+    @property
+    def skipped(self) -> int:
+        return self._counts()[1]
 
 
 def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
@@ -448,13 +546,14 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
     """
     sup = A.table.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
+    denominator = A.view.scale**2
     triples = A.checkable_triples(scope, repeats=sup)
     examined = 0
     inner_skipped = 0
     violations = []
     for t in triples:
         x, y, z = t
-        total: dict[int, Fraction] = {}
+        total: dict[int, int] = {}
         clipped = False
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             row, skip = terms[a], flagged[a]
@@ -473,7 +572,9 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
             inner_skipped += 1
             continue
         examined += 1
-        residual = {A.generators[u]: v for u, v in total.items() if v}
+        residual = {
+            A.generators[u]: Fraction(v, denominator) for u, v in total.items() if v
+        }
         if residual:
             violations.append(JacobiViolation(A.generators_at(t), Element(residual)))
     return JacobiAudit(
@@ -497,13 +598,13 @@ def center(A: AlgebraInstance) -> list[Element]:
     """
     cols = A.view.interior
     terms = A.view.terms
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}  # over view.scale, like the terms
     row_of: dict[tuple[int, int], int] = {}
     for col, h in enumerate(cols):
         for g in cols:
             for t, c in terms[h][g]:
                 r = row_of.setdefault((g, t), len(row_of))
-                entries[(r, col)] = entries.get((r, col), Fraction(0)) + c
+                entries[(r, col)] = entries.get((r, col), 0) + c
     m = SparseMatrix(max(len(row_of), 1), len(cols), entries)
     return [
         Element({A.generators[cols[k]]: v[k] for k in sorted(v)})

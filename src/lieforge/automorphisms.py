@@ -10,6 +10,7 @@ as violations rather than repaired.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -55,10 +56,11 @@ def check_automorphism(
     r = rank(SparseMatrix(n, n, entries))
     if r < n:
         raise SingularMapError(f"singular map: rank {r} < {n}")
-    terms, flagged = A.view.terms, A.view.flagged
+    terms, flagged, scale = A.view.terms, A.view.flagged, A.view.scale
 
     def element(acc: dict[int, Fraction]) -> Element:
-        return Element({A.generators[t]: v for t, v in acc.items()})
+        """The element with coefficients ``acc`` over ``scale``."""
+        return Element({A.generators[t]: v / scale for t, v in acc.items()})
 
     out = []
     for i, ci in enumerate(cols):
@@ -145,6 +147,23 @@ def check_product_preserved(
     return out
 
 
+# Most missing indices a refusal lists; the rest are counted.
+SHOWN_MISSING = 8
+
+
+def _require(what: str, grid: range, stored: Mapping[int, object]) -> None:
+    """Raise ValueError naming the first indices of ``grid`` missing from
+    ``stored`` and counting the others.  The count comes from the stored
+    keys and the scan stops after SHOWN_MISSING misses, so the cost follows
+    what is stored, not the width of the grid."""
+    missing = len(grid) - sum(1 for k in stored if k in grid)
+    if not missing:
+        return
+    first = list(itertools.islice((k for k in grid if k not in stored), SHOWN_MISSING))
+    more = f" and {missing - len(first)} more" if missing > len(first) else ""
+    raise ValueError(f"{what} {first}{more}")
+
+
 class CoefficientFamily:
     """Scalar coefficient families over a window: a, b, c keyed by integer
     index, d keyed by doubled index so half-integers stay exact.
@@ -171,15 +190,9 @@ class CoefficientFamily:
         self.d = {int(k): rat(v) for k, v in d.items()}
         grid = range(-window, window + 1)
         for name, mp in (("a", self.a), ("b", self.b), ("c", self.c)):
-            missing = [n for n in grid if n not in mp]
-            if missing:
-                raise ValueError(f"{name} undefined at indices {missing}")
-        odd = [k for k in range(-2 * window + 1, 2 * window) if k % 2]
-        missing = [k for k in odd if k not in self.d]
-        if missing:
-            raise ValueError(
-                f"d undefined at half-integer doubled indices {missing}"
-            )
+            _require(f"{name} undefined at indices", grid, mp)
+        odd = range(-2 * window + 1, 2 * window, 2)
+        _require("d undefined at half-integer doubled indices", odd, self.d)
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,8 +9,11 @@ bracket tables (``algebra.PairTable``), so super-convention cochains are
 graded-skew with the bracket's swap sign; parity-mixing pairs are allowed
 and their verdicts reported without interpreting the grading.  Triple
 identities and constraint rows run on the instance's position-indexed view
-(``AlgebraInstance.view``) and visit triples through
-``AlgebraInstance.checkable_triples``.
+(``AlgebraInstance.view``), whose integer terms share the denominator
+``view.scale``: rows are assembled over it (scaling a row changes no row
+echelon form) and values are divided once, where they are reported.  Triples
+come from ``AlgebraInstance.checkable_triples``, narrowed to the pairs a
+cochain or its unknowns can read nonzero.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
@@ -127,8 +131,9 @@ def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:
         for col, pair in zip(cols, A.view.terms[A.position(g)]):
             for t, ct in pair:
                 col[t] = col.get(t, 0) + c * ct
+    scale = A.view.scale
     return LinearEndo.from_columns(
-        [{t: v for t, v in col.items() if v} for col in cols]
+        [{t: v / scale for t, v in col.items() if v} for col in cols]
     )
 
 
@@ -151,8 +156,13 @@ def derivation_space(
     mixing parities would need sign conventions the audited identities do
     not define.  Pairs with window-clipped brackets are skipped.
     """
-    shift = None if grade_restriction is None else rat(grade_restriction)
-    gens = A.generators
+    shift = None  # doubled, like GeneratorId.doubled_index
+    if grade_restriction is not None:
+        doubled = 2 * rat(grade_restriction)
+        if doubled.denominator != 1:
+            return []  # no two indices differ by a non-half-integer
+        shift = int(doubled)
+    index = [g.doubled_index for g in A.generators]
     n = A.dim
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     sup = A.table.convention == "super"
@@ -160,9 +170,9 @@ def derivation_space(
     # unknowns[(i, j)]: the entry D[i][j]; column[j] maps i to its unknown
     unknowns: dict[tuple[int, int], int] = {}
     column: list[dict[int, int]] = [{} for _ in range(n)]
-    for j, g in enumerate(gens):
-        for i, t in enumerate(gens):
-            if shift is not None and t.index - g.index != shift:
+    for j in range(n):
+        for i in range(n):
+            if shift is not None and index[i] - index[j] != shift:
                 continue
             if sup and odd[i] != odd[j]:
                 continue
@@ -170,7 +180,7 @@ def derivation_space(
     if not unknowns:
         return []
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []  # over view.scale, like the terms
     for a, b in _pair_iter(A):
         if b in flagged[a]:
             continue
@@ -180,11 +190,11 @@ def derivation_space(
         ):
             continue
         # componentwise D(v) - [Da,b] - [a,Db] = 0, one row per component
-        comp: dict[int, dict[int, Fraction]] = {}
+        comp: dict[int, dict[int, int]] = {}
 
-        def put(component: int, u: int, c: Fraction):
+        def put(component: int, u: int, c: int):
             row = comp.setdefault(component, {})
-            row[u] = row.get(u, Fraction(0)) + c
+            row[u] = row.get(u, 0) + c
             if not row[u]:
                 del row[u]
 
@@ -257,13 +267,14 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
     diagonal only for odd generators under super, optionally restricted to
     index-sum 0."""
     sup = A.table.convention == "super"
-    gens, odd, n = A.generators, A.view.odd, A.dim
+    odd, n = A.view.odd, A.dim
+    index = [g.doubled_index for g in A.generators]
     out: dict[int, int] = {}
-    for i, g in enumerate(gens):
+    for i in range(n):
         for j in range(i, n):
             if i == j and not (sup and odd[i]):
                 continue
-            if grade_zero and g.index + gens[j].index != 0:
+            if grade_zero and index[i] + index[j] != 0:
                 continue
             out[i * n + j] = len(out)
     return out
@@ -281,14 +292,19 @@ def _cochain_from_vector(
     return Cochain2(A.table.parity, A.table.convention, raw)
 
 
-def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
-    """Linear constraint rows of the cyclic cocycle identity, one candidate
-    row per checkable triple, expressed over the unknown pair slots."""
+def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int, int]]:
+    """Linear constraint rows of the cyclic cocycle identity over the unknown
+    pair slots, in triple order: the nonzero row of each checkable triple
+    that reads a slot, with integer coefficients over ``A.view.scale``."""
     sup = A.table.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
+    support = set()
+    for key in unknowns:
+        i, j = divmod(key, n)
+        support.update(((i, j), (j, i)))
     rows = []
-    for x, y, z in A.checkable_triples("all", repeats=sup):
-        row: dict[int, Fraction] = {}
+    for x, y, z in A.checkable_triples("all", repeats=sup, support=support):
+        row: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             sign = -1 if sup and odd[a] and odd[c] else 1
             for t, ct in terms[a][b]:
@@ -333,9 +349,9 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
     unknowns = _cochain_unknowns(A, grade_zero)
     if not unknowns:
         return []
-    # vector of delta(dual of g_k) over the unknown slots, for each dual k
-    duals: dict[int, dict[int, Fraction]] = {
-        k: {} for k, t in enumerate(A.generators) if not grade_zero or t.index == 0
+    # delta(dual of g_k) over the unknown slots, for each dual k, over view.scale
+    duals: dict[int, dict[int, int]] = {
+        k: {} for k, t in enumerate(A.generators) if not grade_zero or t.doubled_index == 0
     }
     terms = A.view.terms
     for key, u in unknowns.items():
@@ -387,9 +403,14 @@ def _cocycle_audit(
     """cocycle_audit with the triple repeats chosen by the caller."""
     sup = A.table.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    om = A.indexed_values(omega)
-    triples = A.checkable_triples(scope, repeats)
-    examined = 0
+    values = {key: w for key, w in A.indexed_values(omega).items() if w}
+    # omega as integers over its own common denominator e
+    e = lcm(*(w.denominator for w in values.values()))
+    om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
+    denominator = A.view.scale * e
+    triples = A.checkable_triples(
+        scope, repeats, support={divmod(key, n) for key in om}
+    )
     violations = []
     for t in triples:
         x, y, z = t
@@ -404,10 +425,11 @@ def _cocycle_audit(
                 total -= part
             else:
                 total += part
-        examined += 1
         if total:
-            violations.append(CocycleViolation(A.generators_at(t), total))
-    return CocycleAudit(scope, examined, triples.skipped, violations)
+            violations.append(
+                CocycleViolation(A.generators_at(t), Fraction(total, denominator))
+            )
+    return CocycleAudit(scope, triples.checkable, triples.skipped, violations)
 
 
 def check_cocycle(

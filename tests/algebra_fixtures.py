@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -144,6 +145,28 @@ def mixed_entries(convention: str) -> AlgebraInstance:
         boundary_pairs={(Vh, M1)},
         dropped_terms=1,
     )
+
+
+def coprime_denominators() -> AlgebraInstance:
+    """Four plain generators with structure constants 1/3, 2/5 and 3/7, whose
+    denominators are pairwise coprime (common denominator 105); Jacobi fails
+    with fractional residuals."""
+    e1, e2, e3, e4 = (gid("e", i) for i in range(1, 5))
+    entries = {
+        (e1, e2): Element.of(e3, Fraction(1, 3)),
+        (e1, e3): Element.of(e4, Fraction(2, 5)),
+        (e2, e4): Element({e1: Fraction(3, 7), e2: Fraction(1, 3)}),
+        (e3, e4): Element.of(e3, Fraction(2, 5)),
+    }
+    return finite_instance("coprime", [e1, e2, e3, e4], entries)
+
+
+def sixths_cochain(A: AlgebraInstance) -> Cochain2:
+    """A cochain whose entries all have denominator 6, on the first six
+    generator pairs (g, h) with g before h."""
+    pairs = itertools.combinations(A.generators, 2)
+    raw = {pair: Fraction(k, 6) for pair, k in zip(pairs, (1, -5, 7, -11, 13, -1))}
+    return Cochain2(A.table.parity, A.table.convention, raw)
 
 
 def random_cochain(rng: random.Random, A: AlgebraInstance) -> Cochain2:

@@ -28,6 +28,42 @@ def _pair_value(A: AlgebraInstance, g: GeneratorId, h: GeneratorId):
     return {t: sign * c for t, c in w.terms.items()}
 
 
+def full_scan_cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
+    """The cyclic cocycle rows of ``cohomology._cocycle_rows`` over the same
+    unknown slots (keyed i * dim + j, i <= j), built the way it built them
+    before it narrowed its triples to a support: every checkable triple of
+    the full scan, with Fraction coefficients read from the table.  A triple
+    gives a row when its row is nonzero."""
+    sup = A.table.convention == "super"
+    gens, n = A.generators, A.dim
+    odd = [bool(A.table.family_parity(g.family)) for g in gens]
+    terms = [
+        [[(A.position(t), c) for t, c in A.table.value(g, h).terms.items()] for h in gens]
+        for g in gens
+    ]
+    rows = []
+    for x, y, z in A.checkable_triples("all", repeats=sup):
+        row: dict[int, Fraction] = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            sign = -1 if sup and odd[a] and odd[c] else 1
+            for t, ct in terms[a][b]:
+                if t <= c:
+                    u = unknowns.get(t * n + c)
+                    coeff = sign * ct
+                else:
+                    # omega(t,c) is read through the slot (c,t) by the swap sign
+                    u = unknowns.get(c * n + t)
+                    coeff = (sign if sup and odd[c] and odd[t] else -sign) * ct
+                if u is None:
+                    continue
+                row[u] = row.get(u, 0) + coeff
+                if not row[u]:
+                    del row[u]
+        if row:
+            rows.append(row)
+    return rows
+
+
 def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:
     """All generator triples (by index, i<=j<=k for super, i<j<k plain)
     where the cyclic (graded) Jacobi sum is nonzero.  No window handling:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import signal
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -650,6 +651,23 @@ def test_aut_recurrences_window_below_one_is_an_input_error(window, tmp_path, ca
     assert [(f.code, f.location) for f in rep.findings] == [("E_INPUT", "fam.coef")]
     assert "window must be >= 1" in rep.findings[0].detail
     assert out.startswith(f"lieforge {rep.tool_version} :: aut recurrences")
+
+
+@pytest.mark.parametrize("window", [10**6, 10**9])
+def test_aut_recurrences_wide_window_refusal_is_bounded(window, tmp_path, capsys):
+    # the missing indices are counted, not listed: the report stays small
+    p = tmp_path / "wide.coef"
+    p.write_text(f"window {window}\ncoef a 0 1\n")
+    t0 = time.perf_counter()
+    code, rep, out = run_cli(["aut", "recurrences", "--file", str(p)], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert [(f.code, f.location) for f in rep.findings] == [("E_INPUT", "wide.coef")]
+    first = ", ".join(str(n) for n in range(-window, -window + 8))
+    assert rep.findings[0].detail == (
+        f"a undefined at indices [{first}] and {2 * window - 8} more"
+    )
+    assert len(out.encode()) < 4096
 
 
 @pytest.mark.parametrize("command", ["aut verify", "aut recurrences", "snla search"])

@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from algebra_fixtures import (
+    coprime_denominators,
     heisenberg3,
     mixed_entries,
     random_cochain,
     random_super_table,
+    sixths_cochain,
     sl2_type,
     super_bad,
     super_heisenberg,
@@ -23,12 +25,14 @@ from lieforge import esvla
 from lieforge.algebra import jacobi_audit
 from lieforge.cohomology import (
     Cochain2,
+    _cochain_unknowns,
+    _cocycle_rows,
     coboundary2_space,
     cocycle2_space,
     cocycle_audit,
 )
 from lieforge.linalg import SparseMatrix
-from oracles import naive_windowed_audit, rational_rref
+from oracles import full_scan_cocycle_rows, naive_windowed_audit, rational_rref
 
 ESVLA_W5 = {
     "super_strict": esvla.EsvlaConfig(5),
@@ -37,6 +41,7 @@ ESVLA_W5 = {
 }
 
 FIXTURES = {
+    "coprime": coprime_denominators,
     "mixed_super": lambda: mixed_entries("super"),
     "mixed_plain": lambda: mixed_entries("plain"),
     "odd_diagonal_bad": super_bad,
@@ -66,18 +71,22 @@ def _cocycle_as_oracle(audit):
 def test_view_reads_the_table(name):
     A = FIXTURES[name]()
     view = A.view
+    producers = {}
     for i, g in enumerate(A.generators):
         assert view.odd[i] == bool(A.table.family_parity(g.family))
         for j, h in enumerate(A.generators):
-            assert dict(view.terms[i][j]) == {
+            assert {k: Fraction(c, view.scale) for k, c in view.terms[i][j]} == {
                 A.position(t): c for t, c in A.table.value(g, h).terms.items()
             }
+            for k, _ in view.terms[i][j]:
+                producers.setdefault(k, set()).add(i * A.dim + j)
             assert (j in view.flagged[i]) == (
                 (g, h) in A.boundary_pairs or (h, g) in A.boundary_pairs
             )
     assert [A.generators[i] for i in view.interior] == [
         g for g in A.generators if A.is_interior(g)
     ]
+    assert {k: set(pairs) for k, pairs in enumerate(view.producers) if pairs} == producers
 
 
 @pytest.mark.parametrize("scope", ["interior", "all"])
@@ -159,3 +168,72 @@ def test_cocycle_space_matches_oracle(seed):
 )
 def test_cochain_bases_match_oracle(fixture, grade_zero):
     assert_cochain_bases_match_oracle(fixture(), grade_zero)
+
+
+def test_coprime_denominators_match_oracle():
+    # 1/3, 2/5, 3/7 in the table and sixths in the cochain: both the view's
+    # denominator and the audit's own one differ from 1
+    A = coprime_denominators()
+    assert A.view.scale == 105
+    omega = sixths_cochain(A)
+    assert {w.denominator for w in omega.raw.values()} == {6}
+    for scope in ("interior", "all"):
+        jac = naive_windowed_audit(A, scope)
+        assert jac[2], "the fixture fails Jacobi"
+        assert _jacobi_as_oracle(jacobi_audit(A, scope)) == jac
+        coc = naive_windowed_audit(A, scope, omega)
+        assert coc[2], "the cochain is not a cocycle"
+        assert _cocycle_as_oracle(cocycle_audit(A, omega, scope)) == coc
+
+
+ROW_CASES = {
+    **FIXTURES,
+    "esvla_w4": lambda: esvla.build_esvla(esvla.EsvlaConfig(4)),
+    "esvla_w6": lambda: esvla.build_esvla(esvla.EsvlaConfig(6)),
+}
+
+
+@pytest.mark.parametrize("grade_zero", [False, True])
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_cocycle_rows_match_full_scan(name, grade_zero):
+    A = ROW_CASES[name]()
+    unknowns = _cochain_unknowns(A, grade_zero)
+    rows = [
+        {u: Fraction(v, A.view.scale) for u, v in row.items()}
+        for row in _cocycle_rows(A, unknowns)
+    ]
+    assert rows == full_scan_cocycle_rows(A, unknowns)
+
+
+def _touches(A, t, support):
+    """Whether a rotation (a, b, c) of t has g_k in [g_a, g_b] as the table
+    reads it with (k, c) in the support."""
+    x, y, z = (A.generators[i] for i in t)
+    return any(
+        (A.position(g), A.position(c)) in support
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y))
+        for g in A.table.value(a, b).terms
+    )
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+@pytest.mark.parametrize("scope", ["interior", "all"])
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_support_scan_is_the_touching_part_of_the_full_scan(name, scope, repeats):
+    A = ROW_CASES[name]()
+    pairs = [(k, c) for k in range(A.dim) for c in range(A.dim)]
+    rng = random.Random(name)
+    supports = [
+        set(),
+        set(pairs),
+        set(rng.sample(pairs, len(pairs) // 8)),
+        {(A.position(g), A.position(h)) for g, h in random_cochain(rng, A).raw},
+    ]
+    full_scan = A.checkable_triples(scope, repeats)
+    full = list(full_scan)
+    for support in supports:
+        # a fresh instance, so the narrowed scan counts the scope itself
+        B = ROW_CASES[name]()
+        narrowed = B.checkable_triples(scope, repeats, support=support)
+        assert list(narrowed) == [t for t in full if _touches(A, t, support)]
+        assert (narrowed.checkable, narrowed.skipped) == (len(full), full_scan.skipped)
