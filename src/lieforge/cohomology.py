@@ -403,7 +403,7 @@ def _cocycle_audit(
     """cocycle_audit with the triple repeats chosen by the caller."""
     sup = A.table.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    values = {key: w for key, w in A.indexed_values(omega).items() if w}
+    values = A.indexed_values(omega)
     # omega as integers over its own common denominator e
     e = lcm(*(w.denominator for w in values.values()))
     om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
