@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from . import __version__, esvla, snla, specfile
@@ -289,7 +288,7 @@ def _cmd_extend(args, inputs):
             args.cocycle,
             "no such cocycle name in the document and no such file",
         )
-    omega = esvla.instantiate_cocycle(decl, A)
+    omega = specfile.instantiate_cocycle(decl, A)
     findings.extend(
         ReportFinding(
             "violation",
@@ -313,8 +312,8 @@ def _cmd_extend(args, inputs):
 
 
 def _cmd_esvla_audit(args, inputs):
-    bundled = resources.files("lieforge").joinpath("data/esvla.lie").read_bytes()
-    inputs.append(("esvla.lie", hashlib.sha256(bundled).hexdigest()))
+    digest = hashlib.sha256(esvla.bundled_source()).hexdigest()
+    inputs.append((esvla.DOC_NAME, digest))
     cfg = _refusing(
         "config",
         esvla.EsvlaConfig,

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 from . import specfile
 from .algebra import (
@@ -22,7 +20,6 @@ from .algebra import (
     AlternatingViolation,
     Element,
     Finding,
-    GeneratorId,
     JacobiAudit,
     center,
     check_alternating,
@@ -37,6 +34,10 @@ from .cohomology import (
     derivation_space,
     inner_split,
 )
+from .specfile import instantiate_cocycle
+
+# The bundled document's file name, as reports name their inputs.
+DOC_NAME = "esvla.lie"
 
 H2_NOTE = (
     "z2/b2/h2 count grade-zero cochains of this finite window only; "
@@ -67,9 +68,14 @@ class EsvlaConfig:
 
 
 @lru_cache(maxsize=1)
+def bundled_source() -> bytes:
+    """The bundled document as stored, read once."""
+    return resources.files("lieforge").joinpath(f"data/{DOC_NAME}").read_bytes()
+
+
+@lru_cache(maxsize=1)
 def _bundled_doc() -> specfile.AlgebraSpecDoc:
-    text = resources.files("lieforge").joinpath("data/esvla.lie").read_text()
-    return specfile.parse(text)
+    return specfile.parse(bundled_source().decode("utf-8"))
 
 
 def build_esvla(cfg: EsvlaConfig) -> AlgebraInstance:
@@ -92,39 +98,6 @@ class PaperCocycles:
 
     def items(self) -> tuple[tuple[str, Cochain2], ...]:
         return (("w1", self.omega1), ("w2", self.omega2), ("w3", self.omega3))
-
-
-def _pattern_value(pat: specfile.GenPat, g: GeneratorId) -> Optional[Fraction]:
-    """Integer value of the pattern variable matching g, else None."""
-    if g.family != pat.family:
-        return None
-    v = g.index - pat.offset
-    if v.denominator != 1:
-        return None
-    return v
-
-
-def instantiate_cocycle(
-    decl: specfile.CocycleDecl, A: AlgebraInstance
-) -> Cochain2:
-    """Evaluate one cocycle declaration over an instance's generator grid."""
-    raw = {}
-    for g in A.generators:
-        mv = _pattern_value(decl.left, g)
-        if mv is None:
-            continue
-        for h in A.generators:
-            nv = _pattern_value(decl.right, h)
-            if nv is None:
-                continue
-            vals = {decl.left.var: mv, decl.right.var: nv}
-            m, n = vals.get("m", Fraction(0)), vals.get("n", Fraction(0))
-            if decl.condition is not None and not decl.condition.holds(m, n):
-                continue
-            c = decl.poly.eval(m, n)
-            if c:
-                raw[(g, h)] = c
-    return Cochain2(A.table.parity, A.table.convention, raw)
 
 
 def paper_cocycles(cfg: EsvlaConfig) -> PaperCocycles:

@@ -17,7 +17,10 @@ Example::
 
 ``parse`` and ``render`` are exact inverses on canonical documents;
 ``instantiate`` evaluates every rule over a finite index window, dropping
-(and counting) out-of-window results instead of zeroing them.
+(and counting) out-of-window results instead of zeroing them, and
+``instantiate_cocycle`` evaluates a cocycle over an instance's generators.
+Both match patterns through one enumerator, which solves a linear
+condition for n instead of testing it on every pair.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Mapping, Optional
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -34,6 +37,7 @@ from lieforge.algebra import (
     Finding,
     GeneratorId,
 )
+from lieforge.cohomology import Cochain2
 from lieforge.linalg import MAX_DIGITS
 
 RESERVED = {"m", "n", "when"}
@@ -182,10 +186,9 @@ class Poly2:
         return max((i + j for i, j in self.mono), default=-1)
 
     def eval(self, m, n) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in self.mono.items():
-            total += c * Fraction(m) ** i * Fraction(n) ** j
-        return total
+        return sum(
+            (c * (m**i * n**j) for (i, j), c in self.mono.items()), Fraction(0)
+        )
 
     def __bool__(self) -> bool:
         return bool(self.mono)
@@ -238,7 +241,7 @@ class LinCond:
         return self.poly.eval(m, n) == self.rhs
 
     def render(self) -> str:
-        return f"{self.poly.render()} = {_frac(self.rhs)}"
+        return f"{self.poly.render()} = {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,7 @@ class GeneratorDecl:
     line: int = field(compare=False, default=0)
 
     def render(self) -> str:
-        return f"generator {self.family}[{_frac(self.index)}]"
+        return f"generator {self.family}[{self.index}]"
 
 
 @dataclass(frozen=True)
@@ -306,12 +309,10 @@ class ExplicitEntry:
     line: int = field(compare=False, default=0)
 
     def render(self) -> str:
-        items = " ".join(
-            f"{_frac(c)} {fam}[{_frac(ix)}]" for c, fam, ix in self.value
-        )
+        items = " ".join(f"{c} {fam}[{ix}]" for c, fam, ix in self.value)
         lf, li = self.left
         rf, ri = self.right
-        s = f"{self.kind} {lf}[{_frac(li)}] {rf}[{_frac(ri)}] =>"
+        s = f"{self.kind} {lf}[{li}] {rf}[{ri}] =>"
         return f"{s} {items}" if items else s
 
 
@@ -325,7 +326,7 @@ class FormEntry:
     def render(self) -> str:
         lf, li = self.left
         rf, ri = self.right
-        return f"form {lf}[{_frac(li)}] {rf}[{_frac(ri)}] => {_frac(self.value)}"
+        return f"form {lf}[{li}] {rf}[{ri}] => {self.value}"
 
 
 @dataclass(frozen=True)
@@ -359,18 +360,8 @@ class AlgebraSpecDoc:
     forms: tuple[FormEntry, ...]
     cocycles: tuple[CocycleDecl, ...]
 
-    def family(self, symbol: str) -> Optional[FamilyDecl]:
-        for f in self.families:
-            if f.symbol == symbol:
-                return f
-        return None
-
     def parity_map(self) -> dict[str, int]:
         return {f.symbol: 1 if f.parity == "odd" else 0 for f in self.families}
-
-
-def _frac(f: Fraction) -> str:
-    return str(f)
 
 
 def _index_expr(head: str, offset: Fraction) -> str:
@@ -442,10 +433,6 @@ class _LineParser:
         return Fraction(sign * num)
 
     # --- polynomial expression parsing -------------------------------
-    def poly(self) -> Poly2:
-        p = self._poly_sum()
-        return p
-
     def _bounded(self, p: Poly2, tok: Token) -> Poly2:
         """``p``, unless its degree exceeds MAX_EXPONENT or a coefficient has
         more than MAX_DIGITS digits."""
@@ -459,7 +446,7 @@ class _LineParser:
                 self.fail(f"coefficient with more than {MAX_DIGITS} digits", tok)
         return p
 
-    def _poly_sum(self) -> Poly2:
+    def poly(self) -> Poly2:
         p = self._poly_product()
         while self.peek().text in ("+", "-"):
             t = self.next()
@@ -531,7 +518,7 @@ class _LineParser:
         if t.text in ("m", "n"):
             return Poly2.var(t.text)
         if t.text == "(":
-            p = self._nested(t, self._poly_sum)
+            p = self._nested(t, self.poly)
             self.expect(")")
             return p
         self.fail("expected number, m, n, or '('", t)
@@ -844,11 +831,50 @@ def _promoted_families(doc: AlgebraSpecDoc) -> set[str]:
     return out
 
 
+def _pattern_pairs(
+    left: GenPat,
+    right: GenPat,
+    condition: Optional[LinCond],
+    by_family: Mapping[str, list[GeneratorId]],
+) -> Iterator[tuple[GeneratorId, GeneratorId, int, int]]:
+    """(g, h, m, n) for every generator pair the two patterns match and the
+    condition admits: g from the left family, h from the right one, each in
+    generator order, with integer pattern values m and n.
+
+    The condition a*m + b*n + c = rhs is linear, so it is solved for n at
+    each m instead of being tested on every pair.  With b = 0 it holds for
+    all or none of the right generators; otherwise only the generator at the
+    solved n matches, and a non-integer or out-of-grid n matches none.
+    """
+
+    def values(pat: GenPat) -> list[tuple[GeneratorId, int]]:
+        return [
+            (g, int(v))
+            for g in by_family.get(pat.family, ())
+            if (v := g.index - pat.offset).denominator == 1
+        ]
+
+    rights = values(right)
+    mono = condition.poly.mono if condition is not None else {}
+    a, b = mono.get((1, 0), 0), mono.get((0, 1), 0)
+    rest = (condition.rhs if condition is not None else 0) - mono.get((0, 0), 0)
+    at_n = {n: h for h, n in rights}
+    for g, m in values(left):
+        if not b:
+            if a * m == rest:
+                for h, n in rights:
+                    yield g, h, m, n
+            continue
+        n = (rest - a * m) / b
+        h = at_n.get(n)  # a non-integer n equals no key
+        if h is not None:
+            yield g, h, m, int(n)
+
+
 def instantiate(
     doc: AlgebraSpecDoc,
     window: Optional[int] = None,
     kind_mode: str = "strict",
-    interior_margin: int = 2,
 ) -> AlgebraInstance:
     """Evaluate rules and entries into a finite AlgebraInstance.
 
@@ -892,53 +918,38 @@ def instantiate(
     dropped = 0
 
     for r in doc.rules:
-        left_gens = [
-            g
-            for g in by_family[r.left.family]
-            if (g.index - r.left.offset).denominator == 1
-        ]
-        right_gens = [
-            h
-            for h in by_family[r.right.family]
-            if (h.index - r.right.offset).denominator == 1
-        ]
-        for g in left_gens:
-            m = int(g.index - r.left.offset)
-            for h in right_gens:
-                n = int(h.index - r.right.offset)
-                if r.condition is not None and not r.condition.holds(m, n):
+        for g, h, m, n in _pattern_pairs(r.left, r.right, r.condition, by_family):
+            acc: dict[GeneratorId, Fraction] = {}
+            flagged = False
+            for t in r.terms:
+                coeff = t.poly.eval(m, n)
+                if not coeff:
                     continue
-                acc: dict[GeneratorId, Fraction] = {}
-                flagged = False
-                for t in r.terms:
-                    coeff = t.poly.eval(m, n)
-                    if not coeff:
-                        continue
-                    idx = m + n + t.offset
-                    d = int(idx * 2)
-                    kind = fam_kind[t.family]
-                    half = d % 2 == 1
-                    if kind != "both" and (kind == "half") != half:
-                        findings.append(
-                            Finding(
-                                "E_KIND",
-                                f"rule@{r.line} [{g},{h}]",
-                                f"result index {idx} invalid for {kind}"
-                                f" family {t.family!r}",
-                            )
+                idx = m + n + t.offset
+                d = int(idx * 2)
+                kind = fam_kind[t.family]
+                half = d % 2 == 1
+                if kind != "both" and (kind == "half") != half:
+                    findings.append(
+                        Finding(
+                            "E_KIND",
+                            f"rule@{r.line} [{g},{h}]",
+                            f"result index {idx} invalid for {kind}"
+                            f" family {t.family!r}",
                         )
-                        continue
-                    if abs(idx) > window:
-                        flagged = True
-                        dropped += 1
-                        continue
-                    tgt = GeneratorId(t.family, d)
-                    acc[tgt] = acc.get(tgt, Fraction(0)) + coeff
-                if flagged:
-                    boundary.add((g, h))
-                elem = Element(acc)
-                if elem:
-                    table.assign(g, h, elem)
+                    )
+                    continue
+                if abs(idx) > window:
+                    flagged = True
+                    dropped += 1
+                    continue
+                tgt = GeneratorId(t.family, d)
+                acc[tgt] = acc.get(tgt, Fraction(0)) + coeff
+            if flagged:
+                boundary.add((g, h))
+            elem = Element(acc)
+            if elem:
+                table.assign(g, h, elem)
 
     for e in doc.entries:
         g = GeneratorId(e.left[0], int(e.left[1] * 2))
@@ -964,9 +975,23 @@ def instantiate(
         generators,
         table,
         window=window,
-        interior_margin=interior_margin,
         boundary_pairs=boundary,
         dropped_terms=dropped,
         findings=findings,
         metadata={"kind_mode": kind_mode, "convention": doc.convention},
     )
+
+
+def instantiate_cocycle(decl: CocycleDecl, A: AlgebraInstance) -> Cochain2:
+    """Evaluate one cocycle declaration over an instance's generators.
+
+    A value is stored on every ordered pair the declaration matches, so a
+    symmetric display stores both orders and a one-sided display extends by
+    the convention on lookup.  Families the instance lacks match nothing.
+    """
+    by_family: dict[str, list[GeneratorId]] = {}
+    for g in A.generators:
+        by_family.setdefault(g.family, []).append(g)
+    pairs = _pattern_pairs(decl.left, decl.right, decl.condition, by_family)
+    raw = {(g, h): decl.poly.eval(m, n) for g, h, m, n in pairs}
+    return Cochain2(A.table.parity, A.table.convention, raw)

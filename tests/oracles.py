@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 
 from lieforge.algebra import AlgebraInstance, Element, GeneratorId, bracket
 from lieforge.automorphisms import AutomorphismViolation
+from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
 
 
@@ -62,6 +63,47 @@ def full_scan_cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
         if row:
             rows.append(row)
     return rows
+
+
+def _pattern_value(pat, g: GeneratorId) -> Optional[int]:
+    """The integer value of the index variable of ``pat`` at g, else None."""
+    if g.family != pat.family:
+        return None
+    v = g.index - pat.offset
+    return int(v) if v.denominator == 1 else None
+
+
+def naive_pattern_pairs(left, right, condition, by_family):
+    """The (g, h, m, n) of ``specfile._pattern_pairs``, found by visiting
+    every pair of the two families and testing the condition on each."""
+    for g in by_family.get(left.family, ()):
+        m = _pattern_value(left, g)
+        if m is None:
+            continue
+        for h in by_family.get(right.family, ()):
+            n = _pattern_value(right, h)
+            if n is not None and (condition is None or condition.holds(m, n)):
+                yield g, h, m, n
+
+
+def naive_instantiate_cocycle(decl, A: AlgebraInstance) -> Cochain2:
+    """``specfile.instantiate_cocycle`` by testing the declaration's
+    condition on all dim^2 ordered generator pairs of the instance."""
+    raw = {}
+    for g in A.generators:
+        m = _pattern_value(decl.left, g)
+        if m is None:
+            continue
+        for h in A.generators:
+            n = _pattern_value(decl.right, h)
+            if n is None:
+                continue
+            if decl.condition is not None and not decl.condition.holds(m, n):
+                continue
+            c = decl.poly.eval(Fraction(m), Fraction(n))
+            if c:
+                raw[(g, h)] = c
+    return Cochain2(A.table.parity, A.table.convention, raw)
 
 
 def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import shlex
@@ -541,6 +542,45 @@ def test_trace_layers_name_callables():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert missing == []
+
+
+def test_trace_run_times_every_esvla_audit_layer(monkeypatch, capsys):
+    # a layer whose wrapped call moved reads 0 s in the benchmark without any
+    # error, so run perfbench's own wrappers over a command that reaches them
+    bench = REPO / "perfbench"
+
+    def snapshot():
+        return {p: p.read_bytes() for p in sorted(bench.rglob("*")) if p.is_file()}
+
+    before = snapshot()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))  # trace_run imports workloads
+    spec = importlib.util.spec_from_file_location("perfbench_trace_run", bench / "trace_run.py")
+    trace_run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(trace_run)
+    finally:
+        sys.modules.pop("workloads", None)
+    bindings, tracer = trace_run.Bindings(), trace_run.Tracer()
+    bindings.install(tracer)
+    try:
+        code = cli.main(["esvla", "audit", "--window", "4"])
+    finally:
+        bindings.remove()
+    assert code == 1 and "verdict: fail" in capsys.readouterr().out
+    assert bindings.unmeasured == {}
+    layers = {
+        "specfile.instantiate",
+        "esvla.cocycles",
+        "algebra.jacobi",
+        "algebra.center",
+        "algebra.alternating",
+        "cohomology.cocycle_audit",
+        "cohomology.assembly",
+        "linalg.eliminate",
+    }
+    assert layers - {span[0] for span in tracer.spans} == set()
+    assert snapshot() == before
 
 
 def write_map(path, rows):

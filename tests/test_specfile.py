@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from lieforge import esvla, specfile
 from lieforge.algebra import Element, gid
 from lieforge.specfile import (
     AlgebraSpecDoc,
@@ -26,10 +28,12 @@ from lieforge.specfile import (
     Poly2,
     RuleTerm,
     instantiate,
+    instantiate_cocycle,
     parse,
     render,
 )
 from algebra_fixtures import witt_window
+from oracles import naive_instantiate_cocycle, naive_pattern_pairs
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -186,11 +190,15 @@ def _rand_index(rng: random.Random, kind: str) -> Fraction:
 
 
 def _rand_lincond(rng: random.Random) -> LinCond:
-    mono = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    # (m, n) coefficients for every way a condition is solved for n: both
+    # nonzero (n coefficient 2 leaves some m without an integer n), no n term
+    # (2m = c has no integer solution for odd c), no m term, and constant
+    a, b = rng.choice(
+        [(1, 1), (1, 1), (1, -1), (1, 2), (2, 0), (0, 1), (0, 2), (0, 0)]
+    )
+    mono = {(1, 0): Fraction(a), (0, 1): Fraction(b)}
     if rng.random() < 0.5:
         mono[(0, 0)] = Fraction(rng.randint(-2, 2))
-    if rng.random() < 0.3:
-        mono[(0, 1)] = Fraction(rng.choice([-1, 2]))
     return LinCond(Poly2(mono), Fraction(rng.randint(-1, 1)))
 
 
@@ -372,6 +380,103 @@ def test_instantiate_deterministic_dump():
 def test_instantiate_rejects_bad_mode():
     with pytest.raises(ValueError):
         instantiate(parse(WITT), window=2, kind_mode="loose")
+
+
+# --- the pattern-pair enumerator against testing every pair ------------
+
+
+def _instance_dump(build):
+    """What instantiation produced, in order, or the ValueError it raised."""
+    try:
+        A = build()
+    except ValueError as e:
+        return str(e)
+    return (
+        A.generators,
+        [(k, v.terms) for k, v in A.table.raw.items()],
+        A.boundary_pairs,
+        A.dropped_terms,
+        A.findings,
+    )
+
+
+def _assert_rules_match_naive(build, monkeypatch):
+    solved = _instance_dump(build)
+    with monkeypatch.context() as mp:
+        mp.setattr(specfile, "_pattern_pairs", naive_pattern_pairs)
+        assert _instance_dump(build) == solved
+
+
+def _assert_cocycle_matches_naive(decl, A):
+    solved = list(instantiate_cocycle(decl, A).raw.items())
+    assert solved == list(naive_instantiate_cocycle(decl, A).raw.items())
+
+
+def test_random_docs_instantiate_as_if_every_pair_were_tested(monkeypatch):
+    rng = random.Random(2468)
+    docs = [_random_doc(rng) for _ in range(60)]
+    kind_findings = 0
+    for doc, other in zip(docs, docs[1:] + docs[:1]):
+        for window in (2, 3, 4):
+            for mode in ("strict", "extended"):
+                build = functools.partial(instantiate, doc, window=window, kind_mode=mode)
+                _assert_rules_match_naive(build, monkeypatch)
+                try:
+                    A = build()
+                except ValueError:
+                    continue
+                kind_findings += len(A.findings)
+                # the other document's families may be absent from A
+                for decl in doc.cocycles + other.cocycles:
+                    _assert_cocycle_matches_naive(decl, A)
+    assert kind_findings  # the E_KIND order was compared, not vacuous
+
+
+@pytest.mark.parametrize("mode", ["strict", "extended"])
+def test_esvla_instantiates_as_if_every_pair_were_tested(mode, monkeypatch):
+    absent = parse(
+        "algebra other convention super\n"
+        "family Q integer even\n"
+        "family Y integer even\n"
+        "cocycle q Q[m] Q[n] => 1 when m + n = 0\n"
+        "cocycle y Y[m] Y[n] => 1\n"
+    ).cocycles
+    for window in range(4, 9):
+        cfg = esvla.EsvlaConfig(window, n_index_mode=mode)
+        _assert_rules_match_naive(functools.partial(esvla.build_esvla, cfg), monkeypatch)
+        A = esvla.build_esvla(cfg)
+        for decl in esvla._bundled_doc().cocycles + absent:
+            _assert_cocycle_matches_naive(decl, A)
+        assert not any(instantiate_cocycle(decl, A).raw for decl in absent)
+
+
+@pytest.mark.parametrize(
+    "condition, expected",
+    [
+        # n = (1 - m) / 2: only odd m give an integer n
+        ("m + 2n = 1", [(-3, 2), (-1, 1), (1, 0), (3, -1)]),
+        ("2m = 2", [(1, n) for n in range(-3, 4)]),
+        ("2m = 1", []),
+        ("n = -2", [(m, -2) for m in range(-3, 4)]),
+        ("n = 4", []),  # out of the grid
+        ("0 = 0", [(m, n) for m in range(-3, 4) for n in range(-3, 4)]),
+        ("1 = 0", []),
+    ],
+)
+def test_conditions_are_solved_for_n(condition, expected, monkeypatch):
+    doc = parse(f"{WITT}cocycle c L[m] L[n] => 1 when {condition}\n")
+    A = instantiate(doc, window=3)
+
+    def refuse(*args):
+        raise AssertionError("condition tested on a pair")
+
+    monkeypatch.setattr(LinCond, "holds", refuse)
+    omega = instantiate_cocycle(doc.cocycles[0], A)
+    assert [(g.doubled_index // 2, h.doubled_index // 2) for g, h in omega.raw] == expected
+    ruled = instantiate(parse(f"{WITT[:-1]} when {condition}\n"), window=3)
+    flagged = {(g.doubled_index // 2, h.doubled_index // 2) for g, h in ruled.boundary_pairs}
+    stored = {(g.doubled_index // 2, h.doubled_index // 2) for g, h in ruled.table.raw}
+    assert stored | flagged == {(m, n) for m, n in expected if m != n}
 
 
 @pytest.mark.parametrize(
