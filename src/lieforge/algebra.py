@@ -598,14 +598,13 @@ def center(A: AlgebraInstance) -> list[Element]:
     """
     cols = A.view.interior
     terms = A.view.terms
-    entries: dict[tuple[int, int], int] = {}  # over view.scale, like the terms
-    row_of: dict[tuple[int, int], int] = {}
+    # row (g, t) holds the coefficient of t in [h, g] at column h, over scale
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for col, h in enumerate(cols):
         for g in cols:
             for t, c in terms[h][g]:
-                r = row_of.setdefault((g, t), len(row_of))
-                entries[(r, col)] = entries.get((r, col), 0) + c
-    m = SparseMatrix(max(len(row_of), 1), len(cols), entries)
+                rows.setdefault((g, t), {})[col] = c
+    m = SparseMatrix.from_rows(len(cols), list(rows.values()))
     return [
         Element({A.generators[cols[k]]: v[k] for k in sorted(v)})
         for v in rref(m).kernel(m.cols)
@@ -616,11 +615,8 @@ def _span_basis(A: AlgebraInstance, vectors: list[Element]) -> list[Element]:
     """Canonical basis of the span of the given elements."""
     if not vectors:
         return []
-    entries = {}
-    for r, v in enumerate(vectors):
-        for g, c in v.terms.items():
-            entries[(r, A.position(g))] = c
-    ech = rref(SparseMatrix(len(vectors), A.dim, entries))
+    rows = [{A.position(g): c for g, c in v.terms.items()} for v in vectors]
+    ech = rref(SparseMatrix.from_rows(A.dim, rows))
     return [
         Element({A.generators[c]: v for c, v in row.items()}) for row in ech.rows
     ]

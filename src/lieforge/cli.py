@@ -498,7 +498,7 @@ def _cmd_aut_recurrences(args, inputs):
             {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
             W,
         )
-    viols = check_recurrences(cf)
+    viols = _refusing(name, check_recurrences, cf)
     findings = [
         ReportFinding(
             "violation",

@@ -212,13 +212,10 @@ def derivation_space(
                     put(k, u, -ck)
         rows.extend(r for r in comp.values() if r)
 
-    entries = {
-        (r, u): v for r, row in enumerate(rows) for u, v in row.items()
-    }
-    m = SparseMatrix(max(len(rows), 1), len(unknowns), entries)
+    m = SparseMatrix.from_rows(len(unknowns), rows)
     index_of = list(unknowns)  # unknown u is entry index_of[u] = (i, j)
     basis = []
-    for vec in rref(m).kernel(len(unknowns)):
+    for vec in rref(m).kernel(m.cols):
         cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for u, val in vec.items():
             i, j = index_of[u]
@@ -248,10 +245,7 @@ def inner_split(
         return {i * n + j: v for j in range(n) for i, v in D.column(j).items()}
 
     def rank_of(rows: list[dict[int, Fraction]]) -> int:
-        if not rows:
-            return 0
-        entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
-        return rank(SparseMatrix(len(rows), n * n, entries))
+        return rank(SparseMatrix.from_rows(n * n, rows)) if rows else 0
 
     ad_rows = [nonzero_entries(ad_matrix(A, g)) for g in gens]
     der_rows = [nonzero_entries(d) for d in ders]
@@ -331,11 +325,7 @@ def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain
     unknowns = _cochain_unknowns(A, grade_zero)
     if not unknowns:
         return []
-    rows = _cocycle_rows(A, unknowns)
-    entries = {
-        (r, u): v for r, row in enumerate(rows) for u, v in row.items()
-    }
-    m = SparseMatrix(max(len(rows), 1), len(unknowns), entries)
+    m = SparseMatrix.from_rows(len(unknowns), _cocycle_rows(A, unknowns))
     slots = list(unknowns)
     return [_cochain_from_vector(A, slots, v) for v in rref(m).kernel(m.cols)]
 
@@ -363,8 +353,7 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
     vectors = [vec for vec in duals.values() if vec]
     if not vectors:
         return []
-    entries = {(r, u): c for r, vec in enumerate(vectors) for u, c in vec.items()}
-    ech = rref(SparseMatrix(len(vectors), len(unknowns), entries))
+    ech = rref(SparseMatrix.from_rows(len(unknowns), vectors))
     slots = list(unknowns)
     return [_cochain_from_vector(A, slots, row) for row in ech.rows]
 
@@ -459,7 +448,8 @@ def central_extension(
         w = omega.value(g, h)
         table.assign(g, h, (v + Element.of(z, w)) if w else v)
     for (g, h), w in omega.raw.items():
-        if (g, h) not in A.table.raw and w:
+        # a pair the table stores either way round got omega.value above
+        if w and (g, h) not in A.table.raw and (h, g) not in A.table.raw:
             table.assign(g, h, Element.of(z, w))
 
     return AlgebraInstance(

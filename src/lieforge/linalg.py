@@ -1,10 +1,12 @@
 """Exact rational linear algebra: rank, nullspace, solve.
 
-All scalars are ``fractions.Fraction``; nothing here ever rounds.  There is
-one elimination route, fraction-free: each rational row is scaled by the lcm
-of its denominators (which changes neither rank nor nullspace), forward
-elimination runs on the integer rows, and the echelon form is normalized back
-to the canonical reduced row echelon form over the rationals.
+Every scalar is an exact int or ``fractions.Fraction``; nothing here ever
+rounds.  A ``SparseMatrix`` stores one dict per row, so the integer rows the
+library assembles are eliminated as built (``SparseMatrix.from_rows``).  There
+is one elimination route, fraction-free: a row holding a Fraction is scaled by
+the lcm of its denominators (which changes neither rank nor nullspace), and
+the echelon form of the integer rows is normalized back to the canonical
+reduced row echelon form over the rationals.
 
 Forward elimination keeps the rows as sparse dicts and uses gcd-reduced
 cross-multiplication over a column index: each column maps to the set of
@@ -47,9 +49,11 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
 
 
 class SparseMatrix:
-    """Immutable sparse rational matrix; zero entries are never stored."""
+    """Immutable sparse rational matrix, one dict per row from column to
+    nonzero value: ints stay ints, other values are Fractions.  No zero is
+    ever stored, so elimination never pivots on one."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(
         self,
@@ -62,45 +66,59 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict[tuple[int, int], Fraction] = {}
+        data: list[dict[int, Union[int, Fraction]]] = [{} for _ in range(rows)]
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            f = rat(v)
-            if f:
-                store[(r, c)] = f
-        self.entries = store
+            if type(v) is not int:
+                v = rat(v)
+            if v:
+                data[r][c] = v
+        self._data = data
+
+    @classmethod
+    def from_rows(cls, cols: int, rows: list[dict]) -> "SparseMatrix":
+        """The matrix whose row i is ``rows[i]``, a dict from column to a
+        nonzero int or Fraction.  The dicts are kept, not copied: the caller
+        must not change them afterwards.  ValueError for a column outside
+        ``0..cols-1`` or a value that is zero or not an int or Fraction."""
+        for row in rows:
+            for c, v in row.items():
+                if not 0 <= c < cols:
+                    raise ValueError(f"column {c} outside 0..{cols - 1}")
+                if not v or (type(v) is not int and not isinstance(v, Fraction)):
+                    raise ValueError(f"not a nonzero int or Fraction: {v!r}")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data = len(rows), cols, rows
+        return m
 
     @classmethod
     def from_dense(cls, dense: list[list]) -> "SparseMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls(
-            rows,
-            cols,
-            {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)},
-        )
+        entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)}
+        return cls(len(dense), len(dense[0]) if dense else 0, entries)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    @property
+    def entries(self) -> dict[tuple[int, int], Union[int, Fraction]]:
+        """The nonzero entries keyed ``(row, col)``, as a new dict."""
+        return {(r, c): v for r, row in enumerate(self._data) for c, v in row.items()}
+
+    def row_dicts(self) -> list[dict[int, Union[int, Fraction]]]:
+        """A copy of each row's nonzero entries keyed by column."""
+        return [dict(row) for row in self._data]
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._data))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
-            and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __repr__(self) -> str:
@@ -133,20 +151,17 @@ class Echelon(NamedTuple):
 def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
     if len(v) != m.cols:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * m.rows
-    for (r, c), a in m.entries.items():
-        out[r] += a * rat(v[c])
-    return out
+    return [sum((a * rat(v[c]) for c, a in row.items()), Fraction(0)) for row in m._data]
 
 
-def _integer_rows(row_dicts: list[dict[int, Fraction]]) -> list[dict[int, int]]:
+def _integer_rows(rows: list[dict]) -> list[dict[int, int]]:
+    """The rows as integers: a row holding a Fraction scaled by its lcm."""
     out = []
-    for row in row_dicts:
-        if not row:
-            out.append({})
-            continue
-        scale = lcm(*(v.denominator for v in row.values()))
-        out.append({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+    for row in rows:
+        if any(type(v) is not int for v in row.values()):
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        out.append(row)
     return out
 
 
@@ -166,10 +181,10 @@ def _column_index(rows: Mapping[int, dict]) -> dict[int, set[int]]:
 def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
     """Sparse integer elimination with per-row gcd reduction.
 
-    ``rows`` maps column index to nonzero integer entry; the dicts are
-    consumed.  A column index maps each column to the pending rows that hold
-    it.  For each column in ascending order the lowest-numbered of those rows
-    is the pivot, and only the others are combined with it; each combined row
+    ``rows`` maps column index to nonzero integer entry; the dicts are only
+    read.  A column index maps each column to the pending rows that hold it.
+    For each column in ascending order the lowest-numbered of those rows is
+    the pivot, and only the others are combined with it; each combined row
     is divided by the gcd of its entries to bound coefficient growth.  The
     index follows every fill-in and cancellation, and rows that cancel to
     empty leave it.  Returns ``(pivot_cols, echelon_rows)``.
@@ -193,8 +208,8 @@ def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
             holders[j].discard(pr)
         for i in held:
             row = pending[i]
-            f = row.pop(c)
-            new = {j: piv * v for j, v in row.items()}
+            f = row[c]
+            new = {j: piv * v for j, v in row.items() if j != c}
             for j, v in rest:
                 w = new.get(j, 0) - f * v
                 if w:
@@ -245,7 +260,7 @@ def _normalize(pivots: list[int], rows: list[dict[int, Fraction]]) -> Echelon:
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals)."""
-    pivots, ech = _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols)
+    pivots, ech = _ff_forward_sparse(_integer_rows(m._data), m.cols)
     return _normalize(pivots, [{c: Fraction(v) for c, v in row.items()} for row in ech])
 
 
@@ -266,13 +281,12 @@ def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
     variables are set to zero."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    entries = dict(m.entries)
-    for r, v in enumerate(b):
-        f = rat(v)
+    aug = [dict(row) for row in m._data]
+    for row, v in zip(aug, b):
+        f = v if type(v) is int else rat(v)
         if f:
-            entries[(r, m.cols)] = f
-    aug = SparseMatrix(m.rows, m.cols + 1, entries)
-    ech = rref(aug)
+            row[m.cols] = f
+    ech = rref(SparseMatrix.from_rows(m.cols + 1, aug))
     if m.cols in ech.pivots:
         return None
     x = [Fraction(0)] * m.cols

@@ -350,10 +350,8 @@ def linear_constraints(f: SymplecticForm) -> SparseMatrix:
                 add(row, a, b, t, m[t][c])
                 add(row, b, a, t, -m[t][c])
         rows.append(row)
-    return SparseMatrix(
-        len(rows),
-        n ** 3,
-        {(ri, col): v for ri, row in enumerate(rows) for col, v in row.items()},
+    return SparseMatrix.from_rows(
+        n**3, [{col: v for col, v in row.items() if v} for row in rows]
     )
 
 
@@ -369,13 +367,8 @@ def _lex_solutions(
     and forcing the pivots visits the solutions in lexicographic order; a
     forced value outside the set rules the solution out."""
     last = system.cols - 1
-    ech = rref(
-        SparseMatrix(
-            system.rows,
-            system.cols,
-            {(r, last - c): v for (r, c), v in system.entries.items()},
-        )
-    )
+    reversed_rows = [{last - c: v for c, v in row.items()} for row in system.row_dicts()]
+    ech = rref(SparseMatrix.from_rows(system.cols, reversed_rows))
     forced = {
         last - pc: [(last - c, -v) for c, v in row.items() if c != pc]
         for pc, row in zip(ech.pivots, ech.rows)
@@ -452,7 +445,7 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     if len(fams) != 1:
         raise ValueError("snla documents use a single generator family")
     fam = fams.pop()
-    indices = sorted(int(g.index) for g in doc.generators)
+    indices = sorted(g.index for g in doc.generators)
     dim = len(indices)
     if indices != list(range(1, dim + 1)):
         raise ValueError("generator indices must be exactly 1..dim")

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from lieforge import cli
+from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -323,6 +324,28 @@ def test_snla_verify_undeclared_generator(line, bad, tmp_path, capsys):
     assert code == 2
     assert [f.code for f in rep.findings] == ["E_INPUT"]
     assert f"line 6: {bad} is not a declared generator" in rep.findings[0].detail
+
+
+@pytest.mark.parametrize("command", ["snla verify", "aut verify"])
+def test_snla_half_integer_generators_are_refused(command, tmp_path, capsys):
+    # e[3/2], e[5/2] are not e[1], e[2]: the indices are compared exactly
+    spec = tmp_path / "half.lie"
+    spec.write_text(
+        "algebra half convention plain\n"
+        "family e half even\n"
+        "generator e[3/2]\n"
+        "generator e[5/2]\n"
+        "form e[3/2] e[5/2] => 1\n"
+    )
+    write_map(tmp_path / "id.map", [[1, 0], [0, 1]])
+    argv = [*command.split(), str(spec)]
+    if command == "aut verify":
+        argv += ["--map", str(tmp_path / "id.map")]
+    code, rep, _ = run_cli(argv, capsys)
+    assert code == 2
+    assert [(f.code, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "generator indices must be exactly 1..dim")
+    ]
 
 
 def check_rule_within_a_second(tmp_path, capsys, coefficient):
@@ -708,6 +731,22 @@ def test_aut_recurrences_wide_window_refusal_is_bounded(window, tmp_path, capsys
         f"a undefined at indices [{first}] and {2 * window - 8} more"
     )
     assert len(out.encode()) < 4096
+
+
+def test_aut_recurrences_window_bound(tmp_path, capsys):
+    bound = MAX_RECURRENCE_WINDOW
+    p = coeff_file(tmp_path, bound, lambda n: 1)
+    code, rep, _ = run_cli(["aut", "recurrences", "--file", str(p)], capsys)
+    assert (code, rep.summaries["window"]) == (0, bound)
+
+    p = coeff_file(tmp_path, bound + 1, lambda n: 1)
+    t0 = time.perf_counter()
+    code, rep, _ = run_cli(["aut", "recurrences", "--file", str(p)], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "fam.coef", f"window {bound + 1} exceeds the bound {bound}")
+    ]
 
 
 @pytest.mark.parametrize("command", ["aut verify", "aut recurrences", "snla search"])

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lieforge import specfile
 from lieforge.algebra import (
     BracketTable,
     Element,
@@ -362,6 +364,20 @@ def test_central_extension_structure():
     assert ext.metadata["extension_of"] == "heisenberg3"
     assert any(x.terms.get(z) for x in center(ext))
     assert check_jacobi(ext, scope="all") == []
+
+
+@pytest.mark.parametrize("cocycle", ["e[m] h[n] => 1", "h[m] e[n] => -1"])
+def test_central_extension_cochain_stored_against_the_table(cocycle):
+    # sl2 stores [h,e]; the cochain may store its value on (e,h) instead
+    text = (Path(__file__).parent / "data" / "sl2.lie").read_text()
+    doc = specfile.parse(f"{text}cocycle w {cocycle}\n")
+    A = specfile.instantiate(doc)
+    omega = specfile.instantiate_cocycle(doc.cocycles[0], A)
+    ext = central_extension(A, omega)
+    e, h, z = gid("e", 0), gid("h", 0), gid("Z", 0)
+    assert check_alternating(ext) == []
+    assert ext.table.value(e, h) == Element({e: -2, z: 1})
+    assert ext.table.value(h, e) == Element({e: 2, z: -1})
 
 
 def test_central_extension_avoids_family_collision():

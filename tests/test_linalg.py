@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,27 @@ def test_rat_parsing():
 def test_sparse_matrix_drops_zero_entries():
     m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 0})
     assert m.nnz() == 1
+
+
+def test_int_entries_are_stored_as_ints():
+    built = [
+        SparseMatrix(2, 3, {(0, 0): 3, (1, 2): -1, (1, 1): 0}),
+        SparseMatrix.from_dense([[1, 0, 2], [0, -3, 0]]),
+        SparseMatrix.from_rows(3, [{0: 1}, {}, {2: -4, 1: 10**40}]),
+    ]
+    for m in built + [m.transpose() for m in built]:
+        assert m.nnz() and all(type(v) is int for v in m.entries.values())
+    mixed = SparseMatrix(1, 2, {(0, 0): 2, (0, 1): "1/2"})
+    assert mixed.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+    assert [type(v) for v in mixed.entries.values()] == [int, Fraction]
+
+
+@pytest.mark.parametrize(
+    "row", [{3: 1}, {-1: 1}, {0: 0}, {1: Fraction(0)}, {0: 0.5}, {0: "1"}]
+)
+def test_from_rows_refuses_what_would_break_the_row_contract(row):
+    with pytest.raises(ValueError):
+        SparseMatrix.from_rows(3, [{0: 1}, row])
 
 
 def test_sparse_matrix_bounds_checked():
@@ -180,7 +202,7 @@ def test_sparse_path_agrees_with_rational():
     bigint_rows = SparseMatrix(
         3, 70, {(0, 0): 10**40, (0, 5): -3, (1, 0): 7, (1, 5): 10**40, (2, 5): 1}
     )
-    for m in (random_rows, bigint_rows):
+    for m in (random_rows, bigint_rows, *row_copies(random_rows)):
         assert rref(m) == rational_rref(m)
         r = rank(m)
         basis = nullspace(m)
@@ -189,13 +211,30 @@ def test_sparse_path_agrees_with_rational():
             assert all(x == 0 for x in matvec(m, v))
 
 
+def row_copies(m):
+    """``m`` rebuilt by ``from_rows`` twice: with every value a Fraction, and
+    with each row scaled to ints by the lcm of its denominators (same rref)."""
+    fractions = [{c: Fraction(v) for c, v in row.items()} for row in m.row_dicts()]
+    ints = []
+    for row in fractions:
+        scale = lcm(1, *(v.denominator for v in row.values()))
+        ints.append({c: int(v * scale) for c, v in row.items()})
+    return [SparseMatrix.from_rows(m.cols, rows) for rows in (fractions, ints)]
+
+
 def assert_sparse_kernel_matches_oracles(m):
     """The column-indexed kernel picks the same pivot rows as a list scan,
-    so its gcd-reduced integer rows match, and rref matches Gauss-Jordan."""
+    so its gcd-reduced integer rows match, and rref matches Gauss-Jordan,
+    also on the ``from_rows`` copies, whose rows it leaves as they were."""
     assert _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols) == (
         list_scan_forward(_integer_rows(m.row_dicts()), m.cols)
     )
-    assert rref(m) == rational_rref(m)
+    expected = rational_rref(m)
+    assert rref(m) == expected
+    for copy in row_copies(m):
+        before = copy.row_dicts()
+        assert rref(copy) == expected
+        assert copy.row_dicts() == before
 
 
 @st.composite
