@@ -250,7 +250,7 @@ def inner_split(
     ad_rows = [nonzero_entries(ad_matrix(A, g)) for g in gens]
     der_rows = [nonzero_entries(d) for d in ders]
     r_ad = rank_of(ad_rows)
-    r_der = rank_of(der_rows)
+    r_der = len(ders)  # a basis: its vectors are independent
     r_union = rank_of(ad_rows + der_rows)
     inner = r_ad + r_der - r_union
     return inner, r_der - inner

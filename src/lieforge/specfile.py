@@ -15,9 +15,12 @@ Example::
     rule Y[m+1/2] Y[n+1/2] => 2 L[m+n+1]
     cocycle omega1 Y[m+1/2] Y[n+1/2] => 1 when m + n + 1 = 0
 
-``parse`` and ``render`` are exact inverses on canonical documents;
-``instantiate`` evaluates every rule over a finite index window, dropping
-(and counting) out-of-window results instead of zeroing them, and
+``parse`` refuses the first fault with a ``ParseError`` naming its line and
+column: a family index must be declared, integer or half-integer, and (except
+in a result offset) of the family's kind, and no directive may repeat a pair
+or a cocycle name.  ``parse`` and ``render`` are exact inverses on canonical
+documents; ``instantiate`` evaluates every rule over a finite index window,
+dropping (and counting) out-of-window results instead of zeroing them, and
 ``instantiate_cocycle`` evaluates a cocycle over an instance's generators.
 Both match patterns through one enumerator, which solves a linear
 condition for n instead of testing it on every pair.
@@ -549,12 +552,12 @@ class _LineParser:
         self.expect("]")
         return GenPat(fam.text, v.text, offset)
 
-    def indexed_symbol(self) -> tuple[str, Fraction, Token]:
+    def indexed_symbol(self) -> tuple[str, Fraction]:
         fam = self.expect_name("family symbol")
         self.expect("[")
         ix = self.rational()
         self.expect("]")
-        return fam.text, ix, fam
+        return fam.text, ix
 
     def result_pattern(self) -> tuple[str, Fraction]:
         fam = self.expect_name("result family")
@@ -572,18 +575,24 @@ class _LineParser:
         self.expect("]")
         return fam.text, offset
 
+    def condition_at_end(self) -> Optional[LinCond]:
+        """The optional 'when' clause that ends a rule or cocycle line."""
+        cond = None
+        if self.peek().text == "when":
+            self.next()
+            cond = self.lincond()
+        self.expect_end()
+        return cond
+
+
+# The directives whose lines a document collects, in AlgebraSpecDoc field order.
+_DIRECTIVES = ("family", "generator", "rule", "entry", "product", "form", "cocycle")
+
 
 def parse(text: str) -> AlgebraSpecDoc:
     """Parse a document; raises ParseError with line and column on failure."""
-    name = None
-    convention = None
-    families: list[FamilyDecl] = []
-    generators: list[GeneratorDecl] = []
-    rules: list[BracketRule] = []
-    entries: list[ExplicitEntry] = []
-    products: list[ExplicitEntry] = []
-    forms: list[FormEntry] = []
-    cocycles: list[CocycleDecl] = []
+    name = convention = None
+    found: dict[str, list] = {d: [] for d in _DIRECTIVES}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, lineno)
@@ -616,16 +625,15 @@ def parse(text: str) -> AlgebraSpecDoc:
             if par.text not in ("even", "odd"):
                 p.fail("parity must be even or odd", par)
             p.expect_end()
-            if any(f.symbol == sym.text for f in families):
+            if any(f.symbol == sym.text for f in found["family"]):
                 p.fail(f"duplicate family {sym.text!r}", sym)
-            families.append(FamilyDecl(sym.text, kind.text, par.text))
+            found["family"].append(FamilyDecl(sym.text, kind.text, par.text))
         elif head.text == "generator":
-            fam, ix, tok = p.indexed_symbol()
+            fam, ix = p.indexed_symbol()
             p.expect_end()
-            generators.append(GeneratorDecl(fam, ix, lineno))
+            found["generator"].append(GeneratorDecl(fam, ix, lineno))
         elif head.text == "rule":
-            left = p.genpat("m")
-            right = p.genpat("n")
+            left, right = p.genpat("m"), p.genpat("n")
             p.expect("=>")
             terms: list[RuleTerm] = []
             if p.peek().kind == "int" and p.peek().text == "0" and (
@@ -643,150 +651,92 @@ def parse(text: str) -> AlgebraSpecDoc:
                         p.next()
                         continue
                     break
-            cond = None
-            if p.peek().text == "when":
-                p.next()
-                cond = p.lincond()
-            p.expect_end()
-            rules.append(BracketRule(left, right, tuple(terms), cond, lineno))
+            cond = p.condition_at_end()
+            found["rule"].append(BracketRule(left, right, tuple(terms), cond, lineno))
         elif head.text in ("entry", "product"):
-            lf = p.indexed_symbol()
-            rf = p.indexed_symbol()
+            left, right = p.indexed_symbol(), p.indexed_symbol()
             p.expect("=>")
             items = []
             while not p.at_end():
-                c = p.rational()
-                fam, ix, _ = p.indexed_symbol()
-                items.append((c, fam, ix))
-            e = ExplicitEntry(
-                head.text, (lf[0], lf[1]), (rf[0], rf[1]), tuple(items), lineno
-            )
-            (entries if head.text == "entry" else products).append(e)
+                items.append((p.rational(), *p.indexed_symbol()))
+            e = ExplicitEntry(head.text, left, right, tuple(items), lineno)
+            found[head.text].append(e)
         elif head.text == "form":
-            lf = p.indexed_symbol()
-            rf = p.indexed_symbol()
+            left, right = p.indexed_symbol(), p.indexed_symbol()
             p.expect("=>")
             v = p.rational()
             p.expect_end()
-            forms.append(FormEntry((lf[0], lf[1]), (rf[0], rf[1]), v, lineno))
+            found["form"].append(FormEntry(left, right, v, lineno))
         elif head.text == "cocycle":
             cname = p.expect_name("cocycle name").text
-            left = p.genpat("m")
-            right = p.genpat("n")
+            left, right = p.genpat("m"), p.genpat("n")
             p.expect("=>")
             poly = p.poly()
-            cond = None
-            if p.peek().text == "when":
-                p.next()
-                cond = p.lincond()
-            p.expect_end()
-            cocycles.append(CocycleDecl(cname, left, right, poly, cond, lineno))
+            cond = p.condition_at_end()
+            found["cocycle"].append(CocycleDecl(cname, left, right, poly, cond, lineno))
         else:
             p.fail(f"unknown directive {head.text!r}", head)
 
     if name is None:
         raise ParseError(1, 1, "empty document: missing 'algebra' header")
 
-    doc = AlgebraSpecDoc(
-        name,
-        convention,
-        tuple(families),
-        tuple(generators),
-        tuple(rules),
-        tuple(entries),
-        tuple(products),
-        tuple(forms),
-        tuple(cocycles),
-    )
+    doc = AlgebraSpecDoc(name, convention, *map(tuple, found.values()))
     _validate(doc)
     return doc
 
 
+def _kind_admits(kind: str, doubled: int) -> bool:
+    """Whether a family of ``kind`` (integer, half, or both once promoted)
+    carries the index whose double is ``doubled``."""
+    return kind == "both" or (kind == "half") == (doubled % 2 == 1)
+
+
 def _validate(doc: AlgebraSpecDoc) -> None:
-    fams = {f.symbol: f for f in doc.families}
+    """Refuse the first fault in check order: rules (patterns, duplicate,
+    result offsets), generators, entries and products, forms, cocycles."""
+    kinds = {f.symbol: f.kind for f in doc.families}
+    seen: set[tuple[str, str]] = set()
 
-    def need_family(sym: str, line: int):
-        if sym not in fams:
-            raise ParseError(line, 1, f"undeclared family {sym!r}")
-        return fams[sym]
-
-    def check_pattern_kind(pat: GenPat, line: int):
-        f = need_family(pat.family, line)
-        d = pat.offset * 2
-        if d.denominator != 1:
+    def index(line: int, fam: str, value: Fraction, what: str, shown: str = ""):
+        """Refuse an undeclared family or a value that is not an integer or
+        half-integer; given how to show the index, one of the wrong kind."""
+        if fam not in kinds:
+            raise ParseError(line, 1, f"undeclared family {fam!r}")
+        doubled = value * 2
+        if doubled.denominator != 1:
             raise ParseError(
-                line, 1, f"offset {pat.offset} is not an integer or half-integer"
+                line, 1, f"{what} {value} is not an integer or half-integer"
             )
-        half = int(d) % 2 == 1
-        if (f.kind == "half") != half:
+        if shown and not _kind_admits(kinds[fam], int(doubled)):
             raise ParseError(
-                line,
-                1,
-                f"pattern {pat.render()} does not match {f.kind} family"
-                f" {pat.family!r}",
+                line, 1, f"{shown} does not match {kinds[fam]} family {fam!r}"
             )
 
-    def check_index_kind(fam: str, index: Fraction, line: int):
-        f = need_family(fam, line)
-        d = index * 2
-        if d.denominator != 1:
-            raise ParseError(
-                line, 1, f"index {index} is not an integer or half-integer"
-            )
-        half = int(d) % 2 == 1
-        if (f.kind == "half") != half:
-            raise ParseError(
-                line, 1, f"index {index} does not match {f.kind} family {fam!r}"
-            )
+    def patterns(decl: BracketRule | CocycleDecl) -> None:
+        for pat in (decl.left, decl.right):
+            shown = f"pattern {pat.render()}"
+            index(decl.line, pat.family, pat.offset, "offset", shown)
 
-    seen_rules: set[tuple[str, str]] = set()
+    def once(line: int, directive: str, detail: str) -> None:
+        if (directive, detail) in seen:
+            raise ParseError(line, 1, f"duplicate {directive} {detail}")
+        seen.add((directive, detail))
+
     for r in doc.rules:
-        check_pattern_kind(r.left, r.line)
-        check_pattern_kind(r.right, r.line)
-        key = (r.left.family, r.right.family)
-        if key in seen_rules:
-            raise ParseError(
-                r.line, 1, f"duplicate rule for pair {key[0]} {key[1]}"
-            )
-        seen_rules.add(key)
+        patterns(r)
+        once(r.line, "rule", f"for pair {r.left.family} {r.right.family}")
         for t in r.terms:
-            need_family(t.family, r.line)
-            if (t.offset * 2).denominator != 1:
-                raise ParseError(
-                    r.line,
-                    1,
-                    f"result offset {t.offset} is not an integer or half-integer",
-                )
-
+            index(r.line, t.family, t.offset, "result offset")
     for g in doc.generators:
-        check_index_kind(g.family, g.index, g.line)
-
-    seen_pairs: dict[str, set] = {"entry": set(), "product": set(), "form": set()}
-    for e in (*doc.entries, *doc.products):
-        check_index_kind(e.left[0], e.left[1], e.line)
-        check_index_kind(e.right[0], e.right[1], e.line)
-        for _, fam, ix in e.value:
-            check_index_kind(fam, ix, e.line)
-        key = (e.left, e.right)
-        if key in seen_pairs[e.kind]:
-            raise ParseError(e.line, 1, f"duplicate {e.kind} for {key}")
-        seen_pairs[e.kind].add(key)
-
-    for f in doc.forms:
-        check_index_kind(f.left[0], f.left[1], f.line)
-        check_index_kind(f.right[0], f.right[1], f.line)
-        key = (f.left, f.right)
-        if key in seen_pairs["form"]:
-            raise ParseError(f.line, 1, f"duplicate form for {key}")
-        seen_pairs["form"].add(key)
-
-    seen_names = set()
+        index(g.line, g.family, g.index, "index", f"index {g.index}")
+    explicit = [(e.kind, e, e.value) for e in (*doc.entries, *doc.products)]
+    for directive, e, values in explicit + [("form", f, ()) for f in doc.forms]:
+        for fam, ix in (e.left, e.right, *(item[1:] for item in values)):
+            index(e.line, fam, ix, "index", f"index {ix}")
+        once(e.line, directive, f"for {(e.left, e.right)}")
     for c in doc.cocycles:
-        check_pattern_kind(c.left, c.line)
-        check_pattern_kind(c.right, c.line)
-        if c.name in seen_names:
-            raise ParseError(c.line, 1, f"duplicate cocycle {c.name!r}")
-        seen_names.add(c.name)
+        patterns(c)
+        once(c.line, "cocycle", repr(c.name))
 
 
 def render(doc: AlgebraSpecDoc) -> str:
@@ -821,14 +771,13 @@ def _family_grid(kind: str, window: int) -> list[int]:
 
 def _promoted_families(doc: AlgebraSpecDoc) -> set[str]:
     """Families that receive an ill-kinded result index from some rule."""
-    fams = {f.symbol: f for f in doc.families}
-    out = set()
-    for r in doc.rules:
-        for t in r.terms:
-            half = int(t.offset * 2) % 2 == 1
-            if (fams[t.family].kind == "half") != half:
-                out.add(t.family)
-    return out
+    kinds = {f.symbol: f.kind for f in doc.families}
+    return {
+        t.family
+        for r in doc.rules
+        for t in r.terms
+        if not _kind_admits(kinds[t.family], int(t.offset * 2))
+    }
 
 
 def _pattern_pairs(
@@ -928,8 +877,7 @@ def instantiate(
                 idx = m + n + t.offset
                 d = int(idx * 2)
                 kind = fam_kind[t.family]
-                half = d % 2 == 1
-                if kind != "both" and (kind == "half") != half:
+                if not _kind_admits(kind, d):
                     findings.append(
                         Finding(
                             "E_KIND",

@@ -441,3 +441,33 @@ def test_parse_coeff_file():
         parse_coeff_file("window 1\ncoef a 1/2 1")
     with pytest.raises(ValueError, match="undefined"):
         parse_coeff_file("window 1\ncoef a 0 1")
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (parse_map_file, "dim two\n1 0\n0 1\n", "line 1: bad dimension 'two'"),
+        (parse_map_file, "# identity\ndim 0\n", "line 2: dimension must be >= 1"),
+        (parse_coeff_file, "\n# nothing\n", "empty coefficient file"),
+        (parse_coeff_file, "window 1/2\ncoef a 0 1\n", "line 1: bad window '1/2'"),
+        (
+            parse_coeff_file,
+            "window 1\ncoef e 0 1\n",
+            "line 2: expected 'coef a|b|c|d <index> <value>'",
+        ),
+        (
+            parse_coeff_file,
+            "window 1\ncoef a 0 1 2\n",
+            "line 2: expected 'coef a|b|c|d <index> <value>'",
+        ),
+        (
+            parse_coeff_file,
+            "window 1\ncoef d 1/3 0\n",
+            "line 2: d index must be integer or half-integer",
+        ),
+    ],
+)
+def test_reader_refusals_are_exact(reader, text, message):
+    with pytest.raises(ValueError) as exc:
+        reader(text)
+    assert str(exc.value) == message

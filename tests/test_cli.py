@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import json
 import os
+import random
+import re
 import shlex
 import subprocess
 import signal
@@ -146,6 +148,73 @@ def test_extend_unknown_cocycle(capsys):
     code, rep, _ = run_cli(["extend", H3, "--cocycle", "nope"], capsys)
     assert code == 2
     assert rep.findings[0].code == "E_INPUT"
+
+
+FINITE_HEAD = "algebra {name} convention plain\nfamily e integer even\n"
+# half the sl2 bracket as a product on e1..e3, with e4 central
+HALF_SL2 = (
+    FINITE_HEAD.format(name="half_sl2")
+    + "".join(f"generator e[{i}]\n" for i in range(1, 5))
+    + "product e[1] e[2] => 1 e[2]\nproduct e[2] e[1] => -1 e[2]\n"
+    + "product e[1] e[3] => -1 e[3]\nproduct e[3] e[1] => 1 e[3]\n"
+    + "product e[2] e[3] => 1/2 e[1]\nproduct e[3] e[2] => -1/2 e[1]\n"
+)
+POWERS2 = (DATA / "cli" / "powers2.coef").read_text()
+FILE = "{file}"  # the test writes `text` to it
+SYM_RESIDUAL = "stored values contradict the convention's symmetry: residual 2"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, code, summaries, findings",
+    [
+        pytest.param(
+            "solv.lie", HALF_SL2, ["snla", "verify", FILE], 1,
+            {"two_step_solvable_violations": 1},
+            [("V_SOLV", "bracket", "derived subalgebra is not abelian")],
+            id="V_SOLV",
+        ),
+        pytest.param(
+            "sym.lie",
+            FINITE_HEAD.format(name="side") + "generator e[1]\n"
+            "cocycle w e[m] e[n] => 1\n",
+            ["extend", H3, "--cocycle", FILE], 1, {},
+            [
+                ("V_SYM", f"(e[{i}],e[{j}])", SYM_RESIDUAL)
+                for i in (1, 2, 3) for j in (1, 2, 3) if i <= j
+            ],
+            id="V_SYM",
+        ),
+        pytest.param(
+            "rec.coef",
+            POWERS2.replace("\ncoef b 0 0\n", "\ncoef b 0 1\n").replace(
+                "\ncoef c 1 0\n", "\ncoef c 1 3\n"
+            ),
+            ["aut", "recurrences", "--file", FILE], 1,
+            {"b_violations": 13, "c_violations": 7, "violations": 20},
+            [],
+            id="V_REC-b-c",
+        ),
+        pytest.param(
+            "form.lie",
+            FINITE_HEAD.format(name="f") + "generator e[1]\ngenerator e[2]\n"
+            "form e[1] e[2] => 1\nform e[2] e[1] => 1\n",
+            ["snla", "verify", FILE], 2, {},
+            [("E_INPUT", "f", "conflicting form entries at (2,1)")],
+            id="conflicting-forms",
+        ),
+    ],
+)
+def test_verdicts_outside_the_golden_transcript(
+    name, text, argv, code, summaries, findings, tmp_path, capsys
+):
+    (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / name) if a == FILE else a for a in argv]
+    exit_code, rep, _ = run_cli(argv, capsys)
+    assert exit_code == code
+    assert {k: rep.summaries[k] for k in summaries} == summaries
+    codes = {c for c, _, _ in findings}
+    shown = [(f.code, f.location, f.detail) for f in rep.findings if f.code in codes]
+    assert shown == findings
 
 
 def test_esvla_audit_matches_golden(capsys):
@@ -848,3 +917,65 @@ def test_unusable_spec_is_refused(argv, capsys):
     assert (code, rep.verdict) == (2, "error")
     assert [f.severity for f in rep.findings] == ["error"]
     assert rep.findings[0].code in ("E_INPUT", "E_PARSE")
+
+
+# Seeded fuzzing: random bytes and mutated spec documents through every
+# command that reads a spec, in process.
+FUZZ_SEEDS = [
+    p.read_bytes()
+    for p in [
+        *sorted(SAMPLES.glob("*.lie")),
+        *sorted(DATA.rglob("*.lie")),
+        *sorted((REPO / "src" / "lieforge" / "data").glob("*.lie")),
+    ]
+]
+FUZZ_TOKEN = re.compile(rb"\s+|[A-Za-z_]\w*|\d+|=>|.")
+FUZZ_VOCAB = (
+    b"algebra family generator rule entry product form cocycle when convention"
+    b" plain super integer half even odd L Y e w m n 0 1 2 1/2 -1 + - * / ^ ="
+    b" => [ ] ( ) m+n \xff #"
+).split()
+FUZZ_COMMANDS = [cmd for name, cmd in SPEC_COMMANDS.items() if name != "aut-verify"]
+FUZZ_COMMANDS.append(["cohomology", "{spec}", "--grade-zero"])
+
+
+def fuzz_document(rng: random.Random) -> bytes:
+    """Random bytes, or a seed document after one to three token swaps,
+    insertions, deletions, duplicated lines or truncations."""
+    if rng.random() < 0.1:
+        return rng.randbytes(rng.randrange(120))
+    text = rng.choice(FUZZ_SEEDS)
+    for _ in range(rng.randint(1, 3)):
+        toks = FUZZ_TOKEN.findall(text)
+        i, j = rng.randrange(len(toks) + 1), rng.randrange(len(toks) + 1)
+        op = rng.randrange(5)
+        if op == 0 and max(i, j) < len(toks):
+            toks[i], toks[j] = toks[j], toks[i]
+        elif op == 1:
+            toks.insert(i, rng.choice(FUZZ_VOCAB) + b" ")
+        elif op == 2:
+            del toks[i:i + 1]
+        elif op == 3:
+            lines = text.splitlines(keepends=True)
+            k = i % max(len(lines), 1)
+            toks = lines[: k + 1] + lines[k:]
+        else:
+            toks = [text[: rng.randrange(len(text) + 1)]]
+        text = b"".join(toks)
+    return text
+
+
+def test_fuzzed_specs_end_in_a_report(tmp_path, capsys):
+    rng = random.Random(20241)
+    spec = tmp_path / "fuzz.lie"
+    for _ in range(1200):
+        spec.write_bytes(fuzz_document(rng))
+        argv = [a.format(spec=spec) for a in rng.choice(FUZZ_COMMANDS)]
+        if argv[0] != "snla" and rng.random() < 0.8:
+            argv += ["--window", str(rng.randint(1, 4))]
+        t0 = time.perf_counter()
+        code, rep, out = run_cli(argv, capsys)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code in (0, 1, 2), argv
+        assert out.startswith(f"lieforge {rep.tool_version} :: "), argv
+        assert f"verdict: {rep.verdict}" in out, argv

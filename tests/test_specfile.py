@@ -162,6 +162,211 @@ def test_undeclared_family_named_in_error():
     assert "'Z'" in str(exc.value)
 
 
+# --- every refusal, exactly --------------------------------------------
+
+_H = "algebra a convention plain\n"
+_F = _H + "family L integer even\n"
+_HALF = _F + "family Y half odd\n"
+_G = _F + "generator L[1]\ngenerator L[2]\n"
+_BIG = "9" * MAX_DIGITS
+_PAIR = "(('L', Fraction(1, 1)), ('L', Fraction(2, 1)))"
+
+# One minimal document per ParseError raise site of the tokenizer, the line
+# parser, parse and the validator, then documents with two faults that pin
+# the validator's order: the first error wins.
+REFUSALS = {
+    "unexpected-character": (
+        _F + "generator L[1] $\n",
+        3, 16, "unexpected character '$'",
+    ),
+    "integer-digits": (
+        _F + "generator L[" + "1" * (MAX_DIGITS + 1) + "]\n",
+        3, 13, f"integer with more than {MAX_DIGITS} digits",
+    ),
+    "expected-name": (
+        "algebra 1 convention plain\n",
+        1, 9, "expected algebra name, got '1'",
+    ),
+    "expected-token": (
+        _F + "rule L[m] L[n] (n - m) L[m+n]\n",
+        3, 16, "expected '=>', got '('",
+    ),
+    "expected-end-of-line": (
+        _F + "generator L[1\n",
+        3, 14, "expected ']', got 'end of line'",
+    ),
+    "trailing": (
+        _H + "family L integer even extra\n",
+        2, 23, "unexpected trailing 'extra'",
+    ),
+    "expected-number": (_F + "generator L[x]\n", 3, 13, "expected number"),
+    "zero-denominator": (
+        _F + "generator L[1/0]\n",
+        3, 15, "expected nonzero denominator",
+    ),
+    "degree": (
+        _F + "rule L[m] L[n] => m^8 n^9 L[m+n]\n",
+        3, 23, f"polynomial of degree 17 exceeds the limit {MAX_EXPONENT}",
+    ),
+    "coefficient-digits": (
+        _F + f"rule L[m] L[n] => {_BIG} * {_BIG} L[m+n]\n",
+        3, 20 + MAX_DIGITS, f"coefficient with more than {MAX_DIGITS} digits",
+    ),
+    "division": (
+        _F + "rule L[m] L[n] => m / n L[m+n]\n",
+        3, 23, "division only by nonzero constants",
+    ),
+    "nesting": (
+        _F + "rule L[m] L[n] => " + "(" * 33 + "m" + ")" * 33 + " L[m+n]\n",
+        3, 51, f"expression nested deeper than {MAX_NESTING} levels",
+    ),
+    "exponent": (
+        _F + "rule L[m] L[n] => m^n L[m+n]\n",
+        3, 21, "expected integer exponent",
+    ),
+    "power-degree": (
+        _F + "rule L[m] L[n] => (m n)^9 L[m+n]\n",
+        3, 25, f"power of degree 18 exceeds the limit {MAX_EXPONENT}",
+    ),
+    "atom": (
+        _F + "rule L[m] L[n] => ) L[m+n]\n",
+        3, 19, "expected number, m, n, or '('",
+    ),
+    "nonlinear": (
+        _F + "rule L[m] L[n] => 0 when m n = 0\n",
+        3, 26, "constraint must be linear in m, n",
+    ),
+    "index-variable": (
+        _F + "rule L[k] L[n] => 0\n",
+        3, 8, "expected index variable m or n",
+    ),
+    "pattern-variable": (
+        _F + "rule L[n] L[n] => 0\n",
+        3, 8, "left pattern must use m and right pattern n, got 'n'",
+    ),
+    "result-m": (
+        _F + "rule L[m] L[n] => 1 L[n+m]\n",
+        3, 23, "result index must start with m+n",
+    ),
+    "result-n": (
+        _F + "rule L[m] L[n] => 1 L[m+m]\n",
+        3, 25, "result index must start with m+n",
+    ),
+    "no-header": (
+        "family L integer even\n",
+        1, 1, "document must start with an 'algebra' header",
+    ),
+    "duplicate-header": (_H + _H, 2, 1, "duplicate 'algebra' header"),
+    "convention-keyword": ("algebra a conv plain\n", 1, 11, "expected 'convention'"),
+    "convention-value": (
+        "algebra a convention odd\n",
+        1, 22, "convention must be plain or super",
+    ),
+    "reserved": (
+        _H + "family when integer even\n",
+        2, 8, "'when' is reserved and cannot name a family",
+    ),
+    "index-kind": (
+        _H + "family L quarter even\n",
+        2, 10, "index kind must be integer or half",
+    ),
+    "parity": (_H + "family L integer neutral\n", 2, 18, "parity must be even or odd"),
+    "duplicate-family": (_F + "family L half odd\n", 3, 8, "duplicate family 'L'"),
+    "unknown-directive": (_F + "famly Y half odd\n", 3, 1, "unknown directive 'famly'"),
+    "empty": ("# nothing\n", 1, 1, "empty document: missing 'algebra' header"),
+    "undeclared-pattern": (_F + "rule L[m] K[n] => 0\n", 3, 1, "undeclared family 'K'"),
+    "undeclared-result": (
+        _F + "rule L[m] L[n] => 1 K[m+n]\n",
+        3, 1, "undeclared family 'K'",
+    ),
+    "undeclared-generator": (_F + "generator K[1]\n", 3, 1, "undeclared family 'K'"),
+    "undeclared-value": (
+        _G + "entry L[1] L[2] => 1 K[3]\n",
+        5, 1, "undeclared family 'K'",
+    ),
+    "offset": (
+        _F + "rule L[m+1/3] L[n] => 0\n",
+        3, 1, "offset 1/3 is not an integer or half-integer",
+    ),
+    "pattern-kind": (
+        _HALF + "rule L[m] Y[n] => 0\n",
+        4, 1, "pattern Y[n] does not match half family 'Y'",
+    ),
+    "cocycle-kind": (
+        _F + "cocycle w L[m+1/2] L[n] => 1\n",
+        3, 1, "pattern L[m+1/2] does not match integer family 'L'",
+    ),
+    "result-offset": (
+        _F + "rule L[m] L[n] => 1 L[m+n+1/3]\n",
+        3, 1, "result offset 1/3 is not an integer or half-integer",
+    ),
+    "duplicate-rule": (
+        _F + "rule L[m] L[n] => 0\nrule L[m] L[n] => 1 L[m+n]\n",
+        4, 1, "duplicate rule for pair L L",
+    ),
+    "index": (
+        _F + "generator L[2/3]\n",
+        3, 1, "index 2/3 is not an integer or half-integer",
+    ),
+    "index-kind-mismatch": (
+        _HALF + "generator Y[1]\n",
+        4, 1, "index 1 does not match half family 'Y'",
+    ),
+    "duplicate-entry": (
+        _G + "entry L[1] L[2] => 1 L[1]\nentry L[1] L[2] => 1 L[2]\n",
+        6, 1, f"duplicate entry for {_PAIR}",
+    ),
+    "duplicate-product": (
+        _G + "product L[1] L[2] => 1 L[1]\nproduct L[1] L[2] =>\n",
+        6, 1, f"duplicate product for {_PAIR}",
+    ),
+    "duplicate-form": (
+        _G + "form L[1] L[2] => 1\nform L[1] L[2] => 2\n",
+        6, 1, f"duplicate form for {_PAIR}",
+    ),
+    "duplicate-cocycle": (
+        _F + "cocycle w L[m] L[n] => 1\ncocycle w L[m] L[n] => m\n",
+        4, 1, "duplicate cocycle 'w'",
+    ),
+    "rules-before-generators": (
+        _F + "generator L[1/3]\nrule K[m] L[n] => 0\n",
+        4, 1, "undeclared family 'K'",
+    ),
+    "patterns-before-duplicate": (
+        _F + "rule L[m] L[n] => 0\nrule L[m+1/2] L[n] => 0\n",
+        4, 1, "pattern L[m+1/2] does not match integer family 'L'",
+    ),
+    "generators-before-entries": (
+        _F + "entry L[1] L[2] => 1 L[1/3]\ngenerator L[1/2]\n",
+        4, 1, "index 1/2 does not match integer family 'L'",
+    ),
+    "duplicate-before-result-offset": (
+        _F + "rule L[m] L[n] => 0\nrule L[m] L[n] => 1 L[m+n+1/3]\n",
+        4, 1, "duplicate rule for pair L L",
+    ),
+    "values-before-duplicate": (
+        _G + "entry L[1] L[2] =>\nentry L[1] L[2] => 1 L[1/2]\n",
+        6, 1, "index 1/2 does not match integer family 'L'",
+    ),
+    "entries-before-forms": (
+        _G + "form L[1] L[2] => 1\nform L[1] L[2] => 1\nproduct L[1] L[1/3] =>\n",
+        7, 1, "index 1/3 is not an integer or half-integer",
+    ),
+    "forms-before-cocycles": (
+        _G + "cocycle w L[m] L[n] => 1\ncocycle w L[m] L[n] => 1\n"
+        "form L[1] Y[2] => 1\n",
+        7, 1, "undeclared family 'Y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, line, col, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_is_exact(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+
 # --- randomized round-trip --------------------------------------------
 
 
