@@ -8,6 +8,14 @@ the lcm of its denominators (which changes neither rank nor nullspace), and
 the echelon form of the integer rows is normalized back to the canonical
 reduced row echelon form over the rationals.
 
+Before elimination, a presolve replaces the integer rows by rows with the
+same row space that eliminate with less fill-in: a row with one entry forces
+its column to zero, so every forced column becomes a unit row and leaves the
+other rows, and the rows are sorted shortest first (Markowitz 1957;
+LaMacchia and Odlyzko, CRYPTO '90).  The reduced row echelon form depends
+only on the row space, so every ``Echelon`` and every report is the same
+with or without it.
+
 Forward elimination keeps the rows as sparse dicts and uses gcd-reduced
 cross-multiplication over a column index: each column maps to the set of
 pending rows with a nonzero entry in it, so a pivot step reads only the rows
@@ -178,6 +186,34 @@ def _column_index(rows: Mapping[int, dict]) -> dict[int, set[int]]:
     return holders
 
 
+def _presolve(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The same row space, in an order that keeps elimination sparse.
+
+    A row with one entry forces its column to zero, which can leave another
+    row with one entry; this repeats until no new column is forced.  Each
+    forced column then becomes one ``{c: 1}`` row and is dropped from every
+    other row, and rows left empty go.  The rows are stably sorted by entry
+    count, so each column pivots on its shortest row.  Changed rows are new
+    dicts; the input is only read."""
+    rows = list(rows)
+    singles = [i for i, row in enumerate(rows) if len(row) == 1]
+    holders = _column_index(dict(enumerate(rows))) if singles else {}
+    forced = []
+    while singles:
+        row = rows[singles.pop()]
+        # a queued singleton is emptied when another row forces its column
+        if not row:
+            continue
+        [c] = row
+        forced.append(c)
+        for i in holders.pop(c):
+            rows[i] = {j: v for j, v in rows[i].items() if j != c}
+            if len(rows[i]) == 1:
+                singles.append(i)
+    units = [{c: 1} for c in sorted(forced)]
+    return sorted(units + [row for row in rows if row], key=len)
+
+
 def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
     """Sparse integer elimination with per-row gcd reduction.
 
@@ -259,8 +295,12 @@ def _normalize(pivots: list[int], rows: list[dict[int, Fraction]]) -> Echelon:
 
 
 def rref(m: SparseMatrix) -> Echelon:
-    """Reduced row echelon form of ``m`` (unique over the rationals)."""
-    pivots, ech = _ff_forward_sparse(_integer_rows(m._data), m.cols)
+    """Reduced row echelon form of ``m`` (unique over the rationals).
+
+    The rows are made integer, presolved (forced columns out, shortest rows
+    first) and eliminated.  The presolve keeps the row space, so the result
+    is the one elimination in assembly order gives.  ``m`` is only read."""
+    pivots, ech = _ff_forward_sparse(_presolve(_integer_rows(m._data)), m.cols)
     return _normalize(pivots, [{c: Fraction(v) for c, v in row.items()} for row in ech])
 
 

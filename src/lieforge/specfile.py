@@ -303,6 +303,11 @@ class GeneratorDecl:
         return f"generator {self.family}[{self.index}]"
 
 
+def _pair_text(left: tuple[str, Fraction], right: tuple[str, Fraction]) -> str:
+    """An explicit pair as the document writes it, e.g. ``L[1] L[2]``."""
+    return " ".join(f"{fam}[{ix}]" for fam, ix in (left, right))
+
+
 @dataclass(frozen=True)
 class ExplicitEntry:
     kind: str  # entry | product
@@ -313,9 +318,7 @@ class ExplicitEntry:
 
     def render(self) -> str:
         items = " ".join(f"{c} {fam}[{ix}]" for c, fam, ix in self.value)
-        lf, li = self.left
-        rf, ri = self.right
-        s = f"{self.kind} {lf}[{li}] {rf}[{ri}] =>"
+        s = f"{self.kind} {_pair_text(self.left, self.right)} =>"
         return f"{s} {items}" if items else s
 
 
@@ -327,9 +330,7 @@ class FormEntry:
     line: int = field(compare=False, default=0)
 
     def render(self) -> str:
-        lf, li = self.left
-        rf, ri = self.right
-        return f"form {lf}[{li}] {rf}[{ri}] => {self.value}"
+        return f"form {_pair_text(self.left, self.right)} => {self.value}"
 
 
 @dataclass(frozen=True)
@@ -733,7 +734,7 @@ def _validate(doc: AlgebraSpecDoc) -> None:
     for directive, e, values in explicit + [("form", f, ()) for f in doc.forms]:
         for fam, ix in (e.left, e.right, *(item[1:] for item in values)):
             index(e.line, fam, ix, "index", f"index {ix}")
-        once(e.line, directive, f"for {(e.left, e.right)}")
+        once(e.line, directive, f"for {_pair_text(e.left, e.right)}")
     for c in doc.cocycles:
         patterns(c)
         once(c.line, "cocycle", repr(c.name))

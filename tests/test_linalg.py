@@ -16,6 +16,7 @@ from lieforge.linalg import (
     SparseMatrix,
     _ff_forward_sparse,
     _integer_rows,
+    _presolve,
     matvec,
     nullspace,
     rank,
@@ -139,6 +140,19 @@ def test_solve_zero_matrix_zero_rhs():
     assert matvec(m, x) == [Fraction(0), Fraction(0)]
 
 
+@pytest.mark.parametrize(
+    "rows, b",
+    [
+        # a zero row with a nonzero right-hand side
+        ([[1, 2], [0, 0]], [1, 5]),
+        # forcing x1 = 0 leaves the second equation as 0 = 3
+        ([[0, 1], [0, 1]], [0, 3]),
+    ],
+)
+def test_solve_inconsistent_by_singleton_in_rhs_column(rows, b):
+    assert solve(dense(rows), b) is None
+
+
 def test_solve_rhs_length_checked():
     with pytest.raises(ValueError):
         solve(SparseMatrix(2, 2), [0, 0, 0])
@@ -224,11 +238,12 @@ def row_copies(m):
 
 def assert_sparse_kernel_matches_oracles(m):
     """The column-indexed kernel picks the same pivot rows as a list scan,
-    so its gcd-reduced integer rows match, and rref matches Gauss-Jordan,
-    also on the ``from_rows`` copies, whose rows it leaves as they were."""
-    assert _ff_forward_sparse(_integer_rows(m.row_dicts()), m.cols) == (
-        list_scan_forward(_integer_rows(m.row_dicts()), m.cols)
-    )
+    so its gcd-reduced integer rows match, with and without the presolve,
+    and rref matches Gauss-Jordan, also on the ``from_rows`` copies, whose
+    rows it leaves as they were."""
+    ints = _integer_rows(m.row_dicts())
+    for rows in (ints, _presolve(ints)):
+        assert _ff_forward_sparse(rows, m.cols) == list_scan_forward(rows, m.cols)
     expected = rational_rref(m)
     assert rref(m) == expected
     for copy in row_copies(m):
@@ -244,8 +259,11 @@ def permuted_block_systems(draw):
 
     Each block with three or more columns gets two extra rows that share
     only one column: eliminating it with either fills in a column the other
-    did not hold.  Rational combinations of rows of one block are appended,
-    so rows cancel to empty."""
+    did not hold.  Some blocks get a chain of short rows for the presolve:
+    the first has one entry, and forcing its column leaves the next with
+    one entry.  Rational combinations of rows of one block are appended, so
+    rows cancel to empty, then duplicates and copies rescaled by negative
+    and fractional factors."""
     rng = draw(st.randoms(use_true_random=False))
     target = 64 + draw(st.integers(0, 16))
     blocks = []
@@ -272,6 +290,16 @@ def permuted_block_systems(draw):
                 rows.append(
                     {c0: Fraction(rng.randint(1, 3)), c0 + other: Fraction(-1, other)}
                 )
+        if rng.random() < 0.4:
+            cs = rng.sample(range(c0, c0 + nc), rng.randint(1, min(nc, 4)))
+            chain = [{cs[0]: Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))}]
+            chain += [
+                {a: Fraction(rng.randint(1, 3)), b: Fraction(-1, rng.randint(1, 2))}
+                for a, b in zip(cs, cs[1:])
+            ]
+            for row in chain:
+                mine.append(len(rows))
+                rows.append(row)
         block_rows.append(mine)
     for _ in range(draw(st.integers(1, 12))):
         mine = rng.choice(block_rows)
@@ -281,6 +309,9 @@ def permuted_block_systems(draw):
             for c, v in rows[r].items():
                 combo[c] = combo.get(c, Fraction(0)) + f * v
         rows.append(combo)
+    for _ in range(draw(st.integers(1, 8))):
+        f = Fraction(rng.choice([1, 1, -1, -2, 3]), rng.choice([1, 2, 5]))
+        rows.append({c: f * v for c, v in rng.choice(rows).items()})
     row_perm = list(range(len(rows)))
     col_perm = list(range(ncols))
     rng.shuffle(row_perm)
@@ -298,6 +329,8 @@ def permuted_block_systems(draw):
 def test_sparse_kernel_on_permuted_block_systems(system):
     m, rng = system
     assert_sparse_kernel_matches_oracles(m)
+    shuffled = SparseMatrix.from_rows(m.cols, rng.sample(m.row_dicts(), m.rows))
+    assert rref(shuffled) == rref(m)
     assert rank(m) + len(nullspace(m)) == m.cols
     x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.cols)]
     b = matvec(m, x0)
@@ -336,6 +369,13 @@ def test_sparse_kernel_on_esvla_derivation_system(monkeypatch):
     cohomology.derivation_space(A, grade_restriction=0)
     [m] = systems
     assert_sparse_kernel_matches_oracles(m)
+
+
+def test_presolve_forces_chains_and_puts_short_rows_first():
+    rows = [{2: 1, 3: 1, 1: 5}, {2: 4, 3: 4}, {0: 1, 1: -3}, {0: 2}, {}]
+    before = [dict(row) for row in rows]
+    assert _presolve(rows) == [{0: 1}, {1: 1}, {2: 1, 3: 1}, {2: 4, 3: 4}]
+    assert rows == before
 
 
 def test_invert_dense_roundtrip():
