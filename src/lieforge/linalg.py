@@ -4,24 +4,26 @@ Every scalar is an exact int or ``fractions.Fraction``; nothing here ever
 rounds.  A ``SparseMatrix`` stores one dict per row, so the integer rows the
 library assembles are eliminated as built (``SparseMatrix.from_rows``).  There
 is one elimination route, fraction-free: a row holding a Fraction is scaled by
-the lcm of its denominators (which changes neither rank nor nullspace), and
-the echelon form of the integer rows is normalized back to the canonical
-reduced row echelon form over the rationals.
+the lcm of its denominators, which changes neither rank nor nullspace.
 
-Before elimination, a presolve replaces the integer rows by rows with the
-same row space that eliminate with less fill-in: a row with one entry forces
-its column to zero, so every forced column becomes a unit row and leaves the
-other rows, and the rows are sorted shortest first (Markowitz 1957;
-LaMacchia and Odlyzko, CRYPTO '90).  The reduced row echelon form depends
-only on the row space, so every ``Echelon`` and every report is the same
-with or without it.
+Elimination is Gauss-Jordan kept incrementally.  The rows are taken one at a
+time, shortest first, against a basis of integer rows kept in reduced form:
+each basis row starts at its own pivot column and holds no other pivot
+column.  An arriving row is reduced once by the basis rows at its pivot
+columns; a row that cancels to empty is dependent and is dropped.  A row
+that is left over makes its lowest column a new pivot, that column is
+cleared from the basis rows that hold it (a column index says which), and
+the row joins the basis.  Each combination is a gcd-reduced
+cross-multiplication, row <- (p/g)*row - (a/g)*basis_row, where p and a are
+the basis row's and the row's entries at the pivot column and g = gcd(p, a),
+so every entry stays an integer (fraction-free elimination: Bareiss,
+Math. Comp. 22 (1968) 565-578), and each row that joins or changes the basis
+is divided by the gcd of its entries to keep the integers small.
 
-Forward elimination keeps the rows as sparse dicts and uses gcd-reduced
-cross-multiplication over a column index: each column maps to the set of
-pending rows with a nonzero entry in it, so a pivot step reads only the rows
-that hold its column.  Columns are scanned left to right and each pivots on
-the lowest-numbered row still pending with a nonzero entry in it, so the
-output is deterministic.
+Dividing each basis row by its pivot entry then gives the reduced row
+echelon form over the rationals.  That form depends only on the row space,
+so neither the order the rows arrive in nor the fraction-free scaling can
+change any ``Echelon`` or any report.
 """
 
 from __future__ import annotations
@@ -173,135 +175,77 @@ def _integer_rows(rows: list[dict]) -> list[dict[int, int]]:
     return out
 
 
-def _column_index(rows: Mapping[int, dict]) -> dict[int, set[int]]:
-    """Map each column to the set of row ids with a nonzero entry in it."""
+def _reduce(rows: list[dict[int, int]]) -> Echelon:
+    """Reduced row echelon form of integer rows, one row at a time.
+
+    ``basis`` maps each pivot column to a primitive integer row that starts
+    there with a positive entry and holds no other pivot column; ``holders``
+    maps every other column to the pivots whose basis rows hold it.  The
+    dicts of ``rows`` are only read."""
+    basis: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for c in row:
-            held = holders.get(c)
-            if held is None:
-                holders[c] = {i}
-            else:
-                held.add(i)
-    return holders
-
-
-def _presolve(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The same row space, in an order that keeps elimination sparse.
-
-    A row with one entry forces its column to zero, which can leave another
-    row with one entry; this repeats until no new column is forced.  Each
-    forced column then becomes one ``{c: 1}`` row and is dropped from every
-    other row, and rows left empty go.  The rows are stably sorted by entry
-    count, so each column pivots on its shortest row.  Changed rows are new
-    dicts; the input is only read."""
-    rows = list(rows)
-    singles = [i for i, row in enumerate(rows) if len(row) == 1]
-    holders = _column_index(dict(enumerate(rows))) if singles else {}
-    forced = []
-    while singles:
-        row = rows[singles.pop()]
-        # a queued singleton is emptied when another row forces its column
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        # reducing by one basis row adds no other pivot column
+        for c in [c for c in row if c in basis]:
+            _clear(row, c, basis[c])
         if not row:
             continue
-        [c] = row
-        forced.append(c)
-        for i in holders.pop(c):
-            rows[i] = {j: v for j, v in rows[i].items() if j != c}
-            if len(rows[i]) == 1:
-                singles.append(i)
-    units = [{c: 1} for c in sorted(forced)]
-    return sorted(units + [row for row in rows if row], key=len)
-
-
-def _ff_forward_sparse(rows: list[dict[int, int]], ncols: int):
-    """Sparse integer elimination with per-row gcd reduction.
-
-    ``rows`` maps column index to nonzero integer entry; the dicts are only
-    read.  A column index maps each column to the pending rows that hold it.
-    For each column in ascending order the lowest-numbered of those rows is
-    the pivot, and only the others are combined with it; each combined row
-    is divided by the gcd of its entries to bound coefficient growth.  The
-    index follows every fill-in and cancellation, and rows that cancel to
-    empty leave it.  Returns ``(pivot_cols, echelon_rows)``.
-    """
-    pending = {i: row for i, row in enumerate(rows) if row}
-    holders = _column_index(pending)
-    done: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(ncols):
-        if not pending:
-            break
-        held = holders.pop(c, None)
-        if not held:
-            continue
-        pr = min(held)
-        held.discard(pr)
-        prow = pending.pop(pr)
-        piv = prow[c]
-        rest = [(j, v) for j, v in prow.items() if j != c]
-        for j, _ in rest:
-            holders[j].discard(pr)
-        for i in held:
-            row = pending[i]
-            f = row[c]
-            new = {j: piv * v for j, v in row.items() if j != c}
-            for j, v in rest:
-                w = new.get(j, 0) - f * v
-                if w:
-                    if j not in new:
-                        holders[j].add(i)
-                    new[j] = w
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+        rest = [j for j in row if j != c]
+        for j in rest:
+            holders.setdefault(j, set()).add(c)
+        for k in holders.pop(c, ()):
+            brow = basis[k]
+            _clear(brow, c, row)
+            for j in rest:
+                if j in brow:
+                    holders[j].add(k)
                 else:
-                    del new[j]
-                    holders[j].discard(i)
-            if new:
-                g = gcd(*new.values())
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                pending[i] = new
-            else:
-                del pending[i]
-        done.append(prow)
-        pivots.append(c)
-    return pivots, done
+                    holders[j].discard(k)
+            g = gcd(*brow.values())
+            if g != 1:
+                basis[k] = {j: v // g for j, v in brow.items()}
+        basis[c] = row
+    pivots = sorted(basis)
+    reduced = []
+    for c in pivots:
+        p = basis[c][c]
+        reduced.append({j: Fraction(v, p) for j, v in basis[c].items()})
+    return Echelon(tuple(pivots), tuple(reduced))
 
 
-def _normalize(pivots: list[int], rows: list[dict[int, Fraction]]) -> Echelon:
-    """Back-eliminate above pivots and scale pivots to 1 (canonical RREF).
-
-    Mutates ``rows``.  Each pivot column is cleared only in the earlier rows
-    that hold it.  Clearing adds entries in free columns alone, so the rows
-    that hold a pivot column can be read off once, before any clearing."""
-    holders = _column_index(dict(enumerate(rows)))
-    for i in range(len(rows) - 1, -1, -1):
-        c = pivots[i]
-        piv = rows[i][c]
-        if piv != 1:
-            rows[i] = {j: v / piv for j, v in rows[i].items()}
-        prow = rows[i]
-        for k in holders[c]:
-            if k == i:
-                continue
-            row = rows[k]
-            f = row[c]
-            for j, v in prow.items():
-                nv = row.get(j, 0) - f * v
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-    return Echelon(tuple(pivots), tuple(rows))
+def _clear(row: dict[int, int], c: int, prow: dict[int, int]) -> None:
+    """Cancel column ``c`` of ``row`` in place with ``prow``, whose entry at
+    ``c`` is positive: row <- (p/g)*row - (a/g)*prow, g = gcd(p, a)."""
+    p, a = prow[c], row[c]
+    g = gcd(p, a)
+    if g != p:
+        q = p // g
+        for j in row:
+            row[j] *= q
+    f = a // g
+    for j, v in prow.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
 
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals).
 
-    The rows are made integer, presolved (forced columns out, shortest rows
-    first) and eliminated.  The presolve keeps the row space, so the result
-    is the one elimination in assembly order gives.  ``m`` is only read."""
-    pivots, ech = _ff_forward_sparse(_presolve(_integer_rows(m._data)), m.cols)
-    return _normalize(pivots, [{c: Fraction(v) for c, v in row.items()} for row in ech])
+    The rows are made integer and reduced one at a time, shortest first,
+    against a basis that is kept in reduced form, so no back-substitution
+    pass follows.  The form depends only on the row space, so the result is
+    the one any elimination order gives.  ``m`` is only read."""
+    return _reduce(_integer_rows(m._data))
 
 
 def rank(m: SparseMatrix) -> int:

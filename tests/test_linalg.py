@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 from lieforge import cohomology, esvla, specfile
 from lieforge.linalg import (
     MAX_DIGITS,
+    Echelon,
     SparseMatrix,
-    _ff_forward_sparse,
     _integer_rows,
-    _presolve,
     matvec,
     nullspace,
     rank,
@@ -237,19 +236,61 @@ def row_copies(m):
 
 
 def assert_sparse_kernel_matches_oracles(m):
-    """The column-indexed kernel picks the same pivot rows as a list scan,
-    so its gcd-reduced integer rows match, with and without the presolve,
-    and rref matches Gauss-Jordan, also on the ``from_rows`` copies, whose
-    rows it leaves as they were."""
-    ints = _integer_rows(m.row_dicts())
-    for rows in (ints, _presolve(ints)):
-        assert _ff_forward_sparse(rows, m.cols) == list_scan_forward(rows, m.cols)
+    """rref matches Gauss-Jordan on Fractions for the rows as given,
+    reversed and shuffled, and on the ``from_rows`` copies, whose rows it
+    leaves as they were; its pivot columns are those a list-scan forward
+    elimination finds."""
     expected = rational_rref(m)
-    assert rref(m) == expected
+    rows = m.row_dicts()
+    shuffled = random.Random(0).sample(rows, len(rows))
+    ech = rref(m)
+    assert ech == expected
+    for order in (rows[::-1], shuffled):
+        assert rref(SparseMatrix.from_rows(m.cols, order)) == expected
+    pivots, _ = list_scan_forward(_integer_rows(rows), m.cols)
+    assert list(ech.pivots) == pivots
     for copy in row_copies(m):
         before = copy.row_dicts()
         assert rref(copy) == expected
         assert copy.row_dicts() == before
+
+
+def test_reduce_clears_new_pivots_from_the_basis():
+    # Shortest first: {5: 3} becomes the pivot row {5: 1}, and its duplicate
+    # reduces to empty.  Row 4 pivots at 2, which rows 2 and 3 hold: clearing
+    # it fills in column 3 of row 2 and column 4 of row 3, cancels column 4
+    # of row 2 and leaves row 3 with content 2.  Row 5 pivots at 3, now
+    # held by three basis rows: it fills column 4 of row 2 back in and
+    # cancels it in row 3, so row 7, which pivots at 4, is cleared from
+    # rows 2, 4 and 5 only.  Row 0 is row 2 + row 4 + 2 * row 1 and reduces
+    # to empty.
+    rows = [
+        {0: 2, 2: 2, 3: 1, 4: 4, 5: 6},
+        {5: 3},
+        {0: 2, 2: 1, 4: 2},
+        {1: 2, 2: 3, 3: 1},
+        {2: 1, 3: 1, 4: 2},
+        {3: 1, 4: 3, 5: 1},
+        {5: 3},
+        {4: 1, 5: 1, 6: 1},
+    ]
+    before = [dict(row) for row in rows]
+    m = SparseMatrix.from_rows(7, rows)
+    F = Fraction
+    expected = Echelon(
+        (0, 1, 2, 3, 4, 5),
+        (
+            {0: F(1), 6: F(-3, 2)},
+            {1: F(1)},
+            {2: F(1), 6: F(1)},
+            {3: F(1), 6: F(-3)},
+            {4: F(1), 6: F(1)},
+            {5: F(1)},
+        ),
+    )
+    assert rref(m) == expected
+    assert rows == before
+    assert_sparse_kernel_matches_oracles(m)
 
 
 @st.composite
@@ -259,11 +300,12 @@ def permuted_block_systems(draw):
 
     Each block with three or more columns gets two extra rows that share
     only one column: eliminating it with either fills in a column the other
-    did not hold.  Some blocks get a chain of short rows for the presolve:
-    the first has one entry, and forcing its column leaves the next with
-    one entry.  Rational combinations of rows of one block are appended, so
-    rows cancel to empty, then duplicates and copies rescaled by negative
-    and fractional factors."""
+    did not hold.  Some blocks get a chain of short rows: the first has one
+    entry and each next one shares a column with the one before, so the
+    shorter rows pivot first and later pivots are cleared back out of
+    them.  Rational combinations of rows of one block are appended, so rows
+    cancel to empty, then duplicates and copies rescaled by negative and
+    fractional factors."""
     rng = draw(st.randoms(use_true_random=False))
     target = 64 + draw(st.integers(0, 16))
     blocks = []
@@ -369,13 +411,6 @@ def test_sparse_kernel_on_esvla_derivation_system(monkeypatch):
     cohomology.derivation_space(A, grade_restriction=0)
     [m] = systems
     assert_sparse_kernel_matches_oracles(m)
-
-
-def test_presolve_forces_chains_and_puts_short_rows_first():
-    rows = [{2: 1, 3: 1, 1: 5}, {2: 4, 3: 4}, {0: 1, 1: -3}, {0: 2}, {}]
-    before = [dict(row) for row in rows]
-    assert _presolve(rows) == [{0: 1}, {1: 1}, {2: 1, 3: 1}, {2: 4, 3: 4}]
-    assert rows == before
 
 
 def test_invert_dense_roundtrip():
