@@ -1,25 +1,24 @@
-"""Generators, elements, bracket tables, and structural checks.
+"""Generators, elements, the instance's bracket store, and structural checks.
 
-``PairTable`` is the one symmetric-extension lookup: values stay keyed by
-ordered generator pair exactly as assigned, and a missing direction is read
-through the convention's symmetry (plain: [h,g] = -[g,h]; super:
-[h,g] = -(-1)^{|g||h|}[g,h]).  ``BracketTable`` (Element values) and
-``cohomology.Cochain2`` (scalar values) are its two kinds, so a table given
-only one side of each pair is always symmetric-consistent, while one assigned
-on both sides, or on a diagonal, can violate the convention and
-``PairTable.symmetry_residuals`` says exactly where.
+An ``AlgebraInstance`` is built from its brackets as written and keeps them
+once, as an ``IndexedView``: the structure constants as integers over one
+common denominator, their reverse index, window flags, parities and interior
+generators, all indexed by generator position.  A pair given in one
+direction only is read through the convention's symmetry, ``swap_sign``
+(plain: [h,g] = -[g,h]; super: [h,g] = -(-1)^{|g||h|}[g,h]), the same rule
+``cohomology.Cochain2`` reads scalar cochains by.  The view keeps which pairs
+were given as written, so a table given on both sides of a pair, or on a
+diagonal, can violate the convention and ``check_alternating`` says exactly
+where.
 
-Each ``AlgebraInstance`` compiles its table once into an ``IndexedView``:
-the symmetric-extended structure constants as integers over one common
-denominator, their reverse index, window flags, parities and interior
-generators, all indexed by generator position.  Every triple identity visits
-position triples through one enumerator, ``AlgebraInstance.checkable_triples``,
-narrowed to the triples that can be nonzero when the identity names a
-support, and works on plain ints, dividing once and building generator
-objects only for what it reports.  Window-truncated instances never
-treat a dropped (out-of-window) bracket result as zero: evaluations touching
-such a pair raise a boundary flag, and the enumerator skips and counts those
-triples instead of reporting fake residuals.
+Every triple identity visits position triples through one enumerator,
+``AlgebraInstance.checkable_triples``, narrowed to the triples that can be
+nonzero when the identity names a support, and works on plain ints,
+dividing once and building generator objects only for what it reports.
+Window-truncated instances never treat a dropped (out-of-window) bracket
+result as zero: evaluations touching such a pair raise a boundary flag, and
+the enumerator skips and counts those triples instead of reporting fake
+residuals.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from lieforge.linalg import SparseMatrix, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
@@ -124,9 +123,6 @@ class Element:
         res.terms = {g: v * f for g, v in self.terms.items()}
         return res
 
-    def __rmul__(self, c) -> "Element":
-        return self.scale(c)
-
     def sorted_terms(self) -> list[tuple[GeneratorId, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0])
 
@@ -147,81 +143,11 @@ class Element:
         return f"Element({self})"
 
 
-class PairTable:
-    """Values on ordered generator pairs, stored exactly as assigned and read
-    through the convention's symmetry.
-
-    ``parity`` maps family symbol to 0 (even) or 1 (odd); unlisted families
-    are even.  ``convention`` is "plain" or "super".  Subclasses fix the
-    value type through ``zero()``, the value of a pair stored in neither
-    direction; values must support ``int * value``.
-    """
-
-    __slots__ = ("parity", "convention", "raw")
-
-    def __init__(self, parity: Mapping[str, int] = (), convention: str = "plain"):
-        if convention not in ("plain", "super"):
-            raise ValueError(f"unknown convention {convention!r}")
-        self.parity = dict(parity.items() if isinstance(parity, Mapping) else parity)
-        self.convention = convention
-        self.raw: dict = {}
-
-    def family_parity(self, family: str) -> int:
-        return self.parity.get(family, EVEN)
-
-    def swap_sign(self, g: GeneratorId, h: GeneratorId) -> int:
-        """Sign s with v(h,g) = s*v(g,h) under this table's convention."""
-        if self.convention == "super":
-            if self.family_parity(g.family) and self.family_parity(h.family):
-                return 1
-        return -1
-
-    def value(self, g: GeneratorId, h: GeneratorId):
-        """v(g,h) as stored, extending a one-sided entry by symmetry."""
-        v = self.raw.get((g, h))
-        if v is not None:
-            return v
-        w = self.raw.get((h, g))
-        if w is not None:
-            return self.swap_sign(h, g) * w
-        return self.zero()
-
-    def symmetry_residuals(
-        self, order: Callable[[GeneratorId], object]
-    ) -> list[tuple[GeneratorId, GeneratorId, object]]:
-        """Stored pairs contradicting the symmetry, as (a, b, residual) with
-        order(a) <= order(b): residual = v(b,a) - s*v(a,b) for a pair stored
-        in both directions, (1-s)*v(a,a) on a diagonal.  Unsorted."""
-        seen: set[tuple[GeneratorId, GeneratorId]] = set()
-        out = []
-        for g, h in self.raw:
-            a, b = (g, h) if order(g) <= order(h) else (h, g)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            s = self.swap_sign(a, b)
-            if a == b:
-                residual = (1 - s) * self.raw[(a, a)]
-            else:
-                v_ab = self.raw.get((a, b))
-                v_ba = self.raw.get((b, a))
-                if v_ab is None or v_ba is None:
-                    continue
-                residual = v_ba - s * v_ab
-            if residual:
-                out.append((a, b, residual))
-        return out
-
-
-class BracketTable(PairTable):
-    """Structure constants: Element values stored exactly as assigned."""
-
-    zero = staticmethod(Element.zero)
-
-    def assign(self, g: GeneratorId, h: GeneratorId, value: Element) -> None:
-        if (g, h) in self.raw:
-            raise ValueError(f"duplicate bracket entry for ({g}, {h})")
-        self.raw[(g, h)] = value
+def swap_sign(convention: str, odd_g: int, odd_h: int) -> int:
+    """The sign s with v(h,g) = s*v(g,h) for the bracket, or a 2-cochain, of
+    generators g and h of parities ``odd_g`` and ``odd_h``: -1 under the plain
+    convention, -(-1)^{|g||h|} under super."""
+    return 1 if convention == "super" and odd_g and odd_h else -1
 
 
 @dataclass(frozen=True)
@@ -235,21 +161,22 @@ class Finding:
 
 @dataclass(frozen=True)
 class IndexedView:
-    """An instance's table compiled to generator positions.
+    """An instance's brackets by generator position, stored once.
 
     ``terms[i][j]`` holds the nonzero ``(k, c)`` terms of [g_i, g_j] as
-    integers over the common denominator ``scale`` (the lcm of every
-    coefficient's denominator): the coefficient of g_k is ``c / scale``.
-    Stored entries are read exactly as written, a one-sided entry extended
-    by the convention's swap sign.  ``producers[k]`` lists the ordered pairs
-    (i, j) with k in ``terms[i][j]``, as keys i * dim + j.  ``flagged[i]``
-    is the set of positions j with (g_i, g_j) window-flagged, in either
-    order.  ``odd[i]`` is the parity of g_i; ``interior`` lists the interior
-    positions in order.
+    integers over the common denominator ``scale``: the coefficient of g_k is
+    ``c / scale``.  ``written`` lists the position pairs (i, j) given as
+    written, in the order given; their terms are read exactly as written, and
+    a pair given in one direction only is extended by the convention's swap
+    sign.  ``producers[k]`` lists the ordered pairs (i, j) with k in
+    ``terms[i][j]``, as keys i * dim + j.  ``flagged[i]`` is the set of
+    positions j with (g_i, g_j) window-flagged, in either order.  ``odd[i]``
+    is the parity of g_i; ``interior`` lists the interior positions in order.
     """
 
     terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     scale: int
+    written: tuple[tuple[int, int], ...]
     producers: tuple[tuple[int, ...], ...]
     flagged: tuple[frozenset[int], ...]
     odd: tuple[bool, ...]
@@ -259,17 +186,25 @@ class IndexedView:
 class AlgebraInstance:
     """A finite-dimensional algebra given by structure constants.
 
-    ``window`` bounds |generator index| for truncations of graded algebras
-    (None for genuinely finite algebras).  ``boundary_pairs`` records the
-    ordered generator pairs whose bracket lost at least one out-of-window
-    term at instantiation time; ``dropped_terms`` counts the lost terms.
+    ``entries`` gives the brackets as written, ``{(g, h): {t: c}}`` for
+    [g,h] = sum of c/scale t, each c an int or Fraction; a pair left out in
+    both directions brackets to zero.  ``parity`` maps family symbol to 0
+    (even) or 1 (odd), unlisted families even; ``convention`` is "plain" or
+    "super".  ``window`` bounds |generator index| for truncations of graded
+    algebras (None for genuinely finite algebras).  ``boundary_pairs``
+    records the ordered generator pairs whose bracket lost at least one
+    out-of-window term at instantiation time; ``dropped_terms`` counts the
+    lost terms.
     """
 
     def __init__(
         self,
         name: str,
         generators: Iterable[GeneratorId],
-        table: BracketTable,
+        entries: Mapping[tuple[GeneratorId, GeneratorId], Mapping[GeneratorId, object]],
+        scale: int = 1,
+        parity: Mapping[str, int] = (),
+        convention: str = "plain",
         window: Optional[int] = None,
         interior_margin: int = 2,
         boundary_pairs: Iterable[tuple[GeneratorId, GeneratorId]] = (),
@@ -277,9 +212,12 @@ class AlgebraInstance:
         findings: Iterable[Finding] = (),
         metadata: Optional[dict] = None,
     ):
+        if convention not in ("plain", "super"):
+            raise ValueError(f"unknown convention {convention!r}")
         self.name = name
         self.generators = list(generators)
-        self.table = table
+        self.parity = dict(parity)
+        self.convention = convention
         self.window = window
         self.interior_margin = interior_margin
         self.boundary_pairs = set(boundary_pairs)
@@ -289,31 +227,45 @@ class AlgebraInstance:
         self._pos = {g: i for i, g in enumerate(self.generators)}
         if len(self._pos) != len(self.generators):
             raise ValueError("duplicate generators")
-        for (g, h), v in table.raw.items():
-            for t in (g, h, *v.terms):
-                if t not in self._pos:
-                    raise ValueError(f"table references unknown generator {t}")
         if window is not None:
             for g in self.generators:
                 if abs(g.doubled_index) > 2 * window:
                     raise ValueError(f"generator {g} outside window {window}")
-        self.view = self._compile()
+        self.view = self._compile(entries, scale)
         # (checkable, skipped) per (scope, repeats), recorded by full scans
         self._scan_counts: dict[tuple[str, bool], tuple[int, int]] = {}
 
-    def _compile(self) -> IndexedView:
+    def _compile(self, entries: Mapping, scale: int) -> IndexedView:
+        """The view of ``entries``, every coefficient brought to one integer
+        denominator: ``scale`` times the lcm of the coefficients' own."""
         pos, n = self._pos, self.dim
-        values = self.indexed_values(self.table)
-        scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
+        d = lcm(*(c.denominator for value in entries.values() for c in value.values()))
         terms = [[()] * n for _ in range(n)]
+        written = []
+        try:
+            for (g, h), value in entries.items():
+                i, j = pos[g], pos[h]
+                pair = tuple(
+                    (pos[t], c.numerator * (d // c.denominator))
+                    for t, c in value.items()
+                    if c
+                )
+                if pair:
+                    terms[i][j] = pair
+                    written.append((i, j))
+        except KeyError as e:
+            raise ValueError(f"entries reference unknown generator {e.args[0]}") from None
+        odd = tuple(bool(self.parity.get(g.family, EVEN)) for g in self.generators)
+        given = set(written)
+        for i, j in written:
+            if (j, i) not in given:
+                s = swap_sign(self.convention, odd[i], odd[j])
+                terms[j][i] = tuple((k, s * c) for k, c in terms[i][j])
         producers = [[] for _ in range(n)]
-        for key, v in values.items():
-            i, j = divmod(key, n)
-            terms[i][j] = tuple(
-                (pos[t], c.numerator * (scale // c.denominator)) for t, c in v.terms.items()
-            )
-            for k, _ in terms[i][j]:
-                producers[k].append(key)
+        for i, row in enumerate(terms):
+            for j, pair in enumerate(row):
+                for k, _ in pair:
+                    producers[k].append(i * n + j)
         flagged = [set() for _ in range(n)]
         for g, h in self.boundary_pairs:
             i, j = self.position(g), self.position(h)
@@ -321,27 +273,13 @@ class AlgebraInstance:
             flagged[j].add(i)
         return IndexedView(
             tuple(map(tuple, terms)),
-            scale,
+            scale * d,
+            tuple(written),
             tuple(map(tuple, producers)),
             tuple(map(frozenset, flagged)),
-            tuple(bool(self.table.family_parity(g.family)) for g in self.generators),
+            odd,
             tuple(i for i, g in enumerate(self.generators) if self.is_interior(g)),
         )
-
-    def indexed_values(self, table: PairTable) -> dict[int, object]:
-        """``table.value(g_i, g_j)`` keyed by i * dim + j on every pair of
-        this instance's generators stored in either direction; pairs naming
-        other generators are left out."""
-        pos, n = self._pos, self.dim
-        out = {}
-        for (g, h), v in table.raw.items():
-            i, j = pos.get(g), pos.get(h)
-            if i is None or j is None:
-                continue
-            out[i * n + j] = v
-            if (h, g) not in table.raw:
-                out[j * n + i] = table.swap_sign(g, h) * v
-        return out
 
     @property
     def dim(self) -> int:
@@ -357,10 +295,6 @@ class AlgebraInstance:
         if self.window is None:
             return True
         return abs(g.doubled_index) <= 2 * (self.window - self.interior_margin)
-
-    def pair_flagged(self, g: GeneratorId, h: GeneratorId) -> bool:
-        i, j = self._pos.get(g), self._pos.get(h)
-        return i is not None and j is not None and j in self.view.flagged[i]
 
     def checkable_triples(
         self,
@@ -482,20 +416,20 @@ class TripleScan:
 
 
 def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
-    """Bilinear extension of the table; the flag reports whether any
-    generator-pair evaluation had dropped out-of-window terms."""
-    acc = Element.zero()
-    flagged = False
+    """Bilinear extension of the structure constants; the flag reports
+    whether any generator-pair evaluation had dropped out-of-window terms."""
+    terms, flagged = A.view.terms, A.view.flagged
+    acc: dict[int, Fraction] = {}
+    clipped = False
     for g, cg in x.terms.items():
-        A.position(g)
+        i = A.position(g)
         for h, ch in y.terms.items():
-            A.position(h)
-            if A.pair_flagged(g, h):
-                flagged = True
-            v = A.table.value(g, h)
-            if v:
-                acc = acc + v.scale(cg * ch)
-    return acc, flagged
+            j = A.position(h)
+            clipped = clipped or j in flagged[i]
+            for k, c in terms[i][j]:
+                acc[k] = acc.get(k, 0) + cg * ch * c
+    scale = A.view.scale
+    return Element({A.generators[k]: v / scale for k, v in acc.items()}), clipped
 
 
 @dataclass(frozen=True)
@@ -506,17 +440,26 @@ class AlternatingViolation:
 
 
 def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
-    """Check the convention's symmetry axiom on every assigned pair.
+    """Check the convention's symmetry axiom on every pair given as written.
 
-    For a pair stored in both directions the two entries must satisfy
+    For a pair given in both directions the two entries must satisfy
     [h,g] = s*[g,h]; a diagonal entry (g,g) must satisfy (1-s)*[g,g] = 0,
     which constrains it to zero except for odd generators under super.
     """
-    out = [
-        AlternatingViolation(a, b, residual)
-        for a, b, residual in A.table.symmetry_residuals(A.position)
-    ]
-    out.sort(key=lambda v: (A.position(v.left), A.position(v.right)))
+    terms, odd, scale = A.view.terms, A.view.odd, A.view.scale
+    gens, written = A.generators, set(A.view.written)
+    out = []
+    for a, b in sorted({(min(p), max(p)) for p in written}):
+        s = swap_sign(A.convention, odd[a], odd[b])
+        if a == b:
+            diff = [(k, (1 - s) * c) for k, c in terms[a][a]]
+        elif (a, b) in written and (b, a) in written:
+            diff = [*terms[b][a], *((k, -s * c) for k, c in terms[a][b])]
+        else:
+            continue
+        residual = Element((gens[k], Fraction(c, scale)) for k, c in diff)
+        if residual:
+            out.append(AlternatingViolation(gens[a], gens[b], residual))
     return out
 
 
@@ -544,7 +487,7 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
     a real constraint there).  Triples touching a boundary-flagged pair,
     outer or inner, are skipped and counted, never scored as violations.
     """
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     denominator = A.view.scale**2
     triples = A.checkable_triples(scope, repeats=sup)
@@ -579,7 +522,7 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
             violations.append(JacobiViolation(A.generators_at(t), Element(residual)))
     return JacobiAudit(
         scope,
-        A.table.convention,
+        A.convention,
         examined,
         triples.skipped + inner_skipped,
         violations,
@@ -611,21 +554,17 @@ def center(A: AlgebraInstance) -> list[Element]:
     ]
 
 
-def _span_basis(A: AlgebraInstance, vectors: list[Element]) -> list[Element]:
-    """Canonical basis of the span of the given elements."""
-    if not vectors:
+def derived_subalgebra(A: AlgebraInstance) -> list[Element]:
+    """Canonical basis of span{[g,h]} over the pairs given as written
+    (in-window)."""
+    terms = A.view.terms
+    rows = [dict(terms[i][j]) for i, j in A.view.written]
+    if not rows:
         return []
-    rows = [{A.position(g): c for g, c in v.terms.items()} for v in vectors]
     ech = rref(SparseMatrix.from_rows(A.dim, rows))
     return [
         Element({A.generators[c]: v for c, v in row.items()}) for row in ech.rows
     ]
-
-
-def derived_subalgebra(A: AlgebraInstance) -> list[Element]:
-    """Canonical basis of span{[g,h]} over all assigned pairs (in-window)."""
-    values = [v for v in A.table.raw.values() if v]
-    return _span_basis(A, values)
 
 
 def is_two_step_solvable(A: AlgebraInstance) -> bool:

@@ -4,16 +4,17 @@ All spaces are computed as exact nullspaces or column spans over the
 rationals.  On window-truncated instances every constraint whose data was
 clipped by the window (a boundary-flagged pair) is skipped and counted, so
 truncation can shrink the constraint set but never fabricates or deletes
-solutions silently.  Cochains read through the same symmetric lookup as
-bracket tables (``algebra.PairTable``), so super-convention cochains are
-graded-skew with the bracket's swap sign; parity-mixing pairs are allowed
-and their verdicts reported without interpreting the grading.  Triple
-identities and constraint rows run on the instance's position-indexed view
-(``AlgebraInstance.view``), whose integer terms share the denominator
-``view.scale``: rows are assembled over it (scaling a row changes no row
-echelon form) and values are divided once, where they are reported.  Triples
-come from ``AlgebraInstance.checkable_triples``, narrowed to the pairs a
-cochain or its unknowns can read nonzero.
+solutions silently.  Cochains extend a one-sided entry by the bracket's own
+``algebra.swap_sign``, so super-convention cochains are graded-skew with the
+bracket's swap sign; parity-mixing pairs are allowed and their verdicts
+reported without interpreting the grading.  Triple identities and
+constraint rows run on the instance's one bracket store, its
+position-indexed view (``AlgebraInstance.view``), whose integer terms share
+the denominator ``view.scale``: rows are assembled over it (scaling a row
+changes no row echelon form) and values are divided once, where they are
+reported.  Triples come from ``AlgebraInstance.checkable_triples``, narrowed
+to the pairs a cochain or its unknowns can read nonzero.  A central
+extension is built from the pairs the instance was given as written.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from lieforge.algebra import (
-    AlgebraInstance,
-    BracketTable,
-    Element,
-    GeneratorId,
-    PairTable,
-)
+from lieforge.algebra import AlgebraInstance, Element, GeneratorId, swap_sign
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
 
@@ -81,18 +76,16 @@ class LinearEndo:
         return isinstance(other, LinearEndo) and self._cols == other._cols
 
 
-class Cochain2(PairTable):
+class Cochain2:
     """Scalar-valued bilinear 2-cochain stored on ordered pairs as written.
 
-    A ``PairTable`` of Fractions: lookup is the bracket table's own
-    symmetric extension (skew for plain, graded-skew for super), and
-    ``symmetry_violations`` reports stored pairs that contradict it, so
-    as-written data remains auditable.
+    Lookup extends a one-sided entry by the bracket's own ``swap_sign``
+    (skew for plain, graded-skew for super); ``parity`` maps family symbol to
+    0 or 1, unlisted families even.  ``symmetry_violations`` reports stored
+    pairs that contradict the symmetry, so as-written data remains auditable.
     """
 
-    __slots__ = ()
-
-    zero = staticmethod(Fraction)
+    __slots__ = ("parity", "convention", "raw")
 
     def __init__(
         self,
@@ -100,19 +93,45 @@ class Cochain2(PairTable):
         convention: str = "plain",
         raw: Union[Mapping, Iterable] = (),
     ):
-        super().__init__(parity, convention)
+        if convention not in ("plain", "super"):
+            raise ValueError(f"unknown convention {convention!r}")
+        self.parity = dict(parity)
+        self.convention = convention
+        self.raw: dict[tuple[GeneratorId, GeneratorId], Fraction] = {}
         items = raw.items() if isinstance(raw, Mapping) else raw
         for (g, h), v in items:
             f = rat(v)
             if f:
                 self.raw[(g, h)] = f
 
+    def swap_sign(self, g: GeneratorId, h: GeneratorId) -> int:
+        """Sign s with value(h, g) = s * value(g, h)."""
+        par = self.parity
+        return swap_sign(self.convention, par.get(g.family, 0), par.get(h.family, 0))
+
+    def value(self, g: GeneratorId, h: GeneratorId) -> Fraction:
+        """omega(g,h) as stored, extending a one-sided entry by symmetry."""
+        v = self.raw.get((g, h))
+        if v is not None:
+            return v
+        w = self.raw.get((h, g))
+        return Fraction(0) if w is None else self.swap_sign(h, g) * w
+
     def symmetry_violations(self) -> list[tuple[GeneratorId, GeneratorId, Fraction]]:
         """Stored pairs violating the symmetry: (g, h, residual) with g <= h,
         residual = stored(h,g) - s*stored(g,h), or (1-s)*stored(g,g)."""
-        return sorted(
-            self.symmetry_residuals(lambda g: g), key=lambda t: (t[0], t[1])
-        )
+        raw, out = self.raw, []
+        for g, h in sorted({(min(p), max(p)) for p in raw}):
+            s = self.swap_sign(g, h)
+            if g == h:
+                residual = (1 - s) * raw[(g, g)]
+            elif (g, h) in raw and (h, g) in raw:
+                residual = raw[(h, g)] - s * raw[(g, h)]
+            else:
+                continue
+            if residual:
+                out.append((g, h, residual))
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -140,7 +159,7 @@ def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:
 def _pair_iter(A: AlgebraInstance):
     """Unordered position pairs; diagonals included under super (an odd
     generator may bracket with itself)."""
-    if A.table.convention == "super":
+    if A.convention == "super":
         return itertools.combinations_with_replacement(range(A.dim), 2)
     return itertools.combinations(range(A.dim), 2)
 
@@ -165,7 +184,7 @@ def derivation_space(
     index = [g.doubled_index for g in A.generators]
     n = A.dim
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
 
     # unknowns[(i, j)]: the entry D[i][j]; column[j] maps i to its unknown
     unknowns: dict[tuple[int, int], int] = {}
@@ -260,7 +279,7 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
     """Canonical unknown slots keyed i * dim + j for position pairs i <= j,
     diagonal only for odd generators under super, optionally restricted to
     index-sum 0."""
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     odd, n = A.view.odd, A.dim
     index = [g.doubled_index for g in A.generators]
     out: dict[int, int] = {}
@@ -283,14 +302,14 @@ def _cochain_from_vector(
     for u in sorted(vec):
         i, j = divmod(slots[u], A.dim)
         raw[(gens[i], gens[j])] = vec[u]
-    return Cochain2(A.table.parity, A.table.convention, raw)
+    return Cochain2(A.parity, A.convention, raw)
 
 
 def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int, int]]:
     """Linear constraint rows of the cyclic cocycle identity over the unknown
     pair slots, in triple order: the nonzero row of each checkable triple
     that reads a slot, with integer coefficients over ``A.view.scale``."""
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
     support = set()
     for key in unknowns:
@@ -383,17 +402,24 @@ def cocycle_audit(
     A: AlgebraInstance, omega: Cochain2, scope: str = "interior"
 ) -> CocycleAudit:
     """Evaluate the cyclic cocycle identity for a concrete cochain."""
-    return _cocycle_audit(A, omega, scope, A.table.convention == "super")
+    return _cocycle_audit(A, omega, scope, A.convention == "super")
 
 
 def _cocycle_audit(
     A: AlgebraInstance, omega: Cochain2, scope: str, repeats: bool
 ) -> CocycleAudit:
     """cocycle_audit with the triple repeats chosen by the caller."""
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    values = A.indexed_values(omega)
-    # omega as integers over its own common denominator e
+    pos = {g: i for i, g in enumerate(A.generators)}
+    # omega on the pairs of A stored in either direction, as integers over
+    # its own common denominator e
+    values = {
+        pos[a] * n + pos[b]: omega.value(a, b)
+        for g, h in omega.raw
+        if g in pos and h in pos
+        for a, b in ((g, h), (h, g))
+    }
     e = lcm(*(w.denominator for w in values.values()))
     om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
     denominator = A.view.scale * e
@@ -441,21 +467,25 @@ def central_extension(
         fam = f"{center_family}{k}"
     z = GeneratorId(fam, 0)
 
-    parity = dict(A.table.parity)
-    parity[fam] = 0
-    table = BracketTable(parity, A.table.convention)
-    for (g, h), v in A.table.raw.items():
-        w = omega.value(g, h)
-        table.assign(g, h, (v + Element.of(z, w)) if w else v)
+    gens, terms, scale = A.generators, A.view.terms, A.view.scale
+    entries: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, Fraction]] = {}
+    for i, j in A.view.written:
+        g, h = gens[i], gens[j]
+        entries[(g, h)] = {gens[k]: c for k, c in terms[i][j]}
+        entries[(g, h)][z] = omega.value(g, h) * scale
+    given = set(entries)
     for (g, h), w in omega.raw.items():
-        # a pair the table stores either way round got omega.value above
-        if w and (g, h) not in A.table.raw and (h, g) not in A.table.raw:
-            table.assign(g, h, Element.of(z, w))
+        # a pair A gives either way round got omega.value above
+        if (g, h) not in given and (h, g) not in given:
+            entries[(g, h)] = {z: w * scale}
 
     return AlgebraInstance(
         A.name + "+z",
-        list(A.generators) + [z],
-        table,
+        list(gens) + [z],
+        entries,
+        scale,
+        {**A.parity, fam: 0},
+        A.convention,
         window=A.window,
         interior_margin=A.interior_margin,
         boundary_pairs=A.boundary_pairs,

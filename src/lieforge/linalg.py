@@ -61,9 +61,10 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
 class SparseMatrix:
     """Immutable sparse rational matrix, one dict per row from column to
     nonzero value: ints stay ints, other values are Fractions.  No zero is
-    ever stored, so elimination never pivots on one."""
+    ever stored, so elimination never pivots on one.  ``_fractional`` holds
+    the rows given a non-int value, found by the one type check per value."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_fractional")
 
     def __init__(
         self,
@@ -77,14 +78,17 @@ class SparseMatrix:
         self.cols = cols
         items = entries.items() if isinstance(entries, Mapping) else entries
         data: list[dict[int, Union[int, Fraction]]] = [{} for _ in range(rows)]
+        fractional = set()
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if type(v) is not int:
                 v = rat(v)
+                fractional.add(r)
             if v:
                 data[r][c] = v
         self._data = data
+        self._fractional = fractional
 
     @classmethod
     def from_rows(cls, cols: int, rows: list[dict]) -> "SparseMatrix":
@@ -92,14 +96,20 @@ class SparseMatrix:
         nonzero int or Fraction.  The dicts are kept, not copied: the caller
         must not change them afterwards.  ValueError for a column outside
         ``0..cols-1`` or a value that is zero or not an int or Fraction."""
-        for row in rows:
+        fractional = set()
+        for r, row in enumerate(rows):
             for c, v in row.items():
                 if not 0 <= c < cols:
                     raise ValueError(f"column {c} outside 0..{cols - 1}")
-                if not v or (type(v) is not int and not isinstance(v, Fraction)):
-                    raise ValueError(f"not a nonzero int or Fraction: {v!r}")
+                if type(v) is int:
+                    if v:
+                        continue
+                elif isinstance(v, Fraction) and v:
+                    fractional.add(r)
+                    continue
+                raise ValueError(f"not a nonzero int or Fraction: {v!r}")
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data = len(rows), cols, rows
+        m.rows, m.cols, m._data, m._fractional = len(rows), cols, rows, fractional
         return m
 
     @classmethod
@@ -164,15 +174,14 @@ def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
     return [sum((a * rat(v[c]) for c, a in row.items()), Fraction(0)) for row in m._data]
 
 
-def _integer_rows(rows: list[dict]) -> list[dict[int, int]]:
-    """The rows as integers: a row holding a Fraction scaled by its lcm."""
-    out = []
-    for row in rows:
-        if any(type(v) is not int for v in row.values()):
-            scale = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        out.append(row)
-    return out
+def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
+    """The rows of ``m`` as integers: each row holding a Fraction scaled by
+    its lcm."""
+    rows = list(m._data)
+    for r in m._fractional:
+        scale = lcm(*(v.denominator for v in rows[r].values()))
+        rows[r] = {c: v.numerator * (scale // v.denominator) for c, v in rows[r].items()}
+    return rows
 
 
 def _reduce(rows: list[dict[int, int]]) -> Echelon:
@@ -245,7 +254,7 @@ def rref(m: SparseMatrix) -> Echelon:
     against a basis that is kept in reduced form, so no back-substitution
     pass follows.  The form depends only on the row space, so the result is
     the one any elimination order gives.  ``m`` is only read."""
-    return _reduce(_integer_rows(m._data))
+    return _reduce(_integer_rows(m))
 
 
 def rank(m: SparseMatrix) -> int:

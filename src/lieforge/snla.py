@@ -17,7 +17,6 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
-    BracketTable,
     Element,
     GeneratorId,
     center,
@@ -147,22 +146,21 @@ def standard_form(n: int) -> SymplecticForm:
 
 @dataclass
 class SnlaInstance:
+    """An SNLA candidate.  Its bracket is ``explicit_bracket``, entries as
+    written ``{(g, h): {t: c}}``, when one is given, else the commutator of
+    the product."""
+
     dim: int
     product: ProductTable
     form: SymplecticForm
-    bracket_source: str = "commutator"
-    explicit_bracket: Optional[BracketTable] = None
+    explicit_bracket: Optional[dict] = None
 
     def __post_init__(self):
         if self.product.dim != self.dim or self.form.dim != self.dim:
             raise ValueError("product/form dimensions do not match")
-        if self.bracket_source not in ("commutator", "explicit"):
-            raise ValueError(f"unknown bracket_source {self.bracket_source!r}")
-        if self.bracket_source == "explicit" and self.explicit_bracket is None:
-            raise ValueError("explicit bracket_source needs a table")
 
-    def bracket_table(self) -> BracketTable:
-        if self.bracket_source == "explicit":
+    def bracket_table(self) -> dict:
+        if self.explicit_bracket is not None:
             return self.explicit_bracket
         return commutator_bracket(self.product)
 
@@ -172,15 +170,16 @@ class SnlaInstance:
         )
 
 
-def commutator_bracket(p: ProductTable) -> BracketTable:
-    """[e_i, e_j] = e_i*e_j - e_j*e_i; alternating by construction."""
-    table = BracketTable(convention="plain")
+def commutator_bracket(p: ProductTable) -> dict:
+    """[e_i, e_j] = e_i*e_j - e_j*e_i for i < j, as entries ``{(g, h): {t: c}}``;
+    alternating by construction."""
+    out = {}
     for i in range(1, p.dim + 1):
         for j in range(i + 1, p.dim + 1):
             v = p.value(i, j) - p.value(j, i)
             if v:
-                table.assign(gid(p.family, i), gid(p.family, j), v)
-    return table
+                out[(gid(p.family, i), gid(p.family, j))] = v.terms
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,11 +255,12 @@ def check_compat(p: ProductTable, f: SymplecticForm) -> list[CompatViolation]:
 
 
 def check_symplectic_cocycle(
-    f: SymplecticForm, b: BracketTable, family: str = "e"
+    f: SymplecticForm, b: dict, family: str = "e"
 ) -> list[FormCocycleViolation]:
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
-    omega([y,z],x) + omega([z,x],y).  Repeats are included so non-alternating
-    explicit tables stay auditable."""
+    omega([y,z],x) + omega([z,x],y) for the bracket entries ``b``, as written
+    ``{(g, h): {t: c}}``.  Repeats are included so non-alternating explicit
+    tables stay auditable."""
     gens = [gid(family, i) for i in range(1, f.dim + 1)]
     omega = Cochain2(
         raw={(g, h): v for g, row in zip(gens, f.matrix) for h, v in zip(gens, row)}
@@ -486,11 +486,8 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
             raise ValueError("odd dimension admits no symplectic form")
         form = standard_form(dim // 2)
 
-    if doc.entries:
-        table = BracketTable(convention="plain")
-        for e in doc.entries:
-            g = gid(fam, e.left[1])
-            h = gid(fam, e.right[1])
-            table.assign(g, h, Element({gid(f, ix): c for c, f, ix in e.value}))
-        return SnlaInstance(dim, product, form, "explicit", table)
-    return SnlaInstance(dim, product, form)
+    explicit = {
+        (gid(fam, e.left[1]), gid(fam, e.right[1])): {gid(f, ix): c for c, f, ix in e.value}
+        for e in doc.entries
+    }
+    return SnlaInstance(dim, product, form, explicit or None)

@@ -31,15 +31,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Optional
 
-from lieforge.algebra import (
-    AlgebraInstance,
-    BracketTable,
-    Element,
-    Finding,
-    GeneratorId,
-)
+from lieforge.algebra import AlgebraInstance, Finding, GeneratorId
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import MAX_DIGITS
 
@@ -798,16 +793,20 @@ def _pattern_pairs(
     """
 
     def values(pat: GenPat) -> list[tuple[GeneratorId, int]]:
+        shift = int(2 * pat.offset)
         return [
-            (g, int(v))
+            (g, (g.doubled_index - shift) // 2)
             for g in by_family.get(pat.family, ())
-            if (v := g.index - pat.offset).denominator == 1
+            if (g.doubled_index - shift) % 2 == 0
         ]
 
     rights = values(right)
     mono = condition.poly.mono if condition is not None else {}
     a, b = mono.get((1, 0), 0), mono.get((0, 1), 0)
     rest = (condition.rhs if condition is not None else 0) - mono.get((0, 0), 0)
+    # the condition over one denominator, so n is solved in integers
+    den = lcm(a.denominator, b.denominator, rest.denominator)
+    a, b, rest = int(a * den), int(b * den), int(rest * den)
     at_n = {n: h for h, n in rights}
     for g, m in values(left):
         if not b:
@@ -815,10 +814,10 @@ def _pattern_pairs(
                 for h, n in rights:
                     yield g, h, m, n
             continue
-        n = (rest - a * m) / b
-        h = at_n.get(n)  # a non-integer n equals no key
+        n, r = divmod(rest - a * m, b)
+        h = None if r else at_n.get(n)
         if h is not None:
-            yield g, h, m, int(n)
+            yield g, h, m, n
 
 
 def instantiate(
@@ -832,6 +831,10 @@ def instantiate(
     declared kind of the result family (integer family receiving m+n+1/2):
     "strict" drops each occurrence with a finding, "extended" widens the
     family to carry both integer and half-integer indices.
+
+    Every rule coefficient and entry value is an integer over one
+    document-wide denominator, so each rule term is evaluated as integer
+    monomials in m and n, with doubled result indices.
     """
     if kind_mode not in ("strict", "extended"):
         raise ValueError(f"unknown kind_mode {kind_mode!r}")
@@ -861,68 +864,85 @@ def instantiate(
     generators: list[GeneratorId] = []
     for f in doc.families:
         generators.extend(by_family[f.symbol])
+    at = {(g.family, g.doubled_index): g for g in generators}
 
-    table = BracketTable(doc.parity_map(), doc.convention)
+    scale = lcm(
+        *(c.denominator for r in doc.rules for t in r.terms for c in t.poly.mono.values()),
+        *(c.denominator for e in doc.entries for c, _, _ in e.value),
+    )
+
+    def over(c: Fraction) -> int:
+        """The coefficient c as an integer over ``scale``."""
+        return c.numerator * (scale // c.denominator)
+
+    entries: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, int]] = {}
     findings: list[Finding] = []
     boundary: set[tuple[GeneratorId, GeneratorId]] = set()
     dropped = 0
 
     for r in doc.rules:
+        rule_terms = [
+            ([(over(c), *ij) for ij, c in t.poly.mono.items()], t.family, int(2 * t.offset))
+            for t in r.terms
+        ]
         for g, h, m, n in _pattern_pairs(r.left, r.right, r.condition, by_family):
-            acc: dict[GeneratorId, Fraction] = {}
+            acc: dict[GeneratorId, int] = {}
             flagged = False
-            for t in r.terms:
-                coeff = t.poly.eval(m, n)
+            for mono, family, shift in rule_terms:
+                coeff = sum(c * m**i * n**j for c, i, j in mono)
                 if not coeff:
                     continue
-                idx = m + n + t.offset
-                d = int(idx * 2)
-                kind = fam_kind[t.family]
+                d = 2 * (m + n) + shift
+                kind = fam_kind[family]
                 if not _kind_admits(kind, d):
                     findings.append(
                         Finding(
                             "E_KIND",
                             f"rule@{r.line} [{g},{h}]",
-                            f"result index {idx} invalid for {kind}"
-                            f" family {t.family!r}",
+                            f"result index {GeneratorId(family, d).index_str()}"
+                            f" invalid for {kind} family {family!r}",
                         )
                     )
                     continue
-                if abs(idx) > window:
+                if abs(d) > 2 * window:
                     flagged = True
                     dropped += 1
                     continue
-                tgt = GeneratorId(t.family, d)
-                acc[tgt] = acc.get(tgt, Fraction(0)) + coeff
+                tgt = at[family, d]
+                acc[tgt] = acc.get(tgt, 0) + coeff
             if flagged:
                 boundary.add((g, h))
-            elem = Element(acc)
-            if elem:
-                table.assign(g, h, elem)
+            if any(acc.values()):
+                entries[(g, h)] = acc
 
+    in_scope = {
+        g for g in generators if window is None or abs(g.doubled_index) <= 2 * window
+    }
     for e in doc.entries:
         g = GeneratorId(e.left[0], int(e.left[1] * 2))
         h = GeneratorId(e.right[0], int(e.right[1] * 2))
-        terms = {}
+        value: dict[GeneratorId, int] = {}
         for c, fam, ix in e.value:
             tgt = GeneratorId(fam, int(ix * 2))
-            terms[tgt] = terms.get(tgt, Fraction(0)) + c
-        for t in (g, h, *terms):
-            if t not in by_family.get(t.family, []) or (
-                window is not None and abs(t.index) > window
-            ):
+            value[tgt] = value.get(tgt, 0) + over(c)
+        for t in (g, h, *value):
+            if t not in in_scope:
                 raise ValueError(
                     f"entry at line {e.line} references out-of-scope"
                     f" generator {t}"
                 )
-        elem = Element(terms)
-        if elem:
-            table.assign(g, h, elem)
+        if any(value.values()):
+            if (g, h) in entries:
+                raise ValueError(f"duplicate bracket entry for ({g}, {h})")
+            entries[(g, h)] = value
 
     return AlgebraInstance(
         doc.name,
         generators,
-        table,
+        entries,
+        scale,
+        doc.parity_map(),
+        doc.convention,
         window=window,
         boundary_pairs=boundary,
         dropped_terms=dropped,
@@ -943,4 +963,4 @@ def instantiate_cocycle(decl: CocycleDecl, A: AlgebraInstance) -> Cochain2:
         by_family.setdefault(g.family, []).append(g)
     pairs = _pattern_pairs(decl.left, decl.right, decl.condition, by_family)
     raw = {(g, h): decl.poly.eval(m, n) for g, h, m, n in pairs}
-    return Cochain2(A.table.parity, A.table.convention, raw)
+    return Cochain2(A.parity, A.convention, raw)

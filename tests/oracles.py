@@ -12,21 +12,50 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from lieforge.algebra import AlgebraInstance, Element, GeneratorId, bracket
+from lieforge.algebra import AlgebraInstance, Element, Finding, GeneratorId, bracket, gid
 from lieforge.automorphisms import AutomorphismViolation
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
 
 
-def _pair_value(A: AlgebraInstance, g: GeneratorId, h: GeneratorId):
-    v = A.table.raw.get((g, h))
-    if v is not None:
-        return dict(v.terms)
-    w = A.table.raw.get((h, g))
-    if w is None:
-        return {}
-    sign = A.table.swap_sign(h, g)
-    return {t: sign * c for t, c in w.terms.items()}
+def written_entries(A: AlgebraInstance) -> dict:
+    """The pairs A was given as written, in the order given, each with its
+    value read back as ``{generator: Fraction}``.  Only these pairs of
+    ``A.view.terms`` are read."""
+    gens, view = A.generators, A.view
+    return {
+        (gens[i], gens[j]): {gens[k]: Fraction(c, view.scale) for k, c in view.terms[i][j]}
+        for i, j in view.written
+    }
+
+
+def pair_values(A: AlgebraInstance):
+    """``value(g, h)``, [g,h] as ``{generator: Fraction}``: the written entry,
+    or the written (h,g) entry times -1, or times +1 for two odd generators
+    under super."""
+    written = written_entries(A)
+
+    def value(g: GeneratorId, h: GeneratorId) -> dict:
+        v = written.get((g, h))
+        if v is not None:
+            return dict(v)
+        w = written.get((h, g))
+        if w is None:
+            return {}
+        both_odd = A.parity.get(g.family) and A.parity.get(h.family)
+        sign = 1 if A.convention == "super" and both_odd else -1
+        return {t: sign * c for t, c in w.items()}
+
+    return value
+
+
+def pair_value(A: AlgebraInstance, g: GeneratorId, h: GeneratorId) -> Element:
+    """[g,h] as an Element, by ``pair_values``."""
+    return Element(pair_values(A)(g, h))
+
+
+def _flagged(A: AlgebraInstance) -> set:
+    return set(A.boundary_pairs) | {(h, g) for g, h in A.boundary_pairs}
 
 
 def full_scan_cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
@@ -35,13 +64,11 @@ def full_scan_cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
     before it narrowed its triples to a support: every checkable triple of
     the full scan, with Fraction coefficients read from the table.  A triple
     gives a row when its row is nonzero."""
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     gens, n = A.generators, A.dim
-    odd = [bool(A.table.family_parity(g.family)) for g in gens]
-    terms = [
-        [[(A.position(t), c) for t, c in A.table.value(g, h).terms.items()] for h in gens]
-        for g in gens
-    ]
+    odd = [bool(A.parity.get(g.family)) for g in gens]
+    value = pair_values(A)
+    terms = [[[(A.position(t), c) for t, c in value(g, h).items()] for h in gens] for g in gens]
     rows = []
     for x, y, z in A.checkable_triples("all", repeats=sup):
         row: dict[int, Fraction] = {}
@@ -86,6 +113,78 @@ def naive_pattern_pairs(left, right, condition, by_family):
                 yield g, h, m, n
 
 
+def naive_instantiate(doc, window=None, kind_mode="strict"):
+    """What ``specfile.instantiate`` builds, by the Fraction path: every rule
+    evaluated with ``Poly2.eval`` at each pair ``naive_pattern_pairs``
+    finds, Fraction result indices, and Element sums.  Returns (generators,
+    the pairs given as written with their ``{generator: Fraction}`` values in
+    order, boundary pairs, dropped terms, findings), or raises the
+    ValueError instantiation raises for a document with faulty entries."""
+
+    def admits(kind, index):
+        return kind == "both" or (kind == "half") == (index.denominator == 2)
+
+    kind = {f.symbol: f.kind for f in doc.families}
+    if kind_mode == "extended":
+        ill = {t.family for r in doc.rules for t in r.terms if not admits(kind[t.family], t.offset)}
+        kind.update(dict.fromkeys(ill, "both"))
+    by_family = {f.symbol: [] for f in doc.families}
+    if window is not None:
+        for fam, k in kind.items():
+            step = 1 if k == "both" else 2
+            start = -2 * window + (k == "half")
+            by_family[fam] = [GeneratorId(fam, d) for d in range(start, 2 * window + 1, step)]
+    for decl in doc.generators:
+        g = GeneratorId(decl.family, int(decl.index * 2))
+        if g not in by_family[decl.family]:
+            by_family[decl.family] = sorted(by_family[decl.family] + [g])
+    gens = [g for f in doc.families for g in by_family[f.symbol]]
+
+    written, findings, boundary, dropped = {}, [], set(), 0
+    for r in doc.rules:
+        for g, h, m, n in naive_pattern_pairs(r.left, r.right, r.condition, by_family):
+            value = Element.zero()
+            for t in r.terms:
+                coeff = t.poly.eval(Fraction(m), Fraction(n))
+                if not coeff:
+                    continue
+                index = m + n + t.offset
+                if not admits(kind[t.family], index):
+                    findings.append(
+                        Finding(
+                            "E_KIND",
+                            f"rule@{r.line} [{g},{h}]",
+                            f"result index {index} invalid for {kind[t.family]}"
+                            f" family {t.family!r}",
+                        )
+                    )
+                elif abs(index) > window:
+                    boundary.add((g, h))
+                    dropped += 1
+                else:
+                    value = value + Element.of(gid(t.family, index), coeff)
+            if value:
+                written[(g, h)] = value.terms
+    for e in doc.entries:
+        g, h = gid(*e.left), gid(*e.right)
+        value = Element.zero()
+        for c, fam, ix in e.value:
+            value = value + Element.of(gid(fam, ix), c)
+        for t in (g, h, *(gid(fam, ix) for _, fam, ix in e.value)):
+            if t not in gens or (window is not None and abs(t.index) > window):
+                raise ValueError(
+                    f"entry at line {e.line} references out-of-scope generator {t}"
+                )
+        if value:
+            if (g, h) in written:
+                raise ValueError(f"duplicate bracket entry for ({g}, {h})")
+            written[(g, h)] = value.terms
+    for g in gens:
+        if window is not None and abs(g.index) > window:
+            raise ValueError(f"generator {g} outside window {window}")
+    return gens, list(written.items()), boundary, dropped, findings
+
+
 def naive_instantiate_cocycle(decl, A: AlgebraInstance) -> Cochain2:
     """``specfile.instantiate_cocycle`` by testing the declaration's
     condition on all dim^2 ordered generator pairs of the instance."""
@@ -103,7 +202,7 @@ def naive_instantiate_cocycle(decl, A: AlgebraInstance) -> Cochain2:
             c = decl.poly.eval(Fraction(m), Fraction(n))
             if c:
                 raw[(g, h)] = c
-    return Cochain2(A.table.parity, A.table.convention, raw)
+    return Cochain2(A.parity, A.convention, raw)
 
 
 def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:
@@ -112,8 +211,9 @@ def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:
     intended for windowless instances only."""
     gens = A.generators
     n = len(gens)
-    sup = A.table.convention == "super"
-    par = A.table.family_parity
+    sup = A.convention == "super"
+    par = A.parity.get
+    value = pair_values(A)
     failures = []
     for i in range(n):
         for j in range(i if sup else i + 1, n):
@@ -124,9 +224,9 @@ def naive_jacobi_failures(A: AlgebraInstance) -> list[tuple]:
                     sign = 1
                     if sup and par(a.family) and par(c.family):
                         sign = -1
-                    inner = _pair_value(A, b, c)
+                    inner = value(b, c)
                     for t, ct in inner.items():
-                        outer = _pair_value(A, a, t)
+                        outer = value(a, t)
                         for u, cu in outer.items():
                             total[u] = total.get(u, Fraction(0)) + sign * ct * cu
                 if any(v != 0 for v in total.values()):
@@ -146,11 +246,12 @@ def naive_windowed_audit(A: AlgebraInstance, scope: str, omega=None, repeats=Non
     Returns (examined, skipped, [(triple, residual)]): a Jacobi residual is
     a {generator: coefficient} dict, a cocycle residual a Fraction.
     """
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     if repeats is None:
         repeats = sup
-    par = A.table.family_parity
-    flagged = set(A.boundary_pairs) | {(h, g) for g, h in A.boundary_pairs}
+    par = A.parity.get
+    value = pair_values(A)
+    flagged = _flagged(A)
     gens = [g for g in A.generators if scope == "all" or A.is_interior(g)]
     n = len(gens)
 
@@ -159,7 +260,10 @@ def naive_windowed_audit(A: AlgebraInstance, scope: str, omega=None, repeats=Non
         if v is not None:
             return v
         w = omega.raw.get((h, g))
-        return Fraction(0) if w is None else omega.swap_sign(h, g) * w
+        if w is None:
+            return Fraction(0)
+        both_odd = omega.parity.get(g.family) and omega.parity.get(h.family)
+        return w if omega.convention == "super" and both_odd else -w
 
     examined = skipped = 0
     violations = []
@@ -176,13 +280,13 @@ def naive_windowed_audit(A: AlgebraInstance, scope: str, omega=None, repeats=Non
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                     sign = -1 if sup and par(a.family) and par(c.family) else 1
                     if omega is None:
-                        for t, ct in _pair_value(A, b, c).items():
+                        for t, ct in value(b, c).items():
                             if (a, t) in flagged:
                                 clipped = True
-                            for u, cu in _pair_value(A, a, t).items():
+                            for u, cu in value(a, t).items():
                                 jacobi[u] = jacobi.get(u, Fraction(0)) + sign * ct * cu
                     else:
-                        for t, ct in _pair_value(A, a, b).items():
+                        for t, ct in value(a, b).items():
                             cocycle += sign * ct * omega_value(t, c)
                 if clipped:
                     skipped += 1
@@ -199,17 +303,18 @@ def naive_windowed_audit(A: AlgebraInstance, scope: str, omega=None, repeats=Non
 def naive_is_derivation(A: AlgebraInstance, images: dict) -> bool:
     """Check D[g,h] = [Dg,h] + [g,Dh] on every assigned pair by expansion.
     ``images`` maps generator to Element."""
-    for (g, h), v in A.table.raw.items():
+    value = pair_values(A)
+    for (g, h), v in written_entries(A).items():
         left: dict[GeneratorId, Fraction] = {}
-        for t, c in v.terms.items():
+        for t, c in v.items():
             for u, cu in images.get(t, Element.zero()).terms.items():
                 left[u] = left.get(u, Fraction(0)) + c * cu
         right: dict[GeneratorId, Fraction] = {}
         for t, c in images.get(g, Element.zero()).terms.items():
-            for u, cu in _pair_value(A, t, h).items():
+            for u, cu in value(t, h).items():
                 right[u] = right.get(u, Fraction(0)) + c * cu
         for t, c in images.get(h, Element.zero()).terms.items():
-            for u, cu in _pair_value(A, g, t).items():
+            for u, cu in value(g, t).items():
                 right[u] = right.get(u, Fraction(0)) + c * cu
         diff = set(left) | set(right)
         for u in diff:
@@ -238,27 +343,28 @@ def check_derivation(A: AlgebraInstance, D) -> list[tuple]:
     out = []
     gens = A.generators
     n = len(gens)
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
+    value, flagged = pair_values(A), _flagged(A)
     for i in range(n):
         for j in range(i if sup else i + 1, n):
             a, b = gens[i], gens[j]
-            if A.pair_flagged(a, b):
+            if (a, b) in flagged:
                 continue
-            lhs = _map_apply(A, D, A.table.value(a, b))
+            lhs = _map_apply(A, D, Element(value(a, b)))
             rhs = Element.zero()
             skip = False
             for t, c in map_image(A, D, a).terms.items():
-                if A.pair_flagged(t, b):
+                if (t, b) in flagged:
                     skip = True
                     break
-                rhs = rhs + A.table.value(t, b).scale(c)
+                rhs = rhs + Element(value(t, b)).scale(c)
             if skip:
                 continue
             for t, c in map_image(A, D, b).terms.items():
-                if A.pair_flagged(a, t):
+                if (a, t) in flagged:
                     skip = True
                     break
-                rhs = rhs + A.table.value(a, t).scale(c)
+                rhs = rhs + Element(value(a, t)).scale(c)
             if skip:
                 continue
             residual = lhs - rhs
@@ -283,12 +389,13 @@ def check_automorphism(A: AlgebraInstance, phi) -> list[AutomorphismViolation]:
         raise ValueError(f"singular map: rank {r} < {n}")
     out = []
     gens = A.generators
+    value, flagged = pair_values(A), _flagged(A)
     for i in range(n):
         for j in range(i, n):
             g, h = gens[i], gens[j]
-            if A.pair_flagged(g, h):
+            if (g, h) in flagged:
                 continue
-            lhs = _map_apply(A, phi, A.table.value(g, h))
+            lhs = _map_apply(A, phi, Element(value(g, h)))
             rhs, clipped = bracket(A, map_image(A, phi, g), map_image(A, phi, h))
             if clipped:
                 continue
@@ -302,8 +409,9 @@ def naive_cocycle_residual(A: AlgebraInstance, omega) -> bool:
     ``omega(g, h)`` returns a Fraction; super signs follow the table."""
     gens = A.generators
     n = len(gens)
-    sup = A.table.convention == "super"
-    par = A.table.family_parity
+    sup = A.convention == "super"
+    par = A.parity.get
+    value = pair_values(A)
     for i in range(n):
         for j in range(i if sup else i + 1, n):
             for k in range(j if sup else j + 1, n):
@@ -313,7 +421,7 @@ def naive_cocycle_residual(A: AlgebraInstance, omega) -> bool:
                     sign = 1
                     if sup and par(a.family) and par(c.family):
                         sign = -1
-                    for t, ct in _pair_value(A, a, b).items():
+                    for t, ct in value(a, b).items():
                         total += sign * ct * omega(t, c)
                 if total:
                     return False

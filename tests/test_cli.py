@@ -83,6 +83,23 @@ def test_check_parse_error_carries_line(tmp_path, capsys):
     assert "unknown directive" in f.detail
 
 
+def test_check_refuses_entry_repeating_a_rule_pair(tmp_path, capsys):
+    dup = tmp_path / "dup.lie"
+    dup.write_text(
+        "algebra w convention plain\n"
+        "family L integer even\n"
+        "rule L[m] L[n] => (n - m) L[m+n]\n"
+        "entry L[1] L[2] => 1 L[3]\n"
+    )
+    code, _, out = run_cli(["check", str(dup), "--window", "3"], capsys)
+    assert code == 2
+    assert out.splitlines()[2:] == [
+        "verdict: error",
+        "findings (1):",
+        "  [error] E_INPUT w: duplicate bracket entry for (L[1], L[2])",
+    ]
+
+
 def test_check_missing_file(capsys):
     code, rep, _ = run_cli(["check", "/no/such/file.lie"], capsys)
     assert code == 2
@@ -603,16 +620,20 @@ def test_snla_search_dim4_budget(capsys):
 
 
 def test_cli_import_starts_no_process_pool():
+    # every module the import adds costs start-up time and memory on every
+    # command: 36 on Python 3.11.7, for 138 in sys.modules
     probe = (
-        "import lieforge.cli, sys; "
+        "import sys; before = set(sys.modules); import lieforge.cli; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules))"
+        "if m in sys.modules)); print(len(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    pools, added = proc.stdout.split("\n", 1)
+    assert pools == "[]"
+    assert int(added) <= 36
 
 
 def test_trace_layers_name_callables():

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from lieforge import esvla
-from lieforge.algebra import Element, check_alternating, gid
-from lieforge.cohomology import derivation_space
-from oracles import check_derivation, esvla_w3_cyclic
+from lieforge import esvla, specfile
+from lieforge.algebra import Element, bracket, check_alternating, gid, jacobi_audit
+from lieforge.cohomology import cocycle_audit, derivation_space
+from oracles import check_derivation, esvla_w3_cyclic, pair_values
 
 
 def Y(half: int):
@@ -46,26 +46,29 @@ def test_build_dimensions():
 
 def test_bracket_entries():
     A = esvla.build_esvla(esvla.EsvlaConfig(window=4))
-    t = A.table
-    assert t.value(gid("M", 1), gid("N", 2)) == Element.zero()
-    assert t.value(gid("L", 1), gid("M", 1)) == Element.of(gid("M", 2))
-    assert t.value(gid("L", 0), gid("L", 1)) == Element.of(gid("L", 1))
-    assert t.value(Y(1), Y(-1)) == Element.of(gid("L", 0), 2)
-    assert t.value(Y(1), Y(1)) == Element.of(gid("L", 1), 2)
-    assert t.value(gid("L", 2), Y(-1)) == Element.of(Y(3), 2)
+
+    def t(g, h):
+        return bracket(A, Element.of(g), Element.of(h))[0]
+
+    assert t(gid("M", 1), gid("N", 2)) == Element.zero()
+    assert t(gid("L", 1), gid("M", 1)) == Element.of(gid("M", 2))
+    assert t(gid("L", 0), gid("L", 1)) == Element.of(gid("L", 1))
+    assert t(Y(1), Y(-1)) == Element.of(gid("L", 0), 2)
+    assert t(Y(1), Y(1)) == Element.of(gid("L", 1), 2)
+    assert t(gid("L", 2), Y(-1)) == Element.of(Y(3), 2)
     # lookup extends the stored direction by the graded swap sign
-    assert t.value(gid("M", 1), gid("L", 1)) == Element.of(gid("M", 2), -1)
-    assert t.value(Y(-1), Y(1)) == Element.of(gid("L", 0), 2)
+    assert t(gid("M", 1), gid("L", 1)) == Element.of(gid("M", 2), -1)
+    assert t(Y(-1), Y(1)) == Element.of(gid("L", 0), 2)
 
 
 def test_n_index_modes():
     strict = esvla.build_esvla(esvla.EsvlaConfig(window=3))
-    assert strict.table.value(gid("M", 0), Y(1)) == Element.zero()
+    assert not pair_values(strict)(gid("M", 0), Y(1))
     assert len(strict.findings) == 42  # every M x Y pair drops its result
     assert {f.code for f in strict.findings} == {"E_KIND"}
 
     ext = esvla.build_esvla(esvla.EsvlaConfig(window=3, n_index_mode="extended"))
-    assert ext.table.value(gid("M", 0), Y(1)) == Element.of(gid("N", Fraction(1, 2)))
+    assert pair_values(ext)(gid("M", 0), Y(1)) == {gid("N", Fraction(1, 2)): 1}
     assert ext.findings == []
 
 
@@ -105,11 +108,47 @@ def test_truncation_coherence(mode, big, small):
     B = esvla.build_esvla(esvla.EsvlaConfig(window=small, n_index_mode=mode))
     inner = [g for g in A.generators if abs(g.index) <= small]
     assert inner == B.generators
+    wide, narrow = pair_values(A), pair_values(B)
     for g in B.generators:
         for h in B.generators:
-            if B.pair_flagged(g, h):
+            if (g, h) in B.boundary_pairs or (h, g) in B.boundary_pairs:
                 continue  # narrow build clipped this pair
-            assert A.table.value(g, h) == B.table.value(g, h)
+            assert wide(g, h) == narrow(g, h)
+
+
+def _window_violations(cfg):
+    """Jacobi's examined count and the (check, triple, residual text) of
+    every Jacobi and w1-w3 violation on the window's interior triples."""
+    A = esvla.build_esvla(cfg)
+    jac = jacobi_audit(A, "interior")
+    found = {("jacobi", v.triple, str(v.residual)) for v in jac.violations}
+    for name, omega in esvla._cocycles_for(A).items():
+        audit = cocycle_audit(A, omega, "interior")
+        found |= {(name, v.triple, str(v.residual)) for v in audit.violations}
+    return jac.examined, found
+
+
+@pytest.mark.parametrize("mode", ["strict", "extended"])
+@pytest.mark.parametrize("convention", ["super", "plain"])
+def test_violations_persist_as_the_window_grows(convention, mode):
+    # a widened window adds generators and unclips pairs but changes no
+    # bracket it already had, so no interior finding may vanish or change
+    prev_examined, prev = _window_violations(esvla.EsvlaConfig(4, convention, mode))
+    assert prev
+    for window in range(5, 10):
+        examined, found = _window_violations(esvla.EsvlaConfig(window, convention, mode))
+        assert prev <= found, window
+        assert prev_examined <= examined, window
+        prev_examined, prev = examined, found
+
+
+def test_witt_jacobi_examined_grows_with_the_window():
+    doc = specfile.parse((Path(__file__).parent / "data" / "witt.lie").read_text())
+    examined = [
+        jacobi_audit(specfile.instantiate(doc, window=w), "interior").examined
+        for w in range(4, 13)
+    ]
+    assert examined == sorted(examined) and examined[0] > 0
 
 
 @pytest.mark.parametrize("mode", ["strict", "extended"])

@@ -32,7 +32,7 @@ from lieforge.cohomology import (
     cocycle_audit,
 )
 from lieforge.linalg import SparseMatrix
-from oracles import full_scan_cocycle_rows, naive_windowed_audit, rational_rref
+from oracles import full_scan_cocycle_rows, naive_windowed_audit, pair_values, rational_rref
 
 ESVLA_W5 = {
     "super_strict": esvla.EsvlaConfig(5),
@@ -71,12 +71,13 @@ def _cocycle_as_oracle(audit):
 def test_view_reads_the_table(name):
     A = FIXTURES[name]()
     view = A.view
+    value = pair_values(A)
     producers = {}
     for i, g in enumerate(A.generators):
-        assert view.odd[i] == bool(A.table.family_parity(g.family))
+        assert view.odd[i] == bool(A.parity.get(g.family))
         for j, h in enumerate(A.generators):
             assert {k: Fraction(c, view.scale) for k, c in view.terms[i][j]} == {
-                A.position(t): c for t, c in A.table.value(g, h).terms.items()
+                A.position(t): c for t, c in value(g, h).items()
             }
             for k, _ in view.terms[i][j]:
                 producers.setdefault(k, set()).add(i * A.dim + j)
@@ -119,19 +120,20 @@ def assert_cochain_bases_match_oracle(A, grade_zero):
     """Z2 is the canonical kernel basis of the oracle's cocycle residual map
     and B2 the Gauss-Jordan rows of the coboundaries of dual 1-cochains, both
     over the slots (generator pairs) in position order, compared in order."""
-    sup = A.table.convention == "super"
+    sup = A.convention == "super"
     gens = A.generators
+    value = pair_values(A)
     slots = [
         (g, h)
         for i, g in enumerate(gens)
         for h in gens[i:]
-        if (g != h or (sup and A.table.family_parity(g.family)))
+        if (g != h or (sup and A.parity.get(g.family)))
         and not (grade_zero and g.index + h.index != 0)
     ]
     row_of = {}
     entries = {}
     for col, pair in enumerate(slots):
-        omega = Cochain2(A.table.parity, A.table.convention, {pair: 1})
+        omega = Cochain2(A.parity, A.convention, {pair: 1})
         for triple, residual in naive_windowed_audit(A, "all", omega)[2]:
             entries[(row_of.setdefault(triple, len(row_of)), col)] = residual
     pivots, rows = rational_rref(SparseMatrix(max(len(row_of), 1), len(slots), entries))
@@ -142,7 +144,7 @@ def assert_cochain_bases_match_oracle(A, grade_zero):
                 kernel[f][c] = -v
     duals = [t for t in gens if not grade_zero or t.index == 0]
     deltas = {
-        (r, u): A.table.value(g, h).terms.get(t, 0)
+        (r, u): value(g, h).get(t, 0)
         for r, t in enumerate(duals)
         for u, (g, h) in enumerate(slots)
     }
@@ -205,14 +207,14 @@ def test_cocycle_rows_match_full_scan(name, grade_zero):
     assert rows == full_scan_cocycle_rows(A, unknowns)
 
 
-def _touches(A, t, support):
-    """Whether a rotation (a, b, c) of t has g_k in [g_a, g_b] as the table
+def _touches(A, value, t, support):
+    """Whether a rotation (a, b, c) of t has g_k in [g_a, g_b] as ``value``
     reads it with (k, c) in the support."""
     x, y, z = (A.generators[i] for i in t)
     return any(
         (A.position(g), A.position(c)) in support
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y))
-        for g in A.table.value(a, b).terms
+        for g in value(a, b)
     )
 
 
@@ -231,9 +233,10 @@ def test_support_scan_is_the_touching_part_of_the_full_scan(name, scope, repeats
     ]
     full_scan = A.checkable_triples(scope, repeats)
     full = list(full_scan)
+    value = pair_values(A)
     for support in supports:
         # a fresh instance, so the narrowed scan counts the scope itself
         B = ROW_CASES[name]()
         narrowed = B.checkable_triples(scope, repeats, support=support)
-        assert list(narrowed) == [t for t in full if _touches(A, t, support)]
+        assert list(narrowed) == [t for t in full if _touches(A, value, t, support)]
         assert (narrowed.checkable, narrowed.skipped) == (len(full), full_scan.skipped)

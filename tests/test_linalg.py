@@ -247,7 +247,7 @@ def assert_sparse_kernel_matches_oracles(m):
     assert ech == expected
     for order in (rows[::-1], shuffled):
         assert rref(SparseMatrix.from_rows(m.cols, order)) == expected
-    pivots, _ = list_scan_forward(_integer_rows(rows), m.cols)
+    pivots, _ = list_scan_forward(_integer_rows(m), m.cols)
     assert list(ech.pivots) == pivots
     for copy in row_copies(m):
         before = copy.row_dicts()

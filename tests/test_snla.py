@@ -10,7 +10,6 @@ import pytest
 
 from lieforge.algebra import (
     AlgebraInstance,
-    BracketTable,
     Element,
     check_alternating,
     check_jacobi,
@@ -100,10 +99,10 @@ def test_form_pair_bilinear():
 
 
 def test_commutator_bracket_examples():
-    assert commutator_bracket(ptable(2, {})).raw == {}
-    assert commutator_bracket(ptable(2, {(1, 1, 2): 1})).raw == {}
+    assert commutator_bracket(ptable(2, {})) == {}
+    assert commutator_bracket(ptable(2, {(1, 1, 2): 1})) == {}
     b = commutator_bracket(ptable(2, {(1, 2, 1): 1}))
-    assert b.raw == {(E[1], E[2]): Element.of(E[1])}
+    assert b == {(E[1], E[2]): {E[1]: 1}}
     # alternating by construction
     s = SnlaInstance(2, ptable(2, {(1, 2, 1): 1}), standard_form(1))
     assert check_alternating(s.algebra()) == []
@@ -137,19 +136,15 @@ def test_check_compat_hand_case():
 
 def test_check_symplectic_cocycle_cases():
     f = standard_form(1)
-    assert check_symplectic_cocycle(f, BracketTable()) == []
-    b = BracketTable()
-    b.assign(E[1], E[2], Element.of(E[1]))
+    assert check_symplectic_cocycle(f, {}) == []
+    b = {(E[1], E[2]): {E[1]: 1}}
     assert check_symplectic_cocycle(f, b) == []  # dim 2 has no 3-forms
     # non-alternating diagonal entry is caught via repeats
-    d = BracketTable()
-    d.assign(E[1], E[1], Element.of(E[2]))
+    d = {(E[1], E[1]): {E[2]: 1}}
     vio = check_symplectic_cocycle(standard_form(1), d)
     assert vio and vio[0].triple == (1, 1, 1) and vio[0].total == -3
     # dim 4: [e1,e2] = e1 breaks closedness at (1,2,4)
-    b4 = BracketTable()
-    b4.assign(E[1], E[2], Element.of(E[1]))
-    vio4 = check_symplectic_cocycle(standard_form(2), b4)
+    vio4 = check_symplectic_cocycle(standard_form(2), b)
     assert any(v.triple == (1, 2, 4) and v.total == 1 for v in vio4)
 
 
@@ -224,15 +219,10 @@ def test_verify_snla_hand_cases():
 
 
 def test_verify_explicit_bracket():
-    table = BracketTable()
-    table.assign(E[1], E[1], Element.of(E[2]))
-    s = SnlaInstance(
-        2, ptable(2, {}), standard_form(1), "explicit", table
-    )
+    table = {(E[1], E[1]): {E[2]: 1}}
+    s = SnlaInstance(2, ptable(2, {}), standard_form(1), table)
     rep = verify_snla(s)
     assert rep.violations["symplectic_cocycle"] != []
-    with pytest.raises(ValueError):
-        SnlaInstance(2, ptable(2, {}), standard_form(1), "explicit")
     with pytest.raises(ValueError):
         SnlaInstance(4, ptable(2, {}), standard_form(2))
 
@@ -397,9 +387,9 @@ def test_doc_roundtrip_commutator():
         4, {(1, 2, 3): Fraction(1, 2), (2, 1, 4): -2, (3, 3, 1): 1}
     )
     assert s.form == standard_form(2)
-    assert s.bracket_source == "commutator"
-    bracket = Element({E[3]: Fraction(1, 2), E[4]: 2})  # e1.e2 - e2.e1
-    assert s.bracket_table().raw == {(E[1], E[2]): bracket}
+    assert s.explicit_bracket is None
+    bracket = {E[3]: Fraction(1, 2), E[4]: 2}  # e1.e2 - e2.e1
+    assert s.bracket_table() == {(E[1], E[2]): bracket}
     back = snla_from_doc(specfile.parse(specfile.render(doc)))
     assert (back.product, back.form) == (s.product, s.form)
 
@@ -416,12 +406,9 @@ def test_doc_roundtrip_explicit_bracket():
             "form e[1] e[2] => 1",
         ]
     )
-    table = BracketTable()
-    table.assign(E[1], E[2], Element.of(E[1], 3))
     doc = specfile.parse(text)
     for s in (snla_from_doc(doc), snla_from_doc(specfile.parse(specfile.render(doc)))):
-        assert s.bracket_source == "explicit"
-        assert s.explicit_bracket.raw == table.raw
+        assert s.explicit_bracket == {(E[1], E[2]): {E[1]: 3}}
         assert s.bracket_table() is s.explicit_bracket
         assert s.product.entries == {}
         assert s.form == standard_form(1)

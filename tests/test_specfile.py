@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import pathlib
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lieforge import esvla, specfile
-from lieforge.algebra import Element, gid
+from lieforge.algebra import gid
 from lieforge.specfile import (
     AlgebraSpecDoc,
     BracketRule,
@@ -33,7 +34,13 @@ from lieforge.specfile import (
     render,
 )
 from algebra_fixtures import witt_window
-from oracles import naive_instantiate_cocycle, naive_pattern_pairs
+from oracles import (
+    naive_instantiate,
+    naive_instantiate_cocycle,
+    naive_pattern_pairs,
+    pair_values,
+    written_entries,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -531,7 +538,7 @@ def test_instantiate_witt_matches_hand_built():
     A = instantiate(parse(WITT), window=4)
     B = witt_window(4)
     assert [str(g) for g in A.generators] == [str(g) for g in B.generators]
-    assert A.table.raw == B.table.raw
+    assert written_entries(A) == written_entries(B)
     assert A.boundary_pairs == B.boundary_pairs
     assert A.dropped_terms == B.dropped_terms
 
@@ -540,8 +547,7 @@ def test_instantiate_finite_doc_without_window():
     A = instantiate(parse((DATA / "heisenberg.lie").read_text()))
     assert A.dim == 3
     assert A.window is None
-    v = A.table.value(gid("e", 1), gid("e", 2))
-    assert v == Element.of(gid("e", 3))
+    assert written_entries(A) == {(gid("e", 1), gid("e", 2)): {gid("e", 3): 1}}
 
 
 def test_instantiate_requires_window_for_rules():
@@ -559,7 +565,7 @@ def test_instantiate_strict_kind_findings():
     assert len(kind) == 20
     assert all("N" in f.detail for f in kind)
     m0, y = gid("M", 0), gid("Y", Fraction(1, 2))
-    assert not A.table.value(m0, y)
+    assert not pair_values(A)(m0, y)
 
 
 def test_instantiate_extended_promotes_family():
@@ -569,13 +575,13 @@ def test_instantiate_extended_promotes_family():
     n_gens = [g for g in A.generators if g.family == "N"]
     assert len(n_gens) == 9
     m0, y = gid("M", 0), gid("Y", Fraction(1, 2))
-    assert A.table.value(m0, y) == Element.of(gid("N", Fraction(1, 2)))
+    assert pair_values(A)(m0, y) == {gid("N", Fraction(1, 2)): 1}
 
 
 def test_instantiate_deterministic_dump():
     doc = parse(MINI_SUPER)
     def dump(A):
-        return (A.generators, list(A.table.raw.items()), A.dropped_terms, A.findings)
+        return (A.generators, list(written_entries(A).items()), A.dropped_terms, A.findings)
 
     d1 = dump(instantiate(doc, window=3, kind_mode="extended"))
     d2 = dump(instantiate(doc, window=3, kind_mode="extended"))
@@ -598,7 +604,7 @@ def _instance_dump(build):
         return str(e)
     return (
         A.generators,
-        [(k, v.terms) for k, v in A.table.raw.items()],
+        list(written_entries(A).items()),
         A.boundary_pairs,
         A.dropped_terms,
         A.findings,
@@ -655,6 +661,55 @@ def test_esvla_instantiates_as_if_every_pair_were_tested(mode, monkeypatch):
         assert not any(instantiate_cocycle(decl, A).raw for decl in absent)
 
 
+# --- integer evaluation against the Fraction path -----------------------
+
+
+def _assert_matches_fraction_path(doc, window, mode):
+    try:
+        expected = naive_instantiate(doc, window, mode)
+    except ValueError as e:
+        expected = str(e)
+    build = functools.partial(instantiate, doc, window=window, kind_mode=mode)
+    assert _instance_dump(build) == expected
+
+
+def test_random_docs_instantiate_as_the_fraction_path():
+    rng = random.Random(2468)
+    for doc in [_random_doc(rng) for _ in range(60)]:
+        for window in (2, 3, 4):
+            for mode in ("strict", "extended"):
+                _assert_matches_fraction_path(doc, window, mode)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*(DATA.parent.parent / "samples").glob("*.lie"), *DATA.glob("*.lie")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_documents_instantiate_as_the_fraction_path(path):
+    doc = parse(path.read_text())
+    for window in ((None,) if not doc.rules else ()) + (1, 2, 3, 4):
+        for mode in ("strict", "extended"):
+            _assert_matches_fraction_path(doc, window, mode)
+
+
+@pytest.mark.parametrize("convention", ["super", "plain"])
+def test_esvla_instantiates_as_the_fraction_path(convention):
+    doc = dataclasses.replace(esvla._bundled_doc(), convention=convention)
+    for window in range(4, 9):
+        for mode in ("strict", "extended"):
+            _assert_matches_fraction_path(doc, window, mode)
+
+
+def test_entry_repeating_a_rule_pair_is_refused():
+    doc = parse(f"{WITT}entry L[1] L[2] => 1 L[3]\n")
+    with pytest.raises(ValueError, match=r"^duplicate bracket entry for \(L\[1\], L\[2\]\)$"):
+        instantiate(doc, window=3)
+    # a rule that brackets the pair to zero leaves the entry as the only one
+    zero = parse(f"{WITT}entry L[1] L[1] => 1 L[2]\n")
+    assert written_entries(instantiate(zero, window=3))[(gid("L", 1), gid("L", 1))]
+
+
 @pytest.mark.parametrize(
     "condition, expected",
     [
@@ -680,7 +735,7 @@ def test_conditions_are_solved_for_n(condition, expected, monkeypatch):
     assert [(g.doubled_index // 2, h.doubled_index // 2) for g, h in omega.raw] == expected
     ruled = instantiate(parse(f"{WITT[:-1]} when {condition}\n"), window=3)
     flagged = {(g.doubled_index // 2, h.doubled_index // 2) for g, h in ruled.boundary_pairs}
-    stored = {(g.doubled_index // 2, h.doubled_index // 2) for g, h in ruled.table.raw}
+    stored = {(g.doubled_index // 2, h.doubled_index // 2) for g, h in written_entries(ruled)}
     assert stored | flagged == {(m, n) for m, n in expected if m != n}
 
 
