@@ -356,16 +356,6 @@ def _cmd_snla_verify(args, inputs):
             for v in rep.violations[check]
         )
     findings.extend(
-        ReportFinding(
-            "violation", "V_SKEW", f"({i},{j})", "form entries are not skew"
-        )
-        for i, j in rep.violations["skew"]
-    )
-    findings.extend(
-        ReportFinding("violation", "V_NONDEGEN", "form", str(v))
-        for v in rep.violations["nondegenerate"]
-    )
-    findings.extend(
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]
     )
@@ -453,7 +443,7 @@ def _cmd_aut_verify(args, inputs):
         brackets = _bracket_findings(A, phi, map_name)
         return findings + brackets, {"dim": A.dim, "bracket_violations": len(brackets)}
     s = _refusing(doc.name, snla.snla_from_doc, doc)
-    findings = _bracket_findings(s.algebra(), phi, map_name)
+    findings = _bracket_findings(s.bracket, phi, map_name)
     products = _refusing(map_name, check_product_preserved, s.product, phi)
     ok, residual = _refusing(map_name, check_symplectomorphism, s.form, phi)
     summaries = {

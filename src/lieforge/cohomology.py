@@ -308,13 +308,20 @@ def _cochain_from_vector(
 def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int, int]]:
     """Linear constraint rows of the cyclic cocycle identity over the unknown
     pair slots, in triple order: the nonzero row of each checkable triple
-    that reads a slot, with integer coefficients over ``A.view.scale``."""
+    that reads a slot, with integer coefficients over ``A.view.scale``.
+
+    The scan is narrowed to the unknowns as a support only when they leave
+    slots out (grade zero).  When every slot is an unknown the support names
+    every pair a row can read, so the full scan finds the same rows without
+    walking the producers."""
     sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    support = set()
-    for key in unknowns:
-        i, j = divmod(key, n)
-        support.update(((i, j), (j, i)))
+    support = None
+    if len(unknowns) < len(_cochain_unknowns(A, grade_zero=False)):
+        support = set()
+        for key in unknowns:
+            i, j = divmod(key, n)
+            support.update(((i, j), (j, i)))
     rows = []
     for x, y, z in A.checkable_triples("all", repeats=sup, support=support):
         row: dict[int, int] = {}

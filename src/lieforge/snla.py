@@ -6,6 +6,12 @@ form compatibility, symplectic 2-cocycle), an aggregate verifier, instances
 read from spec documents, and a deterministic structure search over finite
 coefficient sets that solves the linear identities exactly before it
 verifies anything.
+
+Each ``SnlaInstance`` builds its bracket once, as an ``AlgebraInstance``:
+the explicit entries of its document, read by ``specfile.instantiate``, or
+else the commutator of its product.  Every check of the bracket reads that
+instance.  A ``SymplecticForm`` refuses a matrix that is not skew or not
+of full rank when it is built, so the verifier takes both as given.
 """
 
 from __future__ import annotations
@@ -146,28 +152,22 @@ def standard_form(n: int) -> SymplecticForm:
 
 @dataclass
 class SnlaInstance:
-    """An SNLA candidate.  Its bracket is ``explicit_bracket``, entries as
-    written ``{(g, h): {t: c}}``, when one is given, else the commutator of
-    the product."""
+    """An SNLA candidate.  Its ``bracket`` is the instance given, else the
+    commutator of the product, built once."""
 
     dim: int
     product: ProductTable
     form: SymplecticForm
-    explicit_bracket: Optional[dict] = None
+    bracket: Optional[AlgebraInstance] = None
 
     def __post_init__(self):
-        if self.product.dim != self.dim or self.form.dim != self.dim:
-            raise ValueError("product/form dimensions do not match")
-
-    def bracket_table(self) -> dict:
-        if self.explicit_bracket is not None:
-            return self.explicit_bracket
-        return commutator_bracket(self.product)
-
-    def algebra(self, name: str = "snla") -> AlgebraInstance:
-        return AlgebraInstance(
-            f"{name}{self.dim}", self.product.generators(), self.bracket_table()
-        )
+        if self.bracket is None:
+            p = self.product
+            self.bracket = AlgebraInstance(
+                f"snla{p.dim}", p.generators(), commutator_bracket(p)
+            )
+        if {self.product.dim, self.form.dim, self.bracket.dim} != {self.dim}:
+            raise ValueError("product/form/bracket dimensions do not match")
 
 
 def commutator_bracket(p: ProductTable) -> dict:
@@ -255,17 +255,17 @@ def check_compat(p: ProductTable, f: SymplecticForm) -> list[CompatViolation]:
 
 
 def check_symplectic_cocycle(
-    f: SymplecticForm, b: dict, family: str = "e"
+    f: SymplecticForm, A: AlgebraInstance
 ) -> list[FormCocycleViolation]:
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
-    omega([y,z],x) + omega([z,x],y) for the bracket entries ``b``, as written
-    ``{(g, h): {t: c}}``.  Repeats are included so non-alternating explicit
-    tables stay auditable."""
-    gens = [gid(family, i) for i in range(1, f.dim + 1)]
+    omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
+    generators are the form's basis in order.  Repeats are included so
+    non-alternating explicit tables stay auditable."""
+    gens = A.generators
     omega = Cochain2(
         raw={(g, h): v for g, row in zip(gens, f.matrix) for h, v in zip(gens, row)}
     )
-    audit = _cocycle_audit(AlgebraInstance("form", gens, b), omega, "all", True)
+    audit = _cocycle_audit(A, omega, "all", True)
     return [
         FormCocycleViolation(tuple(int(g.index) for g in v.triple), v.residual)
         for v in audit.violations
@@ -282,27 +282,19 @@ class VerdictReport:
 
 
 def verify_snla(s: SnlaInstance) -> VerdictReport:
-    """Aggregate of every defining identity; passes iff all hold."""
-    bracket = s.bracket_table()
+    """Aggregate of every defining identity; passes iff all hold.  The form
+    is skew and nondegenerate by construction (``SymplecticForm``), so those
+    two counts always read 0."""
     vio: dict[str, list] = {
         "novikov": check_novikov(s.product),
         "associative": check_associative(s.product),
         "compat": check_compat(s.product, s.form),
-        "symplectic_cocycle": check_symplectic_cocycle(
-            s.form, bracket, s.product.family
-        ),
+        "symplectic_cocycle": check_symplectic_cocycle(s.form, s.bracket),
         "skew": [],
         "nondegenerate": [],
         "two_step_solvable": [],
     }
-    m = s.form.matrix
-    for i in range(s.dim):
-        for j in range(i, s.dim):
-            if m[i][j] + m[j][i]:
-                vio["skew"].append((i + 1, j + 1))
-    if rank(SparseMatrix.from_dense(m)) != s.dim:
-        vio["nondegenerate"].append("rank deficient")
-    if not is_two_step_solvable(s.algebra()):
+    if not is_two_step_solvable(s.bracket):
         vio["two_step_solvable"].append("derived subalgebra is not abelian")
     return VerdictReport(all(not v for v in vio.values()), vio)
 
@@ -310,7 +302,7 @@ def verify_snla(s: SnlaInstance) -> VerdictReport:
 def snla_fingerprint(s: SnlaInstance) -> dict[str, int]:
     """Center/derived/H2 dimensions of the bracket algebra, for manual
     de-duplication of search results."""
-    A = s.algebra()
+    A = s.bracket
     return {
         "center": len(center(A)),
         "derived": len(derived_subalgebra(A)),
@@ -436,9 +428,13 @@ def snla_search(
 def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     """Build an instance from a parsed spec document: product lines give the
     table, form lines the matrix (skew-completed; standard form when absent),
-    entry lines an explicit bracket overriding the commutator."""
+    entry lines an explicit bracket, read by ``specfile.instantiate``, that
+    overrides the commutator.  ``parse`` has already refused undeclared
+    generators and repeated pairs."""
     if doc.convention != "plain":
         raise ValueError("snla documents must use the plain convention")
+    if doc.rules:
+        raise ValueError("snla documents take no rule lines")
     if not doc.generators:
         raise ValueError("snla documents need explicit generator lines")
     fams = {g.family for g in doc.generators}
@@ -449,26 +445,13 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     dim = len(indices)
     if indices != list(range(1, dim + 1)):
         raise ValueError("generator indices must be exactly 1..dim")
-    declared = {(g.family, g.index) for g in doc.generators}
-    refs = [
-        (e.line, (e.left, e.right, *((f, ix) for _, f, ix in e.value)))
-        for e in doc.products + doc.entries
-    ]
-    refs += [(fe.line, (fe.left, fe.right)) for fe in doc.forms]
-    for line, gens in refs:
-        for f, ix in gens:
-            if (f, ix) not in declared:
-                raise ValueError(f"line {line}: {f}[{ix}] is not a declared generator")
 
-    entries: dict[tuple[int, int], Element] = {}
+    products = {}
     for e in doc.products:
-        i, j = int(e.left[1]), int(e.right[1])
-        if (i, j) in entries:
-            raise ValueError(f"duplicate product entry ({i},{j})")
-        entries[(i, j)] = Element(
-            {gid(f, ix): c for c, f, ix in e.value}
-        )
-    product = ProductTable(dim, entries, fam)
+        # repeated terms add up, as in the entries instantiate reads
+        terms = [(gid(f, ix), c) for c, f, ix in e.value]
+        products[(int(e.left[1]), int(e.right[1]))] = Element(terms)
+    product = ProductTable(dim, products, fam)
 
     if doc.forms:
         m = [[Fraction(0)] * dim for _ in range(dim)]
@@ -486,8 +469,5 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
             raise ValueError("odd dimension admits no symplectic form")
         form = standard_form(dim // 2)
 
-    explicit = {
-        (gid(fam, e.left[1]), gid(fam, e.right[1])): {gid(f, ix): c for c, f, ix in e.value}
-        for e in doc.entries
-    }
-    return SnlaInstance(dim, product, form, explicit or None)
+    bracket = specfile.instantiate(doc) if doc.entries else None
+    return SnlaInstance(dim, product, form, bracket)

@@ -17,10 +17,12 @@ Example::
 
 ``parse`` refuses the first fault with a ``ParseError`` naming its line and
 column: a family index must be declared, integer or half-integer, and (except
-in a result offset) of the family's kind, and no directive may repeat a pair
-or a cocycle name.  ``parse`` and ``render`` are exact inverses on canonical
-documents; ``instantiate`` evaluates every rule over a finite index window,
-dropping (and counting) out-of-window results instead of zeroing them, and
+in a result offset) of the family's kind; a document without rules has only
+the generators its ``generator`` lines declare, so its entries, products and
+forms may name no other; and no directive may repeat a pair or a cocycle
+name.  ``parse`` and ``render`` are exact inverses on canonical documents;
+``instantiate`` evaluates every rule over a finite index window, dropping
+(and counting) out-of-window results instead of zeroing them, and
 ``instantiate_cocycle`` evaluates a cocycle over an instance's generators.
 Both match patterns through one enumerator, which solves a linear
 condition for n instead of testing it on every pair.
@@ -689,9 +691,13 @@ def _kind_admits(kind: str, doubled: int) -> bool:
 
 def _validate(doc: AlgebraSpecDoc) -> None:
     """Refuse the first fault in check order: rules (patterns, duplicate,
-    result offsets), generators, entries and products, forms, cocycles."""
+    result offsets), generators, entries and products, forms, cocycles.
+    Without rules, an entry, product or form may name only declared
+    generators; with rules, the window makes the generators, and
+    ``instantiate`` checks the entries against it."""
     kinds = {f.symbol: f.kind for f in doc.families}
     seen: set[tuple[str, str]] = set()
+    declared = None if doc.rules else {(g.family, g.index) for g in doc.generators}
 
     def index(line: int, fam: str, value: Fraction, what: str, shown: str = ""):
         """Refuse an undeclared family or a value that is not an integer or
@@ -729,6 +735,8 @@ def _validate(doc: AlgebraSpecDoc) -> None:
     for directive, e, values in explicit + [("form", f, ()) for f in doc.forms]:
         for fam, ix in (e.left, e.right, *(item[1:] for item in values)):
             index(e.line, fam, ix, "index", f"index {ix}")
+            if declared is not None and (fam, ix) not in declared:
+                raise ParseError(e.line, 1, f"{fam}[{ix}] is not a declared generator")
         once(e.line, directive, f"for {_pair_text(e.left, e.right)}")
     for c in doc.cocycles:
         patterns(c)
@@ -849,17 +857,16 @@ def instantiate(
         for f in doc.families
     }
 
-    by_family: dict[str, list[GeneratorId]] = {f.symbol: [] for f in doc.families}
+    # each family's grid and declared generators, once each, by index
+    doubled: dict[str, set[int]] = {f.symbol: set() for f in doc.families}
     if window is not None:
         for f in doc.families:
-            by_family[f.symbol] = [
-                GeneratorId(f.symbol, d) for d in _family_grid(fam_kind[f.symbol], window)
-            ]
+            doubled[f.symbol].update(_family_grid(fam_kind[f.symbol], window))
     for g in doc.generators:
-        gen = GeneratorId(g.family, int(g.index * 2))
-        if gen not in by_family[g.family]:
-            by_family[g.family].append(gen)
-            by_family[g.family].sort(key=lambda x: x.doubled_index)
+        doubled[g.family].add(int(g.index * 2))
+    by_family = {
+        fam: [GeneratorId(fam, d) for d in sorted(ds)] for fam, ds in doubled.items()
+    }
 
     generators: list[GeneratorId] = []
     for f in doc.families:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from lieforge.algebra import (
     check_jacobi,
     derived_subalgebra,
     gid,
+    jacobi_audit,
     swap_sign,
 )
 from lieforge.cohomology import (
@@ -436,3 +439,55 @@ def test_derivation_space_empty_restriction():
     A = heisenberg3()
     assert derivation_space(A, grade_restriction=Fraction(7, 2)) == []
     assert inner_split(A, []) == (0, 0)
+
+
+def _read(path: str) -> str:
+    return (Path(__file__).parent.parent / path).read_text()
+
+
+ALL_EVEN = {
+    "witt-6": (_read("samples/witt.lie"), 6),
+    "witt-9": (_read("samples/witt.lie"), 9),
+    "sl2": (_read("tests/data/sl2.lie"), None),
+    "heisenberg": (_read("tests/data/heisenberg.lie"), None),
+    "abelian4": (_read("tests/data/abelian4.lie"), None),
+    "h3_extension": (_read("samples/h3_extension.lie"), None),
+    # J(e1, e2, e3) = -e2: the relation covers findings, not only passes
+    "not-lie": (
+        "algebra nl convention plain\nfamily e integer even\n"
+        "generator e[1]\ngenerator e[2]\ngenerator e[3]\n"
+        "entry e[1] e[2] => 1 e[1]\nentry e[1] e[3] => 1 e[2]\n",
+        None,
+    ),
+}
+
+
+def _parity_facts(doc, window):
+    """What the two conventions must agree on for an all-even algebra, and
+    the Jacobi scan's size with the interior scope's size."""
+    A = specfile.instantiate(doc, window=window)
+    jac = jacobi_audit(A, "interior")
+    facts = {
+        "alternating": {(v.left, v.right, v.residual) for v in check_alternating(A)},
+        "jacobi": {(v.triple, v.residual) for v in jac.violations},
+        "center": len(center(A)),
+        "z2": len(cocycle2_space(A)),
+        "b2": len(coboundary2_space(A)),
+        "derivations": len(derivation_space(A)),
+    }
+    return facts, jac.examined + jac.skipped_boundary, len(A.view.interior)
+
+
+@pytest.mark.parametrize("text, window", ALL_EVEN.values(), ids=ALL_EVEN)
+def test_parity_is_invisible_on_all_even_algebras(text, window):
+    # super reads an even pair exactly as plain does; its Jacobi scan also
+    # covers triples with a repeat, which an alternating bracket passes
+    doc = specfile.parse(text)
+    assert doc.convention == "plain" and {f.parity for f in doc.families} == {"even"}
+    plain, plain_scanned, s = _parity_facts(doc, window)
+    graded, graded_scanned, _ = _parity_facts(
+        dataclasses.replace(doc, convention="super"), window
+    )
+    assert plain == graded
+    assert plain["alternating"] == set()
+    assert (plain_scanned, graded_scanned) == (comb(s, 3), comb(s + 2, 3))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +151,52 @@ def test_witt_jacobi_examined_grows_with_the_window():
         for w in range(4, 13)
     ]
     assert examined == sorted(examined) and examined[0] > 0
+
+
+def _shuffled_lines(rng):
+    """The bundled document with its family lines, and its rule lines,
+    shuffled among themselves."""
+    lines = esvla.bundled_source().decode("utf-8").splitlines()
+    for head in ("family ", "rule "):
+        at = [i for i, line in enumerate(lines) if line.startswith(head)]
+        moved = [lines[i] for i in at]
+        rng.shuffle(moved)
+        for i, line in zip(at, moved):
+            lines[i] = line
+    return specfile.parse("\n".join(lines))
+
+
+def _audit_up_to_order(cfg):
+    """The audit's summaries, and its Jacobi and cocycle violations as a
+    multiset of (check, generator names, residual up to sign): a location
+    lists its triple in family order, and a residual's sign follows it."""
+    rep = esvla.audit_esvla(cfg)
+    found = Counter()
+    checks = [("jacobi", rep.jacobi), *sorted(rep.cocycles.items())]
+    for name, audit in checks:
+        for v in audit.violations:
+            r = v.residual
+            minus = r.scale(-1) if isinstance(r, Element) else -r
+            names = tuple(sorted(map(str, v.triple)))
+            found[name, names, frozenset((str(r), str(minus)))] += 1
+    return rep.summaries(), found
+
+
+@pytest.mark.parametrize("mode", ["strict", "extended"])
+@pytest.mark.parametrize("convention", ["super", "plain"])
+def test_line_order_changes_no_finding(convention, mode, monkeypatch):
+    # family and rule lines in any order give the same algebra up to the
+    # order of its generators; the report text is not compared, since
+    # locations, truncation and E_KIND line numbers follow the lines
+    rng = random.Random(f"{convention}-{mode}")
+    for window in (3, 4, 5):
+        cfg = esvla.EsvlaConfig(window, convention, mode)
+        want = _audit_up_to_order(cfg)
+        for _ in range(3):
+            doc = _shuffled_lines(rng)
+            monkeypatch.setattr(esvla, "_bundled_doc", lambda: doc)
+            assert _audit_up_to_order(cfg) == want, specfile.render(doc)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("mode", ["strict", "extended"])

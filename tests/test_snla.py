@@ -40,6 +40,7 @@ from oracles import (
     naive_associative,
     naive_form_compat,
     naive_right_commutative,
+    written_entries,
 )
 
 E = [None] + [gid("e", i) for i in range(1, 5)]
@@ -105,7 +106,7 @@ def test_commutator_bracket_examples():
     assert b == {(E[1], E[2]): {E[1]: 1}}
     # alternating by construction
     s = SnlaInstance(2, ptable(2, {(1, 2, 1): 1}), standard_form(1))
-    assert check_alternating(s.algebra()) == []
+    assert check_alternating(s.bracket) == []
 
 
 def test_check_novikov_hand_cases():
@@ -134,17 +135,22 @@ def test_check_compat_hand_case():
         check_compat(ptable(2, {}), standard_form(2))
 
 
+def brackets(dim, entries):
+    """The instance on e_1..e_dim with the brackets ``entries`` as written."""
+    return AlgebraInstance("b", E[1:dim + 1], entries)
+
+
 def test_check_symplectic_cocycle_cases():
     f = standard_form(1)
-    assert check_symplectic_cocycle(f, {}) == []
+    assert check_symplectic_cocycle(f, brackets(2, {})) == []
     b = {(E[1], E[2]): {E[1]: 1}}
-    assert check_symplectic_cocycle(f, b) == []  # dim 2 has no 3-forms
+    assert check_symplectic_cocycle(f, brackets(2, b)) == []  # dim 2 has no 3-forms
     # non-alternating diagonal entry is caught via repeats
     d = {(E[1], E[1]): {E[2]: 1}}
-    vio = check_symplectic_cocycle(standard_form(1), d)
+    vio = check_symplectic_cocycle(standard_form(1), brackets(2, d))
     assert vio and vio[0].triple == (1, 1, 1) and vio[0].total == -3
     # dim 4: [e1,e2] = e1 breaks closedness at (1,2,4)
-    vio4 = check_symplectic_cocycle(standard_form(2), b)
+    vio4 = check_symplectic_cocycle(standard_form(2), brackets(4, b))
     assert any(v.triple == (1, 2, 4) and v.total == 1 for v in vio4)
 
 
@@ -219,12 +225,32 @@ def test_verify_snla_hand_cases():
 
 
 def test_verify_explicit_bracket():
-    table = {(E[1], E[1]): {E[2]: 1}}
+    table = brackets(2, {(E[1], E[1]): {E[2]: 1}})
     s = SnlaInstance(2, ptable(2, {}), standard_form(1), table)
+    assert s.bracket is table
     rep = verify_snla(s)
     assert rep.violations["symplectic_cocycle"] != []
     with pytest.raises(ValueError):
         SnlaInstance(4, ptable(2, {}), standard_form(2))
+    with pytest.raises(ValueError):
+        SnlaInstance(2, ptable(2, {}), standard_form(1), brackets(4, {}))
+
+
+def test_verify_snla_reads_form_facts_from_construction(monkeypatch):
+    # SymplecticForm refused skew and rank faults already: verifying takes
+    # no rank, and the two counts stay in the report at 0
+    from lieforge import cohomology, linalg
+
+    s = SnlaInstance(2, ptable(2, {(1, 1, 2): 1}), standard_form(1))
+
+    def no_rank(m):
+        raise AssertionError("verify_snla took a rank")
+
+    for module in (snla, linalg, cohomology):
+        monkeypatch.setattr(module, "rank", no_rank)
+    rep = verify_snla(s)
+    assert (rep.counts()["skew"], rep.counts()["nondegenerate"]) == (0, 0)
+    assert rep.counts()["compat"] == 1
 
 
 SLOTS2 = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
@@ -387,9 +413,8 @@ def test_doc_roundtrip_commutator():
         4, {(1, 2, 3): Fraction(1, 2), (2, 1, 4): -2, (3, 3, 1): 1}
     )
     assert s.form == standard_form(2)
-    assert s.explicit_bracket is None
     bracket = {E[3]: Fraction(1, 2), E[4]: 2}  # e1.e2 - e2.e1
-    assert s.bracket_table() == {(E[1], E[2]): bracket}
+    assert written_entries(s.bracket) == {(E[1], E[2]): bracket}
     back = snla_from_doc(specfile.parse(specfile.render(doc)))
     assert (back.product, back.form) == (s.product, s.form)
 
@@ -408,8 +433,8 @@ def test_doc_roundtrip_explicit_bracket():
     )
     doc = specfile.parse(text)
     for s in (snla_from_doc(doc), snla_from_doc(specfile.parse(specfile.render(doc)))):
-        assert s.explicit_bracket == {(E[1], E[2]): {E[1]: 3}}
-        assert s.bracket_table() is s.explicit_bracket
+        assert written_entries(s.bracket) == {(E[1], E[2]): {E[1]: 3}}
+        assert s.bracket.generators == E[1:3]
         assert s.product.entries == {}
         assert s.form == standard_form(1)
 

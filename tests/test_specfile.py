@@ -150,6 +150,7 @@ CORRUPT_LINES = {
     "c10_badchar.lie": 3,
     "c11_duprule.lie": 4,
     "c12_kind_mismatch.lie": 4,
+    "c13_undeclared_generator.lie": 5,
 }
 
 
@@ -291,6 +292,14 @@ REFUSALS = {
         _G + "entry L[1] L[2] => 1 K[3]\n",
         5, 1, "undeclared family 'K'",
     ),
+    "undeclared-explicit-generator": (
+        _G + "entry L[1] L[2] => 1 L[5]\n",
+        5, 1, "L[5] is not a declared generator",
+    ),
+    "undeclared-form-generator": (
+        _HALF + "generator Y[1/2]\nform Y[1/2] Y[3/2] => 1\n",
+        5, 1, "Y[3/2] is not a declared generator",
+    ),
     "offset": (
         _F + "rule L[m+1/3] L[n] => 0\n",
         3, 1, "offset 1/3 is not an integer or half-integer",
@@ -358,6 +367,10 @@ REFUSALS = {
     "entries-before-forms": (
         _G + "form L[1] L[2] => 1\nform L[1] L[2] => 1\nproduct L[1] L[1/3] =>\n",
         7, 1, "index 1/3 is not an integer or half-integer",
+    ),
+    "generators-in-line-order": (
+        _G + "product L[5] L[1/3] =>\n",
+        5, 1, "L[5] is not a declared generator",
     ),
     "forms-before-cocycles": (
         _G + "cocycle w L[m] L[n] => 1\ncocycle w L[m] L[n] => 1\n"
@@ -495,6 +508,18 @@ def _random_doc(rng: random.Random) -> AlgebraSpecDoc:
             FormEntry(key[0], key[1], Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2])))
         )
 
+    if not rules:
+        # without rules, a document may name only the generators it declares
+        named = [
+            g
+            for e in (*entries, *products)
+            for g in (e.left, e.right, *(item[1:] for item in e.value))
+        ]
+        for g in [*named, *(g for f in forms for g in (f.left, f.right))]:
+            if g not in seen_g:
+                seen_g.add(g)
+                generators.append(GeneratorDecl(*g))
+
     cocycles = []
     for i in range(rng.randint(0, 2)):
         a, b = rng.choice(syms), rng.choice(syms)
@@ -541,6 +566,39 @@ def test_instantiate_witt_matches_hand_built():
     assert written_entries(A) == written_entries(B)
     assert A.boundary_pairs == B.boundary_pairs
     assert A.dropped_terms == B.dropped_terms
+
+
+@pytest.mark.parametrize(
+    "body, window, order",
+    [
+        ("generator L[3]\ngenerator L[1]\ngenerator L[2]\n", None, "L[1] L[2] L[3]"),
+        ("generator L[2]\ngenerator L[1]\ngenerator L[2]\n", None, "L[1] L[2]"),
+        (
+            "family Y half odd\ngenerator Y[1/2]\ngenerator L[-1]\ngenerator Y[-1/2]\n",
+            None,
+            "L[-1] Y[-1/2] Y[1/2]",
+        ),
+        (
+            "rule L[m] L[n] => 0\ngenerator L[1]\ngenerator L[-2]\ngenerator L[1]\n",
+            2,
+            "L[-2] L[-1] L[0] L[1] L[2]",
+        ),
+    ],
+    ids=["reversed", "repeated", "two-families", "grid-repeated"],
+)
+def test_generator_order(body, window, order):
+    # families in declaration order; in each, every generator once, by index
+    A = instantiate(parse(_F + body), window=window)
+    assert " ".join(map(str, A.generators)) == order
+
+
+def test_rule_document_entries_are_checked_against_the_window():
+    # with rules the window makes the generators, so parse cannot know them
+    doc = parse(_F + "rule L[m] L[n] => 0\nentry L[1] L[5] => 1 L[1]\n")
+    message = r"^entry at line 4 references out-of-scope generator L\[5\]$"
+    with pytest.raises(ValueError, match=message):
+        instantiate(doc, window=2)
+    assert instantiate(doc, window=5).dim == 11
 
 
 def test_instantiate_finite_doc_without_window():
