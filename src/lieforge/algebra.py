@@ -12,9 +12,10 @@ diagonal, can violate the convention and ``check_alternating`` says exactly
 where.
 
 Every triple identity visits position triples through one enumerator,
-``AlgebraInstance.checkable_triples``, narrowed to the triples that can be
-nonzero when the identity names a support, and works on plain ints,
-dividing once and building generator objects only for what it reports.
+``TripleScan``, which walks only the triples that can be nonzero when the
+identity names a support and that walk is the cheaper one, and works on
+plain ints, dividing once and building generator objects only for what it
+reports.
 Window-truncated instances never treat a dropped (out-of-window) bracket
 result as zero: evaluations touching such a pair raise a boundary flag, and
 the enumerator skips and counts those triples instead of reporting fake
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 from lieforge.linalg import SparseMatrix, rat, rref
@@ -210,7 +211,6 @@ class AlgebraInstance:
         boundary_pairs: Iterable[tuple[GeneratorId, GeneratorId]] = (),
         dropped_terms: int = 0,
         findings: Iterable[Finding] = (),
-        metadata: Optional[dict] = None,
     ):
         if convention not in ("plain", "super"):
             raise ValueError(f"unknown convention {convention!r}")
@@ -223,7 +223,6 @@ class AlgebraInstance:
         self.boundary_pairs = set(boundary_pairs)
         self.dropped_terms = dropped_terms
         self.findings = list(findings)
-        self.metadata = metadata or {}
         self._pos = {g: i for i, g in enumerate(self.generators)}
         if len(self._pos) != len(self.generators):
             raise ValueError("duplicate generators")
@@ -296,28 +295,6 @@ class AlgebraInstance:
             return True
         return abs(g.doubled_index) <= 2 * (self.window - self.interior_margin)
 
-    def checkable_triples(
-        self,
-        scope: str,
-        repeats: bool,
-        support: Optional[Iterable[tuple[int, int]]] = None,
-    ) -> "TripleScan":
-        """Position triples in order for a triple identity.
-
-        scope "interior" draws from the interior positions, "all" from every
-        position; ``repeats`` allows x = y or y = z.  Triples with a
-        window-flagged cyclic pair are dropped and counted by the scan.
-
-        An identity whose terms for a rotation (a, b, c) of a triple read
-        some value at (k, c) with k in ``terms[a][b]`` may pass the ordered
-        position pairs (k, c) it can read nonzero as ``support``; the scan
-        then yields only the triples with such a rotation, in the same order,
-        since every other triple contributes exactly zero.
-        """
-        if scope not in ("interior", "all"):
-            raise ValueError(f"unknown scope {scope!r}")
-        return TripleScan(self, scope, repeats, support)
-
     def generators_at(self, positions: Iterable[int]) -> tuple[GeneratorId, ...]:
         """The generators at the given positions, in order."""
         return tuple(self.generators[i] for i in positions)
@@ -326,12 +303,24 @@ class AlgebraInstance:
 class TripleScan:
     """One pass over an instance's position triples for one scope, in order.
 
-    A triple with a window-flagged cyclic pair (x,y), (y,z) or (z,x) is not
-    yielded.  ``checkable`` and ``skipped`` count the whole scope's triples
-    without and with such a pair, also when the scan is narrowed to a
-    support: a full scan records both in ``A._scan_counts`` as it ends, and a
-    narrowed scan reads them there, running one full scan per instance and
-    (scope, repeats) if none has run.
+    scope "interior" draws from the interior positions, "all" from every
+    position; ``repeats`` allows x = y or y = z.  A triple with a
+    window-flagged cyclic pair (x,y), (y,z) or (z,x) is not yielded.
+
+    An identity whose terms for a rotation (a, b, c) of a triple read some
+    value at (k, c) with k in ``terms[a][b]`` passes the ordered position
+    pairs (k, c) it can read nonzero as ``support``, an iterable read once;
+    every other triple contributes exactly zero.  When walking the producers
+    of the supported pairs takes fewer steps (the sum over k of
+    |producers[k]| times the number of in-scope pairs (k, c)) than the scope
+    has triples, the scan yields only the triples with such a rotation, in
+    the same order; otherwise, and without a support, it yields them all.
+
+    ``checkable`` and ``skipped`` count the whole scope's triples without
+    and with a flagged pair, whichever way it was walked: a full scan
+    records both in ``A._scan_counts`` as it ends, and a narrowed scan reads
+    them there, running one full scan per instance and (scope, repeats) if
+    none has run.
     """
 
     def __init__(
@@ -341,6 +330,8 @@ class TripleScan:
         repeats: bool,
         support: Optional[Iterable[tuple[int, int]]] = None,
     ):
+        if scope not in ("interior", "all"):
+            raise ValueError(f"unknown scope {scope!r}")
         self._A = A
         self._key = (scope, repeats)
         self._support = support
@@ -349,15 +340,20 @@ class TripleScan:
         A = self._A
         return A.view.interior if self._key[0] == "interior" else range(A.dim)
 
-    def _candidates(self) -> list[tuple[int, int, int]]:
+    def _narrowed(self) -> Optional[list[tuple[int, int, int]]]:
         """Sorted triples of the scope with a rotation (a, b, c) that has
-        k in ``terms[a][b]`` and (k, c) in the support."""
-        inside = set(self._positions())
+        k in ``terms[a][b]`` and (k, c) in the support, or None when walking
+        the producers would take more steps than the full scan."""
+        positions = self._positions()
+        inside = set(positions)
         wanted: dict[int, list[int]] = {}
         for k, c in self._support:
             if c in inside:
                 wanted.setdefault(k, []).append(c)
         producers, n = self._A.view.producers, self._A.dim
+        steps = sum(len(producers[k]) * len(cs) for k, cs in wanted.items())
+        if steps >= comb(len(positions) + 2 * self._key[1], 3):
+            return None
         found = set()
         for k, cs in wanted.items():
             for key in producers[k]:
@@ -378,7 +374,8 @@ class TripleScan:
 
     def __iter__(self) -> Iterator[tuple]:
         flagged = self._A.view.flagged
-        full = self._support is None
+        triples = None if self._support is None else self._narrowed()
+        full = triples is None
         if full:
             combinations = (
                 itertools.combinations_with_replacement
@@ -386,8 +383,6 @@ class TripleScan:
                 else itertools.combinations
             )
             triples = combinations(self._positions(), 3)
-        else:
-            triples = self._candidates()
         checkable = skipped = 0
         for t in triples:
             x, y, z = t
@@ -413,6 +408,17 @@ class TripleScan:
     @property
     def skipped(self) -> int:
         return self._counts()[1]
+
+
+@dataclass
+class TripleAudit:
+    """What a triple identity found: the triples it examined, those it
+    skipped because a window-flagged pair clipped them, and its violations
+    in triple order."""
+
+    examined: int
+    skipped_boundary: int
+    violations: list
 
 
 def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
@@ -469,16 +475,7 @@ class JacobiViolation:
     residual: Element
 
 
-@dataclass
-class JacobiAudit:
-    scope: str
-    convention: str
-    examined: int
-    skipped_boundary: int
-    violations: list[JacobiViolation]
-
-
-def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
+def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
     """Evaluate the (graded) Jacobi identity on generator triples.
 
     Plain convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over
@@ -490,7 +487,9 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
     sup = A.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     denominator = A.view.scale**2
-    triples = A.checkable_triples(scope, repeats=sup)
+    # no support: a triple whose inner bracket the window clipped counts as
+    # skipped, and only a full scan visits every such triple
+    triples = TripleScan(A, scope, repeats=sup)
     examined = 0
     inner_skipped = 0
     violations = []
@@ -520,13 +519,7 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> JacobiAudit:
         }
         if residual:
             violations.append(JacobiViolation(A.generators_at(t), Element(residual)))
-    return JacobiAudit(
-        scope,
-        A.convention,
-        examined,
-        triples.skipped + inner_skipped,
-        violations,
-    )
+    return TripleAudit(examined, triples.skipped + inner_skipped, violations)
 
 
 def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[JacobiViolation]:

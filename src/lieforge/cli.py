@@ -22,7 +22,7 @@ from .algebra import (
     AlgebraInstance,
     AlternatingViolation,
     Finding,
-    JacobiAudit,
+    TripleAudit,
     center,
     check_alternating,
     jacobi_audit,
@@ -214,7 +214,7 @@ def _triple_loc(t) -> str:
 
 
 def _structure_findings(
-    alternating: list[AlternatingViolation], jac: JacobiAudit
+    alternating: list[AlternatingViolation], jac: TripleAudit
 ) -> list[ReportFinding]:
     out = [
         ReportFinding(

@@ -12,8 +12,8 @@ constraint rows run on the instance's one bracket store, its
 position-indexed view (``AlgebraInstance.view``), whose integer terms share
 the denominator ``view.scale``: rows are assembled over it (scaling a row
 changes no row echelon form) and values are divided once, where they are
-reported.  Triples come from ``AlgebraInstance.checkable_triples``, narrowed
-to the pairs a cochain or its unknowns can read nonzero.  A central
+reported.  Triples come from ``algebra.TripleScan``, given the pairs a
+cochain or its unknowns can read nonzero as its support.  A central
 extension is built from the pairs the instance was given as written.
 """
 
@@ -25,7 +25,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from lieforge.algebra import AlgebraInstance, Element, GeneratorId, swap_sign
+from lieforge.algebra import (
+    AlgebraInstance,
+    Element,
+    GeneratorId,
+    TripleAudit,
+    TripleScan,
+    swap_sign,
+)
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
 
@@ -309,21 +316,13 @@ def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int
     """Linear constraint rows of the cyclic cocycle identity over the unknown
     pair slots, in triple order: the nonzero row of each checkable triple
     that reads a slot, with integer coefficients over ``A.view.scale``.
-
-    The scan is narrowed to the unknowns as a support only when they leave
-    slots out (grade zero).  When every slot is an unknown the support names
-    every pair a row can read, so the full scan finds the same rows without
-    walking the producers."""
+    The unknown slots, in both orientations, are the scan's support."""
     sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    support = None
-    if len(unknowns) < len(_cochain_unknowns(A, grade_zero=False)):
-        support = set()
-        for key in unknowns:
-            i, j = divmod(key, n)
-            support.update(((i, j), (j, i)))
+    slots = (divmod(key, n) for key in unknowns)
+    support = (pair for i, j in slots for pair in ((i, j), (j, i)))
     rows = []
-    for x, y, z in A.checkable_triples("all", repeats=sup, support=support):
+    for x, y, z in TripleScan(A, "all", repeats=sup, support=support):
         row: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             sign = -1 if sup and odd[a] and odd[c] else 1
@@ -397,26 +396,19 @@ class CocycleViolation:
     residual: Fraction
 
 
-@dataclass
-class CocycleAudit:
-    scope: str
-    examined: int
-    skipped_boundary: int
-    violations: list[CocycleViolation]
-
-
 def cocycle_audit(
-    A: AlgebraInstance, omega: Cochain2, scope: str = "interior"
-) -> CocycleAudit:
-    """Evaluate the cyclic cocycle identity for a concrete cochain."""
-    return _cocycle_audit(A, omega, scope, A.convention == "super")
+    A: AlgebraInstance,
+    omega: Cochain2,
+    scope: str = "interior",
+    repeats: Optional[bool] = None,
+) -> TripleAudit:
+    """Evaluate the cyclic cocycle identity for a concrete cochain.
 
-
-def _cocycle_audit(
-    A: AlgebraInstance, omega: Cochain2, scope: str, repeats: bool
-) -> CocycleAudit:
-    """cocycle_audit with the triple repeats chosen by the caller."""
+    ``repeats`` allows x = y or y = z in a triple; None takes the
+    convention's rule, as Jacobi does: with repeats under super only."""
     sup = A.convention == "super"
+    if repeats is None:
+        repeats = sup
     terms, odd, n = A.view.terms, A.view.odd, A.dim
     pos = {g: i for i, g in enumerate(A.generators)}
     # omega on the pairs of A stored in either direction, as integers over
@@ -430,9 +422,7 @@ def _cocycle_audit(
     e = lcm(*(w.denominator for w in values.values()))
     om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
     denominator = A.view.scale * e
-    triples = A.checkable_triples(
-        scope, repeats, support={divmod(key, n) for key in om}
-    )
+    triples = TripleScan(A, scope, repeats, (divmod(key, n) for key in om))
     violations = []
     for t in triples:
         x, y, z = t
@@ -451,7 +441,7 @@ def _cocycle_audit(
             violations.append(
                 CocycleViolation(A.generators_at(t), Fraction(total, denominator))
             )
-    return CocycleAudit(scope, triples.checkable, triples.skipped, violations)
+    return TripleAudit(triples.checkable, triples.skipped, violations)
 
 
 def check_cocycle(
@@ -460,18 +450,17 @@ def check_cocycle(
     return cocycle_audit(A, omega, scope).violations
 
 
-def central_extension(
-    A: AlgebraInstance, omega: Cochain2, center_family: str = "Z"
-) -> AlgebraInstance:
+def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:
     """Adjoin a central generator z and twist the bracket by omega:
-    [x,y]_ext = [x,y] + omega(x,y) z.  The cochain is not required to be
-    closed; Jacobi on the result reports any failure."""
-    fam = center_family
+    [x,y]_ext = [x,y] + omega(x,y) z.  The generator is Z[0], or Z1[0],
+    Z2[0], ... when the family name is taken.  The cochain is not required
+    to be closed; Jacobi on the result reports any failure."""
+    fam = "Z"
     existing = {g.family for g in A.generators}
     k = 0
     while fam in existing:
         k += 1
-        fam = f"{center_family}{k}"
+        fam = f"Z{k}"
     z = GeneratorId(fam, 0)
 
     gens, terms, scale = A.generators, A.view.terms, A.view.scale
@@ -498,5 +487,4 @@ def central_extension(
         boundary_pairs=A.boundary_pairs,
         dropped_terms=A.dropped_terms,
         findings=list(A.findings),
-        metadata={**A.metadata, "extension_of": A.name, "center_generator": str(z)},
     )

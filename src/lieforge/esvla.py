@@ -20,14 +20,13 @@ from .algebra import (
     AlternatingViolation,
     Element,
     Finding,
-    JacobiAudit,
+    TripleAudit,
     center,
     check_alternating,
     jacobi_audit,
 )
 from .cohomology import (
     Cochain2,
-    CocycleAudit,
     coboundary2_space,
     cocycle2_space,
     cocycle_audit,
@@ -38,11 +37,6 @@ from .specfile import instantiate_cocycle
 
 # The bundled document's file name, as reports name their inputs.
 DOC_NAME = "esvla.lie"
-
-H2_NOTE = (
-    "z2/b2/h2 count grade-zero cochains of this finite window only; "
-    "the numbers do not transfer to the untruncated algebra"
-)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ class EsvlaAuditReport:
 
     ``h2_grade0`` is dim Z2 - dim B2 on grade-zero cochains of the window;
     when Jacobi fails on the window some coboundaries are not cocycles, so
-    the number is bookkeeping, not a cohomology dimension (see note).
+    the number is bookkeeping, not a cohomology dimension.
     """
 
     config: EsvlaConfig
@@ -137,16 +131,15 @@ class EsvlaAuditReport:
     dropped_terms: int
     instantiation_findings: list[Finding]
     alternating: list[AlternatingViolation]
-    jacobi: JacobiAudit
+    jacobi: TripleAudit
     center_basis: list[Element]
-    cocycles: dict[str, CocycleAudit]
+    cocycles: dict[str, TripleAudit]
     derivations0_dim: int
     inner0_dim: int
     outer0_dim: int
     z2_grade0: int
     b2_grade0: int
     h2_grade0: int
-    h2_note: str = H2_NOTE
 
     def summaries(self) -> dict[str, int]:
         out = {

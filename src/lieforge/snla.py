@@ -30,7 +30,7 @@ from lieforge.algebra import (
     gid,
     is_two_step_solvable,
 )
-from lieforge.cohomology import Cochain2, _cocycle_audit, h2_dimension
+from lieforge.cohomology import Cochain2, cocycle_audit, h2_dimension
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge import specfile
 
@@ -265,7 +265,7 @@ def check_symplectic_cocycle(
     omega = Cochain2(
         raw={(g, h): v for g, row in zip(gens, f.matrix) for h, v in zip(gens, row)}
     )
-    audit = _cocycle_audit(A, omega, "all", True)
+    audit = cocycle_audit(A, omega, "all", repeats=True)
     return [
         FormCocycleViolation(tuple(int(g.index) for g in v.triple), v.residual)
         for v in audit.violations

@@ -843,6 +843,10 @@ def instantiate(
     Every rule coefficient and entry value is an integer over one
     document-wide denominator, so each rule term is evaluated as integer
     monomials in m and n, with doubled result indices.
+
+    The window truncates the family grids the rules run over.  A document
+    without rules declares all of its generators, so it is built without
+    one, whatever window is given.
     """
     if kind_mode not in ("strict", "extended"):
         raise ValueError(f"unknown kind_mode {kind_mode!r}")
@@ -850,6 +854,8 @@ def instantiate(
         raise ValueError("document has rules; a window is required")
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
+    if not doc.rules:
+        window = None
 
     promoted = _promoted_families(doc) if kind_mode == "extended" else set()
     fam_kind = {
@@ -954,7 +960,6 @@ def instantiate(
         boundary_pairs=boundary,
         dropped_terms=dropped,
         findings=findings,
-        metadata={"kind_mode": kind_mode, "convention": doc.convention},
     )
 
 

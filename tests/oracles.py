@@ -12,7 +12,15 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from lieforge.algebra import AlgebraInstance, Element, Finding, GeneratorId, bracket, gid
+from lieforge.algebra import (
+    AlgebraInstance,
+    Element,
+    Finding,
+    GeneratorId,
+    TripleScan,
+    bracket,
+    gid,
+)
 from lieforge.automorphisms import AutomorphismViolation
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
@@ -70,7 +78,7 @@ def full_scan_cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]):
     value = pair_values(A)
     terms = [[[(A.position(t), c) for t, c in value(g, h).items()] for h in gens] for g in gens]
     rows = []
-    for x, y, z in A.checkable_triples("all", repeats=sup):
+    for x, y, z in TripleScan(A, "all", repeats=sup):
         row: dict[int, Fraction] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             sign = -1 if sup and odd[a] and odd[c] else 1
@@ -129,6 +137,8 @@ def naive_instantiate(doc, window=None, kind_mode="strict"):
         ill = {t.family for r in doc.rules for t in r.terms if not admits(kind[t.family], t.offset)}
         kind.update(dict.fromkeys(ill, "both"))
     by_family = {f.symbol: [] for f in doc.families}
+    if not doc.rules:
+        window = None  # a document without rules declares its generators
     if window is not None:
         for fam, k in kind.items():
             step = 1 if k == "both" else 2

@@ -138,6 +138,24 @@ def test_derivations_heisenberg(capsys):
     assert rep.summaries == {"dim": 3, "derivations": 6, "inner": 2, "outer": 4}
 
 
+@pytest.mark.parametrize("window", ["1", "3"])
+@pytest.mark.parametrize("command", ["check", "cohomology", "derivations"])
+def test_window_leaves_a_document_without_rules_as_declared(command, window, capsys):
+    # a window truncates the grids of rule documents; it adds no generator
+    # to a declared table, and drops none of it
+    spec = str(DATA / "heisenberg.lie")
+    code, rep, _ = run_cli([command, spec], capsys)
+    code_w, rep_w, _ = run_cli([command, spec, "--window", window], capsys)
+    assert code_w == code == 0
+    assert rep_w.summaries == rep.summaries
+    assert rep_w.findings == rep.findings
+    assert rep.summaries["dim"] == 3
+    if command == "cohomology":
+        assert rep.summaries == {"dim": 3, "z2": 3, "b2": 1, "h2": 2}
+    if command == "check":
+        assert rep.summaries["center_dim"] == 1
+
+
 def test_extend_named_cocycle(capsys):
     code, rep, _ = run_cli(["extend", H3_EXT, "--cocycle", "w"], capsys)
     assert code == 0

@@ -39,7 +39,6 @@ def test_build_dimensions():
         "L": 7, "M": 7, "N": 7, "Y": 6
     }
     assert all(abs(g.index) <= 3 for g in A.generators)
-    assert A.metadata == {"kind_mode": "strict", "convention": "super"}
 
     B = esvla.build_esvla(esvla.EsvlaConfig(window=3, n_index_mode="extended"))
     assert B.dim == 33  # N widened to 13 indices
@@ -279,7 +278,6 @@ def test_audit_w4_strict_frozen():
     }
     # strict mode silences [M_0, Y], so M_0 joins N_0 in the window center
     assert [str(e) for e in rep.center_basis] == ["M[0]", "N[0]"]
-    assert rep.h2_note == esvla.H2_NOTE
 
 
 def test_audit_extended_center():

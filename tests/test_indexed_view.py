@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from algebra_fixtures import (
     witt_window,
 )
 from lieforge import esvla
-from lieforge.algebra import jacobi_audit
+from lieforge.algebra import TripleScan, jacobi_audit
 from lieforge.cohomology import (
     Cochain2,
     _cochain_unknowns,
@@ -32,7 +33,10 @@ from lieforge.cohomology import (
     cocycle_audit,
 )
 from lieforge.linalg import SparseMatrix
+from lieforge.specfile import instantiate, parse
 from oracles import full_scan_cocycle_rows, naive_windowed_audit, pair_values, rational_rref
+
+DATA = Path(__file__).parent / "data"
 
 ESVLA_W5 = {
     "super_strict": esvla.EsvlaConfig(5),
@@ -231,12 +235,55 @@ def test_support_scan_is_the_touching_part_of_the_full_scan(name, scope, repeats
         set(rng.sample(pairs, len(pairs) // 8)),
         {(A.position(g), A.position(h)) for g, h in random_cochain(rng, A).raw},
     ]
-    full_scan = A.checkable_triples(scope, repeats)
+    full_scan = TripleScan(A, scope, repeats)
     full = list(full_scan)
     value = pair_values(A)
     for support in supports:
-        # a fresh instance, so the narrowed scan counts the scope itself
+        # a fresh instance: only a scan that went full has recorded the
+        # scope's counts, and a narrowed one must count the scope itself
         B = ROW_CASES[name]()
-        narrowed = B.checkable_triples(scope, repeats, support=support)
-        assert list(narrowed) == [t for t in full if _touches(A, value, t, support)]
-        assert (narrowed.checkable, narrowed.skipped) == (len(full), full_scan.skipped)
+        scan = TripleScan(B, scope, repeats, iter(support))
+        got = list(scan)
+        went_full = (scope, repeats) in B._scan_counts
+        if went_full:
+            assert got == full
+        else:
+            assert got == [t for t in full if _touches(A, value, t, support)]
+        assert (scan.checkable, scan.skipped) == (len(full), full_scan.skipped)
+        if not support:
+            # no step to take: it narrows whenever the scope has a triple
+            assert went_full == (not full and not full_scan.skipped)
+
+
+def _witt(window):
+    return instantiate(parse((DATA / "witt.lie").read_text()), window=window)
+
+
+def _paths(monkeypatch, run) -> list[str]:
+    """The way each TripleScan went while ``run`` ran."""
+    paths = []
+    narrowed = TripleScan._narrowed
+
+    def spy(scan):
+        triples = narrowed(scan)
+        paths.append("full" if triples is None else "narrowed")
+        return triples
+
+    with monkeypatch.context() as mp:
+        mp.setattr(TripleScan, "_narrowed", spy)
+        run()
+    return paths
+
+
+def test_scan_path_follows_the_cost_rule(monkeypatch):
+    # Witt W=28: a support naming every slot costs 134,848 producer steps
+    # against 29,260 triples, so the rows scan in full; the grade-zero slots
+    # cost 2,352 and narrow
+    A = _witt(28)
+    for grade_zero, path in ((False, "full"), (True, "narrowed")):
+        unknowns = _cochain_unknowns(A, grade_zero)
+        assert _paths(monkeypatch, lambda: _cocycle_rows(A, unknowns)) == [path]
+    # esvla W=8: each displayed cocycle names few pairs, so its audit narrows
+    B = esvla.build_esvla(esvla.EsvlaConfig(8))
+    for _, omega in esvla._cocycles_for(B).items():
+        assert _paths(monkeypatch, lambda: cocycle_audit(B, omega)) == ["narrowed"]
