@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Optional
@@ -295,10 +296,6 @@ class AlgebraInstance:
             return True
         return abs(g.doubled_index) <= 2 * (self.window - self.interior_margin)
 
-    def generators_at(self, positions: Iterable[int]) -> tuple[GeneratorId, ...]:
-        """The generators at the given positions, in order."""
-        return tuple(self.generators[i] for i in positions)
-
 
 class TripleScan:
     """One pass over an instance's position triples for one scope, in order.
@@ -414,11 +411,35 @@ class TripleScan:
 class TripleAudit:
     """What a triple identity found: the triples it examined, those it
     skipped because a window-flagged pair clipped them, and its violations
-    in triple order."""
+    in triple order.
+
+    ``found`` keeps each violation compactly, as its position triple and its
+    integer residual over ``denominator``: an int for a scalar identity, a
+    dict from generator position to nonzero int otherwise.  ``violations``
+    builds the ``kind(triple of generators, exact residual)`` objects on
+    first read; ``violation`` builds one.
+    """
 
     examined: int
     skipped_boundary: int
-    violations: list
+    found: list[tuple[tuple[int, int, int], object]]
+    denominator: int
+    generators: list[GeneratorId]
+    kind: type
+
+    def violation(self, entry: tuple[tuple[int, int, int], object]):
+        """The violation object of one entry of ``found``."""
+        (x, y, z), r = entry
+        gens, d = self.generators, self.denominator
+        if isinstance(r, int):
+            residual = Fraction(r, d)
+        else:
+            residual = Element({gens[u]: Fraction(v, d) for u, v in r.items()})
+        return self.kind((gens[x], gens[y], gens[z]), residual)
+
+    @cached_property
+    def violations(self) -> list:
+        return [self.violation(e) for e in self.found]
 
 
 def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
@@ -486,13 +507,12 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
     """
     sup = A.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
-    denominator = A.view.scale**2
     # no support: a triple whose inner bracket the window clipped counts as
     # skipped, and only a full scan visits every such triple
     triples = TripleScan(A, scope, repeats=sup)
     examined = 0
     inner_skipped = 0
-    violations = []
+    found = []
     for t in triples:
         x, y, z = t
         total: dict[int, int] = {}
@@ -514,12 +534,17 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
             inner_skipped += 1
             continue
         examined += 1
-        residual = {
-            A.generators[u]: Fraction(v, denominator) for u, v in total.items() if v
-        }
+        residual = {u: v for u, v in total.items() if v}
         if residual:
-            violations.append(JacobiViolation(A.generators_at(t), Element(residual)))
-    return TripleAudit(examined, triples.skipped + inner_skipped, violations)
+            found.append((t, residual))
+    return TripleAudit(
+        examined,
+        triples.skipped + inner_skipped,
+        found,
+        A.view.scale**2,
+        A.generators,
+        JacobiViolation,
+    )
 
 
 def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[JacobiViolation]:

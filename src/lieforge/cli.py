@@ -15,13 +15,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__, esvla, snla, specfile
 from .algebra import (
     AlgebraInstance,
     AlternatingViolation,
     Finding,
+    GeneratorId,
     TripleAudit,
     center,
     check_alternating,
@@ -110,30 +112,57 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+class Findings:
+    """A report's findings as it shows them: per code, the MAX_PER_CODE
+    first by location, picked before they are rendered, and the code's
+    exact total."""
+
+    def __init__(self, findings: Iterable[ReportFinding] = ()):
+        self.shown: list[ReportFinding] = []
+        self.total: dict[str, int] = {}
+        self.extend(findings)
+
+    def add(
+        self,
+        code: str,
+        items: Sequence,
+        key: Callable,
+        render: Callable[..., ReportFinding],
+    ) -> None:
+        """Record ``items``, the findings of ``code``, which no other call
+        adds to: ``key`` orders them as their location strings order, and
+        only the picked ones are rendered, in that order."""
+        assert code not in self.total, code
+        self.total[code] = len(items)
+        # a stable sort on cheap keys; heapq.nsmallest would add two modules
+        # to every command's start-up
+        picked = sorted(items, key=key)[:MAX_PER_CODE]
+        self.shown.extend(map(render, picked))
+
+    def extend(self, findings: Iterable[ReportFinding]) -> None:
+        """Record findings already rendered, keyed by their location."""
+        by_code: dict[str, list[ReportFinding]] = {}
+        for f in findings:
+            by_code.setdefault(f.code, []).append(f)
+        for code, group in by_code.items():
+            self.add(code, group, attrgetter("location"), lambda f: f)
+
+
 def _finalize(
     command: str,
     inputs: list[tuple[str, str]],
-    findings: list[ReportFinding],
+    found: Findings,
     summaries: dict[str, int],
 ) -> Report:
-    total: dict[str, int] = {}
-    for f in findings:
-        total[f.code] = total.get(f.code, 0) + 1
-    ordered = sorted(findings, key=lambda f: (f.code, f.location))
-    shown: dict[str, int] = {}
-    kept = []
-    for f in ordered:
-        shown[f.code] = shown.get(f.code, 0) + 1
-        if shown[f.code] <= MAX_PER_CODE:
-            kept.append(f)
-    for code in sorted(total):
-        if total[code] > MAX_PER_CODE:
+    kept = list(found.shown)
+    for code in sorted(found.total):
+        if found.total[code] > MAX_PER_CODE:
             kept.append(
                 ReportFinding(
                     "info",
                     "I_TRUNCATED",
                     code,
-                    f"showing {MAX_PER_CODE} of {total[code]} findings; "
+                    f"showing {MAX_PER_CODE} of {found.total[code]} findings; "
                     "exact counts are in summaries",
                 )
             )
@@ -213,25 +242,57 @@ def _triple_loc(t) -> str:
     return f"({x},{y},{z})"
 
 
+def _name_ranks(generators: Sequence[GeneratorId]) -> list[int]:
+    """Each position's rank among the generators' names.  Every name ends
+    in ']', which appears nowhere else in it, so no name is a proper prefix
+    of another: triple locations compare name by name, as the tuples of
+    their ranks do."""
+    order = sorted(range(len(generators)), key=lambda i: str(generators[i]))
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
+
+
+def _add_triple_findings(
+    found: Findings,
+    code: str,
+    audits: list[tuple[str, TripleAudit]],
+    rank: list[int],
+) -> None:
+    """The violations of ``audits``, (prefix, audit) pairs over one instance
+    whose name ranks are ``rank``, as ``code`` findings located at the
+    prefix and the triple.  A prefix is empty or ends in ':', which no name
+    holds, so locations order by prefix first."""
+    items = [(prefix, aud, entry) for prefix, aud in audits for entry in aud.found]
+    n = len(rank)
+
+    def key(item):
+        (x, y, z), _ = item[2]
+        return item[0], (rank[x] * n + rank[y]) * n + rank[z]
+
+    def render(item):
+        prefix, aud, entry = item
+        v = aud.violation(entry)
+        location = prefix + _triple_loc(v.triple)
+        return ReportFinding("violation", code, location, f"residual {v.residual}")
+
+    found.add(code, items, key, render)
+
+
 def _structure_findings(
-    alternating: list[AlternatingViolation], jac: TripleAudit
-) -> list[ReportFinding]:
-    out = [
+    found: Findings,
+    alternating: list[AlternatingViolation],
+    jac: TripleAudit,
+    rank: list[int],
+) -> None:
+    found.extend(
         ReportFinding(
-            "violation",
-            "V_ALT",
-            _pair_loc(v.left, v.right),
-            f"residual {v.residual}",
+            "violation", "V_ALT", _pair_loc(v.left, v.right), f"residual {v.residual}"
         )
         for v in alternating
-    ]
-    out.extend(
-        ReportFinding(
-            "violation", "V_JACOBI", _triple_loc(v.triple), f"residual {v.residual}"
-        )
-        for v in jac.violations
     )
-    return out
+    _add_triple_findings(found, "V_JACOBI", [("", jac)], rank)
 
 
 def _cmd_check(args, inputs):
@@ -244,17 +305,19 @@ def _cmd_check(args, inputs):
         "alternating_violations": len(alternating),
         "jacobi_examined": jac.examined,
         "jacobi_skipped": jac.skipped_boundary,
-        "jacobi_violations": len(jac.violations),
+        "jacobi_violations": len(jac.found),
         "center_dim": len(center(A)),
     }
-    return findings + _structure_findings(alternating, jac), summaries
+    found = Findings(findings)
+    _structure_findings(found, alternating, jac, _name_ranks(A.generators))
+    return found, summaries
 
 
 def _cmd_cohomology(args, inputs):
     A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
     z2 = len(cocycle2_space(A, grade_zero=args.grade_zero))
     b2 = len(coboundary2_space(A, grade_zero=args.grade_zero))
-    return findings, {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
+    return Findings(findings), {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
 
 
 def _cmd_derivations(args, inputs):
@@ -267,7 +330,7 @@ def _cmd_derivations(args, inputs):
         "inner": inner,
         "outer": outer,
     }
-    return findings, summaries
+    return Findings(findings), summaries
 
 
 def _cmd_extend(args, inputs):
@@ -300,15 +363,16 @@ def _cmd_extend(args, inputs):
     )
     ext = central_extension(A, omega)
     jac = jacobi_audit(ext, scope="interior")
-    findings.extend(_structure_findings([], jac))
     summaries = {
         "dim": A.dim,
         "extended_dim": ext.dim,
         "jacobi_examined": jac.examined,
-        "jacobi_violations": len(jac.violations),
+        "jacobi_violations": len(jac.found),
         "center_dim": len(center(ext)),
     }
-    return findings, summaries
+    found = Findings(findings)
+    _structure_findings(found, [], jac, _name_ranks(ext.generators))
+    return found, summaries
 
 
 def _cmd_esvla_audit(args, inputs):
@@ -321,20 +385,14 @@ def _cmd_esvla_audit(args, inputs):
         convention=args.convention,
         n_index_mode=args.n_index,
     )
-    rep = esvla.audit_esvla(cfg)
-    findings = _info_findings(rep.instantiation_findings)
-    findings.extend(_structure_findings(rep.alternating, rep.jacobi))
-    for name, aud in sorted(rep.cocycles.items()):
-        findings.extend(
-            ReportFinding(
-                "violation",
-                "V_COCYCLE",
-                f"{name}:{_triple_loc(v.triple)}",
-                f"residual {v.residual}",
-            )
-            for v in aud.violations
-        )
-    return findings, rep.summaries()
+    rep = _refusing("config", esvla.audit_esvla, cfg)
+    found = Findings(_info_findings(rep.instantiation_findings))
+    # the audits share the instance, so its name ranks serve them all
+    rank = _name_ranks(rep.jacobi.generators)
+    _structure_findings(found, rep.alternating, rep.jacobi, rank)
+    cocycles = [(f"{name}:", aud) for name, aud in sorted(rep.cocycles.items())]
+    _add_triple_findings(found, "V_COCYCLE", cocycles, rank)
+    return found, rep.summaries()
 
 
 _SNLA_CODES = {
@@ -371,7 +429,7 @@ def _cmd_snla_verify(args, inputs):
             "h2_dim": fp["h2"],
         }
     )
-    return findings, summaries
+    return Findings(findings), summaries
 
 
 def _coefficients(text: str) -> Optional[list]:
@@ -421,7 +479,7 @@ def _cmd_snla_search(args, inputs):
         "instances": len(res.instances),
         "partial": int(res.partial),
     }
-    return findings, summaries
+    return Findings(findings), summaries
 
 
 def _bracket_findings(
@@ -441,7 +499,8 @@ def _cmd_aut_verify(args, inputs):
     if not (doc.products or doc.forms):
         A, findings = _instantiate(doc, args.window)
         brackets = _bracket_findings(A, phi, map_name)
-        return findings + brackets, {"dim": A.dim, "bracket_violations": len(brackets)}
+        summaries = {"dim": A.dim, "bracket_violations": len(brackets)}
+        return Findings(findings + brackets), summaries
     s = _refusing(doc.name, snla.snla_from_doc, doc)
     findings = _bracket_findings(s.bracket, phi, map_name)
     products = _refusing(map_name, check_product_preserved, s.product, phi)
@@ -468,7 +527,7 @@ def _cmd_aut_verify(args, inputs):
                 f"differs from Omega by {rows}",
             )
         )
-    return findings, summaries
+    return Findings(findings), summaries
 
 
 def _cmd_aut_recurrences(args, inputs):
@@ -503,7 +562,7 @@ def _cmd_aut_recurrences(args, inputs):
         summaries[f"{rel}_violations"] = sum(
             1 for v in viols if v.relation == rel
         )
-    return findings, summaries
+    return Findings(findings), summaries
 
 
 def _canonical_coefficients(text: str) -> str:
@@ -617,10 +676,10 @@ def run(argv: list[str]) -> tuple[int, Optional[Report]]:
     command = _command_line(args)
     inputs: list[tuple[str, str]] = []
     try:
-        findings, summaries = args.func(args, inputs)
+        found, summaries = args.func(args, inputs)
     except Refusal as r:
-        findings, summaries = [r.finding], {}
-    report = _finalize(command, inputs, findings, summaries)
+        found, summaries = Findings([r.finding]), {}
+    report = _finalize(command, inputs, found, summaries)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code(), report
 

@@ -421,9 +421,8 @@ def cocycle_audit(
     }
     e = lcm(*(w.denominator for w in values.values()))
     om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
-    denominator = A.view.scale * e
     triples = TripleScan(A, scope, repeats, (divmod(key, n) for key in om))
-    violations = []
+    found = []
     for t in triples:
         x, y, z = t
         total = 0
@@ -438,10 +437,15 @@ def cocycle_audit(
             else:
                 total += part
         if total:
-            violations.append(
-                CocycleViolation(A.generators_at(t), Fraction(total, denominator))
-            )
-    return TripleAudit(triples.checkable, triples.skipped, violations)
+            found.append((t, total))
+    return TripleAudit(
+        triples.checkable,
+        triples.skipped,
+        found,
+        A.view.scale * e,
+        A.generators,
+        CocycleViolation,
+    )
 
 
 def check_cocycle(

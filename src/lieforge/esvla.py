@@ -150,7 +150,7 @@ class EsvlaAuditReport:
             "alternating_violations": len(self.alternating),
             "jacobi_examined": self.jacobi.examined,
             "jacobi_skipped": self.jacobi.skipped_boundary,
-            "jacobi_violations": len(self.jacobi.violations),
+            "jacobi_violations": len(self.jacobi.found),
             "center_dim": len(self.center_basis),
             "derivations_grade0": self.derivations0_dim,
             "inner_grade0": self.inner0_dim,
@@ -162,7 +162,7 @@ class EsvlaAuditReport:
         for name, aud in sorted(self.cocycles.items()):
             out[f"{name}_examined"] = aud.examined
             out[f"{name}_skipped"] = aud.skipped_boundary
-            out[f"{name}_violations"] = len(aud.violations)
+            out[f"{name}_violations"] = len(aud.found)
         return out
 
 

@@ -55,6 +55,12 @@ MAX_EXPONENT = 16
 # deeper expression is refused before it exhausts the interpreter's stack.
 MAX_NESTING = 32
 
+# Largest dimension an instance may have, from the window's family grids
+# and the declared generators together.  The bracket store keeps a dense
+# dim x dim grid of pairs, so its time and memory grow as dim**2; at 2,000
+# generators instantiation takes about 0.4 s and 111 MB.
+MAX_DIM = 2048
+
 # An integer literal, and the numerator or denominator of a polynomial
 # coefficient after any arithmetic, may have at most MAX_DIGITS digits, so a
 # product of two coefficients evaluated in the window still renders.
@@ -763,14 +769,14 @@ def render(doc: AlgebraSpecDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _family_grid(kind: str, window: int) -> list[int]:
+def _family_grid(kind: str, window: int) -> range:
     """Doubled indices for one family over |index| <= window."""
     if kind == "integer":
-        return [2 * k for k in range(-window, window + 1)]
+        return range(-2 * window, 2 * window + 1, 2)
     if kind == "half":
-        return list(range(-2 * window + 1, 2 * window, 2))
+        return range(-2 * window + 1, 2 * window, 2)
     # both kinds (promoted family)
-    return list(range(-2 * window, 2 * window + 1))
+    return range(-2 * window, 2 * window + 1)
 
 
 def _promoted_families(doc: AlgebraSpecDoc) -> set[str]:
@@ -846,7 +852,8 @@ def instantiate(
 
     The window truncates the family grids the rules run over.  A document
     without rules declares all of its generators, so it is built without
-    one, whatever window is given.
+    one, whatever window is given.  An instance of more than MAX_DIM
+    generators is refused before any grid is built.
     """
     if kind_mode not in ("strict", "extended"):
         raise ValueError(f"unknown kind_mode {kind_mode!r}")
@@ -863,13 +870,22 @@ def instantiate(
         for f in doc.families
     }
 
+    grids = {
+        f.symbol: range(0) if window is None else _family_grid(fam_kind[f.symbol], window)
+        for f in doc.families
+    }
+    declared = {(g.family, int(g.index * 2)) for g in doc.generators}
+    # counted before any grid is built (len() of a range stops at
+    # sys.maxsize): each grid's size, and the declared generators off it
+    dim = sum(-((r.start - r.stop) // r.step) for r in grids.values())
+    dim += sum(d not in grids[fam] for fam, d in declared)
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the limit {MAX_DIM}")
+
     # each family's grid and declared generators, once each, by index
-    doubled: dict[str, set[int]] = {f.symbol: set() for f in doc.families}
-    if window is not None:
-        for f in doc.families:
-            doubled[f.symbol].update(_family_grid(fam_kind[f.symbol], window))
-    for g in doc.generators:
-        doubled[g.family].add(int(g.index * 2))
+    doubled = {fam: set(grid) for fam, grid in grids.items()}
+    for fam, d in declared:
+        doubled[fam].add(d)
     by_family = {
         fam: [GeneratorId(fam, d) for d in sorted(ds)] for fam, ds in doubled.items()
     }

@@ -12,13 +12,17 @@ import subprocess
 import signal
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lieforge import cli, specfile
+from lieforge import cli, esvla, specfile
+from lieforge.algebra import check_alternating, jacobi_audit
 from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
+from lieforge.cohomology import central_extension
+from oracles import written_entries
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -278,6 +282,19 @@ def test_esvla_audit_default_matches_golden(capsys):
     code, _, out = run_cli(["esvla", "audit", "--window", "5"], capsys)
     assert code == 1
     assert out == (GOLDEN / "esvla_audit_w5.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "convention, golden",
+    [("super", "esvla_audit_w8.txt"), ("plain", "esvla_audit_w8_plain.txt")],
+)
+def test_esvla_audit_w8_matches_golden(convention, golden, capsys):
+    # the benchmark's window: thousands of findings per code, of which the
+    # report shows the first 100 by location
+    argv = ["esvla", "audit", "--window", "8", "--convention", convention]
+    code, _, out = run_cli(argv, capsys)
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text()
 
 
 # Fixed invocations, run from the repository root: every subcommand on
@@ -1139,3 +1156,223 @@ def test_fuzzed_specs_end_in_a_report(tmp_path, capsys):
     # the value mutator keeps a share of the inputs past the parser (277 of
     # 1,200 with this seed; 46 before it was added)
     assert audited >= 200
+
+
+# Huge windows and dimensions: refused before any family grid is built.
+@pytest.mark.parametrize("window", [10**6, 10**9])
+@pytest.mark.parametrize(
+    "argv, location, dim",
+    [
+        (["check", WITT], "witt", lambda w: 2 * w + 1),
+        (["cohomology", WITT], "witt", lambda w: 2 * w + 1),
+        (["esvla", "audit"], "config", lambda w: 8 * w + 3),
+        (["esvla", "audit", "--n-index", "extended"], "config", lambda w: 10 * w + 3),
+    ],
+    ids=["check", "cohomology", "esvla-strict", "esvla-extended"],
+)
+def test_huge_window_is_refused_quickly(argv, location, dim, window, capsys):
+    t0 = time.perf_counter()
+    code, rep, _ = run_cli([*argv, "--window", str(window)], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    detail = f"dimension {dim(window)} exceeds the limit {specfile.MAX_DIM}"
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", location, detail)
+    ]
+
+
+def test_esvla_audit_arguments_end_in_a_report(capsys):
+    # every window from -2 to 6, huge and non-integer ones, under both
+    # conventions and both --n-index modes; seeded draws leave an option
+    # out, misspell it, or ask for JSON
+    rng = random.Random(2019)
+    audited = Counter()
+    windows = [str(w) for w in range(-2, 7)]
+    windows += ["1000000", "1000000000", str(10**30), "9" * 4300]
+    windows += ["2.5", "1e3", "x", "", "3/2", "-", "0x10"]
+    for window in windows:
+        for convention in ("plain", "super"):
+            for mode in ("strict", "extended"):
+                argv = ["esvla", "audit", f"--window={window}"]
+                for option, value, wrong in (
+                    ("--convention", convention, convention.upper()),
+                    ("--n-index", mode, mode + "2"),
+                ):
+                    draw = rng.random()
+                    if draw < 0.8:
+                        argv += [option, value]
+                    elif draw < 0.9:
+                        argv += [option, wrong]
+                if rng.random() < 0.2:
+                    argv.append("--json")
+                code, rep = cli.run(argv)
+                captured = capsys.readouterr()
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in captured.err, argv
+                if rep is None:  # a usage error, reported by argparse
+                    assert code == 2 and "usage:" in captured.err, argv
+                    continue
+                assert code == rep.exit_code(), argv
+                assert rep.command.startswith("esvla audit --window"), argv
+                if code < 2:
+                    audited[rep.command.split(" --", 2)[2]] += 1
+    # each of the four configurations reached the audits (17 runs in all)
+    assert len(audited) == 4 and sum(audited.values()) >= 15
+
+
+ESVLA_DOC = str(REPO / "src" / "lieforge" / "data" / "esvla.lie")
+
+
+def _located(code: str, violations, prefix: str = "") -> list[tuple[str, str, str]]:
+    return [
+        (code, prefix + cli._triple_loc(v.triple), f"residual {v.residual}")
+        for v in violations
+    ]
+
+
+def _every_finding(case: str) -> list[tuple[str, str, str]]:
+    """Every finding of the case's command, rendered from the library's
+    violation objects, in the order the command adds them."""
+    if case.startswith("esvla"):
+        rep = esvla.audit_esvla(esvla.EsvlaConfig(8, convention=case.split("-")[1]))
+        out = [(f.code, f.location, f.detail) for f in rep.instantiation_findings]
+        out += [
+            ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
+            for v in rep.alternating
+        ]
+        out += _located("V_JACOBI", rep.jacobi.violations)
+        for name, aud in sorted(rep.cocycles.items()):
+            out += _located("V_COCYCLE", aud.violations, f"{name}:")
+        return out
+    doc = specfile.parse(Path(ESVLA_DOC).read_text())
+    A = specfile.instantiate(doc, window=8)
+    out = [(f.code, f.location, f.detail) for f in A.findings]
+    if case == "check":
+        out += [
+            ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
+            for v in check_alternating(A)
+        ]
+        return out + _located("V_JACOBI", jacobi_audit(A).violations)
+    [w1] = [c for c in doc.cocycles if c.name == "w1"]
+    ext = central_extension(A, specfile.instantiate_cocycle(w1, A))
+    return out + _located("V_JACOBI", jacobi_audit(ext).violations)
+
+
+PICK_CASES = {
+    "esvla-super": ["esvla", "audit", "--window", "8"],
+    "esvla-plain": ["esvla", "audit", "--window", "8", "--convention", "plain"],
+    "check": ["check", ESVLA_DOC, "--window", "8"],
+    "extend": ["extend", ESVLA_DOC, "--cocycle", "w1", "--window", "8"],
+}
+
+
+@pytest.mark.parametrize("case", PICK_CASES)
+def test_picked_findings_are_the_first_of_the_full_sort(case, capsys):
+    # each code's shown findings are the first MAX_PER_CODE of all of its
+    # findings rendered and sorted by (code, location), a stable sort
+    every = sorted(_every_finding(case), key=lambda f: f[:2])
+    total = Counter(code for code, _, _ in every)
+    rank = Counter()
+    want = []
+    for f in every:
+        rank[f[0]] += 1
+        if rank[f[0]] <= cli.MAX_PER_CODE:
+            want.append(f)
+    _, rep, _ = run_cli(PICK_CASES[case], capsys)
+    shown = [(f.code, f.location, f.detail) for f in rep.findings]
+    assert [f for f in shown if f[0] != "I_TRUNCATED"] == want
+    truncated = {f[1]: f[2] for f in shown if f[0] == "I_TRUNCATED"}
+    assert truncated == {
+        code: f"showing {cli.MAX_PER_CODE} of {n} findings; exact counts are in summaries"
+        for code, n in total.items()
+        if n > cli.MAX_PER_CODE
+    }
+    assert "V_JACOBI" in truncated
+
+
+def test_name_rank_order_is_location_order():
+    # a triple location compares as the tuple of its generators' name ranks,
+    # over every generator of the esvla window-8 instance and its extension
+    doc = specfile.parse(Path(ESVLA_DOC).read_text())
+    A = specfile.instantiate(doc, window=8)
+    [w1] = [c for c in doc.cocycles if c.name == "w1"]
+    ext = central_extension(A, specfile.instantiate_cocycle(w1, A))
+    rng = random.Random(8)
+    for gens in (A.generators, ext.generators):
+        rank, n = cli._name_ranks(gens), len(gens)
+        for i in range(n):
+            for j in range(n):
+                for shared in range(3):
+                    head = [rng.randrange(n) for _ in range(shared)]
+                    s = head + [i] + [rng.randrange(n) for _ in range(2 - shared)]
+                    t = head + [j] + [rng.randrange(n) for _ in range(2 - shared)]
+                    by_name = cli._triple_loc([gens[p] for p in s]) < cli._triple_loc(
+                        [gens[p] for p in t]
+                    )
+                    assert by_name == ([rank[p] for p in s] < [rank[p] for p in t])
+    # a cocycle location orders by its prefix "name:", not by the bare name
+    names = ["w", "w1", "w10", "w2", "w_1"]
+    loc = "(L[0],L[1],L[2])"
+    for p in names:
+        for q in names:
+            assert (f"{p}:" < f"{q}:") == (f"{p}:{loc}" < f"{q}:{loc}")
+    assert "w1" < "w10" and "w10:" < "w1:"
+
+
+def _written_out(A) -> str:
+    """An explicit document declaring A's generators and its pairs as
+    written, under the bundled esvla document's families."""
+    lines = [f"algebra {A.name}_table convention {A.convention}"]
+    lines += [f"family {f.symbol} {f.kind} {f.parity}" for f in esvla._bundled_doc().families]
+    lines += [f"generator {g}" for g in A.generators]
+    for (g, h), value in written_entries(A).items():
+        lines.append(f"entry {g} {h} => " + " ".join(f"{c} {t}" for t, c in value.items()))
+    return "\n".join(lines) + "\n"
+
+
+def _explicit_documents() -> dict[str, str]:
+    docs = {
+        f"{p.parent.name}/{p.stem}": p.read_text()
+        for folder in (SAMPLES, DATA)
+        for p in sorted(folder.glob("*.lie"))
+        if not specfile.parse(p.read_text()).rules
+    }
+    # a table with thousands of Jacobi violations, odd generators included
+    docs["esvla-3-table"] = _written_out(esvla.build_esvla(esvla.EsvlaConfig(3)))
+    return docs
+
+
+EXPLICIT = _explicit_documents()
+
+
+def _order_free_facts(text: str, tmp_path, capsys):
+    """The summaries of check, cohomology and derivations, and the Jacobi
+    violations as a multiset of (generator names, residual up to sign)."""
+    spec = tmp_path / "shuffled.lie"
+    spec.write_text(text)
+    summaries = {}
+    for command in ("check", "cohomology", "derivations"):
+        _, rep, _ = run_cli([command, str(spec)], capsys)
+        summaries[command] = rep.summaries
+    violations = Counter()
+    for v in jacobi_audit(specfile.instantiate(specfile.parse(text))).violations:
+        names = tuple(sorted(map(str, v.triple)))
+        violations[names, frozenset((str(v.residual), str(v.residual.scale(-1))))] += 1
+    return summaries, violations
+
+
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_declaration_order_changes_no_count(name, tmp_path, capsys):
+    # an explicit table with its family, generator and entry lines in any
+    # order is the same algebra up to the order of its basis
+    head, *body = [
+        line for line in EXPLICIT[name].splitlines() if line and not line.startswith("#")
+    ]
+    want = _order_free_facts(EXPLICIT[name], tmp_path, capsys)
+    rng = random.Random(name)
+    for _ in range(3):
+        rng.shuffle(body)
+        text = "\n".join([head, *body]) + "\n"
+        assert _order_free_facts(text, tmp_path, capsys) == want, text
+    if name == "esvla-3-table":
+        assert want[0]["check"]["jacobi_violations"] > 100

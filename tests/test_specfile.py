@@ -22,6 +22,7 @@ from lieforge.specfile import (
     GeneratorDecl,
     GenPat,
     MAX_DIGITS,
+    MAX_DIM,
     MAX_EXPONENT,
     MAX_NESTING,
     LinCond,
@@ -644,6 +645,34 @@ def test_instantiate_deterministic_dump():
     d1 = dump(instantiate(doc, window=3, kind_mode="extended"))
     d2 = dump(instantiate(doc, window=3, kind_mode="extended"))
     assert d1 == d2
+
+
+_TABLE = "algebra big convention plain\nfamily e integer even\n"
+_HALF = (
+    "algebra halves convention plain\nfamily e half even\n"
+    "rule e[m+1/2] e[n+1/2] => 1 e[m+n+1/2] when m + n = 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, window, extra",
+    [
+        # 2,048 declared generators, or one half family over |index| <= 1024
+        (_TABLE + "".join(f"generator e[{i}]\n" for i in range(2048)), None, 1),
+        (_HALF, 1024, 2),
+    ],
+    ids=["declared", "window"],
+)
+def test_dimension_limit(text, window, extra):
+    assert MAX_DIM == 2048
+    assert instantiate(parse(text), window=window).dim == MAX_DIM
+    if window is None:
+        text += f"generator e[{MAX_DIM}]\n"
+    else:
+        window += 1
+    with pytest.raises(ValueError) as refused:
+        instantiate(parse(text), window=window)
+    assert str(refused.value) == f"dimension {MAX_DIM + extra} exceeds the limit {MAX_DIM}"
 
 
 def test_instantiate_rejects_bad_mode():

@@ -12,14 +12,18 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers(monkeypatch) -> dict:
+def _load_trace_run(monkeypatch):
     # trace_run imports its sibling `workloads`; nothing is written there
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("trace_run", PERFBENCH / "trace_run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _load_layers(monkeypatch) -> dict:
+    return _load_trace_run(monkeypatch).LAYERS
 
 
 def test_every_traced_binding_is_a_callable(monkeypatch):
@@ -32,3 +36,32 @@ def test_every_traced_binding_is_a_callable(monkeypatch):
     ]
     assert missing == []
     assert sites
+
+
+def test_triple_counters_read_the_audit_record_only(monkeypatch):
+    # the traced triple counts are the audits' examined and skipped triples,
+    # read without building a single violation object
+    from lieforge import esvla
+    from lieforge.algebra import TripleAudit
+
+    counters = _load_trace_run(monkeypatch).COUNTERS
+    built = []
+    real = TripleAudit.violation
+    monkeypatch.setattr(
+        TripleAudit, "violation", lambda self, e: built.append(e) or real(self, e)
+    )
+    rep = esvla.audit_esvla(esvla.EsvlaConfig(6))
+    read = [("algebra.jacobi", "jacobi_audit", rep.jacobi)]
+    read += [
+        ("cohomology.cocycle_audit", "cocycle_audit", aud)
+        for _, aud in sorted(rep.cocycles.items())
+    ]
+    for layer, fn, audit in read:
+        counts = counters[layer](fn, (), audit)
+        assert counts == {
+            "triples": audit.examined + audit.skipped_boundary,
+            "skipped": audit.skipped_boundary,
+        }
+        assert audit.examined > 0 and audit.found
+    assert built == []
+    assert len(rep.jacobi.violations) == len(built) == len(rep.jacobi.found)
