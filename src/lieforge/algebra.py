@@ -25,11 +25,10 @@ residuals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from lieforge.linalg import SparseMatrix, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
@@ -37,12 +36,13 @@ from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS w
 EVEN = 0
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     """A basis generator: family symbol plus doubled index.
 
     The index is stored doubled so half-integer indices stay exact ints:
-    doubled_index 3 means index 3/2, doubled_index 4 means index 2.
+    doubled_index 3 means index 3/2, doubled_index 4 means index 2.  As a
+    tuple it hashes and orders as ``(family, doubled_index)`` and equals
+    any tuple with those items.
     """
 
     family: str
@@ -152,8 +152,7 @@ def swap_sign(convention: str, odd_g: int, odd_h: int) -> int:
     return 1 if convention == "super" and odd_g and odd_h else -1
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One structured diagnostic: stable code, location string, detail."""
 
     code: str
@@ -161,8 +160,7 @@ class Finding:
     detail: str
 
 
-@dataclass(frozen=True)
-class IndexedView:
+class IndexedView(NamedTuple):
     """An instance's brackets by generator position, stored once.
 
     ``terms[i][j]`` holds the nonzero ``(k, c)`` terms of [g_i, g_j] as
@@ -407,7 +405,6 @@ class TripleScan:
         return self._counts()[1]
 
 
-@dataclass
 class TripleAudit:
     """What a triple identity found: the triples it examined, those it
     skipped because a window-flagged pair clipped them, and its violations
@@ -420,12 +417,21 @@ class TripleAudit:
     first read; ``violation`` builds one.
     """
 
-    examined: int
-    skipped_boundary: int
-    found: list[tuple[tuple[int, int, int], object]]
-    denominator: int
-    generators: list[GeneratorId]
-    kind: type
+    def __init__(
+        self,
+        examined: int,
+        skipped_boundary: int,
+        found: list[tuple[tuple[int, int, int], object]],
+        denominator: int,
+        generators: list[GeneratorId],
+        kind: type,
+    ):
+        self.examined = examined
+        self.skipped_boundary = skipped_boundary
+        self.found = found
+        self.denominator = denominator
+        self.generators = generators
+        self.kind = kind
 
     def violation(self, entry: tuple[tuple[int, int, int], object]):
         """The violation object of one entry of ``found``."""
@@ -459,8 +465,7 @@ def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
     return Element({A.generators[k]: v / scale for k, v in acc.items()}), clipped
 
 
-@dataclass(frozen=True)
-class AlternatingViolation:
+class AlternatingViolation(NamedTuple):
     left: GeneratorId
     right: GeneratorId
     residual: Element
@@ -490,8 +495,7 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     triple: tuple[GeneratorId, GeneratorId, GeneratorId]
     residual: Element
 

@@ -11,9 +11,8 @@ as violations rather than repaired.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import AlgebraInstance, Element, GeneratorId
 from .cohomology import LinearEndo
@@ -25,8 +24,7 @@ class SingularMapError(ValueError):
     """A candidate map that is not invertible."""
 
 
-@dataclass(frozen=True)
-class AutomorphismViolation:
+class AutomorphismViolation(NamedTuple):
     pair: tuple[GeneratorId, GeneratorId]
     mapped_bracket: Element  # phi([x,y])
     bracket_of_images: Element  # [phi(x), phi(y)]
@@ -112,8 +110,7 @@ def check_symplectomorphism(
     return False, residual
 
 
-@dataclass(frozen=True)
-class ProductPreservationViolation:
+class ProductPreservationViolation(NamedTuple):
     pair: tuple[int, int]
     mapped_product: Element  # phi(x.y)
     product_of_images: Element  # phi(x).phi(y)
@@ -206,8 +203,7 @@ class CoefficientFamily:
         )
 
 
-@dataclass(frozen=True)
-class RecurrenceViolation:
+class RecurrenceViolation(NamedTuple):
     relation: str  # a | b | c | d
     pair: tuple[int, int]
     lhs: Optional[Fraction]

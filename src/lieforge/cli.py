@@ -14,9 +14,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import __version__, esvla, snla, specfile
 from .algebra import (
@@ -45,22 +44,21 @@ from .cohomology import (
     cocycle2_space,
     derivation_space,
     inner_split,
+    refuse_whole_window,
 )
 from .linalg import rat
 
 MAX_PER_CODE = 100
 
 
-@dataclass(frozen=True)
-class ReportFinding:
+class ReportFinding(NamedTuple):
     severity: str  # info | violation | error
     code: str
     location: str
     detail: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     tool_version: str
     command: str
     inputs: list[tuple[str, str]]  # (basename, sha256)
@@ -233,6 +231,15 @@ def _instantiate(
     return A, _info_findings(A.findings)
 
 
+def _refuse_whole_window(doc: specfile.AlgebraSpecDoc, window: Optional[int]):
+    """Refuse, before its instance is built, a document whose whole-window
+    derivation and 2-cochain systems would exceed MAX_UNKNOWNS.  One over
+    MAX_DIM is left to ``specfile.instantiate``, which names that limit."""
+    dim = _refusing(doc.name, specfile.dimension, doc, window)
+    if dim <= specfile.MAX_DIM:
+        _refusing(doc.name, refuse_whole_window, dim)
+
+
 def _pair_loc(g, h) -> str:
     return f"({g},{h})"
 
@@ -314,15 +321,20 @@ def _cmd_check(args, inputs):
 
 
 def _cmd_cohomology(args, inputs):
-    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
-    z2 = len(cocycle2_space(A, grade_zero=args.grade_zero))
+    doc = _load_doc(args.spec, inputs)
+    if not args.grade_zero:
+        _refuse_whole_window(doc, args.window)
+    A, findings = _instantiate(doc, args.window)
+    z2 = len(_refusing(doc.name, cocycle2_space, A, grade_zero=args.grade_zero))
     b2 = len(coboundary2_space(A, grade_zero=args.grade_zero))
     return Findings(findings), {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
 
 
 def _cmd_derivations(args, inputs):
-    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
-    ders = derivation_space(A)
+    doc = _load_doc(args.spec, inputs)
+    _refuse_whole_window(doc, args.window)
+    A, findings = _instantiate(doc, args.window)
+    ders = _refusing(doc.name, derivation_space, A)
     inner, outer = inner_split(A, ders)
     summaries = {
         "dim": A.dim,
@@ -406,6 +418,8 @@ _SNLA_CODES = {
 def _cmd_snla_verify(args, inputs):
     doc = _load_doc(args.spec, inputs)
     s = _refusing(doc.name, snla.snla_from_doc, doc)
+    # first, so a cochain system over MAX_UNKNOWNS is refused at once
+    fp = _refusing(doc.name, snla.snla_fingerprint, s)
     rep = snla.verify_snla(s)
     findings = []
     for check, code in _SNLA_CODES.items():
@@ -417,7 +431,6 @@ def _cmd_snla_verify(args, inputs):
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]
     )
-    fp = snla.snla_fingerprint(s)
     summaries = {"dim": s.dim}
     summaries.update(
         {f"{k}_violations": v for k, v in sorted(rep.counts().items())}

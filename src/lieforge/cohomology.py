@@ -20,10 +20,9 @@ extension is built from the pairs the instance was given as written.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -35,6 +34,27 @@ from lieforge.algebra import (
 )
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
+
+# Most unknowns a derivation or 2-cochain system may have, checked before
+# any row is assembled.  Whole-window systems grow as dim**2 (derivations)
+# and dim**2 / 2 (cochains), so the largest accepted dimension, 2,047, would
+# give millions.  Near the bound, Witt cohomology at W=127 (32,385 unknowns)
+# takes about 9 s and Witt derivations at W=90 (32,761) about 3 s.
+MAX_UNKNOWNS = 32768
+
+
+def _refuse_unknowns(count: int) -> None:
+    """Refuse a system of ``count`` unknowns, or of at least that many, when
+    it exceeds MAX_UNKNOWNS."""
+    if count > MAX_UNKNOWNS:
+        raise ValueError(f"the system has more than {MAX_UNKNOWNS} unknowns")
+
+
+def refuse_whole_window(dim: int) -> None:
+    """Refuse, before it is built, an instance of dimension ``dim`` whose
+    whole-window derivation and 2-cochain systems, of at least
+    dim * (dim - 1) / 2 unknowns each, exceed MAX_UNKNOWNS."""
+    _refuse_unknowns(dim * (dim - 1) // 2)
 
 
 class LinearEndo:
@@ -203,6 +223,7 @@ def derivation_space(
             if sup and odd[i] != odd[j]:
                 continue
             unknowns[(i, j)] = column[j][i] = len(unknowns)
+            _refuse_unknowns(len(unknowns))
     if not unknowns:
         return []
 
@@ -297,6 +318,7 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
             if grade_zero and index[i] + index[j] != 0:
                 continue
             out[i * n + j] = len(out)
+            _refuse_unknowns(len(out))
     return out
 
 
@@ -390,8 +412,7 @@ def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
     return len(cocycle2_space(A, grade_zero)) - len(coboundary2_space(A, grade_zero))
 
 
-@dataclass(frozen=True)
-class CocycleViolation:
+class CocycleViolation(NamedTuple):
     triple: tuple[GeneratorId, GeneratorId, GeneratorId]
     residual: Fraction
 

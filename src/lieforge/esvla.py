@@ -9,10 +9,9 @@ and never extrapolate to the untruncated algebra.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import specfile
 from .algebra import (
@@ -39,26 +38,33 @@ from .specfile import instantiate_cocycle
 DOC_NAME = "esvla.lie"
 
 
-@dataclass(frozen=True)
-class EsvlaConfig:
-    """Window size plus convention and half-index handling for family N.
+class _EsvlaFields(NamedTuple):
+    window: int
+    convention: str
+    n_index_mode: str
+
+
+class EsvlaConfig(_EsvlaFields):
+    """Window size plus convention and half-index handling for family N,
+    checked when built; compared, hashed and printed by value.
 
     n_index_mode "strict" drops rule results landing on half indices of an
     integer family (each drop is a finding); "extended" widens N to carry
     both integer and half-integer indices.
     """
 
-    window: int
-    convention: str = "super"
-    n_index_mode: str = "strict"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.window < 2:
+    def __new__(
+        cls, window: int, convention: str = "super", n_index_mode: str = "strict"
+    ):
+        if window < 2:
             raise ValueError("window must be >= 2")
-        if self.convention not in ("plain", "super"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.n_index_mode not in ("strict", "extended"):
-            raise ValueError(f"unknown n_index_mode {self.n_index_mode!r}")
+        if convention not in ("plain", "super"):
+            raise ValueError(f"unknown convention {convention!r}")
+        if n_index_mode not in ("strict", "extended"):
+            raise ValueError(f"unknown n_index_mode {n_index_mode!r}")
+        return super().__new__(cls, window, convention, n_index_mode)
 
 
 @lru_cache(maxsize=1)
@@ -76,14 +82,13 @@ def build_esvla(cfg: EsvlaConfig) -> AlgebraInstance:
     """Instantiate the bundled document over the window |index| <= W."""
     doc = _bundled_doc()
     if doc.convention != cfg.convention:
-        doc = dataclasses.replace(doc, convention=cfg.convention)
+        doc = doc._replace(convention=cfg.convention)
     return specfile.instantiate(
         doc, window=cfg.window, kind_mode=cfg.n_index_mode
     )
 
 
-@dataclass(frozen=True)
-class PaperCocycles:
+class PaperCocycles(NamedTuple):
     """The three displayed 2-cocycles evaluated over one window's grid."""
 
     omega1: Cochain2
@@ -116,8 +121,7 @@ def _cocycles_for(A: AlgebraInstance) -> PaperCocycles:
     )
 
 
-@dataclass
-class EsvlaAuditReport:
+class EsvlaAuditReport(NamedTuple):
     """Everything the window-level audit measures, verdicts included.
 
     ``h2_grade0`` is dim Z2 - dim B2 on grade-zero cochains of the window;

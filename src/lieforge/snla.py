@@ -17,9 +17,8 @@ of full rank when it is built, so the verifier takes both as given.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -150,24 +149,27 @@ def standard_form(n: int) -> SymplecticForm:
     return SymplecticForm(m)
 
 
-@dataclass
 class SnlaInstance:
     """An SNLA candidate.  Its ``bracket`` is the instance given, else the
     commutator of the product, built once."""
 
-    dim: int
-    product: ProductTable
-    form: SymplecticForm
-    bracket: Optional[AlgebraInstance] = None
-
-    def __post_init__(self):
-        if self.bracket is None:
-            p = self.product
-            self.bracket = AlgebraInstance(
-                f"snla{p.dim}", p.generators(), commutator_bracket(p)
+    def __init__(
+        self,
+        dim: int,
+        product: ProductTable,
+        form: SymplecticForm,
+        bracket: Optional[AlgebraInstance] = None,
+    ):
+        if bracket is None:
+            bracket = AlgebraInstance(
+                f"snla{product.dim}", product.generators(), commutator_bracket(product)
             )
-        if {self.product.dim, self.form.dim, self.bracket.dim} != {self.dim}:
+        if {product.dim, form.dim, bracket.dim} != {dim}:
             raise ValueError("product/form/bracket dimensions do not match")
+        self.dim = dim
+        self.product = product
+        self.form = form
+        self.bracket = bracket
 
 
 def commutator_bracket(p: ProductTable) -> dict:
@@ -182,8 +184,7 @@ def commutator_bracket(p: ProductTable) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ProductViolation:
+class ProductViolation(NamedTuple):
     triple: tuple[int, int, int]
     residual: Element
 
@@ -191,8 +192,7 @@ class ProductViolation:
         return f"{self.triple} residual {self.residual}"
 
 
-@dataclass(frozen=True)
-class CompatViolation:
+class CompatViolation(NamedTuple):
     triple: tuple[int, int, int]
     left: Fraction
     right: Fraction
@@ -201,8 +201,7 @@ class CompatViolation:
         return f"{self.triple} left {self.left} right {self.right}"
 
 
-@dataclass(frozen=True)
-class FormCocycleViolation:
+class FormCocycleViolation(NamedTuple):
     triple: tuple[int, int, int]
     total: Fraction
 
@@ -272,8 +271,7 @@ def check_symplectic_cocycle(
     ]
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     passed: bool
     violations: dict[str, list]
 
@@ -380,14 +378,13 @@ def _lex_solutions(
         yield position, tuple(cs[s] for s in range(system.cols))
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     dim: int
     coeffs: tuple[Fraction, ...]
     examined: int
     total: int
     partial: bool
-    instances: list[SnlaInstance] = field(default_factory=list)
+    instances: list[SnlaInstance]
 
 
 def snla_search(

@@ -31,10 +31,9 @@ condition for n instead of testing it on every pair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from lieforge.algebra import AlgebraInstance, Finding, GeneratorId
 from lieforge.cohomology import Cochain2
@@ -82,8 +81,7 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | int | arrow | punct | end
     text: str
     col: int
@@ -236,8 +234,7 @@ class Poly2:
         return f"Poly2({self.render()})"
 
 
-@dataclass(frozen=True)
-class LinCond:
+class LinCond(NamedTuple):
     """Constraint poly(m, n) = rhs with poly of degree at most 1."""
 
     poly: Poly2
@@ -250,15 +247,13 @@ class LinCond:
         return f"{self.poly.render()} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class FamilyDecl:
+class FamilyDecl(NamedTuple):
     symbol: str
     kind: str  # integer | half
     parity: str  # even | odd
 
 
-@dataclass(frozen=True)
-class GenPat:
+class GenPat(NamedTuple):
     family: str
     var: str  # m | n
     offset: Fraction
@@ -267,8 +262,7 @@ class GenPat:
         return f"{self.family}[{_index_expr(self.var, self.offset)}]"
 
 
-@dataclass(frozen=True)
-class RuleTerm:
+class RuleTerm(NamedTuple):
     poly: Poly2
     family: str
     offset: Fraction  # result index is m + n + offset
@@ -280,13 +274,30 @@ class RuleTerm:
         return f"{coeff} {self.family}[{_index_expr('m+n', self.offset)}]"
 
 
-@dataclass(frozen=True)
-class BracketRule:
+# The five records that carry their source line, as their last field,
+# compare and hash without it, so a document read back from its own
+# rendering equals the original.  Each equals only a record of its own type.
+
+
+def _same_but_line(self, other):
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def _differs_but_line(self, other):
+    return not _same_but_line(self, other)
+
+
+def _hash_but_line(self):
+    return hash(self[:-1])
+
+
+class BracketRule(NamedTuple):
     left: GenPat
     right: GenPat
     terms: tuple[RuleTerm, ...]  # empty means explicit zero
     condition: Optional[LinCond]
-    line: int = field(compare=False, default=0)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _same_but_line, _differs_but_line, _hash_but_line
 
     def render(self) -> str:
         rhs = " + ".join(t.render() for t in self.terms) if self.terms else "0"
@@ -296,11 +307,11 @@ class BracketRule:
         return s
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
+class GeneratorDecl(NamedTuple):
     family: str
     index: Fraction
-    line: int = field(compare=False, default=0)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _same_but_line, _differs_but_line, _hash_but_line
 
     def render(self) -> str:
         return f"generator {self.family}[{self.index}]"
@@ -311,13 +322,13 @@ def _pair_text(left: tuple[str, Fraction], right: tuple[str, Fraction]) -> str:
     return " ".join(f"{fam}[{ix}]" for fam, ix in (left, right))
 
 
-@dataclass(frozen=True)
-class ExplicitEntry:
+class ExplicitEntry(NamedTuple):
     kind: str  # entry | product
     left: tuple[str, Fraction]
     right: tuple[str, Fraction]
     value: tuple[tuple[Fraction, str, Fraction], ...]
-    line: int = field(compare=False, default=0)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _same_but_line, _differs_but_line, _hash_but_line
 
     def render(self) -> str:
         items = " ".join(f"{c} {fam}[{ix}]" for c, fam, ix in self.value)
@@ -325,25 +336,25 @@ class ExplicitEntry:
         return f"{s} {items}" if items else s
 
 
-@dataclass(frozen=True)
-class FormEntry:
+class FormEntry(NamedTuple):
     left: tuple[str, Fraction]
     right: tuple[str, Fraction]
     value: Fraction
-    line: int = field(compare=False, default=0)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _same_but_line, _differs_but_line, _hash_but_line
 
     def render(self) -> str:
         return f"form {_pair_text(self.left, self.right)} => {self.value}"
 
 
-@dataclass(frozen=True)
-class CocycleDecl:
+class CocycleDecl(NamedTuple):
     name: str
     left: GenPat
     right: GenPat
     poly: Poly2
     condition: Optional[LinCond]
-    line: int = field(compare=False, default=0)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _same_but_line, _differs_but_line, _hash_but_line
 
     def render(self) -> str:
         s = (
@@ -355,8 +366,7 @@ class CocycleDecl:
         return s
 
 
-@dataclass(frozen=True)
-class AlgebraSpecDoc:
+class AlgebraSpecDoc(NamedTuple):
     name: str
     convention: str  # plain | super
     families: tuple[FamilyDecl, ...]
@@ -834,6 +844,46 @@ def _pattern_pairs(
             yield g, h, m, n
 
 
+def _layout(
+    doc: AlgebraSpecDoc, window: Optional[int], kind_mode: str
+) -> tuple[Optional[int], dict[str, str], dict[str, range], set[tuple[str, int]]]:
+    """The window the rules run over, each family's kind and grid of
+    doubled indices, and the declared (family, doubled index) pairs.  A
+    document without rules has no window and empty grids, whatever window
+    is given: it declares all of its generators."""
+    if kind_mode not in ("strict", "extended"):
+        raise ValueError(f"unknown kind_mode {kind_mode!r}")
+    if doc.rules and window is None:
+        raise ValueError("document has rules; a window is required")
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1")
+    if not doc.rules:
+        window = None
+    promoted = _promoted_families(doc) if kind_mode == "extended" else set()
+    fam_kind = {
+        f.symbol: ("both" if f.symbol in promoted else f.kind)
+        for f in doc.families
+    }
+    grids = {
+        f.symbol: range(0) if window is None else _family_grid(fam_kind[f.symbol], window)
+        for f in doc.families
+    }
+    declared = {(g.family, int(g.index * 2)) for g in doc.generators}
+    return window, fam_kind, grids, declared
+
+
+def dimension(
+    doc: AlgebraSpecDoc, window: Optional[int] = None, kind_mode: str = "strict"
+) -> int:
+    """The dimension of ``instantiate(doc, window, kind_mode)``, counted
+    before any grid is built (len() of a range stops at sys.maxsize): each
+    grid's size, and the declared generators off it."""
+    _, _, grids, declared = _layout(doc, window, kind_mode)
+    return sum(-((r.start - r.stop) // r.step) for r in grids.values()) + sum(
+        d not in grids[fam] for fam, d in declared
+    )
+
+
 def instantiate(
     doc: AlgebraSpecDoc,
     window: Optional[int] = None,
@@ -855,32 +905,10 @@ def instantiate(
     one, whatever window is given.  An instance of more than MAX_DIM
     generators is refused before any grid is built.
     """
-    if kind_mode not in ("strict", "extended"):
-        raise ValueError(f"unknown kind_mode {kind_mode!r}")
-    if doc.rules and window is None:
-        raise ValueError("document has rules; a window is required")
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
-    if not doc.rules:
-        window = None
-
-    promoted = _promoted_families(doc) if kind_mode == "extended" else set()
-    fam_kind = {
-        f.symbol: ("both" if f.symbol in promoted else f.kind)
-        for f in doc.families
-    }
-
-    grids = {
-        f.symbol: range(0) if window is None else _family_grid(fam_kind[f.symbol], window)
-        for f in doc.families
-    }
-    declared = {(g.family, int(g.index * 2)) for g in doc.generators}
-    # counted before any grid is built (len() of a range stops at
-    # sys.maxsize): each grid's size, and the declared generators off it
-    dim = sum(-((r.start - r.stop) // r.step) for r in grids.values())
-    dim += sum(d not in grids[fam] for fam, d in declared)
+    dim = dimension(doc, window, kind_mode)
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the limit {MAX_DIM}")
+    window, fam_kind, grids, declared = _layout(doc, window, kind_mode)
 
     # each family's grid and declared generators, once each, by index
     doubled = {fam: set(grid) for fam, grid in grids.items()}

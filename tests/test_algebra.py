@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from lieforge import algebra, automorphisms, cli, cohomology, esvla, snla, specfile
 from lieforge.algebra import (
     Element,
+    GeneratorId,
     bracket,
     center,
     check_alternating,
@@ -41,6 +43,39 @@ def test_gid_rejects_bad_index():
     assert gid("Y", Fraction(3, 2)).doubled_index == 3
     assert str(gid("Y", Fraction(-1, 2))) == "Y[-1/2]"
     assert str(gid("L", 2)) == "L[2]"
+
+
+def test_generator_id_hashes_and_orders_by_its_fields():
+    # set and dict layouts, and so every report under a fixed hash seed,
+    # follow this hash
+    gens = [GeneratorId(f, d) for f in ("Y", "L", "M") for d in (3, -2, 0, 1)]
+    for g in gens:
+        assert hash(g) == hash((g.family, g.doubled_index))
+    assert sorted(gens) == sorted(gens, key=lambda g: (g.family, g.doubled_index))
+    assert [str(g) for g in sorted(gens)[:4]] == ["L[-1]", "L[0]", "L[1/2]", "L[3/2]"]
+    assert GeneratorId("L", 3) < GeneratorId("L", 4) < GeneratorId("M", -8)
+
+
+RECORD_MODULES = (algebra, automorphisms, cli, cohomology, esvla, snla, specfile)
+
+
+def test_immutable_records_refuse_assignment():
+    records = [
+        obj
+        for module in RECORD_MODULES
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, tuple)
+        and obj.__module__ == module.__name__
+    ]
+    assert {"GeneratorId", "Report", "AlgebraSpecDoc", "SearchResult"} <= {
+        r.__name__ for r in records
+    }
+    for record in records:
+        value = record._make([0] * len(record._fields))
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
 
 
 def test_element_arithmetic_drops_zeros():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from lieforge import cli, esvla, specfile
+from lieforge import cli, cohomology, esvla, specfile
 from lieforge.algebra import check_alternating, jacobi_audit
 from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
 from lieforge.cohomology import central_extension
@@ -746,19 +746,22 @@ def test_snla_search_dim4_budget(capsys):
 
 def test_cli_import_starts_no_process_pool():
     # every module the import adds costs start-up time and memory on every
-    # command: 36 on Python 3.11.7, for 138 in sys.modules
+    # command: 24 on Python 3.11.7, for 126 in sys.modules.  Records are
+    # NamedTuples or plain classes, so neither dataclasses nor the inspect,
+    # ast and dis modules it imports are loaded.
     probe = (
         "import sys; before = set(sys.modules); import lieforge.cli; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules)); print(len(set(sys.modules) - before))"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'dataclasses', 'inspect') if m in sys.modules)); "
+        "print(len(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
-    pools, added = proc.stdout.split("\n", 1)
-    assert pools == "[]"
-    assert int(added) <= 36
+    loaded, added = proc.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert int(added) <= 24
 
 
 def test_trace_layers_name_callables():
@@ -1178,6 +1181,41 @@ def test_huge_window_is_refused_quickly(argv, location, dim, window, capsys):
     detail = f"dimension {dim(window)} exceeds the limit {specfile.MAX_DIM}"
     assert [(f.code, f.location, f.detail) for f in rep.findings] == [
         ("E_INPUT", location, detail)
+    ]
+
+
+# Accepted dimensions whose whole-window systems are too large: refused
+# before the instance is built (building it alone takes tens of seconds).
+@pytest.mark.parametrize("command", ["cohomology", "derivations"])
+def test_whole_window_system_over_the_unknown_limit_is_refused_quickly(
+    command, capsys
+):
+    t0 = time.perf_counter()
+    code, rep, _ = run_cli([command, WITT, "--window", "1023"], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    detail = f"the system has more than {cohomology.MAX_UNKNOWNS} unknowns"
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "witt", detail)
+    ]
+
+
+def test_snla_verify_over_the_unknown_limit_is_refused(tmp_path, capsys):
+    # 258 generators, zero product, standard form: its H2 cochain system
+    # has 33,153 unknowns.  Refused before the identity checks, which take
+    # minutes at this dimension.
+    spec = tmp_path / "big.lie"
+    spec.write_text(
+        "algebra big convention plain\nfamily e integer even\n"
+        + "".join(f"generator e[{i}]\n" for i in range(1, 259))
+    )
+    t0 = time.perf_counter()
+    code, rep, _ = run_cli(["snla", "verify", str(spec)], capsys)
+    assert time.perf_counter() - t0 < 10
+    assert code == 2
+    detail = f"the system has more than {cohomology.MAX_UNKNOWNS} unknowns"
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "big", detail)
     ]
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lieforge import esvla, specfile
+from lieforge import cohomology, esvla, specfile
 from lieforge.algebra import (
     AlgebraInstance,
     Element,
@@ -436,6 +435,41 @@ def test_h2_degenerate_dims():
     assert h2_dimension(one) == 0
 
 
+def test_unknown_limit_refuses_before_any_row(monkeypatch):
+    # abelian(n) has n * (n - 1) / 2 cochain unknowns and n**2 derivation
+    # unknowns; the limit is checked while the unknowns are numbered
+    limit = cohomology.MAX_UNKNOWNS
+    assert 256 * 255 // 2 <= limit < 257 * 256 // 2 and 181**2 <= limit < 182**2
+    reached = []
+
+    def no_rows(*args):
+        reached.append(args[0].dim)
+        raise AssertionError("rows assembled")
+
+    monkeypatch.setattr(cohomology, "_cocycle_rows", no_rows)
+    monkeypatch.setattr(cohomology, "_pair_iter", no_rows)
+    message = f"the system has more than {limit} unknowns"
+    for space, dim in (
+        (cocycle2_space, 257),
+        (coboundary2_space, 257),
+        (derivation_space, 182),
+    ):
+        with pytest.raises(ValueError, match=message):
+            space(abelian(dim))
+    assert reached == []
+    # one less is accepted: the spaces get as far as their rows
+    for space, dim in ((cocycle2_space, 256), (derivation_space, 181)):
+        with pytest.raises(AssertionError, match="rows assembled"):
+            space(abelian(dim))
+    assert reached == [256, 181]
+    assert coboundary2_space(abelian(256)) == []
+    # the instance-free bound refuses exactly the dimensions whose
+    # whole-window systems are all over the limit
+    cohomology.refuse_whole_window(256)
+    with pytest.raises(ValueError, match=message):
+        cohomology.refuse_whole_window(257)
+
+
 def test_derivation_space_empty_restriction():
     A = heisenberg3()
     assert derivation_space(A, grade_restriction=Fraction(7, 2)) == []
@@ -487,7 +521,7 @@ def test_parity_is_invisible_on_all_even_algebras(text, window):
     assert doc.convention == "plain" and {f.parity for f in doc.families} == {"even"}
     plain, plain_scanned, s = _parity_facts(doc, window)
     graded, graded_scanned, _ = _parity_facts(
-        dataclasses.replace(doc, convention="super"), window
+        doc._replace(convention="super"), window
     )
     assert plain == graded
     assert plain["alternating"] == set()

@@ -23,10 +23,26 @@ def Y(half: int):
 def test_config_validation():
     with pytest.raises(ValueError, match="window"):
         esvla.EsvlaConfig(window=1)
+    with pytest.raises(ValueError, match="window"):
+        esvla.EsvlaConfig(1)
     with pytest.raises(ValueError, match="convention"):
         esvla.EsvlaConfig(window=3, convention="graded")
     with pytest.raises(ValueError, match="n_index_mode"):
         esvla.EsvlaConfig(window=3, n_index_mode="loose")
+    with pytest.raises(ValueError, match="convention"):
+        esvla.EsvlaConfig(3, "graded", "loose")  # checked in field order
+    cfg = esvla.EsvlaConfig(2)
+    assert (cfg.window, cfg.convention, cfg.n_index_mode) == (2, "super", "strict")
+    # a value: equal configurations compare and hash alike, so do the
+    # audit reports that hold them, and a field cannot be reassigned
+    assert cfg == esvla.EsvlaConfig(window=2, convention="super")
+    assert hash(cfg) == hash(esvla.EsvlaConfig(2))
+    assert cfg != esvla.EsvlaConfig(2, "plain")
+    assert repr(cfg) == (
+        "EsvlaConfig(window=2, convention='super', n_index_mode='strict')"
+    )
+    with pytest.raises(AttributeError):
+        cfg.window = 3
 
 
 def test_build_dimensions():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import pathlib
 import random
@@ -29,6 +28,7 @@ from lieforge.specfile import (
     ParseError,
     Poly2,
     RuleTerm,
+    dimension,
     instantiate,
     instantiate_cocycle,
     parse,
@@ -136,6 +136,42 @@ def test_roundtrip_sample_files():
         doc = parse(text)
         assert parse(render(doc)) == doc
         assert render(parse(render(doc))) == render(doc)
+
+
+LINE_RECORDS_DOC = (
+    "algebra t convention plain\n"
+    "family L integer even\n"
+    "generator L[1]\n"
+    "rule L[m] L[n] => (n - m) L[m+n]\n"
+    "entry L[1] L[2] => 3 L[3]\n"
+    "form L[1] L[2] => 1\n"
+    "cocycle w L[m] L[n] => m^3 when m + n = 0\n"
+)
+
+
+def test_line_records_compare_and_hash_without_their_line():
+    doc = parse(LINE_RECORDS_DOC)
+    records = [
+        doc.generators[0], doc.rules[0], doc.entries[0], doc.forms[0], doc.cocycles[0]
+    ]
+    assert [type(r) for r in records] == [
+        GeneratorDecl, BracketRule, ExplicitEntry, FormEntry, CocycleDecl
+    ]
+    assert [r.line for r in records] == [3, 4, 5, 6, 7]
+    for r in records:
+        moved = r._replace(line=r.line + 10)
+        assert moved == r and r == moved
+        assert not (moved != r) and not (r != moved)
+        assert hash(moved) == hash(r)
+        assert len({r, moved}) == 1
+        # the other fields still count, and a record equals no plain tuple
+        assert r._replace(**{r._fields[0]: None}) != r
+        assert r != tuple(r) and tuple(r) != r
+    # read back from its rendering two lines further down, a document
+    # still equals the original
+    shifted = parse("\n\n" + render(doc))
+    assert shifted.rules[0].line == 6
+    assert shifted == doc and hash(shifted) == hash(doc)
 
 
 CORRUPT_LINES = {
@@ -670,9 +706,23 @@ def test_dimension_limit(text, window, extra):
         text += f"generator e[{MAX_DIM}]\n"
     else:
         window += 1
+    assert dimension(parse(text), window) == MAX_DIM + extra
     with pytest.raises(ValueError) as refused:
         instantiate(parse(text), window=window)
     assert str(refused.value) == f"dimension {MAX_DIM + extra} exceeds the limit {MAX_DIM}"
+
+
+@pytest.mark.parametrize("kind_mode", ["strict", "extended"])
+@pytest.mark.parametrize("window", [1, 2, 5])
+@pytest.mark.parametrize(
+    "text",
+    [WITT, MINI_SUPER, (DATA / "heisenberg.lie").read_text()],
+    ids=["witt", "mini-super", "declared"],
+)
+def test_dimension_counts_the_instance(text, window, kind_mode):
+    doc = parse(text)
+    A = instantiate(doc, window=window, kind_mode=kind_mode)
+    assert dimension(doc, window, kind_mode) == A.dim
 
 
 def test_instantiate_rejects_bad_mode():
@@ -782,7 +832,7 @@ def test_documents_instantiate_as_the_fraction_path(path):
 
 @pytest.mark.parametrize("convention", ["super", "plain"])
 def test_esvla_instantiates_as_the_fraction_path(convention):
-    doc = dataclasses.replace(esvla._bundled_doc(), convention=convention)
+    doc = esvla._bundled_doc()._replace(convention=convention)
     for window in range(4, 9):
         for mode in ("strict", "extended"):
             _assert_matches_fraction_path(doc, window, mode)
