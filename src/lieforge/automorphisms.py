@@ -37,6 +37,27 @@ class AutomorphismViolation(NamedTuple):
         )
 
 
+def _intertwining_failures(terms, scale, gens, cols, pairs):
+    """The position pairs (i, j) of ``pairs`` where the map with columns
+    ``cols`` fails to intertwine the product ``terms`` (integers over
+    ``scale``, as ``IndexedView.terms``), each with phi(g_i g_j) and
+    phi(g_i) phi(g_j) in the basis ``gens``."""
+    for i, j in pairs:
+        mapped: dict[int, Fraction] = {}  # phi(g_i g_j)
+        for k, ck in terms[i][j]:
+            for t, v in cols[k].items():
+                mapped[t] = mapped.get(t, 0) + ck * v
+        of_images: dict[int, Fraction] = {}  # phi(g_i) phi(g_j)
+        for a, ca in cols[i].items():
+            for b, cb in cols[j].items():
+                for t, ct in terms[a][b]:
+                    of_images[t] = of_images.get(t, 0) + ca * cb * ct
+        lhs = {gens[t]: v / scale for t, v in mapped.items() if v}
+        rhs = {gens[t]: v / scale for t, v in of_images.items() if v}
+        if lhs != rhs:
+            yield (i, j), Element(lhs), Element(rhs)
+
+
 def check_automorphism(
     A: AlgebraInstance, phi: LinearEndo
 ) -> list[AutomorphismViolation]:
@@ -53,33 +74,17 @@ def check_automorphism(
     r = rank(SparseMatrix.from_rows(n, cols))  # the transpose: same rank
     if r < n:
         raise SingularMapError(f"singular map: rank {r} < {n}")
-    terms, flagged, scale = A.view.terms, A.view.flagged, A.view.scale
-
-    def element(acc: dict[int, Fraction]) -> Element:
-        """The element with coefficients ``acc`` over ``scale``."""
-        return Element({A.generators[t]: v / scale for t, v in acc.items()})
-
-    out = []
-    for i, ci in enumerate(cols):
-        for j in range(i, n):
-            cj = cols[j]
-            if j in flagged[i] or any(not flagged[a].isdisjoint(cj) for a in ci):
-                continue
-            mapped: dict[int, Fraction] = {}  # phi([g_i, g_j]) by position
-            for k, ck in terms[i][j]:
-                for t, v in cols[k].items():
-                    mapped[t] = mapped.get(t, 0) + ck * v
-            of_images: dict[int, Fraction] = {}  # [phi(g_i), phi(g_j)]
-            for a, ca in ci.items():
-                row = terms[a]
-                for b, cb in cj.items():
-                    for t, ct in row[b]:
-                        of_images[t] = of_images.get(t, 0) + ca * cb * ct
-            lhs, rhs = element(mapped), element(of_images)
-            if lhs != rhs:
-                pair = (A.generators[i], A.generators[j])
-                out.append(AutomorphismViolation(pair, lhs, rhs))
-    return out
+    gens, view, flagged = A.generators, A.view, A.view.flagged
+    pairs = (
+        (i, j)
+        for i, j in itertools.combinations_with_replacement(range(n), 2)
+        if j not in flagged[i] and all(flagged[a].isdisjoint(cols[j]) for a in cols[i])
+    )
+    failures = _intertwining_failures(view.terms, view.scale, gens, cols, pairs)
+    return [
+        AutomorphismViolation((gens[i], gens[j]), lhs, rhs)
+        for (i, j), lhs, rhs in failures
+    ]
 
 
 def check_symplectomorphism(
@@ -127,20 +132,16 @@ def check_product_preserved(
     p: ProductTable, phi: LinearEndo
 ) -> list[ProductPreservationViolation]:
     """Ordered index pairs where phi(x.y) != phi(x).phi(y)."""
-    if phi.dim != p.dim:
-        raise ValueError(f"map dimension {phi.dim} != product dimension {p.dim}")
-    gens = p.generators()
-    images = [phi.image(gens, j) for j in range(p.dim)]
-    out = []
-    for i in range(1, p.dim + 1):
-        for j in range(1, p.dim + 1):
-            lhs = Element.zero()
-            for g, c in p.value(i, j).terms.items():
-                lhs = lhs + images[int(g.index) - 1].scale(c)
-            rhs = p.mult(images[i - 1], images[j - 1])
-            if lhs != rhs:
-                out.append(ProductPreservationViolation((i, j), lhs, rhs))
-    return out
+    n = p.dim
+    if phi.dim != n:
+        raise ValueError(f"map dimension {phi.dim} != product dimension {n}")
+    cols = [phi.column(j) for j in range(n)]
+    pairs = itertools.product(range(n), repeat=2)
+    failures = _intertwining_failures(p.terms, p.scale, p.generators(), cols, pairs)
+    return [
+        ProductPreservationViolation((i + 1, j + 1), lhs, rhs)
+        for (i, j), lhs, rhs in failures
+    ]
 
 
 # Most missing indices a refusal lists; the rest are counted.

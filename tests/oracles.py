@@ -21,9 +21,10 @@ from lieforge.algebra import (
     bracket,
     gid,
 )
-from lieforge.automorphisms import AutomorphismViolation
+from lieforge.automorphisms import AutomorphismViolation, ProductPreservationViolation
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
+from lieforge.snla import CompatViolation, ProductViolation
 
 
 def written_entries(A: AlgebraInstance) -> dict:
@@ -438,48 +439,105 @@ def naive_cocycle_residual(A: AlgebraInstance, omega) -> bool:
     return True
 
 
-def naive_right_commutative(dim: int, coeff: dict) -> bool:
-    """(e_i e_j) e_k == (e_i e_k) e_j via raw structure constants;
-    coeff maps (i,j,k) to the coefficient of e_k in e_i e_j."""
-    c = lambda i, j, k: coeff.get((i, j, k), Fraction(0))
+def _constants(dim: int, coeff: dict) -> list:
+    """c[i][j][k], 1-based (row and column 0 unused), the coefficient of e_k
+    in e_i e_j from a dict of raw structure constants keyed (i, j, k)."""
+    r = range(dim + 1)
+    return [[[coeff.get((i, j, k), 0) for k in r] for j in r] for i in r]
+
+
+def _times(c: list, dim: int, x: list, y: list) -> list:
+    """x y for dense coefficient vectors x, y (1-based) under constants c;
+    zero coefficients are skipped, nothing else."""
+    out = [0] * (dim + 1)
+    for a in range(1, dim + 1):
+        for b in range(1, dim + 1):
+            if x[a] and y[b]:
+                for l in range(1, dim + 1):
+                    if c[a][b][l]:
+                        out[l] += x[a] * y[b] * c[a][b][l]
+    return out
+
+
+def _unit(dim: int, i: int) -> list:
+    return [int(t == i) for t in range(dim + 1)]
+
+
+def _element(v: list) -> Element:
+    return Element((gid("e", l), x) for l, x in enumerate(v) if l and x)
+
+
+def _product_identity(dim: int, coeff: dict, other) -> list[ProductViolation]:
+    """Every triple (i, j, k), in nested-loop order, where (e_i e_j) e_k
+    differs from ``other(c, i, j, k)``, with the difference."""
+    c = _constants(dim, coeff)
     r = range(1, dim + 1)
+    out = []
     for i in r:
         for j in r:
             for k in r:
-                for l in r:
-                    lhs = sum(c(i, j, t) * c(t, k, l) for t in r)
-                    rhs = sum(c(i, k, t) * c(t, j, l) for t in r)
-                    if lhs != rhs:
-                        return False
-    return True
+                lhs = _times(c, dim, c[i][j], _unit(dim, k))
+                rhs = other(c, i, j, k)
+                residual = _element([a - b for a, b in zip(lhs, rhs)])
+                if residual:
+                    out.append(ProductViolation((i, j, k), residual))
+    return out
 
 
-def naive_associative(dim: int, coeff: dict) -> bool:
-    c = lambda i, j, k: coeff.get((i, j, k), Fraction(0))
+def naive_right_commutative(dim: int, coeff: dict) -> list[ProductViolation]:
+    """Every triple where (e_i e_j) e_k differs from (e_i e_k) e_j, via raw
+    structure constants; coeff maps (i,j,k) to the coefficient of e_k in
+    e_i e_j."""
+    return _product_identity(
+        dim, coeff, lambda c, i, j, k: _times(c, dim, c[i][k], _unit(dim, j))
+    )
+
+
+def naive_associative(dim: int, coeff: dict) -> list[ProductViolation]:
+    """Every triple where (e_i e_j) e_k differs from e_i (e_j e_k)."""
+    return _product_identity(
+        dim, coeff, lambda c, i, j, k: _times(c, dim, _unit(dim, i), c[j][k])
+    )
+
+
+def naive_form_compat(dim: int, coeff: dict, matrix) -> list[CompatViolation]:
+    """Every triple where omega(e_i e_j, e_k) differs from omega(e_i, e_j e_k),
+    via raw constants; ``matrix`` holds omega(e_a, e_b) at [a-1][b-1]."""
+    c = _constants(dim, coeff)
     r = range(1, dim + 1)
+    out = []
     for i in r:
         for j in r:
             for k in r:
-                for l in r:
-                    lhs = sum(c(i, j, t) * c(t, k, l) for t in r)
-                    rhs = sum(c(j, k, t) * c(i, t, l) for t in r)
-                    if lhs != rhs:
-                        return False
-    return True
-
-
-def naive_form_compat(dim: int, coeff: dict, matrix) -> bool:
-    """omega(e_i e_j, e_k) == omega(e_i, e_j e_k) via raw constants."""
-    c = lambda i, j, k: coeff.get((i, j, k), Fraction(0))
-    r = range(1, dim + 1)
-    for i in r:
-        for j in r:
-            for k in r:
-                left = sum(c(i, j, t) * matrix[t - 1][k - 1] for t in r)
-                right = sum(c(j, k, t) * matrix[i - 1][t - 1] for t in r)
+                left = sum(c[i][j][t] * matrix[t - 1][k - 1] for t in r if c[i][j][t])
+                right = sum(c[j][k][t] * matrix[i - 1][t - 1] for t in r if c[j][k][t])
                 if left != right:
-                    return False
-    return True
+                    vio = CompatViolation((i, j, k), Fraction(left), Fraction(right))
+                    out.append(vio)
+    return out
+
+
+def naive_product_preserved(
+    dim: int, coeff: dict, matrix
+) -> list[ProductPreservationViolation]:
+    """Every ordered pair (i, j) where phi(e_i e_j) differs from
+    phi(e_i) phi(e_j), via raw constants; phi(e_b) = sum over a of
+    matrix[a-1][b-1] e_a."""
+    c = _constants(dim, coeff)
+    r = range(1, dim + 1)
+    image = [None] + [[0] + [matrix[a - 1][b - 1] for a in r] for b in r]
+    out = []
+    for i in r:
+        for j in r:
+            lhs = [0] * (dim + 1)
+            for k in r:
+                for l in r:
+                    lhs[l] += c[i][j][k] * image[k][l]
+            rhs = _times(c, dim, image[i], image[j])
+            lhs, rhs = _element(lhs), _element(rhs)
+            if lhs != rhs:
+                out.append(ProductPreservationViolation((i, j), lhs, rhs))
+    return out
 
 
 def brute_force_snla_pass(cs: tuple, dim: int) -> bool:

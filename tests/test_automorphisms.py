@@ -217,7 +217,7 @@ def test_sp2_is_sl2():
 
 
 def test_product_preserved_examples():
-    zero = ProductTable(2, {})
+    zero = ProductTable.from_coeffs(2, {})
     any_phi = LinearEndo([[1, 2], [3, 4]])
     assert check_product_preserved(zero, any_phi) == []
 

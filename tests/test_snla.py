@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,16 +34,20 @@ from lieforge.snla import (
     verify_snla,
 )
 from lieforge import snla, specfile
+from lieforge.automorphisms import check_product_preserved
+from lieforge.cohomology import LinearEndo
 from lieforge.linalg import SparseMatrix, matvec, rank
 from oracles import (
     brute_force_snla_pass,
     brute_force_snla_search,
     naive_associative,
     naive_form_compat,
+    naive_product_preserved,
     naive_right_commutative,
     written_entries,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 E = [None] + [gid("e", i) for i in range(1, 5)]
 
 
@@ -56,14 +61,84 @@ def test_product_table_basics():
     assert p.value(2, 1) == Element.zero()
     assert p.coeff(1, 1, 2) == 1
     assert p.coeff(1, 1, 1) == 0
-    x = Element({E[1]: 2})
-    assert p.mult(x, x) == Element.of(E[2], 4)
+    assert (p.scale, p.terms) == (1, ((((1, 1),), ()), ((), ())))
+    half = ptable(2, {(2, 1, 1): Fraction(1, 2), (2, 1, 2): Fraction(-1, 3)})
+    assert (half.scale, half.terms[1][0]) == (6, ((0, 3), (1, -2)))
+    assert half.coeff(2, 1, 2) == Fraction(-1, 3)
+    for slot in ((0, 1, 1), (1, 3, 1), (1, 1, 3), (Fraction(3, 2), 1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            ptable(2, {slot: 1})
     with pytest.raises(ValueError):
-        ProductTable(2, {(0, 1): Element.of(E[1])})
-    with pytest.raises(ValueError):
-        ProductTable(2, {(1, 3): Element.of(E[1])})
-    with pytest.raises(ValueError):
-        ProductTable(2, {(1, 1): Element.of(gid("f", 1))})
+        ptable(0, {})
+
+
+def snla4(product_lines: str):
+    """The SNLA4 document with its product lines replaced."""
+    head = SNLA4_DOC.split("product", 1)[0]
+    forms = SNLA4_DOC[SNLA4_DOC.index("form"):]
+    return snla_from_doc(specfile.parse(head + product_lines + forms)).product
+
+
+@pytest.mark.parametrize(
+    "written",
+    [
+        "product e[1] e[2] => 2/4 e[3]\nproduct e[2] e[1] => -2 e[4]\n",
+        "product e[1] e[2] => 1/4 e[3] + 1/4 e[3]\n"
+        "product e[2] e[1] => -1 e[4] - 1 e[4]\n",
+        "product e[1] e[2] => 1/2 e[3] + 1/3 e[1] - 1/3 e[1]\n"
+        "product e[2] e[1] => -2 e[4]\nproduct e[2] e[3] => 1/5 e[2] - 1/5 e[2]\n",
+    ],
+    ids=["2/4", "repeated-terms", "terms-summing-to-zero"],
+)
+def test_equal_products_written_differently_are_equal(written):
+    # the store is canonical: one scale, terms in order of position, no zeros
+    want = snla4("product e[1] e[2] => 1/2 e[3]\nproduct e[2] e[1] => -2 e[4]\n")
+    assert (want.scale, want.terms[0][1]) == (2, ((2, 1),))
+    got = snla4(written)
+    assert got == want
+    assert (got.scale, got.terms) == (want.scale, want.terms)
+    assert got != snla4("product e[1] e[2] => 1/3 e[3]\nproduct e[2] e[1] => -2 e[4]\n")
+
+
+def test_one_sided_product_stays_one_sided():
+    p = ptable(2, {(1, 2, 1): 1})  # e[1].e[2] = e[1]
+    assert p.terms[0][1] == ((0, 1),) and p.terms[1][0] == ()
+    assert p.value(2, 1) == Element.zero()
+    assert commutator_bracket(p) == {(E[1], E[2]): {E[1]: 1}}
+    raw = {(1, 2, 1): 1}
+    # stored two-sided, e[2].e[1] = -e[1] would break right-commutativity
+    assert check_novikov(p) == naive_right_commutative(2, raw) == []
+    assert check_associative(p) == naive_associative(2, raw) != []
+    assert check_compat(p, standard_form(1)) == naive_form_compat(
+        2, raw, standard_form(1).matrix
+    )
+
+
+def test_commutator_bracket_is_over_the_product_scale():
+    # the entries are integers over p.scale; the instance built over that
+    # scale reads back the Fraction commutator, pair by pair in order
+    rng = random.Random(7)
+    for _ in range(40):
+        dim = rng.choice([2, 4])
+        raw = {
+            slot: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for slot in itertools.product(range(1, dim + 1), repeat=3)
+            if rng.random() < 0.3
+        }
+        p = ptable(dim, raw)
+        want = {}
+        for i, j in itertools.combinations(range(1, dim + 1), 2):
+            v = {
+                E[k]: raw.get((i, j, k), 0) - raw.get((j, i, k), 0)
+                for k in range(1, dim + 1)
+            }
+            v = {g: c for g, c in v.items() if c}
+            if v:
+                want[(E[i], E[j])] = v
+        entries = commutator_bracket(p)
+        assert all(type(c) is int for v in entries.values() for c in v.values())
+        s = SnlaInstance(dim, p, standard_form(dim // 2))
+        assert list(written_entries(s.bracket).items()) == list(want.items())
 
 
 def test_symplectic_form_validation():
@@ -88,15 +163,6 @@ def test_standard_form_values():
         assert standard_form(n).dim == 2 * n
     with pytest.raises(ValueError):
         standard_form(0)
-
-
-def test_form_pair_bilinear():
-    f = standard_form(1)
-    x = Element({E[1]: 2, E[2]: 3})
-    y = Element({E[1]: Fraction(1, 2), E[2]: -1})
-    # 2*(-1)*w12 + 3*(1/2)*w21 = -2 - 3/2
-    assert f.pair(x, y) == Fraction(-7, 2)
-    assert f.pair(x, x) == 0
 
 
 def test_commutator_bracket_examples():
@@ -167,12 +233,91 @@ def test_identity_checks_match_oracles():
                         if c:
                             coeffs[(i, j, k)] = c
         p = ProductTable.from_coeffs(dim, coeffs)
-        assert (check_novikov(p) == []) == naive_right_commutative(dim, coeffs)
-        assert (check_associative(p) == []) == naive_associative(dim, coeffs)
+        assert (check_novikov(p) == []) == (naive_right_commutative(dim, coeffs) == [])
+        assert (check_associative(p) == []) == (naive_associative(dim, coeffs) == [])
         if dim % 2 == 0:
             f = standard_form(dim // 2)
             ours = check_compat(p, f) == []
-            assert ours == naive_form_compat(dim, coeffs, f.matrix)
+            assert ours == (naive_form_compat(dim, coeffs, f.matrix) == [])
+
+
+def seeded_maps(rng, dim):
+    """The identity, a diagonal scaling and a random rational map."""
+    r = range(dim)
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else 0
+
+    return [
+        [[int(a == b) for b in r] for a in r],
+        [[rng.randint(1, 3) if a == b else 0 for b in r] for a in r],
+        [[entry() for b in r] for a in r],
+    ]
+
+
+def assert_matches_oracles(p, raw, form, maps):
+    """Every product identity is list-equal to its raw-constant oracle."""
+    n = p.dim
+    assert check_novikov(p) == naive_right_commutative(n, raw)
+    assert check_associative(p) == naive_associative(n, raw)
+    if form is not None:
+        assert check_compat(p, form) == naive_form_compat(n, raw, form.matrix)
+    for m in maps:
+        assert check_product_preserved(p, LinearEndo(m)) == naive_product_preserved(
+            n, raw, m
+        )
+
+
+def doc_constants(doc):
+    """The raw structure constants of a document's product lines."""
+    raw = {}
+    for e in doc.products:
+        for c, _, ix in e.value:
+            slot = (int(e.left[1]), int(e.right[1]), int(ix))
+            raw[slot] = raw.get(slot, 0) + c
+    return raw
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (REPO / "samples" / "snla_compat_fail.lie").read_text(),
+        (REPO / "src" / "lieforge" / "data" / "snla_dim2.lie").read_text(),
+        "SNLA4",
+    ],
+    ids=["snla_compat_fail", "snla_dim2", "snla4"],
+)
+def test_documents_match_the_oracles(text):
+    doc = specfile.parse(SNLA4_DOC if text == "SNLA4" else text)
+    s = snla_from_doc(doc)
+    assert_matches_oracles(
+        s.product, doc_constants(doc), s.form, seeded_maps(random.Random(5), s.dim)
+    )
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("density", [0.1, 0.9], ids=["sparse", "dense"])
+def test_seeded_products_match_the_oracles(n, density):
+    # ``density`` is the share of pairs (i, j) with a nonzero product, of one
+    # to three terms
+    rng = random.Random(n * 100 + int(density * 100))
+    raw = {}
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        if rng.random() < density:
+            for k in rng.sample(range(1, n + 1), rng.randint(1, 3)):
+                raw[(i, j, k)] = rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+    form, maps = standard_form(n // 2), seeded_maps(rng, n)
+    assert_matches_oracles(ptable(n, raw), raw, form, maps)
+
+
+def test_dim2_tuples_match_the_oracles():
+    # a seeded 1,000 of the 4^8 = 65,536 tuples over {-1, 0, 1, 2}
+    rng = random.Random(65536)
+    form = standard_form(1)
+    for position in rng.sample(range(4**8), 1000):
+        digits = [(position // 4**s) % 4 - 1 for s in reversed(range(8))]
+        raw = {slot: c for slot, c in zip(SLOTS2, digits) if c}
+        assert_matches_oracles(ptable(2, raw), raw, form, ())
 
 
 def test_associative_implies_left_symmetric():
@@ -181,13 +326,11 @@ def test_associative_implies_left_symmetric():
         p = ptable(2, coeffs)
         if check_associative(p) != []:
             continue
-        for i, j, k in itertools.product((1, 2), repeat=3):
-            lhs = p.mult(p.value(i, j), Element.of(E[k])) - p.mult(
-                Element.of(E[i]), p.value(j, k)
-            )
-            rhs = p.mult(p.value(j, i), Element.of(E[k])) - p.mult(
-                Element.of(E[j]), p.value(i, k)
-            )
+        c = p.coeff
+        for i, j, k, l in itertools.product((1, 2), repeat=4):
+            # the coefficients of e_l in (x, y, z) - (y, x, z), x y z = e_i e_j e_k
+            lhs = sum(c(i, j, t) * c(t, k, l) - c(j, k, t) * c(i, t, l) for t in (1, 2))
+            rhs = sum(c(j, i, t) * c(t, k, l) - c(i, k, t) * c(j, t, l) for t in (1, 2))
             assert lhs == rhs
 
 
@@ -344,7 +487,7 @@ def test_search_single_candidate():
     assert res.examined == res.total == 1
     assert not res.partial
     assert len(res.instances) == 1
-    assert res.instances[0].product.entries == {}
+    assert res.instances[0].product == ptable(2, {})
 
 
 def test_search_dim2_full():
@@ -353,13 +496,11 @@ def test_search_dim2_full():
     assert not res.partial
     # compat with the standard form forces the zero product in dim 2
     assert len(res.instances) == 1
-    assert res.instances[0].product.entries == {}
+    assert res.instances[0].product == ptable(2, {})
     for s in res.instances:
         assert verify_snla(s).passed
     again = snla_search(2, [1, 0, -1])
-    assert [s.product.entries for s in again.instances] == [
-        s.product.entries for s in res.instances
-    ]
+    assert [s.product for s in again.instances] == [s.product for s in res.instances]
 
 
 def test_search_budget():
@@ -435,7 +576,7 @@ def test_doc_roundtrip_explicit_bracket():
     for s in (snla_from_doc(doc), snla_from_doc(specfile.parse(specfile.render(doc)))):
         assert written_entries(s.bracket) == {(E[1], E[2]): {E[1]: 3}}
         assert s.bracket.generators == E[1:3]
-        assert s.product.entries == {}
+        assert s.product == ptable(2, {})
         assert s.form == standard_form(1)
 
 
@@ -451,7 +592,7 @@ def test_doc_with_explicit_form():
     )
     s = snla_from_doc(specfile.parse(text))
     assert s.form.matrix == [[0, 2], [-2, 0]]
-    assert s.product.entries == {}
+    assert s.product == ptable(2, {})
 
 
 def test_snla_from_doc_validation():
