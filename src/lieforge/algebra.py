@@ -314,8 +314,9 @@ class TripleScan:
     ``checkable`` and ``skipped`` count the whole scope's triples without
     and with a flagged pair, whichever way it was walked: a full scan
     records both in ``A._scan_counts`` as it ends, and a narrowed scan reads
-    them there, running one full scan per instance and (scope, repeats) if
-    none has run.
+    them there.  If none has run, they are the scope's size and 0 when no
+    position of the scope has a flagged partner, and otherwise one full
+    scan per instance and (scope, repeats) counts them.
     """
 
     def __init__(
@@ -347,7 +348,7 @@ class TripleScan:
                 wanted.setdefault(k, []).append(c)
         producers, n = self._A.view.producers, self._A.dim
         steps = sum(len(producers[k]) * len(cs) for k, cs in wanted.items())
-        if steps >= comb(len(positions) + 2 * self._key[1], 3):
+        if steps >= self._size(positions):
             return None
         found = set()
         for k, cs in wanted.items():
@@ -389,11 +390,20 @@ class TripleScan:
         if full:
             self._A._scan_counts[self._key] = (checkable, skipped)
 
+    def _size(self, positions) -> int:
+        """The number of triples the scope draws from ``positions``."""
+        return comb(len(positions) + 2 * self._key[1], 3)
+
     def _counts(self) -> tuple[int, int]:
         counts = self._A._scan_counts
         if self._key not in counts:
-            for _ in TripleScan(self._A, *self._key):
-                pass
+            positions = self._positions()
+            flagged = self._A.view.flagged
+            if any(flagged[p] for p in positions):
+                for _ in TripleScan(self._A, *self._key):
+                    pass
+            else:
+                counts[self._key] = (self._size(positions), 0)
         return counts[self._key]
 
     @property

@@ -421,13 +421,16 @@ def _cmd_snla_verify(args, inputs):
     # first, so a cochain system over MAX_UNKNOWNS is refused at once
     fp = _refusing(doc.name, snla.snla_fingerprint, s)
     rep = snla.verify_snla(s)
-    findings = []
+    found = Findings()
     for check, code in _SNLA_CODES.items():
-        findings.extend(
-            ReportFinding("violation", code, _triple_loc(v.triple), v.describe())
-            for v in rep.violations[check]
+        # each call renders its picked violations before the next call
+        found.add(
+            code,
+            rep.violations[check],
+            lambda v: _triple_loc(v.triple),
+            lambda v: ReportFinding("violation", code, _triple_loc(v.triple), v.describe()),
         )
-    findings.extend(
+    found.extend(
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]
     )
@@ -442,7 +445,7 @@ def _cmd_snla_verify(args, inputs):
             "h2_dim": fp["h2"],
         }
     )
-    return Findings(findings), summaries
+    return found, summaries
 
 
 def _coefficients(text: str) -> Optional[list]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -32,7 +32,7 @@ from lieforge.algebra import (
     TripleScan,
     swap_sign,
 )
-from lieforge.linalg import SparseMatrix, rank, rat, rref
+from lieforge.linalg import SparseMatrix, echelon, rank, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
 
 # Most unknowns a derivation or 2-cochain system may have, checked before
@@ -334,16 +334,15 @@ def _cochain_from_vector(
     return Cochain2(A.parity, A.convention, raw)
 
 
-def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int, int]]:
+def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> Iterator[dict[int, int]]:
     """Linear constraint rows of the cyclic cocycle identity over the unknown
-    pair slots, in triple order: the nonzero row of each checkable triple
-    that reads a slot, with integer coefficients over ``A.view.scale``.
+    pair slots, yielded in triple order: the nonzero row of each checkable
+    triple that reads a slot, with integer coefficients over ``A.view.scale``.
     The unknown slots, in both orientations, are the scan's support."""
     sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
     slots = (divmod(key, n) for key in unknowns)
     support = (pair for i, j in slots for pair in ((i, j), (j, i)))
-    rows = []
     for x, y, z in TripleScan(A, "all", repeats=sup, support=support):
         row: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
@@ -362,31 +361,15 @@ def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> list[dict[int
                 if not row[u]:
                     del row[u]
         if row:
-            rows.append(row)
-    return rows
+            yield row
 
 
-def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
-    """Basis of Z2: cochains with vanishing cyclic sum on all checkable
-    triples (graded signs under super)."""
-    unknowns = _cochain_unknowns(A, grade_zero)
-    if not unknowns:
-        return []
-    m = SparseMatrix.from_rows(len(unknowns), _cocycle_rows(A, unknowns))
-    slots = list(unknowns)
-    return [_cochain_from_vector(A, slots, v) for v in rref(m).kernel(m.cols)]
-
-
-def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
-    """Basis of B2 = {delta f : f a 1-cochain}, delta f(x,y) = f([x,y]).
-
-    With grade_zero, f runs over duals of index-0 generators only (the
-    grade-preserving 1-cochains), matching the grade-zero Z2 support.
-    """
-    unknowns = _cochain_unknowns(A, grade_zero)
-    if not unknowns:
-        return []
-    # delta(dual of g_k) over the unknown slots, for each dual k, over view.scale
+def _coboundary_vectors(
+    A: AlgebraInstance, unknowns: dict[int, int], grade_zero: bool
+) -> list[dict[int, int]]:
+    """delta(dual of g_k) over the unknown slots, over ``A.view.scale``, for
+    each dual k (index-0 generators only with grade_zero) whose coboundary
+    reads a slot."""
     duals: dict[int, dict[int, int]] = {
         k: {} for k, t in enumerate(A.generators) if not grade_zero or t.doubled_index == 0
     }
@@ -397,7 +380,27 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
             vec = duals.get(k)
             if vec is not None:
                 vec[u] = c
-    vectors = [vec for vec in duals.values() if vec]
+    return [vec for vec in duals.values() if vec]
+
+
+def cocycle2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
+    """Basis of Z2: cochains with vanishing cyclic sum on all checkable
+    triples (graded signs under super).  The rows stream into ``echelon``
+    as they are built, so none is held."""
+    unknowns = _cochain_unknowns(A, grade_zero)
+    ech = echelon(len(unknowns), _cocycle_rows(A, unknowns))
+    slots = list(unknowns)
+    return [_cochain_from_vector(A, slots, v) for v in ech.kernel(len(slots))]
+
+
+def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Cochain2]:
+    """Basis of B2 = {delta f : f a 1-cochain}, delta f(x,y) = f([x,y]).
+
+    With grade_zero, f runs over duals of index-0 generators only (the
+    grade-preserving 1-cochains), matching the grade-zero Z2 support.
+    """
+    unknowns = _cochain_unknowns(A, grade_zero)
+    vectors = _coboundary_vectors(A, unknowns, grade_zero)
     if not vectors:
         return []
     ech = rref(SparseMatrix.from_rows(len(unknowns), vectors))
@@ -406,10 +409,14 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
 
 
 def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
-    """dim Z2 - dim B2 (0 immediately for dim <= 1 algebras)."""
+    """dim Z2 - dim B2 (0 immediately for dim <= 1 algebras), counted from
+    the ranks of the two systems: no basis cochain is built."""
     if A.dim <= 1:
         return 0
-    return len(cocycle2_space(A, grade_zero)) - len(coboundary2_space(A, grade_zero))
+    unknowns = _cochain_unknowns(A, grade_zero)
+    z2 = len(unknowns) - len(echelon(len(unknowns), _cocycle_rows(A, unknowns)).pivots)
+    vectors = _coboundary_vectors(A, unknowns, grade_zero)
+    return z2 - rank(SparseMatrix.from_rows(len(unknowns), vectors))
 
 
 class CocycleViolation(NamedTuple):

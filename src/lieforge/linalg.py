@@ -6,19 +6,23 @@ library assembles are eliminated as built (``SparseMatrix.from_rows``).  There
 is one elimination route, fraction-free: a row holding a Fraction is scaled by
 the lcm of its denominators, which changes neither rank nor nullspace.
 
-Elimination is Gauss-Jordan kept incrementally.  The rows are taken one at a
-time, shortest first, against a basis of integer rows kept in reduced form:
-each basis row starts at its own pivot column and holds no other pivot
-column.  An arriving row is reduced once by the basis rows at its pivot
-columns; a row that cancels to empty is dependent and is dropped.  A row
-that is left over makes its lowest column a new pivot, that column is
-cleared from the basis rows that hold it (a column index says which), and
-the row joins the basis.  Each combination is a gcd-reduced
-cross-multiplication, row <- (p/g)*row - (a/g)*basis_row, where p and a are
-the basis row's and the row's entries at the pivot column and g = gcd(p, a),
-so every entry stays an integer (fraction-free elimination: Bareiss,
-Math. Comp. 22 (1968) 565-578), and each row that joins or changes the basis
-is divided by the gcd of its entries to keep the integers small.
+Elimination is Gauss-Jordan kept incrementally (``echelon``).  The rows are
+taken one at a time, in the order given, against a basis of integer rows
+kept in reduced form: each basis row starts at its own pivot column and
+holds no other pivot column.  ``rref`` gives a held matrix's rows shortest
+first; a system too large to hold, such as the 2-cocycle rows of
+``cohomology.cocycle2_space``, is passed as a generator in the order it is
+built, so no row outlives its own reduction and memory follows the basis.
+An arriving row is reduced once by the basis rows at its pivot columns; a
+row that cancels to empty is dependent and is dropped.  A row that is left
+over makes its lowest column a new pivot, that column is cleared from the
+basis rows that hold it (a column index says which), and the row joins the
+basis.  Each combination is a gcd-reduced cross-multiplication,
+row <- (p/g)*row - (a/g)*basis_row, where p and a are the basis row's and
+the row's entries at the pivot column and g = gcd(p, a), so every entry
+stays an integer (fraction-free elimination: Bareiss, Math. Comp. 22 (1968)
+565-578), and each row that joins or changes the basis is divided by the
+gcd of its entries to keep the integers small.
 
 Dividing each basis row by its pivot entry then gives the reduced row
 echelon form over the rationals.  That form depends only on the row space,
@@ -56,6 +60,24 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
             raise ValueError(f"rational literal with more than {MAX_DIGITS} digits")
         return Fraction(text)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _holds_fraction(cols: int, row: Mapping[int, object]) -> bool:
+    """Whether ``row`` holds a Fraction, every value being checked: ValueError
+    for a column outside ``0..cols-1`` or a value that is zero or not an int
+    or Fraction, which elimination could not pivot on."""
+    fractional = False
+    for c, v in row.items():
+        if not 0 <= c < cols:
+            raise ValueError(f"column {c} outside 0..{cols - 1}")
+        if type(v) is int:
+            if v:
+                continue
+        elif isinstance(v, Fraction) and v:
+            fractional = True
+            continue
+        raise ValueError(f"not a nonzero int or Fraction: {v!r}")
+    return fractional
 
 
 class SparseMatrix:
@@ -96,18 +118,7 @@ class SparseMatrix:
         nonzero int or Fraction.  The dicts are kept, not copied: the caller
         must not change them afterwards.  ValueError for a column outside
         ``0..cols-1`` or a value that is zero or not an int or Fraction."""
-        fractional = set()
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if not 0 <= c < cols:
-                    raise ValueError(f"column {c} outside 0..{cols - 1}")
-                if type(v) is int:
-                    if v:
-                        continue
-                elif isinstance(v, Fraction) and v:
-                    fractional.add(r)
-                    continue
-                raise ValueError(f"not a nonzero int or Fraction: {v!r}")
+        fractional = {r for r, row in enumerate(rows) if _holds_fraction(cols, row)}
         m = cls.__new__(cls)
         m.rows, m.cols, m._data, m._fractional = len(rows), cols, rows, fractional
         return m
@@ -184,16 +195,22 @@ def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     return rows
 
 
-def _reduce(rows: list[dict[int, int]]) -> Echelon:
-    """Reduced row echelon form of integer rows, one row at a time.
+def echelon(cols: int, rows: Iterable[dict[int, int]]) -> Echelon:
+    """Reduced row echelon form of integer rows over ``cols`` columns, each
+    reduced once, in the order given, and then dropped or kept in the basis.
 
+    ``rows`` may be a generator: no row is held beyond its own reduction.
+    Each row is checked as it arrives, as ``SparseMatrix.from_rows`` checks
+    it, and a Fraction is refused too (``rref`` scales it away): ValueError.
     ``basis`` maps each pivot column to a primitive integer row that starts
     there with a positive entry and holds no other pivot column; ``holders``
     maps every other column to the pivots whose basis rows hold it.  The
     dicts of ``rows`` are only read."""
     basis: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
-    for row in sorted(rows, key=len):
+    for row in rows:
+        if _holds_fraction(cols, row):
+            raise ValueError("not an integer row: a Fraction is scaled by rref")
         row = dict(row)
         # reducing by one basis row adds no other pivot column
         for c in [c for c in row if c in basis]:
@@ -250,11 +267,11 @@ def _clear(row: dict[int, int], c: int, prow: dict[int, int]) -> None:
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals).
 
-    The rows are made integer and reduced one at a time, shortest first,
-    against a basis that is kept in reduced form, so no back-substitution
-    pass follows.  The form depends only on the row space, so the result is
-    the one any elimination order gives.  ``m`` is only read."""
-    return _reduce(_integer_rows(m))
+    The rows are made integer and handed to ``echelon`` shortest first; it
+    keeps the basis in reduced form, so no back-substitution pass follows.
+    The form depends only on the row space, so the result is the one any
+    elimination order gives.  ``m`` is only read."""
+    return echelon(m.cols, sorted(_integer_rows(m), key=len))
 
 
 def rank(m: SparseMatrix) -> int:

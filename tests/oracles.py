@@ -702,3 +702,38 @@ def rational_rref(m: SparseMatrix) -> tuple[tuple[int, ...], tuple[dict, ...]]:
         top += 1
     rows = tuple({c: v for c, v in enumerate(grid[i]) if v} for i in range(top))
     return tuple(pivots), rows
+
+
+def blockwise_rational_rref(m: SparseMatrix) -> tuple[tuple[int, ...], tuple[dict, ...]]:
+    """``rational_rref`` of ``m``, computed block by block: rows that share
+    no column, directly or through other rows, span independent column
+    sets, so the reduced form of the whole is the union of the blocks'
+    reduced forms.  Keeps the dense grids small on large graded systems
+    such as the Witt and ESVLA cocycle rows, which split by index sum."""
+    parent = list(range(m.cols))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    rows = [row for row in m.row_dicts() if row]
+    for row in rows:
+        first, *rest = row
+        for c in rest:
+            parent[root(c)] = root(first)
+    blocks: dict[int, list[dict]] = {}
+    for row in rows:
+        blocks.setdefault(root(next(iter(row))), []).append(row)
+    found = []
+    for block in blocks.values():
+        cols = sorted({c for row in block for c in row})
+        local = {c: i for i, c in enumerate(cols)}
+        sub = SparseMatrix.from_rows(
+            len(cols), [{local[c]: v for c, v in row.items()} for row in block]
+        )
+        for p, row in zip(*rational_rref(sub)):
+            found.append((cols[p], {cols[i]: v for i, v in row.items()}))
+    found.sort(key=lambda item: item[0])
+    return tuple(p for p, _ in found), tuple(row for _, row in found)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from lieforge import cli, cohomology, esvla, specfile
+from lieforge import cli, cohomology, esvla, snla, specfile
 from lieforge.algebra import check_alternating, jacobi_audit
 from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
 from lieforge.cohomology import central_extension
@@ -419,6 +419,50 @@ def test_snla_verify_pass(tmp_path, capsys):
     assert code == 0
     assert rep.summaries["center_dim"] == 2
     assert rep.summaries["h2_dim"] == 1
+
+
+def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkeypatch):
+    # a seeded dense product on 16 generators breaks every SNLA identity
+    # hundreds of times; only the 100 shown per code are described, and the
+    # report is the one that describing and sorting every violation gives
+    rng = random.Random(23)
+    lines = ["algebra dense convention plain", "family e integer even"]
+    lines += [f"generator e[{i}]" for i in range(1, 17)]
+    for i in range(1, 17):
+        for j in range(1, 17):
+            k, l = rng.sample(range(1, 17), 2)
+            a, b = rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))
+            sign = rng.choice("+-")
+            lines.append(f"product e[{i}] e[{j}] => {a} e[{k}] {sign} {b} e[{l}]")
+    spec = tmp_path / "dense.lie"
+    spec.write_text("\n".join(lines) + "\n")
+    described = Counter()
+    for kind in (snla.ProductViolation, snla.CompatViolation, snla.FormCocycleViolation):
+        real = kind.describe
+        monkeypatch.setattr(
+            kind, "describe", lambda v, real=real: described.update([type(v)]) or real(v)
+        )
+    code, rep, out = run_cli(["snla", "verify", str(spec)], capsys)
+    assert code == 1
+    totals = {
+        code: rep.summaries[f"{check}_violations"] for check, code in cli._SNLA_CODES.items()
+    }
+    assert min(totals.values()) > cli.MAX_PER_CODE
+    assert sum(described.values()) == len(totals) * cli.MAX_PER_CODE
+    s = snla.snla_from_doc(specfile.parse(spec.read_text()))
+    violations = snla.verify_snla(s).violations
+    every = [
+        cli.ReportFinding("violation", code, cli._triple_loc(v.triple), v.describe())
+        for check, code in cli._SNLA_CODES.items()
+        for v in violations[check]
+    ]
+    assert len(every) == sum(totals.values())
+    every += [
+        cli.ReportFinding("violation", "V_SOLV", "bracket", str(v))
+        for v in violations["two_step_solvable"]
+    ]
+    expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
+    assert out == expected.to_text()
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,14 @@ the table itself and against a generator-keyed oracle."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from algebra_fixtures import (
+    abelian,
     coprime_denominators,
     heisenberg3,
     mixed_entries,
@@ -22,7 +24,7 @@ from algebra_fixtures import (
     super_pair,
     witt_window,
 )
-from lieforge import esvla
+from lieforge import esvla, snla
 from lieforge.algebra import TripleScan, jacobi_audit
 from lieforge.cohomology import (
     Cochain2,
@@ -32,9 +34,15 @@ from lieforge.cohomology import (
     cocycle2_space,
     cocycle_audit,
 )
-from lieforge.linalg import SparseMatrix
+from lieforge.linalg import SparseMatrix, echelon, rref
 from lieforge.specfile import instantiate, parse
-from oracles import full_scan_cocycle_rows, naive_windowed_audit, pair_values, rational_rref
+from oracles import (
+    blockwise_rational_rref,
+    full_scan_cocycle_rows,
+    naive_windowed_audit,
+    pair_values,
+    rational_rref,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,6 +219,46 @@ def test_cocycle_rows_match_full_scan(name, grade_zero):
     assert rows == full_scan_cocycle_rows(A, unknowns)
 
 
+STREAM_CASES = {
+    **{(name, g): build for name, build in ROW_CASES.items() for g in (False, True)},
+    ("witt_w8", False): lambda: _witt(8),
+    ("witt_w28", False): lambda: _witt(28),
+    **{
+        (f"esvla_w5_{name}", True): (lambda cfg=cfg: esvla.build_esvla(cfg))
+        for name, cfg in ESVLA_W5.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(STREAM_CASES),
+    ids=[f"{name}-{'grade0' if g else 'all'}" for name, g in sorted(STREAM_CASES)],
+)
+def test_streamed_cocycle_rows_give_the_held_echelon(case):
+    # the generator cocycle2_space hands to echelon, against the rows held
+    # in a matrix, eliminated shortest first and by Gauss-Jordan on Fractions
+    A = STREAM_CASES[case]()
+    unknowns = _cochain_unknowns(A, case[1])
+    streamed = echelon(len(unknowns), _cocycle_rows(A, unknowns))
+    held = SparseMatrix.from_rows(len(unknowns), list(_cocycle_rows(A, unknowns)))
+    assert streamed == rref(held) == blockwise_rational_rref(held)
+
+
+def test_cocycle_space_holds_no_row_system():
+    # Witt W=40: 37,280 cocycle rows of rank 2,814 over 3,240 unknowns; held
+    # in a list and a matrix they peaked above 12 MiB
+    A = _witt(40)
+    tracemalloc.start()
+    try:
+        basis = cocycle2_space(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 426
+    assert peak < 4 * 2**20
+
+
 def _touches(A, value, t, support):
     """Whether a rotation (a, b, c) of t has g_k in [g_a, g_b] as ``value``
     reads it with (k, c) in the support."""
@@ -282,8 +330,53 @@ def test_scan_path_follows_the_cost_rule(monkeypatch):
     A = _witt(28)
     for grade_zero, path in ((False, "full"), (True, "narrowed")):
         unknowns = _cochain_unknowns(A, grade_zero)
-        assert _paths(monkeypatch, lambda: _cocycle_rows(A, unknowns)) == [path]
+        assert _paths(monkeypatch, lambda: list(_cocycle_rows(A, unknowns))) == [path]
     # esvla W=8: each displayed cocycle names few pairs, so its audit narrows
     B = esvla.build_esvla(esvla.EsvlaConfig(8))
     for _, omega in esvla._cocycles_for(B).items():
         assert _paths(monkeypatch, lambda: cocycle_audit(B, omega)) == ["narrowed"]
+
+
+def _zero_product_bracket(dim):
+    # the bracket snla verify checks for a zero product: all of it zero
+    return snla.SnlaInstance(
+        dim, snla.ProductTable.from_coeffs(dim, ()), snla.standard_form(dim // 2)
+    ).bracket
+
+
+SCOPES = [("interior", False), ("interior", True), ("all", False), ("all", True)]
+COUNT_CASES = {
+    **{
+        f"esvla_w5_{name}": ((lambda cfg=cfg: esvla.build_esvla(cfg)), SCOPES)
+        for name, cfg in ESVLA_W5.items()
+    },
+    "witt_w8": (lambda: _witt(8), SCOPES),
+    "abelian6": (lambda: abelian(6), SCOPES),
+    # the scope check_symplectic_cocycle audits: C(258, 3) triples
+    "zero_product_256": (lambda: _zero_product_bracket(256), [("all", True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_scan_counts_without_a_walk_equal_the_walked_counts(name, monkeypatch):
+    build, scopes = COUNT_CASES[name]
+    A, B = build(), build()
+    walks = []
+    real = TripleScan.__iter__
+
+    def counting_iter(scan):
+        walks.append(scan._key)
+        return real(scan)
+
+    for key in scopes:
+        for _ in TripleScan(A, *key):
+            pass
+        walked = A._scan_counts[key]
+        monkeypatch.setattr(TripleScan, "__iter__", counting_iter)
+        scan = TripleScan(B, *key)
+        assert (scan.checkable, scan.skipped) == walked
+        monkeypatch.setattr(TripleScan, "__iter__", real)
+        flagged = any(B.view.flagged[p] for p in scan._positions())
+        # a scope with no flagged partner is counted by formula, no walk
+        assert walks == ([key] if flagged else [])
+        walks.clear()

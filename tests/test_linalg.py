@@ -16,6 +16,7 @@ from lieforge.linalg import (
     Echelon,
     SparseMatrix,
     _integer_rows,
+    echelon,
     matvec,
     nullspace,
     rank,
@@ -76,12 +77,26 @@ def test_int_entries_are_stored_as_ints():
     assert [type(v) for v in mixed.entries.values()] == [int, Fraction]
 
 
-@pytest.mark.parametrize(
-    "row", [{3: 1}, {-1: 1}, {0: 0}, {1: Fraction(0)}, {0: 0.5}, {0: "1"}]
-)
+REFUSED_ROWS = [{3: 1}, {-1: 1}, {0: 0}, {1: Fraction(0)}, {0: 0.5}, {0: "1"}]
+
+
+@pytest.mark.parametrize("row", REFUSED_ROWS)
 def test_from_rows_refuses_what_would_break_the_row_contract(row):
     with pytest.raises(ValueError):
         SparseMatrix.from_rows(3, [{0: 1}, row])
+
+
+@pytest.mark.parametrize("row", REFUSED_ROWS + [{1: Fraction(1, 2)}, {2: Fraction(4)}])
+def test_echelon_refuses_a_row_as_it_arrives(row):
+    # the from_rows check, and a Fraction too: echelon takes integer rows
+    # only, and refuses the bad row before it reads the next one
+    def rows():
+        yield {0: 1}
+        yield row
+        raise AssertionError("read past the refused row")
+
+    with pytest.raises(ValueError):
+        echelon(3, rows())
 
 
 def test_sparse_matrix_bounds_checked():
@@ -388,7 +403,7 @@ def test_sparse_kernel_on_witt_cocycle_system():
     # the system cocycle2_space eliminates
     A = specfile.instantiate(specfile.parse(WITT.read_text()), window=8)
     unknowns = cohomology._cochain_unknowns(A, False)
-    rows = cohomology._cocycle_rows(A, unknowns)
+    rows = list(cohomology._cocycle_rows(A, unknowns))
     m = SparseMatrix(
         len(rows),
         len(unknowns),
