@@ -28,7 +28,7 @@ import itertools
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from lieforge.linalg import SparseMatrix, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
@@ -415,6 +415,15 @@ class TripleScan:
         return self._counts()[1]
 
 
+class TripleViolation(NamedTuple):
+    """A generator triple on which a triple identity fails, and its exact
+    residual: an Element (Jacobi) or a Fraction (a scalar identity such as
+    the cocycle one)."""
+
+    triple: tuple[GeneratorId, GeneratorId, GeneratorId]
+    residual: Union[Element, Fraction]
+
+
 class TripleAudit:
     """What a triple identity found: the triples it examined, those it
     skipped because a window-flagged pair clipped them, and its violations
@@ -423,8 +432,8 @@ class TripleAudit:
     ``found`` keeps each violation compactly, as its position triple and its
     integer residual over ``denominator``: an int for a scalar identity, a
     dict from generator position to nonzero int otherwise.  ``violations``
-    builds the ``kind(triple of generators, exact residual)`` objects on
-    first read; ``violation`` builds one.
+    builds the ``TripleViolation`` objects on first read; ``violation``
+    builds one.
     """
 
     def __init__(
@@ -434,27 +443,26 @@ class TripleAudit:
         found: list[tuple[tuple[int, int, int], object]],
         denominator: int,
         generators: list[GeneratorId],
-        kind: type,
     ):
         self.examined = examined
         self.skipped_boundary = skipped_boundary
         self.found = found
         self.denominator = denominator
         self.generators = generators
-        self.kind = kind
 
-    def violation(self, entry: tuple[tuple[int, int, int], object]):
-        """The violation object of one entry of ``found``."""
+    def violation(self, entry: tuple[tuple[int, int, int], object]) -> TripleViolation:
+        """The violation object of one entry of ``found``: its residual is a
+        Fraction for an int entry and an Element for a dict."""
         (x, y, z), r = entry
         gens, d = self.generators, self.denominator
         if isinstance(r, int):
             residual = Fraction(r, d)
         else:
             residual = Element({gens[u]: Fraction(v, d) for u, v in r.items()})
-        return self.kind((gens[x], gens[y], gens[z]), residual)
+        return TripleViolation((gens[x], gens[y], gens[z]), residual)
 
     @cached_property
-    def violations(self) -> list:
+    def violations(self) -> list[TripleViolation]:
         return [self.violation(e) for e in self.found]
 
 
@@ -505,11 +513,6 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     return out
 
 
-class JacobiViolation(NamedTuple):
-    triple: tuple[GeneratorId, GeneratorId, GeneratorId]
-    residual: Element
-
-
 def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
     """Evaluate the (graded) Jacobi identity on generator triples.
 
@@ -557,11 +560,10 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
         found,
         A.view.scale**2,
         A.generators,
-        JacobiViolation,
     )
 
 
-def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[JacobiViolation]:
+def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[TripleViolation]:
     return jacobi_audit(A, scope).violations
 
 

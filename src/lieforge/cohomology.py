@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
@@ -30,6 +30,7 @@ from lieforge.algebra import (
     GeneratorId,
     TripleAudit,
     TripleScan,
+    TripleViolation,
     swap_sign,
 )
 from lieforge.linalg import SparseMatrix, echelon, rank, rat, rref
@@ -419,11 +420,6 @@ def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
     return z2 - rank(SparseMatrix.from_rows(len(unknowns), vectors))
 
 
-class CocycleViolation(NamedTuple):
-    triple: tuple[GeneratorId, GeneratorId, GeneratorId]
-    residual: Fraction
-
-
 def cocycle_audit(
     A: AlgebraInstance,
     omega: Cochain2,
@@ -472,13 +468,12 @@ def cocycle_audit(
         found,
         A.view.scale * e,
         A.generators,
-        CocycleViolation,
     )
 
 
 def check_cocycle(
     A: AlgebraInstance, omega: Cochain2, scope: str = "interior"
-) -> list[CocycleViolation]:
+) -> list[TripleViolation]:
     return cocycle_audit(A, omega, scope).violations
 
 

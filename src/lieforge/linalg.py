@@ -3,8 +3,9 @@
 Every scalar is an exact int or ``fractions.Fraction``; nothing here ever
 rounds.  A ``SparseMatrix`` stores one dict per row, so the integer rows the
 library assembles are eliminated as built (``SparseMatrix.from_rows``).  There
-is one elimination route, fraction-free: a row holding a Fraction is scaled by
-the lcm of its denominators, which changes neither rank nor nullspace.
+is one elimination route, fraction-free, and one row contract: ``echelon``
+checks each row as it takes it and scales a row holding a Fraction by the lcm
+of its denominators, which changes neither rank nor nullspace.
 
 Elimination is Gauss-Jordan kept incrementally (``echelon``).  The rows are
 taken one at a time, in the order given, against a basis of integer rows
@@ -62,10 +63,11 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _holds_fraction(cols: int, row: Mapping[int, object]) -> bool:
-    """Whether ``row`` holds a Fraction, every value being checked: ValueError
-    for a column outside ``0..cols-1`` or a value that is zero or not an int
-    or Fraction, which elimination could not pivot on."""
+def _integer_row(cols: int, row: Mapping[int, object]) -> dict[int, int]:
+    """A new integer row with the entries of ``row``, scaled by the lcm of its
+    denominators when it holds a Fraction.  ValueError for a column outside
+    ``0..cols-1`` or a value that is zero or not an int or Fraction, which
+    elimination could not pivot on."""
     fractional = False
     for c, v in row.items():
         if not 0 <= c < cols:
@@ -77,16 +79,19 @@ def _holds_fraction(cols: int, row: Mapping[int, object]) -> bool:
             fractional = True
             continue
         raise ValueError(f"not a nonzero int or Fraction: {v!r}")
-    return fractional
+    if not fractional:
+        return dict(row)
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
 class SparseMatrix:
     """Immutable sparse rational matrix, one dict per row from column to
-    nonzero value: ints stay ints, other values are Fractions.  No zero is
-    ever stored, so elimination never pivots on one.  ``_fractional`` holds
-    the rows given a non-int value, found by the one type check per value."""
+    nonzero value: ints stay ints, other values are Fractions.  The rows are
+    only held; ``echelon`` checks each one as it eliminates it, so no zero
+    ever becomes a pivot."""
 
-    __slots__ = ("rows", "cols", "_data", "_fractional")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(
         self,
@@ -100,27 +105,23 @@ class SparseMatrix:
         self.cols = cols
         items = entries.items() if isinstance(entries, Mapping) else entries
         data: list[dict[int, Union[int, Fraction]]] = [{} for _ in range(rows)]
-        fractional = set()
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if type(v) is not int:
                 v = rat(v)
-                fractional.add(r)
             if v:
                 data[r][c] = v
         self._data = data
-        self._fractional = fractional
 
     @classmethod
     def from_rows(cls, cols: int, rows: list[dict]) -> "SparseMatrix":
         """The matrix whose row i is ``rows[i]``, a dict from column to a
-        nonzero int or Fraction.  The dicts are kept, not copied: the caller
-        must not change them afterwards.  ValueError for a column outside
-        ``0..cols-1`` or a value that is zero or not an int or Fraction."""
-        fractional = {r for r, row in enumerate(rows) if _holds_fraction(cols, row)}
+        nonzero int or Fraction.  The dicts are kept, not copied or read: the
+        caller must not change them afterwards, and ``echelon`` refuses a
+        row that breaks its contract when the matrix is eliminated."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data, m._fractional = len(rows), cols, rows, fractional
+        m.rows, m.cols, m._data = len(rows), cols, rows
         return m
 
     @classmethod
@@ -185,23 +186,13 @@ def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
     return [sum((a * rat(v[c]) for c, a in row.items()), Fraction(0)) for row in m._data]
 
 
-def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """The rows of ``m`` as integers: each row holding a Fraction scaled by
-    its lcm."""
-    rows = list(m._data)
-    for r in m._fractional:
-        scale = lcm(*(v.denominator for v in rows[r].values()))
-        rows[r] = {c: v.numerator * (scale // v.denominator) for c, v in rows[r].items()}
-    return rows
-
-
-def echelon(cols: int, rows: Iterable[dict[int, int]]) -> Echelon:
-    """Reduced row echelon form of integer rows over ``cols`` columns, each
-    reduced once, in the order given, and then dropped or kept in the basis.
+def echelon(cols: int, rows: Iterable[Mapping[int, object]]) -> Echelon:
+    """Reduced row echelon form of rows over ``cols`` columns, each reduced
+    once, in the order given, and then dropped or kept in the basis.
 
     ``rows`` may be a generator: no row is held beyond its own reduction.
-    Each row is checked as it arrives, as ``SparseMatrix.from_rows`` checks
-    it, and a Fraction is refused too (``rref`` scales it away): ValueError.
+    Each row is checked and made integer as it arrives (``_integer_row``),
+    so a bad row raises ValueError before the next one is read.
     ``basis`` maps each pivot column to a primitive integer row that starts
     there with a positive entry and holds no other pivot column; ``holders``
     maps every other column to the pivots whose basis rows hold it.  The
@@ -209,9 +200,7 @@ def echelon(cols: int, rows: Iterable[dict[int, int]]) -> Echelon:
     basis: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
     for row in rows:
-        if _holds_fraction(cols, row):
-            raise ValueError("not an integer row: a Fraction is scaled by rref")
-        row = dict(row)
+        row = _integer_row(cols, row)
         # reducing by one basis row adds no other pivot column
         for c in [c for c in row if c in basis]:
             _clear(row, c, basis[c])
@@ -267,11 +256,11 @@ def _clear(row: dict[int, int], c: int, prow: dict[int, int]) -> None:
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row echelon form of ``m`` (unique over the rationals).
 
-    The rows are made integer and handed to ``echelon`` shortest first; it
-    keeps the basis in reduced form, so no back-substitution pass follows.
+    The rows are handed to ``echelon`` shortest first; it keeps the basis in
+    reduced form, so no back-substitution pass follows.
     The form depends only on the row space, so the result is the one any
     elimination order gives.  ``m`` is only read."""
-    return echelon(m.cols, sorted(_integer_rows(m), key=len))
+    return echelon(m.cols, sorted(m._data, key=len))
 
 
 def rank(m: SparseMatrix) -> int:

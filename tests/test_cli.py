@@ -1236,6 +1236,96 @@ def test_fuzzed_specs_end_in_a_report(tmp_path, capsys):
     assert audited >= 200
 
 
+# Seeded fuzzing of the commands that read no spec: mutated coefficient
+# files through `aut recurrences --file`, and `snla search` arguments.
+FUZZ_COEF = (DATA / "cli" / "powers2.coef").read_bytes()
+# rationals, which keep a file usable, and values that do not
+FUZZ_COEF_RATIONALS = (b"0", b"1", b"-1", b"2", b"1/2", b"-3/4", b"1e-999", b"1e999")
+FUZZ_COEF_VALUES = (*FUZZ_COEF_RATIONALS, b"1/0", b"0.5", b"x", b"")
+FUZZ_COEF_INDICES = (
+    b"0", b"-3", b"3", b"1/2", b"-3/2", b"5/2", b"2.5", b"-0", b"1000000", b"x",
+)
+FUZZ_COEF_WINDOWS = (
+    b"-1", b"0", b"1", b"2", b"3", b"1/2", b"129", b"1000000", b"x", b"",
+)
+FUZZ_COEF_LISTS = (
+    "0,1", "-1,0,1", "1/2,-3/4", "0,1/3,2", "1/0", "1e-999", "0,1e-999", "1e999",
+    "", ",", " , ,", "x", "0.5,1", ",".join(map(str, range(-40, 41))),
+    ",".join(f"1/{k}" for k in range(1, 61)),
+)
+
+
+def fuzz_coef_file(rng: random.Random) -> bytes:
+    """Random bytes, ``powers2.coef`` with about a quarter of its values
+    rewritten as rationals, or ``powers2.coef`` after one to three rewritten
+    values or indices, rewritten or added window lines, deleted or
+    duplicated lines, or truncations."""
+    if rng.random() < 0.1:
+        return rng.randbytes(rng.randrange(120))
+    lines = FUZZ_COEF.splitlines(keepends=True)
+    if rng.random() < 0.5:
+        for k, line in enumerate(lines):
+            line = line.split()
+            if len(line) == 4 and rng.random() < 0.25:
+                line[3] = rng.choice(FUZZ_COEF_RATIONALS)
+                lines[k] = b" ".join(line) + b"\n"
+        return b"".join(lines)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines) + 1)
+        line = lines[k].split() if k < len(lines) else []
+        op = rng.randrange(6)
+        if op == 0 and len(line) == 4:
+            line[3] = rng.choice(FUZZ_COEF_VALUES)
+            lines[k] = b" ".join(line) + b"\n"
+        elif op == 1 and len(line) == 4:
+            line[2] = rng.choice(FUZZ_COEF_INDICES)
+            lines[k] = b" ".join(line) + b"\n"
+        elif op == 2:
+            lines.insert(k, b"window " + rng.choice(FUZZ_COEF_WINDOWS) + b"\n")
+        elif op == 3:
+            del lines[k : k + 1]
+        elif op == 4:
+            lines[k:k] = lines[k : k + 1]
+        else:
+            text = b"".join(lines)
+            lines = [text[: rng.randrange(len(text) + 1)]]
+    return b"".join(lines)
+
+
+def fuzz_search_args(rng: random.Random) -> list[str]:
+    """``snla search`` with a dimension from -1 to 5, a coefficient list
+    that may be empty, long or not rational, and maybe a budget."""
+    argv = ["snla", "search", "--dim", str(rng.randint(-1, 5))]
+    argv.append("--coeffs=" + rng.choice(FUZZ_COEF_LISTS))
+    budget = rng.choice([None, -1, 0, 5, 10**6])
+    return argv if budget is None else [*argv, "--budget", str(budget)]
+
+
+def test_fuzzed_recurrences_and_search_end_in_a_report(tmp_path, capsys):
+    rng = random.Random(20242)
+    coef = tmp_path / "fuzz.coef"
+    audited = Counter()
+    for _ in range(600):
+        if rng.random() < 0.5:
+            coef.write_bytes(fuzz_coef_file(rng))
+            argv = ["aut", "recurrences", "--file", str(coef)]
+            if rng.random() < 0.5:
+                argv += ["--window", str(rng.randint(-1, 4))]
+        else:
+            argv = fuzz_search_args(rng)
+        t0 = time.perf_counter()
+        code, rep, out = run_cli(argv, capsys)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code in (0, 1, 2), argv
+        assert out.startswith(f"lieforge {rep.tool_version} :: "), argv
+        assert f"verdict: {rep.verdict}" in out, argv
+        audited[argv[1], code] += 1
+    # with this seed 92 of 290 coefficient files reach a verdict (91 exit
+    # 1), and 54 of 310 searches exit 0; the rest are designed refusals
+    assert audited["recurrences", 0] + audited["recurrences", 1] >= 30
+    assert audited["search", 0] >= 30
+
+
 # Huge windows and dimensions: refused before any family grid is built.
 @pytest.mark.parametrize("window", [10**6, 10**9])
 @pytest.mark.parametrize(

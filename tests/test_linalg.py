@@ -10,12 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforge import cohomology, esvla, specfile
+from lieforge import cohomology, esvla, linalg, specfile
 from lieforge.linalg import (
     MAX_DIGITS,
     Echelon,
     SparseMatrix,
-    _integer_rows,
     echelon,
     matvec,
     nullspace,
@@ -82,14 +81,15 @@ REFUSED_ROWS = [{3: 1}, {-1: 1}, {0: 0}, {1: Fraction(0)}, {0: 0.5}, {0: "1"}]
 
 @pytest.mark.parametrize("row", REFUSED_ROWS)
 def test_from_rows_refuses_what_would_break_the_row_contract(row):
+    # from_rows only holds the rows: the refusal comes when rref eliminates
+    m = SparseMatrix.from_rows(3, [{0: 1}, row])
     with pytest.raises(ValueError):
-        SparseMatrix.from_rows(3, [{0: 1}, row])
+        rref(m)
 
 
-@pytest.mark.parametrize("row", REFUSED_ROWS + [{1: Fraction(1, 2)}, {2: Fraction(4)}])
+@pytest.mark.parametrize("row", REFUSED_ROWS)
 def test_echelon_refuses_a_row_as_it_arrives(row):
-    # the from_rows check, and a Fraction too: echelon takes integer rows
-    # only, and refuses the bad row before it reads the next one
+    # the bad row is refused before the next one is read
     def rows():
         yield {0: 1}
         yield row
@@ -97,6 +97,36 @@ def test_echelon_refuses_a_row_as_it_arrives(row):
 
     with pytest.raises(ValueError):
         echelon(3, rows())
+
+
+@pytest.mark.parametrize("row", [{1: Fraction(1, 2)}, {2: Fraction(4)}])
+def test_fraction_rows_are_scaled_as_they_arrive(row):
+    # streamed or held, Fraction rows give the echelon form of their scaled
+    # integer rows, which is the one Gauss-Jordan on Fractions gives
+    F = Fraction
+    rows = [{0: 1}, row, {0: F(2, 3), 1: 5, 2: F(-1, 6)}, {1: F(3, 4), 2: 1}]
+    held = SparseMatrix.from_rows(3, rows)
+    expected = rational_rref(held)
+    assert echelon(3, iter(rows)) == expected
+    assert rref(held) == expected
+    assert rref(SparseMatrix.from_rows(3, scaled_rows(held))) == expected
+
+
+def test_each_row_is_checked_once(monkeypatch):
+    checked = []
+    real = linalg._integer_row
+
+    def counting(cols, row):
+        checked.append(row)
+        return real(cols, row)
+
+    monkeypatch.setattr(linalg, "_integer_row", counting)
+    rows = [{0: 1, 2: 2}, {1: Fraction(1, 3)}, {0: 2, 2: 4}, {2: -1}, {}]
+    rref(SparseMatrix.from_rows(3, rows))
+    assert sorted(map(id, checked)) == sorted(map(id, rows))
+    checked.clear()
+    echelon(3, (dict(row) for row in rows))
+    assert len(checked) == len(rows)
 
 
 def test_sparse_matrix_bounds_checked():
@@ -239,15 +269,20 @@ def test_sparse_path_agrees_with_rational():
             assert all(x == 0 for x in matvec(m, v))
 
 
+def scaled_rows(m):
+    """The rows of ``m``, each scaled to ints by the lcm of its denominators."""
+    out = []
+    for row in m.row_dicts():
+        scale = lcm(1, *(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(v * scale) for c, v in row.items()})
+    return out
+
+
 def row_copies(m):
     """``m`` rebuilt by ``from_rows`` twice: with every value a Fraction, and
     with each row scaled to ints by the lcm of its denominators (same rref)."""
     fractions = [{c: Fraction(v) for c, v in row.items()} for row in m.row_dicts()]
-    ints = []
-    for row in fractions:
-        scale = lcm(1, *(v.denominator for v in row.values()))
-        ints.append({c: int(v * scale) for c, v in row.items()})
-    return [SparseMatrix.from_rows(m.cols, rows) for rows in (fractions, ints)]
+    return [SparseMatrix.from_rows(m.cols, rows) for rows in (fractions, scaled_rows(m))]
 
 
 def assert_sparse_kernel_matches_oracles(m):
@@ -262,7 +297,7 @@ def assert_sparse_kernel_matches_oracles(m):
     assert ech == expected
     for order in (rows[::-1], shuffled):
         assert rref(SparseMatrix.from_rows(m.cols, order)) == expected
-    pivots, _ = list_scan_forward(_integer_rows(m), m.cols)
+    pivots, _ = list_scan_forward(scaled_rows(m), m.cols)
     assert list(ech.pivots) == pivots
     for copy in row_copies(m):
         before = copy.row_dicts()
