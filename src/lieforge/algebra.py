@@ -3,13 +3,12 @@
 An ``AlgebraInstance`` is built from its brackets as written and keeps them
 once, as an ``IndexedView``: the structure constants as integers over one
 common denominator, their reverse index, window flags, parities and interior
-generators, all indexed by generator position.  A pair given in one
-direction only is read through the convention's symmetry, ``swap_sign``
-(plain: [h,g] = -[g,h]; super: [h,g] = -(-1)^{|g||h|}[g,h]), the same rule
-``cohomology.Cochain2`` reads scalar cochains by.  The view keeps which pairs
-were given as written, so a table given on both sides of a pair, or on a
-diagonal, can violate the convention and ``check_alternating`` says exactly
-where.
+generators, all indexed by generator position.  Brackets and scalar
+2-cochains (``cohomology.Cochain2``) follow one as-written pair rule,
+``extend_as_written``: a pair given one way only is read back by
+``swap_sign`` (plain: [h,g] = -[g,h]; super: [h,g] = -(-1)^{|g||h|}[g,h]),
+and a pair given both ways that breaks it is reported, here by
+``check_alternating``.
 
 Every triple identity visits position triples through one enumerator,
 ``TripleScan``, which walks only the triples that can be nonzero when the
@@ -152,6 +151,37 @@ def swap_sign(convention: str, odd_g: int, odd_h: int) -> int:
     return 1 if convention == "super" and odd_g and odd_h else -1
 
 
+def extend_as_written(written: Mapping, convention: str, odd, audit: bool = False):
+    """The as-written pair rule, for brackets and 2-cochains alike.
+
+    ``written`` maps ordered pairs (g, h) to values: numbers, or tuples of
+    (key, coefficient) terms.  A pair is read as written; the reverse (h, g)
+    of a pair given one way only is read as s times its value, where
+    s = swap_sign(convention, odd(g), odd(h)), and an iterator over these
+    reverse pairs and their values is returned.  With ``audit``, the pairs
+    g <= h given both ways, diagonals included, are returned instead, in
+    order, as (g, h, back - s*value) with back the value of (h, g): the pair
+    keeps the rule when that is zero (for terms, once summed by key).
+    """
+    if audit:
+        return sorted(
+            (g, h, back + _scaled(value, -swap_sign(convention, odd(g), odd(h))))
+            for (g, h), value in written.items()
+            if g <= h and (back := written.get((h, g))) is not None
+        )
+    return (
+        ((h, g), _scaled(value, swap_sign(convention, odd(g), odd(h))))
+        for (g, h), value in written.items()
+        if (h, g) not in written
+    )
+
+
+def _scaled(value, s: int):
+    if isinstance(value, tuple):
+        return tuple((k, s * c) for k, c in value)
+    return s * value
+
+
 class Finding(NamedTuple):
     """One structured diagnostic: stable code, location string, detail."""
 
@@ -166,9 +196,8 @@ class IndexedView(NamedTuple):
     ``terms[i][j]`` holds the nonzero ``(k, c)`` terms of [g_i, g_j] as
     integers over the common denominator ``scale``: the coefficient of g_k is
     ``c / scale``.  ``written`` lists the position pairs (i, j) given as
-    written, in the order given; their terms are read exactly as written, and
-    a pair given in one direction only is extended by the convention's swap
-    sign.  ``producers[k]`` lists the ordered pairs (i, j) with k in
+    written, in the order given; ``extend_as_written`` reads the rest.
+    ``producers[k]`` lists the ordered pairs (i, j) with k in
     ``terms[i][j]``, as keys i * dim + j.  ``flagged[i]`` is the set of
     positions j with (g_i, g_j) window-flagged, in either order.  ``odd[i]``
     is the parity of g_i; ``interior`` lists the interior positions in order.
@@ -238,8 +267,7 @@ class AlgebraInstance:
         denominator: ``scale`` times the lcm of the coefficients' own."""
         pos, n = self._pos, self.dim
         d = lcm(*(c.denominator for value in entries.values() for c in value.values()))
-        terms = [[()] * n for _ in range(n)]
-        written = []
+        written = {}
         try:
             for (g, h), value in entries.items():
                 i, j = pos[g], pos[h]
@@ -249,21 +277,17 @@ class AlgebraInstance:
                     if c
                 )
                 if pair:
-                    terms[i][j] = pair
-                    written.append((i, j))
+                    written[(i, j)] = pair
         except KeyError as e:
             raise ValueError(f"entries reference unknown generator {e.args[0]}") from None
         odd = tuple(bool(self.parity.get(g.family, EVEN)) for g in self.generators)
-        given = set(written)
-        for i, j in written:
-            if (j, i) not in given:
-                s = swap_sign(self.convention, odd[i], odd[j])
-                terms[j][i] = tuple((k, s * c) for k, c in terms[i][j])
+        terms = [[()] * n for _ in range(n)]
         producers = [[] for _ in range(n)]
-        for i, row in enumerate(terms):
-            for j, pair in enumerate(row):
-                for k, _ in pair:
-                    producers[k].append(i * n + j)
+        reverse = extend_as_written(written, self.convention, odd.__getitem__)
+        for (i, j), pair in itertools.chain(written.items(), reverse):
+            terms[i][j] = pair
+            for k, _ in pair:
+                producers[k].append(i * n + j)
         flagged = [set() for _ in range(n)]
         for g, h in self.boundary_pairs:
             i, j = self.position(g), self.position(h)
@@ -496,17 +520,10 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     [h,g] = s*[g,h]; a diagonal entry (g,g) must satisfy (1-s)*[g,g] = 0,
     which constrains it to zero except for odd generators under super.
     """
-    terms, odd, scale = A.view.terms, A.view.odd, A.view.scale
-    gens, written = A.generators, set(A.view.written)
+    terms, odd, scale, gens = A.view.terms, A.view.odd, A.view.scale, A.generators
+    written = {(i, j): terms[i][j] for i, j in A.view.written}
     out = []
-    for a, b in sorted({(min(p), max(p)) for p in written}):
-        s = swap_sign(A.convention, odd[a], odd[b])
-        if a == b:
-            diff = [(k, (1 - s) * c) for k, c in terms[a][a]]
-        elif (a, b) in written and (b, a) in written:
-            diff = [*terms[b][a], *((k, -s * c) for k, c in terms[a][b])]
-        else:
-            continue
+    for a, b, diff in extend_as_written(written, A.convention, odd.__getitem__, audit=True):
         residual = Element((gens[k], Fraction(c, scale)) for k, c in diff)
         if residual:
             out.append(AlternatingViolation(gens[a], gens[b], residual))

@@ -4,17 +4,16 @@ All spaces are computed as exact nullspaces or column spans over the
 rationals.  On window-truncated instances every constraint whose data was
 clipped by the window (a boundary-flagged pair) is skipped and counted, so
 truncation can shrink the constraint set but never fabricates or deletes
-solutions silently.  Cochains extend a one-sided entry by the bracket's own
-``algebra.swap_sign``, so super-convention cochains are graded-skew with the
-bracket's swap sign; parity-mixing pairs are allowed and their verdicts
-reported without interpreting the grading.  Triple identities and
-constraint rows run on the instance's one bracket store, its
-position-indexed view (``AlgebraInstance.view``), whose integer terms share
-the denominator ``view.scale``: rows are assembled over it (scaling a row
-changes no row echelon form) and values are divided once, where they are
-reported.  Triples come from ``algebra.TripleScan``, given the pairs a
-cochain or its unknowns can read nonzero as its support.  A central
-extension is built from the pairs the instance was given as written.
+solutions silently.  A cochain is read by the bracket's own as-written
+rule, ``algebra.extend_as_written``, so super-convention cochains are
+graded-skew; parity-mixing pairs are allowed and their verdicts reported
+without interpreting the grading.  The cocycle audit and the central
+extension read a cochain the same way.  Triple identities and constraint
+rows run on the instance's position-indexed view (``AlgebraInstance.view``),
+whose integer terms share the denominator ``view.scale``: rows are assembled
+over it (scaling a row changes no row echelon form) and values are divided
+once, where they are reported.  Triples come from ``algebra.TripleScan``,
+given the pairs a cochain or its unknowns can read nonzero as its support.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
@@ -31,6 +31,7 @@ from lieforge.algebra import (
     TripleAudit,
     TripleScan,
     TripleViolation,
+    extend_as_written,
     swap_sign,
 )
 from lieforge.linalg import SparseMatrix, echelon, rank, rat, rref
@@ -107,13 +108,15 @@ class LinearEndo:
 class Cochain2:
     """Scalar-valued bilinear 2-cochain stored on ordered pairs as written.
 
-    Lookup extends a one-sided entry by the bracket's own ``swap_sign``
+    It is read by the bracket's own rule, ``algebra.extend_as_written``
     (skew for plain, graded-skew for super); ``parity`` maps family symbol to
     0 or 1, unlisted families even.  ``symmetry_violations`` reports stored
     pairs that contradict the symmetry, so as-written data remains auditable.
+    ``raw`` is read only, since the reading is built from it on first use.
+    Two cochains are equal when they read the same.
     """
 
-    __slots__ = ("parity", "convention", "raw")
+    __slots__ = ("parity", "convention", "raw", "_reading")
 
     def __init__(
         self,
@@ -125,47 +128,44 @@ class Cochain2:
             raise ValueError(f"unknown convention {convention!r}")
         self.parity = dict(parity)
         self.convention = convention
-        self.raw: dict[tuple[GeneratorId, GeneratorId], Fraction] = {}
+        stored: dict[tuple[GeneratorId, GeneratorId], Fraction] = {}
         items = raw.items() if isinstance(raw, Mapping) else raw
         for (g, h), v in items:
             f = rat(v)
             if f:
-                self.raw[(g, h)] = f
+                stored[(g, h)] = f
+        self.raw = MappingProxyType(stored)
+        self._reading = None
 
     def swap_sign(self, g: GeneratorId, h: GeneratorId) -> int:
         """Sign s with value(h, g) = s * value(g, h)."""
-        par = self.parity
-        return swap_sign(self.convention, par.get(g.family, 0), par.get(h.family, 0))
+        return swap_sign(self.convention, self._odd(g), self._odd(h))
+
+    def _odd(self, g: GeneratorId) -> int:
+        return self.parity.get(g.family, 0)
+
+    def _read(self) -> Mapping[tuple[GeneratorId, GeneratorId], Fraction]:
+        """omega on every ordered pair it reads nonzero; read only."""
+        if self._reading is None:
+            self._reading = dict(self.raw)
+            self._reading.update(extend_as_written(self.raw, self.convention, self._odd))
+        return self._reading
 
     def value(self, g: GeneratorId, h: GeneratorId) -> Fraction:
         """omega(g,h) as stored, extending a one-sided entry by symmetry."""
-        v = self.raw.get((g, h))
-        if v is not None:
-            return v
-        w = self.raw.get((h, g))
-        return Fraction(0) if w is None else self.swap_sign(h, g) * w
+        return self._read().get((g, h), Fraction(0))
 
     def symmetry_violations(self) -> list[tuple[GeneratorId, GeneratorId, Fraction]]:
         """Stored pairs violating the symmetry: (g, h, residual) with g <= h,
         residual = stored(h,g) - s*stored(g,h), or (1-s)*stored(g,g)."""
-        raw, out = self.raw, []
-        for g, h in sorted({(min(p), max(p)) for p in raw}):
-            s = self.swap_sign(g, h)
-            if g == h:
-                residual = (1 - s) * raw[(g, g)]
-            elif (g, h) in raw and (h, g) in raw:
-                residual = raw[(h, g)] - s * raw[(g, h)]
-            else:
-                continue
-            if residual:
-                out.append((g, h, residual))
-        return out
+        audit = extend_as_written(self.raw, self.convention, self._odd, audit=True)
+        return [(g, h, r) for g, h, r in audit if r]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain2)
             and self.convention == other.convention
-            and self.raw == other.raw
+            and self._read() == other._read()
         )
 
 
@@ -353,7 +353,8 @@ def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> Iterator[dict
                     u = unknowns.get(t * n + c)
                     coeff = sign * ct
                 else:
-                    # omega(t,c) is read through the slot (c,t) by the swap sign
+                    # omega(t,c) is read through the slot (c,t) by the swap sign:
+                    # algebra.extend_as_written's rule, inlined in this hot loop
                     u = unknowns.get(c * n + t)
                     coeff = (sign if sup and odd[c] and odd[t] else -sign) * ct
                 if u is None:
@@ -420,6 +421,21 @@ def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
     return z2 - rank(SparseMatrix.from_rows(len(unknowns), vectors))
 
 
+def _integer_reading(A: AlgebraInstance, omega: Cochain2) -> tuple[dict[int, int], int]:
+    """omega's reading on the ordered position pairs (i, j) of A, keyed
+    i * dim + j, as nonzero integers over their common denominator e; and e.
+    A pair naming a generator A lacks is refused."""
+    reading, n = omega._read(), A.dim
+    e = lcm(*(w.denominator for w in reading.values()))
+    try:
+        return {
+            A.position(g) * n + A.position(h): w.numerator * (e // w.denominator)
+            for (g, h), w in reading.items()
+        }, e
+    except ValueError as err:
+        raise ValueError(f"the cochain reads a pair outside the instance: {err}") from None
+
+
 def cocycle_audit(
     A: AlgebraInstance,
     omega: Cochain2,
@@ -434,17 +450,7 @@ def cocycle_audit(
     if repeats is None:
         repeats = sup
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    pos = {g: i for i, g in enumerate(A.generators)}
-    # omega on the pairs of A stored in either direction, as integers over
-    # its own common denominator e
-    values = {
-        pos[a] * n + pos[b]: omega.value(a, b)
-        for g, h in omega.raw
-        if g in pos and h in pos
-        for a, b in ((g, h), (h, g))
-    }
-    e = lcm(*(w.denominator for w in values.values()))
-    om = {key: w.numerator * (e // w.denominator) for key, w in values.items()}
+    om, e = _integer_reading(A, omega)
     triples = TripleScan(A, scope, repeats, (divmod(key, n) for key in om))
     found = []
     for t in triples:
@@ -479,9 +485,11 @@ def check_cocycle(
 
 def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:
     """Adjoin a central generator z and twist the bracket by omega:
-    [x,y]_ext = [x,y] + omega(x,y) z.  The generator is Z[0], or Z1[0],
-    Z2[0], ... when the family name is taken.  The cochain is not required
-    to be closed; Jacobi on the result reports any failure."""
+    [x,y]_ext = [x,y] + omega(x,y) z, written on the pairs A was given as
+    written and on every pair omega reads nonzero, so z's column is omega's
+    reading.  The generator is Z[0], or Z1[0], Z2[0], ... when the family
+    name is taken.  The cochain is not required to be closed; Jacobi on the
+    result reports any failure."""
     fam = "Z"
     existing = {g.family for g in A.generators}
     k = 0
@@ -490,17 +498,14 @@ def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:
         fam = f"Z{k}"
     z = GeneratorId(fam, 0)
 
-    gens, terms, scale = A.generators, A.view.terms, A.view.scale
+    gens, terms, scale, n = A.generators, A.view.terms, A.view.scale, A.dim
+    om, e = _integer_reading(A, omega)
+    pairs = dict.fromkeys(A.view.written)
+    pairs.update(dict.fromkeys(divmod(key, n) for key in om))
     entries: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, Fraction]] = {}
-    for i, j in A.view.written:
-        g, h = gens[i], gens[j]
-        entries[(g, h)] = {gens[k]: c for k, c in terms[i][j]}
-        entries[(g, h)][z] = omega.value(g, h) * scale
-    given = set(entries)
-    for (g, h), w in omega.raw.items():
-        # a pair A gives either way round got omega.value above
-        if (g, h) not in given and (h, g) not in given:
-            entries[(g, h)] = {z: w * scale}
+    for i, j in pairs:
+        value = entries[(gens[i], gens[j])] = {gens[k]: c for k, c in terms[i][j]}
+        value[z] = Fraction(om.get(i * n + j, 0) * scale, e)
 
     return AlgebraInstance(
         A.name + "+z",

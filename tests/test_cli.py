@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from lieforge import cli, cohomology, esvla, snla, specfile
-from lieforge.algebra import check_alternating, jacobi_audit
+from lieforge.algebra import Element, bracket, check_alternating, jacobi_audit
 from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
 from lieforge.cohomology import central_extension
 from oracles import written_entries
@@ -199,6 +199,14 @@ HALF_SL2 = (
     + "product e[2] e[3] => 1/2 e[1]\nproduct e[3] e[2] => -1/2 e[1]\n"
 )
 POWERS2 = (DATA / "cli" / "powers2.coef").read_text()
+# sl2 with each bracket given one way, and a cochain given both ways on
+# (x[-1],x[1]) with values that break the skew sign
+SL2X = (
+    "algebra sl2x convention plain\nfamily x integer even\n"
+    + "".join(f"generator x[{i}]\n" for i in (-1, 0, 1))
+    + "entry x[1] x[-1] => 1 x[0]\nentry x[0] x[1] => 2 x[1]\n"
+    + "entry x[0] x[-1] => -2 x[-1]\ncocycle w x[m] x[n] => 1 when m + n = 0\n"
+)
 FILE = "{file}"  # the test writes `text` to it
 SYM_RESIDUAL = "stored values contradict the convention's symmetry: residual 2"
 
@@ -222,6 +230,16 @@ SYM_RESIDUAL = "stored values contradict the convention's symmetry: residual 2"
                 for i in (1, 2, 3) for j in (1, 2, 3) if i <= j
             ],
             id="V_SYM",
+        ),
+        pytest.param(
+            "sl2x.lie", SL2X, ["extend", FILE, "--cocycle", "w"], 1,
+            {"jacobi_violations": 1},
+            [
+                ("V_JACOBI", "(x[-1],x[0],x[1])", "residual 5*Z[0]"),
+                ("V_SYM", "(x[-1],x[1])", SYM_RESIDUAL),
+                ("V_SYM", "(x[0],x[0])", SYM_RESIDUAL),
+            ],
+            id="extend-reads-the-cochain-as-given",
         ),
         pytest.param(
             "rec.coef",
@@ -254,6 +272,20 @@ def test_verdicts_outside_the_golden_transcript(
     codes = {c for c, _, _ in findings}
     shown = [(f.code, f.location, f.detail) for f in rep.findings if f.code in codes]
     assert shown == findings
+
+
+def test_extension_reads_the_cochain_as_the_cocycle_audit_does():
+    doc = specfile.parse(SL2X)
+    A = specfile.instantiate(doc)
+    w = specfile.instantiate_cocycle(doc.cocycles[0], A)
+    assert [v.residual for v in cohomology.check_cocycle(A, w, "all")] == [5]
+    # the extension's z column is w's reading on all 9 ordered pairs
+    ext = central_extension(A, w)
+    z = ext.generators[-1]
+    for g in A.generators:
+        for h in A.generators:
+            value, _ = bracket(ext, Element.of(g), Element.of(h))
+            assert value.terms.get(z, 0) == w.value(g, h)
 
 
 def test_esvla_audit_matches_golden(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -41,6 +42,7 @@ from algebra_fixtures import (
     filiform4,
     finite_instance,
     heisenberg3,
+    random_super_table,
     random_table,
     sl2_type,
     super_heisenberg,
@@ -52,6 +54,7 @@ from oracles import (
     naive_cocycle_residual,
     naive_is_derivation,
     pair_value,
+    pair_values,
     written_entries,
 )
 
@@ -102,6 +105,17 @@ def test_cochain_value_extends_by_symmetry():
     ws = Cochain2(parity={"Y": 1}, convention="super", raw={(Y, Y): 5})
     assert ws.value(Y, Y) == 5
     assert Cochain2(raw={(E1, E2): 0}).raw == {}
+    # equality compares what a cochain reads: a super cochain's parity map
+    # decides its reading, a plain cochain's does not
+    Y3 = gid("Y", Fraction(3, 2))
+    odd = Cochain2({"Y": 1}, "super", {(Y, Y3): 2})
+    even = Cochain2({}, "super", {(Y, Y3): 2})
+    assert (odd.value(Y3, Y), even.value(Y3, Y)) == (2, -2)
+    assert odd != even
+    assert w == Cochain2({"e": 1}, "plain", {(E1, E2): 3}) == Cochain2(raw={(E2, E1): -3})
+    # the reading is built once, from a store that cannot change under it
+    with pytest.raises(TypeError):
+        w.raw[(E1, E3)] = Fraction(1)
 
 
 def test_cochain_symmetry_violations():
@@ -149,6 +163,55 @@ def test_bracket_table_and_cochain_agree(convention, g, h, sign):
     both = Cochain2(parity, convention, raw)
     sym = [(a, b, Element.of(Z0, r)) for a, b, r in both.symmetry_violations()]
     assert alt == sym == ([(g, h, Element.of(Z0, expected))] if expected else [])
+    # the extension by the both-ways cochain and its cocycle audit read it
+    # as ``value`` does on every ordered pair; with [p,q] = a the cyclic sum
+    # of a triple (b, p, q) reads omega(a, b) alone
+    ext = central_extension(one, both)
+    z = ext.generators[-1]
+    p, q = gid("p", 0), gid("q", 0)
+    pair = list(dict.fromkeys([g, h]))
+    for a in pair:
+        probe = finite_instance("p", [*gens, p, q], {(p, q): {a: 1}}, parity, convention)
+        audit = cocycle_audit(probe, both, "all")
+        assert {v.triple: v.residual for v in audit.violations} == {
+            (b, p, q): both.value(a, b) for b in pair if both.value(a, b)
+        }
+        for b in pair:
+            assert pair_value(ext, a, b).terms.get(z, 0) == both.value(a, b)
+
+
+def test_extension_z_column_is_the_cochain_reading():
+    # cochains that store some pairs both ways, with values that break the
+    # swap sign, on plain and super tables that store each bracket one way
+    rng = random.Random(2505)
+    contradicted = 0
+    for trial in range(40):
+        if trial % 2:
+            A = random_super_table(rng, rng.randint(1, 3), rng.randint(1, 3))
+        else:
+            A = random_table(rng, rng.randint(2, 5))
+        raw = {
+            pair: Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+            for pair in itertools.product(A.generators, repeat=2)
+            if rng.random() < 0.4
+        }
+        omega = Cochain2(A.parity, A.convention, raw)
+        contradicted += bool(omega.symmetry_violations())
+        ext = central_extension(A, omega)
+        z, value = ext.generators[-1], pair_values(ext)
+        for g, h in itertools.product(A.generators, repeat=2):
+            assert value(g, h).get(z, 0) == omega.value(g, h)
+            assert {t: c for t, c in value(g, h).items() if t != z} == pair_values(A)(g, h)
+    assert contradicted > 20
+
+
+def test_cochain_pair_outside_the_instance_is_refused():
+    A = heisenberg3()
+    omega = Cochain2(raw={(E1, gid("e", 9)): 1})
+    refusal = r"^the cochain reads a pair outside the instance: unknown generator e\[9\]$"
+    for consumer in (cocycle_audit, central_extension):
+        with pytest.raises(ValueError, match=refusal):
+            consumer(A, omega)
 
 
 def test_ad_matrix_values():
