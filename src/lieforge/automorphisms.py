@@ -90,27 +90,23 @@ def check_automorphism(
 def check_symplectomorphism(
     f: SymplecticForm, phi: LinearEndo
 ) -> tuple[bool, Optional[list[list[Fraction]]]]:
-    """Exact test of phi^T Omega phi = Omega; the residual difference
-    matrix accompanies a failing verdict."""
+    """Exact test of phi^T Omega phi = Omega; the dense residual difference
+    matrix accompanies a failing verdict.  Row i of phi^T Omega sums the
+    form's rows at the support of phi(e_i), over the form's scale."""
     n = f.dim
     if phi.dim != n:
         raise ValueError(f"map dimension {phi.dim} != form dimension {n}")
-    om = f.matrix
-    cols = [phi.column(j) for j in range(n)]
-    # column j of Omega phi
-    om_cols = [
-        [sum((om[k][l] * v for l, v in col.items()), Fraction(0)) for k in range(n)]
-        for col in cols
-    ]
-    residual = [
-        [
-            sum((v * om_cols[j][k] for k, v in cols[i].items()), Fraction(0))
-            - om[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    if all(not v for row in residual for v in row):
+    cols, s = [phi.column(j) for j in range(n)], f.scale
+    residual = []
+    for i in range(n):
+        left: dict[int, Fraction] = {}  # row i of phi^T Omega, times s
+        for k, v in cols[i].items():
+            for l, c in f.rows[k]:
+                left[l] = left.get(l, 0) + v * c
+        own = dict(f.rows[i])
+        sums = (sum(left.get(l, 0) * v for l, v in col.items()) for col in cols)
+        residual.append([Fraction(x - own.get(j, 0), s) for j, x in enumerate(sums)])
+    if not any(map(any, residual)):
         return True, None
     return False, residual
 

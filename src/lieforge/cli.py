@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from operator import attrgetter
@@ -70,6 +69,7 @@ class Report(NamedTuple):
         return {"pass": 0, "fail": 1, "error": 2}[self.verdict]
 
     def to_json(self) -> str:
+        import json  # only --json reads it, so text reports never load it
         return (
             json.dumps(
                 {

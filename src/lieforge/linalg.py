@@ -124,11 +124,6 @@ class SparseMatrix:
         m.rows, m.cols, m._data = len(rows), cols, rows
         return m
 
-    @classmethod
-    def from_dense(cls, dense: list[list]) -> "SparseMatrix":
-        entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)}
-        return cls(len(dense), len(dense[0]) if dense else 0, entries)
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}

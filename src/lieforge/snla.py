@@ -13,8 +13,8 @@ product is nonzero: n^2 steps for a zero product, n^3 for a dense one.
 Each ``SnlaInstance`` builds its bracket once, as an ``AlgebraInstance``:
 the explicit entries of its document, read by ``specfile.instantiate``, or
 else the commutator of its product.  Every check of the bracket reads that
-instance.  A ``SymplecticForm`` refuses a matrix that is not skew or not
-of full rank when it is built, so the verifier takes both as given.
+instance.  A ``SymplecticForm`` is skew by construction and refuses a
+degenerate form when it is built, so the verifier takes both as given.
 """
 
 from __future__ import annotations
@@ -89,43 +89,48 @@ def _element(p: ProductTable, terms: Iterable[tuple[int, int]], d: int) -> Eleme
 
 
 class SymplecticForm:
-    """Even-dimensional skew-symmetric nondegenerate bilinear form, validated
-    at construction."""
+    """A nondegenerate skew form, stored as ``ProductTable`` stores a product:
+    ``rows[i]`` holds the nonzero ``(j, c)`` with omega(e_{i+1}, e_{j+1}) =
+    c / ``scale`` by 0-based position, in order of j.  Built from written
+    pairs ``((i, j), v)``, 1-based, each completed by omega(e_j, e_i) = -v;
+    refused at the first completion that contradicts a value written (a
+    zero against a nonzero reverse, a nonzero diagonal), then for odd
+    ``dim``, then for rows not of full rank."""
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "scale", "rows")
 
-    def __init__(self, matrix: Sequence[Sequence]):
-        n = len(matrix)
-        rows = [[rat(v) for v in row] for row in matrix]
-        if any(len(row) != n for row in rows):
-            raise ValueError("form matrix must be square")
-        if n % 2:
+    def __init__(self, dim: int, pairs: Iterable):
+        written: dict[tuple[int, int], Fraction] = {}
+        for (i, j), v in pairs:
+            if not (1 <= i <= dim and 1 <= j <= dim):
+                raise ValueError(f"index out of range 1..{dim} in {(i, j)}")
+            v = rat(v)
+            for a, b, w in ((i, j, v), (j, i, -v)):
+                if written.setdefault((a, b), w) != w:
+                    raise ValueError(f"conflicting form entries at ({a},{b})")
+        if dim % 2:
             raise ValueError("symplectic form needs even dimension")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] + rows[j][i]:
-                    raise ValueError(f"form not skew-symmetric at ({i + 1},{j + 1})")
-        if n and rank(SparseMatrix.from_dense(rows)) != n:
+        scale = lcm(*(v.denominator for v in written.values()))
+        rows: list[dict[int, int]] = [{} for _ in range(dim)]
+        for (a, b), v in sorted(written.items()):
+            if v:
+                rows[a - 1][b - 1] = int(v * scale)
+        if rank(SparseMatrix.from_rows(dim, rows)) != dim:
             raise ValueError("form is degenerate")
-        self.dim = n
-        self.matrix = rows
+        self.dim = dim
+        self.scale = scale
+        self.rows = tuple(tuple(row.items()) for row in rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticForm) and self.matrix == other.matrix
+        same = isinstance(other, SymplecticForm) and self.scale == other.scale
+        return same and self.rows == other.rows
 
 
 def standard_form(n: int) -> SymplecticForm:
     """+1 at (i, j) for i < j with i + j = 2n+1, skew-completed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = 2 * n
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d + 1):
-        j = d + 1 - i
-        if i < j:
-            m[i - 1][j - 1] = Fraction(1)
-            m[j - 1][i - 1] = Fraction(-1)
-    return SymplecticForm(m)
+    return SymplecticForm(2 * n, (((i, 2 * n + 1 - i), 1) for i in range(1, n + 1)))
 
 
 class SnlaInstance:
@@ -232,14 +237,15 @@ def check_associative(p: ProductTable) -> list[ProductViolation]:
 
 def check_compat(p: ProductTable, f: SymplecticForm) -> list[CompatViolation]:
     """Triples with omega(e_i*e_j, e_k) != omega(e_i, e_j*e_k); only those
-    of ``_support`` with ``by_j`` can."""
+    of ``_support`` with ``by_j`` can, each side an integer over both scales."""
     if p.dim != f.dim:
         raise ValueError("product/form dimensions do not match")
-    terms, m, s = p.terms, f.matrix, p.scale
+    terms, s = p.terms, p.scale * f.scale
+    omega = [dict(row) for row in f.rows]
     out = []
     for i, j, k in _support(terms, by_j=True):
-        left = sum(c * m[t][k] for t, c in terms[i][j])
-        right = sum(c * m[i][t] for t, c in terms[j][k])
+        left = sum(c * omega[t].get(k, 0) for t, c in terms[i][j])
+        right = sum(c * omega[i].get(t, 0) for t, c in terms[j][k])
         if left != right:
             triple = (i + 1, j + 1, k + 1)
             out.append(CompatViolation(triple, Fraction(left, s), Fraction(right, s)))
@@ -253,10 +259,10 @@ def check_symplectic_cocycle(
     omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
     generators are the form's basis in order.  Repeats are included so
     non-alternating explicit tables stay auditable."""
-    gens, m = A.generators, f.matrix
+    gens, s = A.generators, f.scale
     # the form is skew: its nonzero entries above the diagonal determine it
-    pairs = itertools.combinations(range(f.dim), 2)
-    omega = Cochain2(raw={(gens[i], gens[j]): m[i][j] for i, j in pairs if m[i][j]})
+    upper = ((i, j, c) for i, row in enumerate(f.rows) for j, c in row if i < j)
+    omega = Cochain2(raw={(gens[i], gens[j]): Fraction(c, s) for i, j, c in upper})
     audit = cocycle_audit(A, omega, "all", repeats=True)
     return [
         FormCocycleViolation(tuple(int(g.index) for g in v.triple), v.residual)
@@ -310,28 +316,29 @@ def linear_constraints(f: SymplecticForm) -> SparseMatrix:
     """Form compatibility and the form's 2-cocycle condition for the
     commutator bracket, as rows over the n^3 structure constants c_ij^k
     (column ((i-1)n + (j-1))n + (k-1), the order of ``_slot_list``).  With
-    the form fixed both identities are linear in the constants."""
-    n = f.dim
-    m = f.matrix
+    the form fixed both identities are linear in the constants: integer rows
+    over the form's scale, with omega(e_t, e_c) minus row c's entry at t."""
+    n, omega = f.dim, f.rows
     r = range(n)
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
 
-    def add(row: dict, i: int, j: int, k: int, v: Fraction) -> None:
+    def add(row: dict, i: int, j: int, k: int, v: int) -> None:
         col = (i * n + j) * n + k
         row[col] = row.get(col, 0) + v
 
     for i, j, k in itertools.product(r, r, r):
-        row: dict[int, Fraction] = {}
-        for t in r:
-            add(row, i, j, t, m[t][k])
-            add(row, j, k, t, -m[i][t])
+        row: dict[int, int] = {}
+        for t, v in omega[k]:
+            add(row, i, j, t, -v)
+        for t, v in omega[i]:
+            add(row, j, k, t, -v)
         rows.append(row)
     for x, y, z in itertools.combinations(r, 3):
         row = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            for t in r:
-                add(row, a, b, t, m[t][c])
-                add(row, b, a, t, -m[t][c])
+            for t, v in omega[c]:
+                add(row, a, b, t, -v)
+                add(row, b, a, t, v)
         rows.append(row)
     return SparseMatrix.from_rows(
         n**3, [{col: v for col, v in row.items() if v} for row in rows]
@@ -417,7 +424,7 @@ def snla_search(
 
 def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     """Build an instance from a parsed spec document: product lines give the
-    table, form lines the matrix (skew-completed; standard form when absent),
+    table, form lines the form's written pairs (standard form when absent),
     entry lines an explicit bracket, read by ``specfile.instantiate``, that
     overrides the commutator.  ``parse`` has already refused undeclared
     generators and repeated pairs."""
@@ -443,16 +450,8 @@ def snla_from_doc(doc: specfile.AlgebraSpecDoc) -> SnlaInstance:
     product = ProductTable.from_coeffs(dim, coeffs, fam)
 
     if doc.forms:
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        seen = set()
-        for fe in doc.forms:
-            i, j = int(fe.left[1]), int(fe.right[1])
-            for a, b, v in ((i, j, fe.value), (j, i, -fe.value)):
-                if (a, b) in seen and m[a - 1][b - 1] != v:
-                    raise ValueError(f"conflicting form entries at ({a},{b})")
-                seen.add((a, b))
-                m[a - 1][b - 1] = v
-        form = SymplecticForm(m)
+        pairs = (((int(fe.left[1]), int(fe.right[1])), fe.value) for fe in doc.forms)
+        form = SymplecticForm(dim, pairs)
     else:
         if dim % 2:
             raise ValueError("odd dimension admits no symplectic form")

@@ -540,6 +540,44 @@ def naive_product_preserved(
     return out
 
 
+def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[tuple]:
+    """Every triple i <= j <= k, 1-based, where the cyclic sum
+    omega([x,y],z) + omega([y,z],x) + omega([z,x],y) of the generators of a
+    plain A at those positions is nonzero, with the sum; ``matrix`` holds
+    omega(g_a, g_b) at [a-1][b-1]."""
+    gens = A.generators
+    position = {g: a for a, g in enumerate(gens)}
+    value = pair_values(A)
+    n = len(gens)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                total = Fraction(0)
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, ct in value(gens[a], gens[b]).items():
+                        total += ct * matrix[position[t]][c]
+                if total:
+                    out.append(((i + 1, j + 1, k + 1), total))
+    return out
+
+
+def naive_symplectomorphism_residual(form, matrix) -> list[list[Fraction]]:
+    """phi^T Omega phi - Omega by dense sums, ``form`` holding omega(e_a, e_b)
+    at [a-1][b-1] and phi(e_b) = sum over a of matrix[a-1][b-1] e_a."""
+    r = range(len(form))
+    return [
+        [
+            sum(
+                Fraction(matrix[k][i]) * form[k][l] * matrix[l][j] for k in r for l in r
+            )
+            - form[i][j]
+            for j in r
+        ]
+        for i in r
+    ]
+
+
 def brute_force_snla_pass(cs: tuple, dim: int) -> bool:
     """Every SNLA check for one candidate, on raw structure constants with
     early exit: cs lists c_ij^k in slot order (i, then j, then k, 1-based)

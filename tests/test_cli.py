@@ -822,13 +822,13 @@ def test_snla_search_dim4_budget(capsys):
 
 def test_cli_import_starts_no_process_pool():
     # every module the import adds costs start-up time and memory on every
-    # command: 24 on Python 3.11.7, for 126 in sys.modules.  Records are
-    # NamedTuples or plain classes, so neither dataclasses nor the inspect,
-    # ast and dis modules it imports are loaded.
+    # command: 19 on Python 3.11.7.  Records are NamedTuples or plain
+    # classes, so neither dataclasses nor the inspect, ast and dis modules it
+    # imports are loaded, and json is imported by the --json report alone.
     probe = (
         "import sys; before = set(sys.modules); import lieforge.cli; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'dataclasses', 'inspect') if m in sys.modules)); "
+        "'dataclasses', 'inspect', 'json') if m in sys.modules)); "
         "print(len(set(sys.modules) - before))"
     )
     proc = subprocess.run(
@@ -837,7 +837,7 @@ def test_cli_import_starts_no_process_pool():
     assert proc.returncode == 0, proc.stderr
     loaded, added = proc.stdout.split("\n", 1)
     assert loaded == "[]"
-    assert int(added) <= 24
+    assert int(added) <= 19
 
 
 def test_trace_layers_name_callables():
@@ -1413,6 +1413,54 @@ def test_snla_verify_over_the_unknown_limit_is_refused(tmp_path, capsys):
     detail = f"the system has more than {cohomology.MAX_UNKNOWNS} unknowns"
     assert [(f.code, f.location, f.detail) for f in rep.findings] == [
         ("E_INPUT", "big", detail)
+    ]
+
+
+DEGENERATE_FORMS = ["form e[1] e[2] => 1", "form e[3] e[4] => 0"]
+
+
+@pytest.mark.parametrize(
+    "lines, detail",
+    [
+        (["form e[1] e[2] => 0", "form e[2] e[1] => 1"], "conflicting form entries at (2,1)"),
+        (["form e[1] e[1] => 1", "form e[1] e[2] => 1"], "conflicting form entries at (1,1)"),
+        (["generator e[3]", "form e[1] e[2] => 1"], "symplectic form needs even dimension"),
+        (["generator e[3]"], "odd dimension admits no symplectic form"),
+        (["generator e[3]", "generator e[4]", *DEGENERATE_FORMS], "form is degenerate"),
+    ],
+    ids=["zero-against-reverse", "diagonal", "odd-with-form", "odd-without-form", "degenerate"],
+)
+def test_snla_verify_form_refusals(lines, detail, tmp_path, capsys):
+    # an explicit zero is compared with its reverse before zeros are dropped
+    spec = tmp_path / "f.lie"
+    spec.write_text(
+        FINITE_HEAD.format(name="f")
+        + "".join(f"{line}\n" for line in ["generator e[1]", "generator e[2]", *lines])
+    )
+    code, rep, out = run_cli(["snla", "verify", str(spec)], capsys)
+    assert code == 2
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "f", detail)
+    ]
+    assert f"[error] E_INPUT f: {detail}\n" in out
+
+
+def test_snla_verify_wide_refusal_is_bounded(tmp_path, capsys):
+    # 1,024 generators, zero product, standard form: the form must be built
+    # from its 1,024 nonzeros, not checked cell by cell over n^2 = 1,048,576
+    # cells, for the H2 unknown count to be reached within the bound
+    spec = tmp_path / "wide.lie"
+    spec.write_text(
+        "algebra wide convention plain\nfamily e integer even\n"
+        + "".join(f"generator e[{i}]\n" for i in range(1, 1025))
+    )
+    t0 = time.perf_counter()
+    code, rep, _ = run_cli(["snla", "verify", str(spec)], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    detail = f"the system has more than {cohomology.MAX_UNKNOWNS} unknowns"
+    assert [(f.code, f.location, f.detail) for f in rep.findings] == [
+        ("E_INPUT", "wide", detail)
     ]
 
 

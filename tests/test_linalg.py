@@ -27,7 +27,8 @@ from oracles import list_scan_forward, rational_rref
 
 
 def dense(rows):
-    return SparseMatrix.from_dense([[rat(v) for v in row] for row in rows])
+    entries = {(r, c): rat(v) for r, row in enumerate(rows) for c, v in enumerate(row)}
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
 
 
 def invert_dense(mat):
@@ -66,7 +67,7 @@ def test_sparse_matrix_drops_zero_entries():
 def test_int_entries_are_stored_as_ints():
     built = [
         SparseMatrix(2, 3, {(0, 0): 3, (1, 2): -1, (1, 1): 0}),
-        SparseMatrix.from_dense([[1, 0, 2], [0, -3, 0]]),
+        SparseMatrix(2, 3, [((0, 0), 1), ((0, 1), 0), ((0, 2), 2), ((1, 1), -3)]),
         SparseMatrix.from_rows(3, [{0: 1}, {}, {2: -4, 1: 10**40}]),
     ]
     for m in built + [m.transpose() for m in built]:

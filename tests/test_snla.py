@@ -34,16 +34,19 @@ from lieforge.snla import (
     verify_snla,
 )
 from lieforge import snla, specfile
-from lieforge.automorphisms import check_product_preserved
+from lieforge.automorphisms import check_product_preserved, check_symplectomorphism
 from lieforge.cohomology import LinearEndo
 from lieforge.linalg import SparseMatrix, matvec, rank
 from oracles import (
     brute_force_snla_pass,
     brute_force_snla_search,
     naive_associative,
+    naive_form_cocycle,
     naive_form_compat,
     naive_product_preserved,
     naive_right_commutative,
+    naive_symplectomorphism_residual,
+    rational_rref,
     written_entries,
 )
 
@@ -53,6 +56,14 @@ E = [None] + [gid("e", i) for i in range(1, 5)]
 
 def ptable(dim, coeffs):
     return ProductTable.from_coeffs(dim, coeffs)
+
+
+def form_matrix(f):
+    """The dense Fraction matrix of a form, omega(e_a, e_b) at [a-1][b-1],
+    read off its store for the oracles."""
+    return [
+        [Fraction(dict(row).get(b, 0), f.scale) for b in range(f.dim)] for row in f.rows
+    ]
 
 
 def test_product_table_basics():
@@ -110,7 +121,7 @@ def test_one_sided_product_stays_one_sided():
     assert check_novikov(p) == naive_right_commutative(2, raw) == []
     assert check_associative(p) == naive_associative(2, raw) != []
     assert check_compat(p, standard_form(1)) == naive_form_compat(
-        2, raw, standard_form(1).matrix
+        2, raw, form_matrix(standard_form(1))
     )
 
 
@@ -142,23 +153,40 @@ def test_commutator_bracket_is_over_the_product_scale():
 
 
 def test_symplectic_form_validation():
-    with pytest.raises(ValueError):
-        SymplecticForm([[0, 1]])
-    with pytest.raises(ValueError):
-        SymplecticForm([[0]])  # odd dim
-    with pytest.raises(ValueError):
-        SymplecticForm([[0, 1], [1, 0]])  # symmetric
-    with pytest.raises(ValueError):
-        SymplecticForm([[0, 0], [0, 0]])  # degenerate
-    f = SymplecticForm([[0, 2], [-2, 0]])
-    assert f.matrix == [[0, 2], [-2, 0]]
+    # refused in order: a conflicting completion, odd dimension, rank
+    cases = [
+        (2, [((1, 2), 0), ((2, 1), 1)], "conflicting form entries at (2,1)"),
+        (2, [((1, 2), 1), ((2, 1), 1)], "conflicting form entries at (2,1)"),
+        (2, [((1, 1), 1)], "conflicting form entries at (1,1)"),
+        (3, [((2, 2), 1)], "conflicting form entries at (2,2)"),
+        (3, [((1, 2), 1)], "symplectic form needs even dimension"),
+        (1, [], "symplectic form needs even dimension"),
+        (2, [((1, 2), 0)], "form is degenerate"),
+        (4, [((1, 2), 1), ((3, 4), 0)], "form is degenerate"),
+        (2, [((1, 3), 1)], "index out of range 1..2 in (1, 3)"),
+    ]
+    for dim, pairs, message in cases:
+        with pytest.raises(ValueError) as err:
+            SymplecticForm(dim, pairs)
+        assert str(err.value) == message
+    f = SymplecticForm(2, [((2, 1), Fraction(-2, 3)), ((1, 1), 0)])
+    assert (f.dim, f.scale, f.rows) == (2, 3, (((1, 2),), ((0, -2),)))
+    assert f == SymplecticForm(2, [((1, 2), "2/3"), ((2, 1), Fraction(-2, 3))])
+    assert f != SymplecticForm(2, [((1, 2), 2)])
 
 
 def test_standard_form_values():
     f1 = standard_form(1)
-    assert f1.matrix == [[0, 1], [-1, 0]]
+    assert (f1.scale, f1.rows) == (1, (((1, 1),), ((0, -1),)))
     f2 = standard_form(2)
-    assert f2.matrix == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    assert form_matrix(f2) == [
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+        [0, -1, 0, 0],
+        [-1, 0, 0, 0],
+    ]
+    # O(n) store: one nonzero per row
+    assert [len(row) for row in standard_form(512).rows] == [1] * 1024
     for n in (1, 2, 3):
         assert standard_form(n).dim == 2 * n
     with pytest.raises(ValueError):
@@ -238,7 +266,68 @@ def test_identity_checks_match_oracles():
         if dim % 2 == 0:
             f = standard_form(dim // 2)
             ours = check_compat(p, f) == []
-            assert ours == (naive_form_compat(dim, coeffs, f.matrix) == [])
+            assert ours == (naive_form_compat(dim, coeffs, form_matrix(f)) == [])
+
+
+def seeded_form(rng, n):
+    """A nondegenerate skew form with rational values over a scale above 1,
+    as its dense matrix and the pairs that write it: each value above the
+    diagonal written one way, the other way or both, some zeros too."""
+    values = [0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    while True:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        pairs = []
+        for i, j in itertools.combinations(range(n), 2):
+            v = Fraction(rng.choice(values))
+            m[i][j], m[j][i] = v, -v
+            if v or rng.random() < 0.3:
+                way = rng.randrange(3)
+                if way != 1:
+                    pairs.append(((i + 1, j + 1), v))
+                if way != 0:
+                    pairs.append(((j + 1, i + 1), -v))
+        rng.shuffle(pairs)
+        cells = {(a, b): v for a, row in enumerate(m) for b, v in enumerate(row)}
+        full = SparseMatrix(n, n, cells)
+        if len(rational_rref(full)[0]) == n and any(v.denominator > 1 for _, v in pairs):
+            return m, pairs
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_seeded_rational_forms_match_the_oracles(n):
+    # forms other than the standard one read as their dense matrix, and
+    # every form check equals its oracle on that matrix
+    rng = random.Random(2700 + n)
+    gens = [gid("e", i) for i in range(1, n + 1)]
+    slots = list(itertools.product(range(1, n + 1), repeat=3))
+    passed = failed = 0
+    for _ in range(4):
+        m, pairs = seeded_form(rng, n)
+        f = SymplecticForm(n, pairs)
+        assert f.scale > 1 and form_matrix(f) == m
+        values = [-1, 2, Fraction(1, 3)]
+        raw = {t: rng.choice(values) for t in slots if rng.random() < 0.1}
+        p = ptable(n, raw)
+        assert check_compat(p, f) == naive_form_compat(n, raw, m)
+        explicit = {
+            (gens[i], gens[j]): {gens[k]: Fraction(rng.randint(-2, 2), 3)}
+            for i, j in itertools.combinations_with_replacement(range(n), 2)
+            for k in [rng.randrange(n)]
+            if rng.random() < 0.3
+        }
+        for A in (SnlaInstance(n, p, f).bracket, AlgebraInstance("b", gens, explicit)):
+            got = check_symplectic_cocycle(f, A)
+            assert [(v.triple, v.total) for v in got] == naive_form_cocycle(A, m)
+        minus = [[-int(a == b) for b in range(n)] for a in range(n)]
+        for phi in seeded_maps(rng, n) + [minus]:
+            ok, residual = check_symplectomorphism(f, LinearEndo(phi))
+            want = naive_symplectomorphism_residual(m, phi)
+            assert ok == (not any(map(any, want)))
+            assert residual == (None if ok else want)
+            if residual:
+                assert {type(v) for row in residual for v in row} == {Fraction}
+            passed, failed = passed + ok, failed + (not ok)
+    assert passed and failed
 
 
 def seeded_maps(rng, dim):
@@ -261,7 +350,7 @@ def assert_matches_oracles(p, raw, form, maps):
     assert check_novikov(p) == naive_right_commutative(n, raw)
     assert check_associative(p) == naive_associative(n, raw)
     if form is not None:
-        assert check_compat(p, form) == naive_form_compat(n, raw, form.matrix)
+        assert check_compat(p, form) == naive_form_compat(n, raw, form_matrix(form))
     for m in maps:
         assert check_product_preserved(p, LinearEndo(m)) == naive_product_preserved(
             n, raw, m
@@ -591,7 +680,7 @@ def test_doc_with_explicit_form():
         ]
     )
     s = snla_from_doc(specfile.parse(text))
-    assert s.form.matrix == [[0, 2], [-2, 0]]
+    assert (s.form.scale, s.form.rows) == (1, (((1, 2),), ((0, -2),)))
     assert s.product == ptable(2, {})
 
 
