@@ -4,16 +4,17 @@ All spaces are computed as exact nullspaces or column spans over the
 rationals.  On window-truncated instances every constraint whose data was
 clipped by the window (a boundary-flagged pair) is skipped and counted, so
 truncation can shrink the constraint set but never fabricates or deletes
-solutions silently.  A cochain is read by the bracket's own as-written
-rule, ``algebra.extend_as_written``, so super-convention cochains are
-graded-skew; parity-mixing pairs are allowed and their verdicts reported
-without interpreting the grading.  The cocycle audit and the central
-extension read a cochain the same way.  Triple identities and constraint
-rows run on the instance's position-indexed view (``AlgebraInstance.view``),
-whose integer terms share the denominator ``view.scale``: rows are assembled
-over it (scaling a row changes no row echelon form) and values are divided
-once, where they are reported.  Triples come from ``algebra.TripleScan``,
-given the pairs a cochain or its unknowns can read nonzero as its support.
+solutions silently.  Cochains and the unknown slots of a 2-cochain system
+are read by the bracket's own as-written rule, ``algebra.extend_as_written``,
+so super-convention cochains are graded-skew; parity-mixing pairs are
+allowed and their verdicts reported without interpreting the grading.  The
+cyclic cocycle sum is written once: the cocycle audit runs it on a
+cochain's reading, the 2-cocycle rows on the slots' reading, each over the
+triples ``algebra.TripleScan`` gives for the reading's pairs.  All of it
+runs on the position-indexed view (``AlgebraInstance.view``), whose integer
+terms share the denominator ``view.scale``: rows are assembled over it
+(scaling a row changes no row echelon form) and values are divided once,
+where they are reported.
 """
 
 from __future__ import annotations
@@ -306,15 +307,14 @@ def inner_split(
 
 def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
     """Canonical unknown slots keyed i * dim + j for position pairs i <= j,
-    diagonal only for odd generators under super, optionally restricted to
-    index-sum 0."""
-    sup = A.convention == "super"
+    diagonal only where the swap sign is +1 (odd generators under super),
+    optionally restricted to index-sum 0."""
     odd, n = A.view.odd, A.dim
     index = [g.doubled_index for g in A.generators]
     out: dict[int, int] = {}
     for i in range(n):
         for j in range(i, n):
-            if i == j and not (sup and odd[i]):
+            if i == j and swap_sign(A.convention, odd[i], odd[i]) != 1:
                 continue
             if grade_zero and index[i] + index[j] != 0:
                 continue
@@ -335,35 +335,51 @@ def _cochain_from_vector(
     return Cochain2(A.parity, A.convention, raw)
 
 
-def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> Iterator[dict[int, int]]:
-    """Linear constraint rows of the cyclic cocycle identity over the unknown
-    pair slots, yielded in triple order: the nonzero row of each checkable
-    triple that reads a slot, with integer coefficients over ``A.view.scale``.
-    The unknown slots, in both orientations, are the scan's support."""
+def _cyclic_sums(
+    A: AlgebraInstance, triples: TripleScan, reading: Mapping[int, tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
+    """Each triple with its nonzero row of the cyclic cocycle sum
+    omega([x,y],z) + s*omega([y,z],x) + s'*omega([z,x],y), graded signs under
+    super, where omega on the ordered position pair keyed i * dim + j reads
+    as ``reading``: (column, integer coefficient), or nothing when zero."""
     sup = A.convention == "super"
     terms, odd, n = A.view.terms, A.view.odd, A.dim
-    slots = (divmod(key, n) for key in unknowns)
-    support = (pair for i, j in slots for pair in ((i, j), (j, i)))
-    for x, y, z in TripleScan(A, "all", repeats=sup, support=support):
+    for t in triples:
+        x, y, z = t
         row: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             sign = -1 if sup and odd[a] and odd[c] else 1
-            for t, ct in terms[a][b]:
-                if t <= c:
-                    u = unknowns.get(t * n + c)
-                    coeff = sign * ct
-                else:
-                    # omega(t,c) is read through the slot (c,t) by the swap sign:
-                    # algebra.extend_as_written's rule, inlined in this hot loop
-                    u = unknowns.get(c * n + t)
-                    coeff = (sign if sup and odd[c] and odd[t] else -sign) * ct
-                if u is None:
+            for k, ck in terms[a][b]:
+                if (slot := reading.get(k * n + c)) is None:
                     continue
-                row[u] = row.get(u, 0) + coeff
-                if not row[u]:
+                u, w = slot
+                if v := row.get(u, 0) + sign * ck * w:
+                    row[u] = v
+                else:
                     del row[u]
         if row:
-            yield row
+            yield t, row
+
+
+def _slot_reading(A: AlgebraInstance, unknowns: dict[int, int]) -> dict[int, tuple]:
+    """The unknown slots as a reading for ``_cyclic_sums``: each canonical
+    slot (i, j), i <= j, reads (its unknown, 1), and ``extend_as_written``
+    gives its reverse (j, i) the swap sign."""
+    n = A.dim
+    reading = {key: (u, 1) for key, u in unknowns.items()}
+    written = dict.fromkeys(map(divmod, unknowns, itertools.repeat(n)), 1)
+    for (j, i), s in extend_as_written(written, A.convention, A.view.odd.__getitem__):
+        reading[j * n + i] = (unknowns[i * n + j], s)
+    return reading
+
+
+def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> Iterator[dict[int, int]]:
+    """Rows of the cyclic cocycle identity over the unknown pair slots: the
+    nonzero row of each checkable triple, in triple order, with integer
+    coefficients over ``A.view.scale``.  The slots' reading is the support."""
+    reading, n = _slot_reading(A, unknowns), A.dim
+    triples = TripleScan(A, "all", A.convention == "super", (divmod(k, n) for k in reading))
+    return (row for _, row in _cyclic_sums(A, triples, reading))
 
 
 def _coboundary_vectors(
@@ -446,28 +462,11 @@ def cocycle_audit(
 
     ``repeats`` allows x = y or y = z in a triple; None takes the
     convention's rule, as Jacobi does: with repeats under super only."""
-    sup = A.convention == "super"
-    if repeats is None:
-        repeats = sup
-    terms, odd, n = A.view.terms, A.view.odd, A.dim
     om, e = _integer_reading(A, omega)
-    triples = TripleScan(A, scope, repeats, (divmod(key, n) for key in om))
-    found = []
-    for t in triples:
-        x, y, z = t
-        total = 0
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            part = 0
-            for k, ck in terms[a][b]:
-                w = om.get(k * n + c)
-                if w is not None:
-                    part += ck * w
-            if sup and odd[a] and odd[c]:
-                total -= part
-            else:
-                total += part
-        if total:
-            found.append((t, total))
+    repeats = A.convention == "super" if repeats is None else repeats
+    triples = TripleScan(A, scope, repeats, (divmod(key, A.dim) for key in om))
+    reading = {key: (0, w) for key, w in om.items()}
+    found = [(t, row[0]) for t, row in _cyclic_sums(A, triples, reading)]
     return TripleAudit(
         triples.checkable,
         triples.skipped,

@@ -158,9 +158,16 @@ class SnlaInstance:
 def commutator_bracket(p: ProductTable) -> dict:
     """[e_i, e_j] = e_i*e_j - e_j*e_i for i < j, as entries ``{(g, h): {t: c}}``
     with each c an integer over ``p.scale``; alternating by construction."""
-    gens, terms = p.generators(), p.terms
+    gens, terms, every = p.generators(), p.terms, range(p.dim)
+    # only the pairs i < j where e_i*e_j or e_j*e_i is nonzero, in order
+    support = {
+        (min(i, j), max(i, j))
+        for i in every
+        for j in itertools.compress(every, terms[i])
+        if i != j
+    }
     out = {}
-    for i, j in itertools.combinations(range(p.dim), 2):
+    for i, j in sorted(support):
         acc = dict(terms[i][j])
         for k, c in terms[j][i]:
             acc[k] = acc.get(k, 0) - c
@@ -298,13 +305,11 @@ def verify_snla(s: SnlaInstance) -> VerdictReport:
 
 def snla_fingerprint(s: SnlaInstance) -> dict[str, int]:
     """Center/derived/H2 dimensions of the bracket algebra, for manual
-    de-duplication of search results."""
+    de-duplication of search results.  H2 is computed first, so a system
+    over ``MAX_UNKNOWNS`` is refused before the other two are built."""
     A = s.bracket
-    return {
-        "center": len(center(A)),
-        "derived": len(derived_subalgebra(A)),
-        "h2": h2_dimension(A),
-    }
+    h2 = h2_dimension(A)
+    return {"center": len(center(A)), "derived": len(derived_subalgebra(A)), "h2": h2}
 
 
 def _slot_list(dim: int) -> list[tuple[int, int, int]]:

@@ -140,44 +140,24 @@ class Poly2:
         return cls({(1, 0) if name == "m" else (0, 1): Fraction(1)})
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.mono)
-        for k, c in other.mono.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        p = Poly2.__new__(Poly2)
-        p.mono = out
-        return p
+        return Poly2([*self.mono.items(), *other.mono.items()])
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
     def __neg__(self) -> "Poly2":
-        p = Poly2.__new__(Poly2)
-        p.mono = {k: -c for k, c in self.mono.items()}
-        return p
+        return Poly2((k, -c) for k, c in self.mono.items())
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.mono.items():
-            for (k, l), d in other.mono.items():
-                key = (i + k, j + l)
-                v = out.get(key, Fraction(0)) + c * d
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        p = Poly2.__new__(Poly2)
-        p.mono = out
-        return p
+        return Poly2(
+            ((i + k, j + l), c * d)
+            for (i, j), c in self.mono.items()
+            for (k, l), d in other.mono.items()
+        )
 
     def scale(self, c) -> "Poly2":
         f = Fraction(c)
-        p = Poly2.__new__(Poly2)
-        p.mono = {} if not f else {k: v * f for k, v in self.mono.items()}
-        return p
+        return Poly2((k, v * f) for k, v in self.mono.items())
 
     def constant_value(self) -> Optional[Fraction]:
         if not self.mono:

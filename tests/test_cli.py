@@ -53,6 +53,18 @@ def run_cli(argv, capsys):
     return code, report, out
 
 
+def zero_product_doc(tmp_path, n=1024) -> Path:
+    """An SNLA document of n generators with a zero product and the standard
+    form, written under ``tmp_path``.  At 1,024 generators its H2 system has
+    more than ``MAX_UNKNOWNS`` unknowns, so ``snla verify`` refuses it."""
+    spec = tmp_path / f"zero{n}.lie"
+    spec.write_text(
+        f"algebra zero{n} convention plain\nfamily e integer even\n"
+        + "".join(f"generator e[{i}]\n" for i in range(1, n + 1))
+    )
+    return spec
+
+
 def test_check_pass(capsys):
     code, rep, out = run_cli(["check", H3], capsys)
     assert code == 0
@@ -1449,32 +1461,41 @@ def test_snla_verify_wide_refusal_is_bounded(tmp_path, capsys):
     # 1,024 generators, zero product, standard form: the form must be built
     # from its 1,024 nonzeros, not checked cell by cell over n^2 = 1,048,576
     # cells, for the H2 unknown count to be reached within the bound
-    spec = tmp_path / "wide.lie"
-    spec.write_text(
-        "algebra wide convention plain\nfamily e integer even\n"
-        + "".join(f"generator e[{i}]\n" for i in range(1, 1025))
-    )
     t0 = time.perf_counter()
-    code, rep, _ = run_cli(["snla", "verify", str(spec)], capsys)
+    code, rep, _ = run_cli(["snla", "verify", str(zero_product_doc(tmp_path))], capsys)
     assert time.perf_counter() - t0 < 1
     assert code == 2
     detail = f"the system has more than {cohomology.MAX_UNKNOWNS} unknowns"
     assert [(f.code, f.location, f.detail) for f in rep.findings] == [
-        ("E_INPUT", "wide", detail)
+        ("E_INPUT", "zero1024", detail)
     ]
+
+
+def test_snla_verify_refusal_builds_no_center_or_derived(tmp_path, monkeypatch, capsys):
+    # the fingerprint's H2 count is refused first, so a refused document
+    # pays for neither of the two results its report never shows
+    calls = Counter()
+    for name in ("center", "derived_subalgebra"):
+
+        def counting(A, real=getattr(snla, name), name=name):
+            calls[name] += 1
+            return real(A)
+
+        monkeypatch.setattr(snla, name, counting)
+    code, _, _ = run_cli(["snla", "verify", SNLA_BAD], capsys)
+    assert (code, calls) == (1, Counter(center=1, derived_subalgebra=1))
+    calls.clear()
+    code, rep, _ = run_cli(["snla", "verify", str(zero_product_doc(tmp_path))], capsys)
+    assert (code, [f.code for f in rep.findings]) == (2, ["E_INPUT"])
+    assert calls == Counter()
 
 
 def test_snla_verify_of_a_zero_product_reads_only_its_support(tmp_path, capsys):
     # 256 generators, zero product, standard form: the Novikov,
     # associativity and compatibility checks visit the n^2 pairs and no
     # triple.  Checking all 16.8 million triples ran for minutes.
-    spec = tmp_path / "zero.lie"
-    spec.write_text(
-        "algebra zero convention plain\nfamily e integer even\n"
-        + "".join(f"generator e[{i}]\n" for i in range(1, 257))
-    )
     t0 = time.perf_counter()
-    code, rep, _ = run_cli(["snla", "verify", str(spec)], capsys)
+    code, rep, _ = run_cli(["snla", "verify", str(zero_product_doc(tmp_path, 256))], capsys)
     assert time.perf_counter() - t0 < 10
     assert (code, rep.verdict, rep.findings) == (0, "pass", [])
     assert rep.summaries["dim"] == 256

@@ -30,6 +30,8 @@ from lieforge.cohomology import (
     Cochain2,
     _cochain_unknowns,
     _cocycle_rows,
+    _cyclic_sums,
+    _slot_reading,
     coboundary2_space,
     cocycle2_space,
     cocycle_audit,
@@ -219,6 +221,58 @@ def test_cocycle_rows_match_full_scan(name, grade_zero):
     assert rows == full_scan_cocycle_rows(A, unknowns)
 
 
+AGREE_CASES = {
+    **FIXTURES,
+    **{
+        f"witt_w{w}_{conv}": (lambda w=w, conv=conv: _witt(w, conv))
+        for w in (4, 6)
+        for conv in ("plain", "super")
+    },
+    **{
+        f"esvla_w{w}_{conv}": (
+            lambda w=w, conv=conv: esvla.build_esvla(esvla.EsvlaConfig(w, conv))
+        )
+        for w in (4, 6)
+        for conv in ("plain", "super")
+    },
+}
+
+
+@pytest.mark.parametrize("grade_zero", [False, True])
+@pytest.mark.parametrize("name", sorted(AGREE_CASES))
+def test_cocycle_audit_reads_the_rows(name, grade_zero):
+    # a cochain on the unknown slots, each given one way only (either way):
+    # the audit's triples and residuals are exactly the rows' nonzero dot
+    # products with the cochain's slot vector
+    A = AGREE_CASES[name]()
+    sup, gens, n = A.convention == "super", A.generators, A.dim
+    unknowns = _cochain_unknowns(A, grade_zero)
+    reading = _slot_reading(A, unknowns)
+    scan = TripleScan(A, "all", sup, (divmod(key, n) for key in reading))
+    rows = list(_cyclic_sums(A, scan, reading))
+    assert [row for _, row in rows] == list(_cocycle_rows(A, unknowns))
+    rng = random.Random(f"{name}-{grade_zero}")
+    for _ in range(4):
+        raw = {}
+        for key in unknowns:
+            if rng.random() < 0.6:
+                i, j = divmod(key, n)
+                if rng.random() < 0.5:
+                    i, j = j, i
+                value = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+                raw[(gens[i], gens[j])] = value
+        omega = Cochain2(A.parity, A.convention, raw)
+        assert not omega.symmetry_violations()
+        vec = {u: omega.value(gens[key // n], gens[key % n]) for key, u in unknowns.items()}
+        dots = [
+            (t, sum(c * vec[u] for u, c in row.items()) / A.view.scale) for t, row in rows
+        ]
+        audit = cocycle_audit(A, omega, "all", repeats=sup)
+        assert [(t, Fraction(r, audit.denominator)) for t, r in audit.found] == [
+            (t, d) for t, d in dots if d
+        ]
+
+
 STREAM_CASES = {
     **{(name, g): build for name, build in ROW_CASES.items() for g in (False, True)},
     ("witt_w8", False): lambda: _witt(8),
@@ -303,8 +357,9 @@ def test_support_scan_is_the_touching_part_of_the_full_scan(name, scope, repeats
             assert went_full == (not full and not full_scan.skipped)
 
 
-def _witt(window):
-    return instantiate(parse((DATA / "witt.lie").read_text()), window=window)
+def _witt(window, convention="plain"):
+    text = (DATA / "witt.lie").read_text().replace("plain", convention)
+    return instantiate(parse(text), window=window)
 
 
 def _paths(monkeypatch, run) -> list[str]:

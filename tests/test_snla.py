@@ -125,6 +125,35 @@ def test_one_sided_product_stays_one_sided():
     )
 
 
+def naive_commutator(p: ProductTable, raw: dict) -> dict:
+    """[e_i, e_j] for i < j from the raw constants, as integers over p.scale:
+    every pair visited, in order."""
+    gens, r = p.generators(), range(1, p.dim + 1)
+    out = {}
+    for i, j in itertools.combinations(r, 2):
+        v = {gens[k - 1]: raw.get((i, j, k), 0) - raw.get((j, i, k), 0) for k in r}
+        if any(v.values()):
+            out[(gens[i - 1], gens[j - 1])] = {g: c * p.scale for g, c in v.items() if c}
+    return out
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.9])
+def test_commutator_bracket_follows_the_support(density):
+    # seeded zero, sparse and dense products, some symmetric pairs and
+    # diagonal entries among them: the pairs come out in i < j order
+    rng = random.Random(f"commutator-{density}")
+    for _ in range(30):
+        dim = rng.randint(1, 7)
+        raw = {}
+        for slot in itertools.product(range(1, dim + 1), repeat=3):
+            if rng.random() < density:
+                raw[slot] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < 0.3:  # e_i*e_j = e_j*e_i on this term
+                    raw[(slot[1], slot[0], slot[2])] = raw[slot]
+        p = ptable(dim, raw)
+        assert list(commutator_bracket(p).items()) == list(naive_commutator(p, raw).items())
+
+
 def test_commutator_bracket_is_over_the_product_scale():
     # the entries are integers over p.scale; the instance built over that
     # scale reads back the Fraction commutator, pair by pair in order
@@ -137,15 +166,10 @@ def test_commutator_bracket_is_over_the_product_scale():
             if rng.random() < 0.3
         }
         p = ptable(dim, raw)
-        want = {}
-        for i, j in itertools.combinations(range(1, dim + 1), 2):
-            v = {
-                E[k]: raw.get((i, j, k), 0) - raw.get((j, i, k), 0)
-                for k in range(1, dim + 1)
-            }
-            v = {g: c for g, c in v.items() if c}
-            if v:
-                want[(E[i], E[j])] = v
+        want = {
+            pair: {g: Fraction(c, p.scale) for g, c in v.items()}
+            for pair, v in naive_commutator(p, raw).items()
+        }
         entries = commutator_bracket(p)
         assert all(type(c) is int for v in entries.values() for c in v.values())
         s = SnlaInstance(dim, p, standard_form(dim // 2))
