@@ -457,7 +457,8 @@ class TripleAudit:
     integer residual over ``denominator``: an int for a scalar identity, a
     dict from generator position to nonzero int otherwise.  ``violations``
     builds the ``TripleViolation`` objects on first read; ``violation``
-    builds one.
+    builds one.  An audit given a sink (see ``jacobi_audit``) keeps that
+    sink as ``found``, and ``len(found)`` still counts every violation.
     """
 
     def __init__(
@@ -530,7 +531,9 @@ def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
     return out
 
 
-def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
+def jacobi_audit(
+    A: AlgebraInstance, scope: str = "interior", found=None
+) -> TripleAudit:
     """Evaluate the (graded) Jacobi identity on generator triples.
 
     Plain convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over
@@ -538,6 +541,11 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
     (-1)^{|x||z|}, over triples with repetition (a repeated odd generator is
     a real constraint there).  Triples touching a boundary-flagged pair,
     outer or inner, are skipped and counted, never scored as violations.
+
+    ``found`` is the sink of the violations: any object with ``append`` and
+    ``len``, handed each entry in triple order and kept as the audit's
+    ``found``; a new list when None.  A sink that keeps only the entries it
+    reports, as the CLI's does, keeps the audit's memory bounded.
     """
     sup = A.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
@@ -546,7 +554,7 @@ def jacobi_audit(A: AlgebraInstance, scope: str = "interior") -> TripleAudit:
     triples = TripleScan(A, scope, repeats=sup)
     examined = 0
     inner_skipped = 0
-    found = []
+    found = [] if found is None else found
     for t in triples:
         x, y, z = t
         total: dict[int, int] = {}

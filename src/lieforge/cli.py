@@ -110,6 +110,46 @@ class Report(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+# A code's sink sorts the findings it holds and keeps MAX_PER_CODE of them
+# whenever it holds this many.
+MERGE_AT = 1000
+
+
+class Picked:
+    """A sink for one code's findings: it counts them and keeps the
+    MAX_PER_CODE first of a stable sort of all of them by ``key``, holding
+    at most MERGE_AT.  Whenever it holds MERGE_AT it sorts them stably and
+    cuts them to MAX_PER_CODE.  They are held in arrival order among equal
+    keys, so a finding cut has MAX_PER_CODE that a stable sort of every
+    finding puts before it, and what is kept is what that sort puts first.
+    A bounded merge, not heapq.nsmallest, which would add two modules to
+    every command's start-up."""
+
+    __slots__ = ("key", "held", "count")
+
+    def __init__(self, key: Callable):
+        self.key = key
+        self.held: list = []
+        self.count = 0
+
+    def append(self, item) -> None:
+        self.count += 1
+        held = self.held
+        held.append(item)
+        if len(held) == MERGE_AT:
+            held.sort(key=self.key)
+            del held[MAX_PER_CODE:]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def first(self) -> list:
+        """The MAX_PER_CODE first findings, in order."""
+        self.held.sort(key=self.key)
+        del self.held[MAX_PER_CODE:]
+        return self.held
+
+
 class Findings:
     """A report's findings as it shows them: per code, the MAX_PER_CODE
     first by location, picked before they are rendered, and the code's
@@ -120,30 +160,33 @@ class Findings:
         self.total: dict[str, int] = {}
         self.extend(findings)
 
-    def add(
-        self,
-        code: str,
-        items: Sequence,
-        key: Callable,
-        render: Callable[..., ReportFinding],
-    ) -> None:
-        """Record ``items``, the findings of ``code``, which no other call
-        adds to: ``key`` orders them as their location strings order, and
-        only the picked ones are rendered, in that order."""
+    def add(self, code: str, parts: Sequence[tuple[Picked, Callable]]) -> None:
+        """Record the findings of ``code``, which no other call adds to:
+        ``parts`` pairs each sink of them with the function that renders one
+        of its findings, and a part's findings locate before the next
+        part's.  Each sink's ``key`` orders its findings as their location
+        strings order, and only the picked ones are rendered, in order."""
         assert code not in self.total, code
-        self.total[code] = len(items)
-        # a stable sort on cheap keys; heapq.nsmallest would add two modules
-        # to every command's start-up
-        picked = sorted(items, key=key)[:MAX_PER_CODE]
-        self.shown.extend(map(render, picked))
+        self.total[code] = sum(len(picked) for picked, _ in parts)
+        room = MAX_PER_CODE
+        for picked, render in parts:
+            first = picked.first()[:room]
+            self.shown.extend(map(render, first))
+            room -= len(first)
 
     def extend(self, findings: Iterable[ReportFinding]) -> None:
         """Record findings already rendered, keyed by their location."""
-        by_code: dict[str, list[ReportFinding]] = {}
+        by_code: dict[str, Picked] = {}
         for f in findings:
-            by_code.setdefault(f.code, []).append(f)
-        for code, group in by_code.items():
-            self.add(code, group, attrgetter("location"), lambda f: f)
+            if f.code not in by_code:
+                by_code[f.code] = Picked(attrgetter("location"))
+            by_code[f.code].append(f)
+        for code, picked in by_code.items():
+            self.add(code, [(picked, _as_rendered)])
+
+
+def _as_rendered(f: ReportFinding) -> ReportFinding:
+    return f
 
 
 def _finalize(
@@ -261,37 +304,39 @@ def _name_ranks(generators: Sequence[GeneratorId]) -> list[int]:
     return rank
 
 
+def _triple_sink(generators: Sequence[GeneratorId]) -> Picked:
+    """A sink for the entries of one triple audit over ``generators``,
+    ordered as their triple locations order, by the generators' name ranks."""
+    rank, n = _name_ranks(generators), len(generators)
+
+    def key(entry):
+        (x, y, z), _ = entry
+        return (rank[x] * n + rank[y]) * n + rank[z]
+
+    return Picked(key)
+
+
 def _add_triple_findings(
-    found: Findings,
-    code: str,
-    audits: list[tuple[str, TripleAudit]],
-    rank: list[int],
+    found: Findings, code: str, audits: list[tuple[str, TripleAudit]]
 ) -> None:
-    """The violations of ``audits``, (prefix, audit) pairs over one instance
-    whose name ranks are ``rank``, as ``code`` findings located at the
-    prefix and the triple.  A prefix is empty or ends in ':', which no name
-    holds, so locations order by prefix first."""
-    items = [(prefix, aud, entry) for prefix, aud in audits for entry in aud.found]
-    n = len(rank)
+    """The violations of ``audits``, (prefix, audit) pairs whose ``found``
+    is a ``_triple_sink``, as ``code`` findings located at the prefix and the
+    triple.  A prefix is empty or ends in ':', which no name holds, so
+    locations order by prefix first."""
 
-    def key(item):
-        (x, y, z), _ = item[2]
-        return item[0], (rank[x] * n + rank[y]) * n + rank[z]
+    def part(prefix: str, aud: TripleAudit):
+        def render(entry):
+            v = aud.violation(entry)
+            location = prefix + _triple_loc(v.triple)
+            return ReportFinding("violation", code, location, f"residual {v.residual}")
 
-    def render(item):
-        prefix, aud, entry = item
-        v = aud.violation(entry)
-        location = prefix + _triple_loc(v.triple)
-        return ReportFinding("violation", code, location, f"residual {v.residual}")
+        return aud.found, render
 
-    found.add(code, items, key, render)
+    found.add(code, [part(*a) for a in sorted(audits, key=lambda a: a[0])])
 
 
 def _structure_findings(
-    found: Findings,
-    alternating: list[AlternatingViolation],
-    jac: TripleAudit,
-    rank: list[int],
+    found: Findings, alternating: list[AlternatingViolation], jac: TripleAudit
 ) -> None:
     found.extend(
         ReportFinding(
@@ -299,13 +344,13 @@ def _structure_findings(
         )
         for v in alternating
     )
-    _add_triple_findings(found, "V_JACOBI", [("", jac)], rank)
+    _add_triple_findings(found, "V_JACOBI", [("", jac)])
 
 
 def _cmd_check(args, inputs):
     A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
     alternating = check_alternating(A)
-    jac = jacobi_audit(A, scope="interior")
+    jac = jacobi_audit(A, scope="interior", found=_triple_sink(A.generators))
     summaries = {
         "dim": A.dim,
         "boundary_pairs": len(A.boundary_pairs),
@@ -316,7 +361,7 @@ def _cmd_check(args, inputs):
         "center_dim": len(center(A)),
     }
     found = Findings(findings)
-    _structure_findings(found, alternating, jac, _name_ranks(A.generators))
+    _structure_findings(found, alternating, jac)
     return found, summaries
 
 
@@ -374,7 +419,7 @@ def _cmd_extend(args, inputs):
         for g, h, r in omega.symmetry_violations()
     )
     ext = central_extension(A, omega)
-    jac = jacobi_audit(ext, scope="interior")
+    jac = jacobi_audit(ext, scope="interior", found=_triple_sink(ext.generators))
     summaries = {
         "dim": A.dim,
         "extended_dim": ext.dim,
@@ -383,7 +428,7 @@ def _cmd_extend(args, inputs):
         "center_dim": len(center(ext)),
     }
     found = Findings(findings)
-    _structure_findings(found, [], jac, _name_ranks(ext.generators))
+    _structure_findings(found, [], jac)
     return found, summaries
 
 
@@ -397,13 +442,13 @@ def _cmd_esvla_audit(args, inputs):
         convention=args.convention,
         n_index_mode=args.n_index,
     )
-    rep = _refusing("config", esvla.audit_esvla, cfg)
+    rep = _refusing(
+        "config", esvla.audit_esvla, cfg, lambda A, name: _triple_sink(A.generators)
+    )
     found = Findings(_info_findings(rep.instantiation_findings))
-    # the audits share the instance, so its name ranks serve them all
-    rank = _name_ranks(rep.jacobi.generators)
-    _structure_findings(found, rep.alternating, rep.jacobi, rank)
-    cocycles = [(f"{name}:", aud) for name, aud in sorted(rep.cocycles.items())]
-    _add_triple_findings(found, "V_COCYCLE", cocycles, rank)
+    _structure_findings(found, rep.alternating, rep.jacobi)
+    cocycles = [(f"{name}:", aud) for name, aud in rep.cocycles.items()]
+    _add_triple_findings(found, "V_COCYCLE", cocycles)
     return found, rep.summaries()
 
 
@@ -420,16 +465,16 @@ def _cmd_snla_verify(args, inputs):
     s = _refusing(doc.name, snla.snla_from_doc, doc)
     # first, so a cochain system over MAX_UNKNOWNS is refused at once
     fp = _refusing(doc.name, snla.snla_fingerprint, s)
-    rep = snla.verify_snla(s)
+    rep = snla.verify_snla(
+        s, {check: Picked(lambda v: _triple_loc(v.triple)) for check in _SNLA_CODES}
+    )
     found = Findings()
     for check, code in _SNLA_CODES.items():
-        # each call renders its picked violations before the next call
-        found.add(
-            code,
-            rep.violations[check],
-            lambda v: _triple_loc(v.triple),
-            lambda v: ReportFinding("violation", code, _triple_loc(v.triple), v.describe()),
-        )
+
+        def render(v, code=code):
+            return ReportFinding("violation", code, _triple_loc(v.triple), v.describe())
+
+        found.add(code, [(rep.violations[check], render)])
     found.extend(
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]

@@ -53,6 +53,17 @@ def _refuse_unknowns(count: int) -> None:
         raise ValueError(f"the system has more than {MAX_UNKNOWNS} unknowns")
 
 
+def _tally(A: AlgebraInstance, by_index: bool, by_parity: bool) -> dict:
+    """How many generators of A have each (doubled index, parity), an index
+    read as 0 unless ``by_index`` and a parity as even unless ``by_parity``;
+    the unknown counts are read from it in O(dim), before any slot is made."""
+    tally: dict[tuple[int, bool], int] = {}
+    for g, odd in zip(A.generators, A.view.odd):
+        key = (g.doubled_index if by_index else 0, odd and by_parity)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
 def refuse_whole_window(dim: int) -> None:
     """Refuse, before it is built, an instance of dimension ``dim`` whose
     whole-window derivation and 2-cochain systems, of at least
@@ -215,6 +226,12 @@ def derivation_space(
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
     sup = A.convention == "super"
 
+    # one unknown per j and i of index index[j] + shift and, under super,
+    # the parity of j
+    tally = _tally(A, shift is not None, sup)
+    _refuse_unknowns(
+        sum(c * tally.get((d + (shift or 0), p), 0) for (d, p), c in tally.items())
+    )
     # unknowns[(i, j)]: the entry D[i][j]; column[j] maps i to its unknown
     unknowns: dict[tuple[int, int], int] = {}
     column: list[dict[int, int]] = [{} for _ in range(n)]
@@ -225,7 +242,6 @@ def derivation_space(
             if sup and odd[i] != odd[j]:
                 continue
             unknowns[(i, j)] = column[j][i] = len(unknowns)
-            _refuse_unknowns(len(unknowns))
     if not unknowns:
         return []
 
@@ -311,6 +327,15 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
     optionally restricted to index-sum 0."""
     odd, n = A.view.odd, A.dim
     index = [g.doubled_index for g in A.generators]
+    # the pairs i < j of index sum 0 are half the ordered pairs i != j; the
+    # diagonals are the odd generators of index 0 when their sign is +1
+    width = _tally(A, grade_zero, False)
+    pairs = sum(c * width.get((-d, False), 0) for (d, _), c in width.items())
+    pairs = (pairs - width.get((0, False), 0)) // 2
+    diagonals = 0
+    if swap_sign(A.convention, True, True) == 1:
+        diagonals = _tally(A, grade_zero, True).get((0, True), 0)
+    _refuse_unknowns(pairs + diagonals)
     out: dict[int, int] = {}
     for i in range(n):
         for j in range(i, n):
@@ -319,7 +344,6 @@ def _cochain_unknowns(A: AlgebraInstance, grade_zero: bool) -> dict[int, int]:
             if grade_zero and index[i] + index[j] != 0:
                 continue
             out[i * n + j] = len(out)
-            _refuse_unknowns(len(out))
     return out
 
 
@@ -457,16 +481,21 @@ def cocycle_audit(
     omega: Cochain2,
     scope: str = "interior",
     repeats: Optional[bool] = None,
+    found=None,
 ) -> TripleAudit:
     """Evaluate the cyclic cocycle identity for a concrete cochain.
 
     ``repeats`` allows x = y or y = z in a triple; None takes the
-    convention's rule, as Jacobi does: with repeats under super only."""
+    convention's rule, as Jacobi does: with repeats under super only.
+    ``found`` is the sink of the violations, as for ``jacobi_audit``: any
+    object with ``append`` and ``len``, a new list when None."""
     om, e = _integer_reading(A, omega)
     repeats = A.convention == "super" if repeats is None else repeats
     triples = TripleScan(A, scope, repeats, (divmod(key, A.dim) for key in om))
     reading = {key: (0, w) for key, w in om.items()}
-    found = [(t, row[0]) for t, row in _cyclic_sums(A, triples, reading)]
+    found = [] if found is None else found
+    for t, row in _cyclic_sums(A, triples, reading):
+        found.append((t, row[0]))
     return TripleAudit(
         triples.checkable,
         triples.skipped,

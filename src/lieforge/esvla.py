@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import specfile
 from .algebra import (
@@ -170,7 +170,7 @@ class EsvlaAuditReport(NamedTuple):
         return out
 
 
-def audit_esvla(cfg: EsvlaConfig) -> EsvlaAuditReport:
+def audit_esvla(cfg: EsvlaConfig, found: Optional[Callable] = None) -> EsvlaAuditReport:
     """Run every window-level check once and collect the results.
 
     Covers: as-written alternating audit, graded Jacobi on interior
@@ -178,8 +178,17 @@ def audit_esvla(cfg: EsvlaConfig) -> EsvlaAuditReport:
     displayed cocycle on interior triples, grade-zero derivations with
     their inner/outer split against ad of the index-0 generators, and the
     grade-zero Z2/B2/H2 counts.
+
+    ``found(A, name)``, when given, is the sink of the violations of the
+    triple audit ``name`` ("jacobi", or a cocycle's name) over the window's
+    instance A (see ``algebra.jacobi_audit``); without it each audit keeps
+    a list.
     """
     A = build_esvla(cfg)
+
+    def sink(name: str):
+        return None if found is None else found(A, name)
+
     pc = _cocycles_for(A)
     ders = derivation_space(A, grade_restriction=0)
     index0 = [g for g in A.generators if g.doubled_index == 0]
@@ -193,10 +202,10 @@ def audit_esvla(cfg: EsvlaConfig) -> EsvlaAuditReport:
         dropped_terms=A.dropped_terms,
         instantiation_findings=A.findings,
         alternating=check_alternating(A),
-        jacobi=jacobi_audit(A, scope="interior"),
+        jacobi=jacobi_audit(A, scope="interior", found=sink("jacobi")),
         center_basis=center(A),
         cocycles={
-            name: cocycle_audit(A, om, scope="interior")
+            name: cocycle_audit(A, om, scope="interior", found=sink(name))
             for name, om in pc.items()
         },
         derivations0_dim=len(ders),

@@ -30,7 +30,6 @@ from lieforge.algebra import (
     GeneratorId,
     center,
     derived_subalgebra,
-    gid,
     is_two_step_solvable,
 )
 from lieforge.cohomology import Cochain2, cocycle_audit, h2_dimension
@@ -73,7 +72,7 @@ class ProductTable(NamedTuple):
         return cls(dim, family, scale, tuple(map(tuple, terms)))
 
     def generators(self) -> list[GeneratorId]:
-        return [gid(self.family, i) for i in range(1, self.dim + 1)]
+        return [_generator(self, k) for k in range(self.dim)]
 
     def value(self, i: int, j: int) -> Element:
         return _element(self, self.terms[i - 1][j - 1], self.scale)
@@ -82,10 +81,14 @@ class ProductTable(NamedTuple):
         return Fraction(dict(self.terms[i - 1][j - 1]).get(k - 1, 0), self.scale)
 
 
+def _generator(p: ProductTable, k: int) -> GeneratorId:
+    """e_{k+1}, whose doubled index is 2k + 2."""
+    return GeneratorId(p.family, 2 * k + 2)
+
+
 def _element(p: ProductTable, terms: Iterable[tuple[int, int]], d: int) -> Element:
-    """The element with the coefficients ``(k, c)``, c over ``d``, of
-    e_{k+1}, whose doubled index is 2k + 2."""
-    return Element((GeneratorId(p.family, 2 * k + 2), Fraction(c, d)) for k, c in terms)
+    """The element with the coefficients ``(k, c)``, c over ``d``, of e_{k+1}."""
+    return Element((_generator(p, k), Fraction(c, d)) for k, c in terms)
 
 
 class SymplecticForm:
@@ -157,8 +160,9 @@ class SnlaInstance:
 
 def commutator_bracket(p: ProductTable) -> dict:
     """[e_i, e_j] = e_i*e_j - e_j*e_i for i < j, as entries ``{(g, h): {t: c}}``
-    with each c an integer over ``p.scale``; alternating by construction."""
-    gens, terms, every = p.generators(), p.terms, range(p.dim)
+    with each c an integer over ``p.scale``; alternating by construction.
+    Only the generators the entries name are built."""
+    terms, every = p.terms, range(p.dim)
     # only the pairs i < j where e_i*e_j or e_j*e_i is nonzero, in order
     support = {
         (min(i, j), max(i, j))
@@ -172,7 +176,8 @@ def commutator_bracket(p: ProductTable) -> dict:
         for k, c in terms[j][i]:
             acc[k] = acc.get(k, 0) - c
         if any(acc.values()):
-            out[(gens[i], gens[j])] = {gens[k]: c for k, c in acc.items() if c}
+            value = {_generator(p, k): c for k, c in acc.items() if c}
+            out[(_generator(p, i), _generator(p, j))] = value
     return out
 
 
@@ -212,12 +217,13 @@ def _support(terms, by_j: bool) -> Iterator[tuple[int, int, int]]:
             yield i, j, k
 
 
-def _product_violations(p: ProductTable, by_j: bool) -> list[ProductViolation]:
+def _product_violations(p: ProductTable, by_j: bool, found) -> list[ProductViolation]:
     """Triples where (e_i*e_j)*e_k differs from (e_i*e_k)*e_j, or from
-    e_i*(e_j*e_k) when ``by_j``; only those of ``_support`` can, and each
+    e_i*(e_j*e_k) when ``by_j``, appended to the sink ``found`` (a new list
+    when None) and returned in it; only those of ``_support`` can, and each
     residual is summed in integers over scale^2."""
     terms = p.terms
-    out = []
+    out = [] if found is None else found
     for i, j, k in _support(terms, by_j):
         acc: dict[int, int] = {}
         for t, c in terms[i][j]:
@@ -232,24 +238,28 @@ def _product_violations(p: ProductTable, by_j: bool) -> list[ProductViolation]:
     return out
 
 
-def check_novikov(p: ProductTable) -> list[ProductViolation]:
-    """Triples with (e_i*e_j)*e_k != (e_i*e_k)*e_j."""
-    return _product_violations(p, by_j=False)
+def check_novikov(p: ProductTable, found=None) -> list[ProductViolation]:
+    """Triples with (e_i*e_j)*e_k != (e_i*e_k)*e_j.
+
+    Each check of this module hands its violations, in order, to the sink
+    ``found``, any object with ``append`` and ``len``, and returns it; with
+    None, to a new list."""
+    return _product_violations(p, False, found)
 
 
-def check_associative(p: ProductTable) -> list[ProductViolation]:
+def check_associative(p: ProductTable, found=None) -> list[ProductViolation]:
     """Triples with (e_i*e_j)*e_k != e_i*(e_j*e_k)."""
-    return _product_violations(p, by_j=True)
+    return _product_violations(p, True, found)
 
 
-def check_compat(p: ProductTable, f: SymplecticForm) -> list[CompatViolation]:
+def check_compat(p: ProductTable, f: SymplecticForm, found=None) -> list[CompatViolation]:
     """Triples with omega(e_i*e_j, e_k) != omega(e_i, e_j*e_k); only those
     of ``_support`` with ``by_j`` can, each side an integer over both scales."""
     if p.dim != f.dim:
         raise ValueError("product/form dimensions do not match")
     terms, s = p.terms, p.scale * f.scale
     omega = [dict(row) for row in f.rows]
-    out = []
+    out = [] if found is None else found
     for i, j, k in _support(terms, by_j=True):
         left = sum(c * omega[t].get(k, 0) for t, c in terms[i][j])
         right = sum(c * omega[i].get(t, 0) for t, c in terms[j][k])
@@ -259,22 +269,43 @@ def check_compat(p: ProductTable, f: SymplecticForm) -> list[CompatViolation]:
     return out
 
 
+class _Converted:
+    """A sink that hands ``out`` each entry it is given, converted by
+    ``convert``."""
+
+    __slots__ = ("out", "convert")
+
+    def __init__(self, out, convert):
+        self.out = out
+        self.convert = convert
+
+    def append(self, entry) -> None:
+        self.out.append(self.convert(entry))
+
+    def __len__(self) -> int:
+        return len(self.out)
+
+
 def check_symplectic_cocycle(
-    f: SymplecticForm, A: AlgebraInstance
+    f: SymplecticForm, A: AlgebraInstance, found=None
 ) -> list[FormCocycleViolation]:
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
     omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
     generators are the form's basis in order.  Repeats are included so
     non-alternating explicit tables stay auditable."""
-    gens, s = A.generators, f.scale
-    # the form is skew: its nonzero entries above the diagonal determine it
+    gens, d = A.generators, A.view.scale * f.scale
+    # the form is skew: its nonzero entries above the diagonal determine it.
+    # The cochain holds its integers, so each cyclic sum is over d.
     upper = ((i, j, c) for i, row in enumerate(f.rows) for j, c in row if i < j)
-    omega = Cochain2(raw={(gens[i], gens[j]): Fraction(c, s) for i, j, c in upper})
-    audit = cocycle_audit(A, omega, "all", repeats=True)
-    return [
-        FormCocycleViolation(tuple(int(g.index) for g in v.triple), v.residual)
-        for v in audit.violations
-    ]
+    omega = Cochain2(raw={(gens[i], gens[j]): c for i, j, c in upper})
+    out = [] if found is None else found
+
+    def violation(entry) -> FormCocycleViolation:
+        t, r = entry
+        return FormCocycleViolation(tuple(int(gens[u].index) for u in t), Fraction(r, d))
+
+    cocycle_audit(A, omega, "all", repeats=True, found=_Converted(out, violation))
+    return out
 
 
 class VerdictReport(NamedTuple):
@@ -285,15 +316,20 @@ class VerdictReport(NamedTuple):
         return {k: len(v) for k, v in self.violations.items()}
 
 
-def verify_snla(s: SnlaInstance) -> VerdictReport:
+def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictReport:
     """Aggregate of every defining identity; passes iff all hold.  The form
     is skew and nondegenerate by construction (``SymplecticForm``), so those
-    two counts always read 0."""
+    two counts always read 0.  ``found`` maps the name of a triple check
+    (novikov, associative, compat, symplectic_cocycle) to the sink of its
+    violations, which the report keeps; a check it does not name gets a list."""
+    sink = (found or {}).get
     vio: dict[str, list] = {
-        "novikov": check_novikov(s.product),
-        "associative": check_associative(s.product),
-        "compat": check_compat(s.product, s.form),
-        "symplectic_cocycle": check_symplectic_cocycle(s.form, s.bracket),
+        "novikov": check_novikov(s.product, sink("novikov")),
+        "associative": check_associative(s.product, sink("associative")),
+        "compat": check_compat(s.product, s.form, sink("compat")),
+        "symplectic_cocycle": check_symplectic_cocycle(
+            s.form, s.bracket, sink("symplectic_cocycle")
+        ),
         "skew": [],
         "nondegenerate": [],
         "two_step_solvable": [],

@@ -1471,6 +1471,23 @@ def test_snla_verify_wide_refusal_is_bounded(tmp_path, capsys):
     ]
 
 
+def test_snla_verify_wide_refusal_counts_its_unknowns_once(tmp_path, monkeypatch, capsys):
+    # the H2 system's unknowns are counted before any is numbered, so the
+    # limit is checked once, and the report is the one frozen here
+    refused = []
+    real = cohomology._refuse_unknowns
+    monkeypatch.setattr(cohomology, "_refuse_unknowns", lambda c: refused.append(c) or real(c))
+    code, _, out = run_cli(["snla", "verify", str(zero_product_doc(tmp_path))], capsys)
+    assert code == 2 and refused == [1024 * 1023 // 2]
+    assert out == (
+        "lieforge 0.1.0 :: snla verify zero1024.lie\n"
+        "input: zero1024.lie sha256=d1876055f0d8afb8\n"
+        "verdict: error\n"
+        "findings (1):\n"
+        "  [error] E_INPUT zero1024: the system has more than 32768 unknowns\n"
+    )
+
+
 def test_snla_verify_refusal_builds_no_center_or_derived(tmp_path, monkeypatch, capsys):
     # the fingerprint's H2 count is refused first, so a refused document
     # pays for neither of the two results its report never shows
@@ -1552,9 +1569,14 @@ def _located(code: str, violations, prefix: str = "") -> list[tuple[str, str, st
 
 def _every_finding(case: str) -> list[tuple[str, str, str]]:
     """Every finding of the case's command, rendered from the library's
-    violation objects, in the order the command adds them."""
-    if case.startswith("esvla"):
-        rep = esvla.audit_esvla(esvla.EsvlaConfig(8, convention=case.split("-")[1]))
+    violation objects, in the order the command adds them.  A case name is
+    the command, then for esvla the convention, then the window if not 8,
+    then the n-index mode if not strict."""
+    words = case.split("-")
+    if words[0] == "esvla":
+        window = int(words[2]) if len(words) > 2 else 8
+        mode = words[3] if len(words) > 3 else "strict"
+        rep = esvla.audit_esvla(esvla.EsvlaConfig(window, words[1], mode))
         out = [(f.code, f.location, f.detail) for f in rep.instantiation_findings]
         out += [
             ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
@@ -1565,9 +1587,9 @@ def _every_finding(case: str) -> list[tuple[str, str, str]]:
             out += _located("V_COCYCLE", aud.violations, f"{name}:")
         return out
     doc = specfile.parse(Path(ESVLA_DOC).read_text())
-    A = specfile.instantiate(doc, window=8)
+    A = specfile.instantiate(doc, window=int(words[1]) if len(words) > 1 else 8)
     out = [(f.code, f.location, f.detail) for f in A.findings]
-    if case == "check":
+    if words[0] == "check":
         out += [
             ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
             for v in check_alternating(A)
@@ -1583,6 +1605,12 @@ PICK_CASES = {
     "esvla-plain": ["esvla", "audit", "--window", "8", "--convention", "plain"],
     "check": ["check", ESVLA_DOC, "--window", "8"],
     "extend": ["extend", ESVLA_DOC, "--cocycle", "w1", "--window", "8"],
+    "esvla-super-12-extended": ["esvla", "audit", "--window", "12", "--n-index", "extended"],
+    "esvla-plain-12-extended": (
+        ["esvla", "audit", "--window", "12", "--convention", "plain", "--n-index", "extended"]
+    ),
+    "check-12": ["check", ESVLA_DOC, "--window", "12"],
+    "extend-12": ["extend", ESVLA_DOC, "--cocycle", "w1", "--window", "12"],
 }
 
 
@@ -1608,6 +1636,43 @@ def test_picked_findings_are_the_first_of_the_full_sort(case, capsys):
         if n > cli.MAX_PER_CODE
     }
     assert "V_JACOBI" in truncated
+
+
+@pytest.mark.parametrize("length", [0, 99, 100, 101, 1000, 1001, 5000])
+def test_picked_keeps_the_first_of_a_stable_sort(length):
+    # seeded keys with many duplicates; each item carries its arrival number,
+    # so the kept items show the order among equal keys as well
+    rng = random.Random(f"picked-{length}")
+    for spread in (3, 50, 10**6):
+        items = [(rng.randrange(spread), serial) for serial in range(length)]
+        picked = cli.Picked(lambda item: item[0])
+        for item in items:
+            picked.append(item)
+            assert len(picked.held) < cli.MERGE_AT
+        assert len(picked) == length
+        assert picked.first() == sorted(items, key=lambda item: item[0])[: cli.MAX_PER_CODE]
+
+
+def test_esvla_audit_holds_a_bounded_number_of_findings(monkeypatch, capsys):
+    # at window 24 Jacobi fails on about 100,000 triples; no code's sink
+    # ever holds more than MERGE_AT of them, and the counts stay exact
+    peak = Counter()
+
+    class Watched(cli.Picked):
+        __slots__ = ()
+
+        def append(self, item):
+            super().append(item)
+            peak[id(self)] = max(peak[id(self)], len(self.held))
+
+    monkeypatch.setattr(cli, "Picked", Watched)
+    code, rep, _ = run_cli(["esvla", "audit", "--window", "24"], capsys)
+    assert code == 1
+    # the sinks of Jacobi, the three cocycles and the instantiation findings
+    assert len(peak) == 5 and max(peak.values()) < cli.MERGE_AT
+    A = esvla.build_esvla(esvla.EsvlaConfig(24))
+    want = len(jacobi_audit(A).found)
+    assert rep.summaries["jacobi_violations"] == want > 50 * cli.MERGE_AT
 
 
 def test_name_rank_order_is_location_order():

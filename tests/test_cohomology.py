@@ -500,7 +500,7 @@ def test_h2_degenerate_dims():
 
 def test_unknown_limit_refuses_before_any_row(monkeypatch):
     # abelian(n) has n * (n - 1) / 2 cochain unknowns and n**2 derivation
-    # unknowns; the limit is checked while the unknowns are numbered
+    # unknowns; the limit is checked on their count before they are numbered
     limit = cohomology.MAX_UNKNOWNS
     assert 256 * 255 // 2 <= limit < 257 * 256 // 2 and 181**2 <= limit < 182**2
     reached = []
@@ -531,6 +531,52 @@ def test_unknown_limit_refuses_before_any_row(monkeypatch):
     cohomology.refuse_whole_window(256)
     with pytest.raises(ValueError, match=message):
         cohomology.refuse_whole_window(257)
+
+
+def test_each_system_refuses_once_on_its_exact_unknown_count(monkeypatch):
+    # the count read from the (index, parity) tally equals the slots the loop
+    # numbers, and it reaches _refuse_unknowns once per system, before any row
+    refused = []
+    real = cohomology._refuse_unknowns
+    monkeypatch.setattr(cohomology, "_refuse_unknowns", lambda c: refused.append(c) or real(c))
+
+    def no_rows(*args):
+        raise AssertionError("rows assembled")
+
+    monkeypatch.setattr(cohomology, "_pair_iter", no_rows)
+    configs = itertools.product([4, 5], ["super", "plain"], ["strict", "extended"])
+    instances = [esvla.build_esvla(esvla.EsvlaConfig(*cfg)) for cfg in configs]
+    instances += [witt_window(6), super_heisenberg(), abelian(5)]
+    instances += [random_super_table(random.Random(seed), 3, 4) for seed in range(3)]
+    for A in instances:
+        n, odd, sup = A.dim, A.view.odd, A.convention == "super"
+        index = [g.doubled_index for g in A.generators]
+        for grade_zero in (False, True):
+            refused.clear()
+            slots = cohomology._cochain_unknowns(A, grade_zero)
+            want = sum(
+                1
+                for i in range(n)
+                for j in range(i, n)
+                if (i != j or swap_sign(A.convention, odd[i], odd[i]) == 1)
+                and (not grade_zero or index[i] + index[j] == 0)
+            )
+            assert refused == [len(slots)] == [want]
+        for r in (None, 0, 1, -2, Fraction(1, 2), Fraction(-3, 2)):
+            refused.clear()
+            shift = None if r is None else int(2 * r)
+            want = sum(
+                1
+                for i in range(n)
+                for j in range(n)
+                if (shift is None or index[i] - index[j] == shift)
+                and (not sup or odd[i] == odd[j])
+            )
+            try:
+                derivation_space(A, r)
+            except AssertionError:  # the unknowns were numbered
+                assert want
+            assert refused == [want]
 
 
 def test_derivation_space_empty_restriction():

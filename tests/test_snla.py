@@ -125,6 +125,25 @@ def test_one_sided_product_stays_one_sided():
     )
 
 
+def test_one_instance_builds_its_generator_list_once(monkeypatch):
+    # the commutator builds only the generators its entries name
+    calls = []
+    real = ProductTable.generators
+    monkeypatch.setattr(ProductTable, "generators", lambda p: calls.append(p.dim) or real(p))
+    doc = specfile.parse(
+        "algebra p convention plain\nfamily e integer even\n"
+        + "".join(f"generator e[{i}]\n" for i in range(1, 5))
+        + "product e[1] e[2] => 1 e[3]\nproduct e[3] e[1] => 2 e[4]\n"
+    )
+    s = snla_from_doc(doc)
+    assert calls == [4]
+    assert s.bracket.generators == [gid("e", i) for i in range(1, 5)]
+    assert written_entries(s.bracket) == {
+        (gid("e", 1), gid("e", 2)): {gid("e", 3): 1},
+        (gid("e", 1), gid("e", 3)): {gid("e", 4): -2},
+    }
+
+
 def naive_commutator(p: ProductTable, raw: dict) -> dict:
     """[e_i, e_j] for i < j from the raw constants, as integers over p.scale:
     every pair visited, in order."""
