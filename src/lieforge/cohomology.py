@@ -8,9 +8,11 @@ solutions silently.  Cochains and the unknown slots of a 2-cochain system
 are read by the bracket's own as-written rule, ``algebra.extend_as_written``,
 so super-convention cochains are graded-skew; parity-mixing pairs are
 allowed and their verdicts reported without interpreting the grading.  The
-cyclic cocycle sum is written once: the cocycle audit runs it on a
-cochain's reading, the 2-cocycle rows on the slots' reading, each over the
-triples ``algebra.TripleScan`` gives for the reading's pairs.  All of it
+cyclic cocycle sum is written once, in ``cyclic_sums``: the cocycle audit
+runs it on a cochain's reading, the 2-cocycle rows on the slots' reading
+and ``snla.check_symplectic_cocycle`` on the form's rows, each reading one
+(column, integer coefficient) per ordered position pair, over the triples
+``algebra.TripleScan`` gives for the reading's pairs.  All of it
 runs on the position-indexed view (``AlgebraInstance.view``), whose integer
 terms share the denominator ``view.scale``: rows are assembled over it
 (scaling a row changes no row echelon form) and values are divided once,
@@ -247,35 +249,24 @@ def derivation_space(
 
     rows: list[dict[int, int]] = []  # over view.scale, like the terms
     for a, b in _pair_iter(A):
-        if b in flagged[a]:
-            continue
         col_a, col_b = column[a], column[b]
-        if any(i in flagged[b] for i in col_a) or any(
-            i in flagged[a] for i in col_b
+        if b in flagged[a] or not (
+            flagged[b].isdisjoint(col_a) and flagged[a].isdisjoint(col_b)
         ):
             continue
-        # componentwise D(v) - [Da,b] - [a,Db] = 0, one row per component
+        # componentwise D[a,b] - [Da,b] - [a,Db] = 0, one row per component:
+        # each (component, unknown, coefficient) contribution in one pass
         comp: dict[int, dict[int, int]] = {}
-
-        def put(component: int, u: int, c: int):
-            row = comp.setdefault(component, {})
+        for k, u, c in itertools.chain(
+            ((i, u, c) for t, c in terms[a][b] for i, u in column[t].items()),
+            ((k, u, -ck) for i, u in col_a.items() for k, ck in terms[i][b]),
+            ((k, u, -ck) for i, u in col_b.items() for k, ck in terms[a][i]),
+        ):
+            row = comp.setdefault(k, {})
             row[u] = row.get(u, 0) + c
-            if not row[u]:
-                del row[u]
-
-        for t, c in terms[a][b]:
-            for i, u in column[t].items():
-                put(i, u, c)
-        for i in sorted(col_a.keys() | col_b.keys()):
-            u = col_a.get(i)
-            if u is not None:
-                for k, ck in terms[i][b]:
-                    put(k, u, -ck)
-            u = col_b.get(i)
-            if u is not None:
-                for k, ck in terms[a][i]:
-                    put(k, u, -ck)
-        rows.extend(r for r in comp.values() if r)
+        for row in comp.values():
+            if row := {u: c for u, c in row.items() if c}:
+                rows.append(row)
 
     m = SparseMatrix.from_rows(len(unknowns), rows)
     index_of = list(unknowns)  # unknown u is entry index_of[u] = (i, j)
@@ -359,7 +350,7 @@ def _cochain_from_vector(
     return Cochain2(A.parity, A.convention, raw)
 
 
-def _cyclic_sums(
+def cyclic_sums(
     A: AlgebraInstance, triples: TripleScan, reading: Mapping[int, tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
     """Each triple with its nonzero row of the cyclic cocycle sum
@@ -386,7 +377,7 @@ def _cyclic_sums(
 
 
 def _slot_reading(A: AlgebraInstance, unknowns: dict[int, int]) -> dict[int, tuple]:
-    """The unknown slots as a reading for ``_cyclic_sums``: each canonical
+    """The unknown slots as a reading for ``cyclic_sums``: each canonical
     slot (i, j), i <= j, reads (its unknown, 1), and ``extend_as_written``
     gives its reverse (j, i) the swap sign."""
     n = A.dim
@@ -403,7 +394,7 @@ def _cocycle_rows(A: AlgebraInstance, unknowns: dict[int, int]) -> Iterator[dict
     coefficients over ``A.view.scale``.  The slots' reading is the support."""
     reading, n = _slot_reading(A, unknowns), A.dim
     triples = TripleScan(A, "all", A.convention == "super", (divmod(k, n) for k in reading))
-    return (row for _, row in _cyclic_sums(A, triples, reading))
+    return (row for _, row in cyclic_sums(A, triples, reading))
 
 
 def _coboundary_vectors(
@@ -461,15 +452,18 @@ def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
     return z2 - rank(SparseMatrix.from_rows(len(unknowns), vectors))
 
 
-def _integer_reading(A: AlgebraInstance, omega: Cochain2) -> tuple[dict[int, int], int]:
+def _integer_reading(
+    A: AlgebraInstance, omega: Cochain2
+) -> tuple[dict[int, tuple[int, int]], int]:
     """omega's reading on the ordered position pairs (i, j) of A, keyed
-    i * dim + j, as nonzero integers over their common denominator e; and e.
-    A pair naming a generator A lacks is refused."""
+    i * dim + j, as ``cyclic_sums`` reads it: (column 0, nonzero integer over
+    their common denominator e); and e.  A pair naming a generator A lacks
+    is refused."""
     reading, n = omega._read(), A.dim
     e = lcm(*(w.denominator for w in reading.values()))
     try:
         return {
-            A.position(g) * n + A.position(h): w.numerator * (e // w.denominator)
+            A.position(g) * n + A.position(h): (0, w.numerator * (e // w.denominator))
             for (g, h), w in reading.items()
         }, e
     except ValueError as err:
@@ -477,24 +471,17 @@ def _integer_reading(A: AlgebraInstance, omega: Cochain2) -> tuple[dict[int, int
 
 
 def cocycle_audit(
-    A: AlgebraInstance,
-    omega: Cochain2,
-    scope: str = "interior",
-    repeats: Optional[bool] = None,
-    found=None,
+    A: AlgebraInstance, omega: Cochain2, scope: str = "interior", found=None
 ) -> TripleAudit:
-    """Evaluate the cyclic cocycle identity for a concrete cochain.
-
-    ``repeats`` allows x = y or y = z in a triple; None takes the
-    convention's rule, as Jacobi does: with repeats under super only.
+    """Evaluate the cyclic cocycle identity for a concrete cochain, with
+    repeated generators in a triple under super only, as Jacobi does.
     ``found`` is the sink of the violations, as for ``jacobi_audit``: any
     object with ``append`` and ``len``, a new list when None."""
-    om, e = _integer_reading(A, omega)
-    repeats = A.convention == "super" if repeats is None else repeats
-    triples = TripleScan(A, scope, repeats, (divmod(key, A.dim) for key in om))
-    reading = {key: (0, w) for key, w in om.items()}
+    reading, e = _integer_reading(A, omega)
+    n = A.dim
+    triples = TripleScan(A, scope, A.convention == "super", (divmod(k, n) for k in reading))
     found = [] if found is None else found
-    for t, row in _cyclic_sums(A, triples, reading):
+    for t, row in cyclic_sums(A, triples, reading):
         found.append((t, row[0]))
     return TripleAudit(
         triples.checkable,
@@ -533,7 +520,7 @@ def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:
     entries: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, Fraction]] = {}
     for i, j in pairs:
         value = entries[(gens[i], gens[j])] = {gens[k]: c for k, c in terms[i][j]}
-        value[z] = Fraction(om.get(i * n + j, 0) * scale, e)
+        value[z] = Fraction(om.get(i * n + j, (0, 0))[1] * scale, e)
 
     return AlgebraInstance(
         A.name + "+z",

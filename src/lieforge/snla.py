@@ -13,8 +13,10 @@ product is nonzero: n^2 steps for a zero product, n^3 for a dense one.
 Each ``SnlaInstance`` builds its bracket once, as an ``AlgebraInstance``:
 the explicit entries of its document, read by ``specfile.instantiate``, or
 else the commutator of its product.  Every check of the bracket reads that
-instance.  A ``SymplecticForm`` is skew by construction and refuses a
-degenerate form when it is built, so the verifier takes both as given.
+instance; the form's 2-cocycle check reads the form's integer rows through
+``cohomology.cyclic_sums``, the one cyclic cocycle sum.  A
+``SymplecticForm`` is skew by construction and refuses a degenerate form
+when it is built, so the verifier takes both as given.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from lieforge.algebra import (
     AlgebraInstance,
     Element,
     GeneratorId,
+    TripleScan,
     center,
     derived_subalgebra,
     is_two_step_solvable,
 )
-from lieforge.cohomology import Cochain2, cocycle_audit, h2_dimension
+from lieforge.cohomology import cyclic_sums, h2_dimension
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge import specfile
 
@@ -269,23 +272,6 @@ def check_compat(p: ProductTable, f: SymplecticForm, found=None) -> list[CompatV
     return out
 
 
-class _Converted:
-    """A sink that hands ``out`` each entry it is given, converted by
-    ``convert``."""
-
-    __slots__ = ("out", "convert")
-
-    def __init__(self, out, convert):
-        self.out = out
-        self.convert = convert
-
-    def append(self, entry) -> None:
-        self.out.append(self.convert(entry))
-
-    def __len__(self) -> int:
-        return len(self.out)
-
-
 def check_symplectic_cocycle(
     f: SymplecticForm, A: AlgebraInstance, found=None
 ) -> list[FormCocycleViolation]:
@@ -293,18 +279,15 @@ def check_symplectic_cocycle(
     omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
     generators are the form's basis in order.  Repeats are included so
     non-alternating explicit tables stay auditable."""
-    gens, d = A.generators, A.view.scale * f.scale
-    # the form is skew: its nonzero entries above the diagonal determine it.
-    # The cochain holds its integers, so each cyclic sum is over d.
-    upper = ((i, j, c) for i, row in enumerate(f.rows) for j, c in row if i < j)
-    omega = Cochain2(raw={(gens[i], gens[j]): c for i, j, c in upper})
+    gens, d, n = A.generators, A.view.scale * f.scale, A.dim
+    # the form's rows are skew already: read as they are, in one column,
+    # each cyclic sum is an integer over d
+    reading = {i * n + j: (0, c) for i, row in enumerate(f.rows) for j, c in row}
+    triples = TripleScan(A, "all", True, (divmod(k, n) for k in reading))
     out = [] if found is None else found
-
-    def violation(entry) -> FormCocycleViolation:
-        t, r = entry
-        return FormCocycleViolation(tuple(int(gens[u].index) for u in t), Fraction(r, d))
-
-    cocycle_audit(A, omega, "all", repeats=True, found=_Converted(out, violation))
+    for t, row in cyclic_sums(A, triples, reading):
+        triple = tuple(int(gens[u].index) for u in t)
+        out.append(FormCocycleViolation(triple, Fraction(row[0], d)))
     return out
 
 

@@ -829,8 +829,8 @@ def _layout(
 ) -> tuple[Optional[int], dict[str, str], dict[str, range], set[tuple[str, int]]]:
     """The window the rules run over, each family's kind and grid of
     doubled indices, and the declared (family, doubled index) pairs.  A
-    document without rules has no window and empty grids, whatever window
-    is given: it declares all of its generators."""
+    window below 1 is refused; a document without rules then has no window
+    and empty grids, since it declares all of its generators."""
     if kind_mode not in ("strict", "extended"):
         raise ValueError(f"unknown kind_mode {kind_mode!r}")
     if doc.rules and window is None:
@@ -880,10 +880,10 @@ def instantiate(
     document-wide denominator, so each rule term is evaluated as integer
     monomials in m and n, with doubled result indices.
 
-    The window truncates the family grids the rules run over.  A document
-    without rules declares all of its generators, so it is built without
-    one, whatever window is given.  An instance of more than MAX_DIM
-    generators is refused before any grid is built.
+    The window truncates the family grids the rules run over.  A window
+    below 1 is refused for every document; one without rules declares all
+    of its generators, so it is built without a window.  An instance of more
+    than MAX_DIM generators is refused before any grid is built.
     """
     dim = dimension(doc, window, kind_mode)
     if dim > MAX_DIM:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -1516,6 +1517,128 @@ def test_snla_verify_of_a_zero_product_reads_only_its_support(tmp_path, capsys):
     assert time.perf_counter() - t0 < 10
     assert (code, rep.verdict, rep.findings) == (0, "pass", [])
     assert rep.summaries["dim"] == 256
+
+
+SEEDED_VALUES = (1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _terms(rng: random.Random, n: int, count: int) -> str:
+    """``count`` terms with distinct generators and nonzero seeded values."""
+    ks = rng.sample(range(1, n + 1), count)
+    return " ".join(f"{rng.choice(SEEDED_VALUES)} e[{k}]" for k in sorted(ks))
+
+
+def _seeded_form(rng: random.Random, n: int, way: str) -> list[str]:
+    """Form lines of a seeded rational form: a random perfect matching, so
+    the form is nondegenerate unless the extra pairs cancel it, plus extra
+    pairs i < j.  Each pair is written as (i, j), as (j, i) with the value
+    negated, both ways, or, with ``way`` "mixed", any of the three."""
+    order = rng.sample(range(1, n + 1), n)
+    values = {tuple(sorted(order[a : a + 2])): rng.choice(SEEDED_VALUES) for a in range(0, n, 2)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < 0.2:
+            values[(i, j)] = rng.choice(SEEDED_VALUES)
+    lines = []
+    for (i, j), v in sorted(values.items()):
+        w = rng.choice(["one", "other", "both"]) if way == "mixed" else way
+        if w != "other":
+            lines.append(f"form e[{i}] e[{j}] => {v}")
+        if w != "one":
+            lines.append(f"form e[{j}] e[{i}] => {-v}")
+    return lines
+
+
+def _seeded_entries(rng: random.Random, n: int) -> list[str]:
+    """Explicit bracket lines: diagonal entries, and pairs written one way,
+    the other way, or both ways, skew or not."""
+    lines = []
+    for i, j in itertools.combinations_with_replacement(range(1, n + 1), 2):
+        if rng.random() >= 0.3:
+            continue
+        value = _terms(rng, n, 1)
+        way = "one" if i == j else rng.choice(["one", "other", "skew", "any"])
+        if way != "other":
+            lines.append(f"entry e[{i}] e[{j}] => {value}")
+        if way == "other":
+            lines.append(f"entry e[{j}] e[{i}] => {value}")
+        elif way == "skew":
+            c, g = value.split()
+            lines.append(f"entry e[{j}] e[{i}] => {-Fraction(c)} {g}")
+        elif way == "any":
+            lines.append(f"entry e[{j}] e[{i}] => {_terms(rng, n, rng.randint(1, 2))}")
+    return lines
+
+
+def seeded_snla_documents() -> list[tuple[str, str]]:
+    """(name, text) of seeded ``snla verify`` documents: sparse products at
+    n = 2..8 under every way of writing a form (none, one way, the other
+    way, both ways, mixed), each with and without explicit brackets; dense
+    8-generator products with two terms per product; zero products; and
+    refusals."""
+    rng = random.Random(3000)
+    docs = []
+
+    def add(name, n, lines):
+        gens = [f"generator e[{i}]" for i in range(1, n + 1)]
+        docs.append((name, FINITE_HEAD.format(name=name) + "".join(f"{x}\n" for x in gens + lines)))
+
+    for n in (2, 4, 6, 8):
+        for way in ("standard", "one", "other", "both", "mixed"):
+            for entries in (False, True):
+                products = [
+                    f"product e[{i}] e[{j}] => {_terms(rng, n, rng.randint(1, min(2, n)))}"
+                    for i, j in itertools.product(range(1, n + 1), repeat=2)
+                    if rng.random() < 1 / n
+                ]
+                form = [] if way == "standard" else _seeded_form(rng, n, way)
+                bracket = _seeded_entries(rng, n) if entries else []
+                add(f"s{n}_{way}{'_entries' if entries else ''}", n, products + form + bracket)
+    for way, entries in [("one", False), ("mixed", True)]:
+        products = [
+            f"product e[{i}] e[{j}] => {_terms(rng, 8, 2)}"
+            for i, j in itertools.product(range(1, 9), repeat=2)
+        ]
+        bracket = _seeded_entries(rng, 8) if entries else []
+        add(f"dense8_{way}", 8, products + _seeded_form(rng, 8, way) + bracket)
+    for way in ("one", "other", "both", "mixed"):
+        add(f"zero6_{way}", 6, _seeded_form(rng, 6, way))  # these pass
+    refusals = {
+        "conflict": (4, ["form e[1] e[2] => 1", "form e[2] e[1] => 1", "form e[3] e[4] => 1"]),
+        "diagonal": (2, ["form e[1] e[2] => 1", "form e[2] e[2] => 1/2"]),
+        "odd": (3, ["form e[1] e[2] => 1"]),
+        "odd_standard": (5, ["product e[1] e[2] => 1 e[3]"]),
+        "degenerate": (4, ["form e[1] e[2] => 1", "form e[3] e[4] => 0", "form e[1] e[3] => 2"]),
+        "rank2_of_6": (6, ["form e[1] e[2] => 1", "form e[3] e[4] => 1/2", "form e[1] e[4] => 1"]),
+    }
+    for name, (n, lines) in refusals.items():
+        add(name, n, lines)
+    # indices outside 1..dim: a generator line that skips one, and a form
+    # pair naming an undeclared generator
+    gap = ["generator e[1]", "generator e[2]", "generator e[4]", "form e[1] e[4] => 1"]
+    docs.append(("gap", FINITE_HEAD.format(name="gap") + "".join(f"{x}\n" for x in gap)))
+    add("outside", 2, ["form e[1] e[3] => 1"])
+    return docs
+
+
+def snla_verify_transcript(tmp_path, capsys) -> str:
+    """``snla verify`` of each seeded document, text and ``--json``, each
+    followed by its exit code, as ``cli_transcript`` writes it."""
+    parts = []
+    for name, text in seeded_snla_documents():
+        spec = tmp_path / f"{name}.lie"
+        spec.write_text(text)
+        for extra in ([], ["--json"]):
+            code, _, out = run_cli(["snla", "verify", str(spec), *extra], capsys)
+            line = " ".join(["snla verify", spec.name, *extra])
+            parts.append(f"$ lieforge {line}\n{out}exit {code}\n")
+    return "\n".join(parts)
+
+
+def test_snla_verify_seeded_documents_match_golden(tmp_path, capsys):
+    # forms written every way, non-alternating explicit brackets (the form
+    # check's repeated triples), dense products and refusals, byte for byte
+    golden = (GOLDEN / "snla_verify_seeded.txt").read_text()
+    assert snla_verify_transcript(tmp_path, capsys) == golden
 
 
 def test_esvla_audit_arguments_end_in_a_report(capsys):

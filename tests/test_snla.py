@@ -336,10 +336,12 @@ def seeded_form(rng, n):
             return m, pairs
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_seeded_rational_forms_match_the_oracles(n):
     # forms other than the standard one read as their dense matrix, and
-    # every form check equals its oracle on that matrix
+    # every form check equals its oracle on that matrix; explicit brackets
+    # are written on pairs i <= j, some also on (j, i) with a value that
+    # need not be skew, and the form check reads each pair as written
     rng = random.Random(2700 + n)
     gens = [gid("e", i) for i in range(1, n + 1)]
     slots = list(itertools.product(range(1, n + 1), repeat=3))
@@ -358,6 +360,9 @@ def test_seeded_rational_forms_match_the_oracles(n):
             for k in [rng.randrange(n)]
             if rng.random() < 0.3
         }
+        for g, h in list(explicit):
+            if g != h and rng.random() < 0.5:
+                explicit[(h, g)] = {gens[rng.randrange(n)]: Fraction(rng.randint(-2, 2), 2)}
         for A in (SnlaInstance(n, p, f).bracket, AlgebraInstance("b", gens, explicit)):
             got = check_symplectic_cocycle(f, A)
             assert [(v.triple, v.total) for v in got] == naive_form_cocycle(A, m)
