@@ -441,11 +441,12 @@ class TripleScan:
 
 class TripleViolation(NamedTuple):
     """A generator triple on which a triple identity fails, and its exact
-    residual: an Element (Jacobi) or a Fraction (a scalar identity such as
-    the cocycle one)."""
+    residual: an Element (Jacobi, the SNLA products), a Fraction (a scalar
+    identity such as the cocycle one) or a tuple of Fractions (the two
+    sides of form compatibility)."""
 
     triple: tuple[GeneratorId, GeneratorId, GeneratorId]
-    residual: Union[Element, Fraction]
+    residual: Union[Element, Fraction, tuple[Fraction, ...]]
 
 
 class TripleAudit:
@@ -455,7 +456,8 @@ class TripleAudit:
 
     ``found`` keeps each violation compactly, as its position triple and its
     integer residual over ``denominator``: an int for a scalar identity, a
-    dict from generator position to nonzero int otherwise.  ``violations``
+    tuple of ints for one with two sides, a dict from generator position to
+    nonzero int otherwise.  ``violations``
     builds the ``TripleViolation`` objects on first read; ``violation``
     builds one.  An audit given a sink (see ``jacobi_audit``) keeps that
     sink as ``found``, and ``len(found)`` still counts every violation.
@@ -477,11 +479,14 @@ class TripleAudit:
 
     def violation(self, entry: tuple[tuple[int, int, int], object]) -> TripleViolation:
         """The violation object of one entry of ``found``: its residual is a
-        Fraction for an int entry and an Element for a dict."""
+        Fraction for an int entry, a tuple of Fractions for a tuple and an
+        Element for a dict."""
         (x, y, z), r = entry
         gens, d = self.generators, self.denominator
         if isinstance(r, int):
             residual = Fraction(r, d)
+        elif isinstance(r, tuple):
+            residual = tuple(Fraction(c, d) for c in r)
         else:
             residual = Element({gens[u]: Fraction(v, d) for u, v in r.items()})
         return TripleViolation((gens[x], gens[y], gens[z]), residual)
@@ -586,10 +591,6 @@ def jacobi_audit(
         A.view.scale**2,
         A.generators,
     )
-
-
-def check_jacobi(A: AlgebraInstance, scope: str = "interior") -> list[TripleViolation]:
-    return jacobi_audit(A, scope).violations
 
 
 def center(A: AlgebraInstance) -> list[Element]:

@@ -21,7 +21,6 @@ from .algebra import (
     AlgebraInstance,
     AlternatingViolation,
     Finding,
-    GeneratorId,
     TripleAudit,
     center,
     check_alternating,
@@ -292,11 +291,13 @@ def _triple_loc(t) -> str:
     return f"({x},{y},{z})"
 
 
-def _name_ranks(generators: Sequence[GeneratorId]) -> list[int]:
-    """Each position's rank among the generators' names.  Every name ends
-    in ']', which appears nowhere else in it, so no name is a proper prefix
-    of another: triple locations compare name by name, as the tuples of
-    their ranks do."""
+def _name_ranks(generators: Sequence) -> list[int]:
+    """Each position's rank among the generators' names.  A name may be a
+    proper prefix of another only when both are digits (index 1 of index
+    10; a generator's name ends in ']', which appears nowhere else in it),
+    and in a triple location a name is followed by ',' or ')', which sort
+    below every digit: triple locations compare name by name, as the tuples
+    of their ranks do."""
     order = sorted(range(len(generators)), key=lambda i: str(generators[i]))
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -304,7 +305,7 @@ def _name_ranks(generators: Sequence[GeneratorId]) -> list[int]:
     return rank
 
 
-def _triple_sink(generators: Sequence[GeneratorId]) -> Picked:
+def _triple_sink(generators: Sequence) -> Picked:
     """A sink for the entries of one triple audit over ``generators``,
     ordered as their triple locations order, by the generators' name ranks."""
     rank, n = _name_ranks(generators), len(generators)
@@ -452,11 +453,13 @@ def _cmd_esvla_audit(args, inputs):
     return found, rep.summaries()
 
 
+# Each SNLA check's code, and how a finding shows its violation: the
+# triple of generator indices, then the residual (the two sides for compat).
 _SNLA_CODES = {
-    "novikov": "V_NOVIKOV",
-    "associative": "V_ASSOC",
-    "compat": "V_COMPAT",
-    "symplectic_cocycle": "V_FORM_COCYCLE",
+    "novikov": ("V_NOVIKOV", "{0} residual {1}"),
+    "associative": ("V_ASSOC", "{0} residual {1}"),
+    "compat": ("V_COMPAT", "{0} left {1[0]} right {1[1]}"),
+    "symplectic_cocycle": ("V_FORM_COCYCLE", "{0} cyclic sum {1}"),
 }
 
 
@@ -465,16 +468,21 @@ def _cmd_snla_verify(args, inputs):
     s = _refusing(doc.name, snla.snla_from_doc, doc)
     # first, so a cochain system over MAX_UNKNOWNS is refused at once
     fp = _refusing(doc.name, snla.snla_fingerprint, s)
+    # the generators are e[1]..e[dim] in order, so their names rank as the
+    # indices' strings do
     rep = snla.verify_snla(
-        s, {check: Picked(lambda v: _triple_loc(v.triple)) for check in _SNLA_CODES}
+        s, {check: _triple_sink(range(1, s.dim + 1)) for check in _SNLA_CODES}
     )
     found = Findings()
-    for check, code in _SNLA_CODES.items():
+    for check, (code, shown) in _SNLA_CODES.items():
 
-        def render(v, code=code):
-            return ReportFinding("violation", code, _triple_loc(v.triple), v.describe())
+        def render(entry, aud=rep.audits[check], code=code, shown=shown):
+            v = aud.violation(entry)
+            t = tuple(int(g.index) for g in v.triple)
+            detail = shown.format(t, v.residual)
+            return ReportFinding("violation", code, _triple_loc(t), detail)
 
-        found.add(code, [(rep.violations[check], render)])
+        found.add(code, [(rep.audits[check].found, render)])
     found.extend(
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]

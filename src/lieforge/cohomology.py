@@ -10,7 +10,7 @@ so super-convention cochains are graded-skew; parity-mixing pairs are
 allowed and their verdicts reported without interpreting the grading.  The
 cyclic cocycle sum is written once, in ``cyclic_sums``: the cocycle audit
 runs it on a cochain's reading, the 2-cocycle rows on the slots' reading
-and ``snla.check_symplectic_cocycle`` on the form's rows, each reading one
+and ``snla.symplectic_cocycle_audit`` on the form's rows, each reading one
 (column, integer coefficient) per ordered position pair, over the triples
 ``algebra.TripleScan`` gives for the reading's pairs.  All of it
 runs on the position-indexed view (``AlgebraInstance.view``), whose integer
@@ -33,7 +33,6 @@ from lieforge.algebra import (
     GeneratorId,
     TripleAudit,
     TripleScan,
-    TripleViolation,
     extend_as_written,
     swap_sign,
 )
@@ -490,12 +489,6 @@ def cocycle_audit(
         A.view.scale * e,
         A.generators,
     )
-
-
-def check_cocycle(
-    A: AlgebraInstance, omega: Cochain2, scope: str = "interior"
-) -> list[TripleViolation]:
-    return cocycle_audit(A, omega, scope).violations
 
 
 def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:

@@ -1,11 +1,12 @@
 """Symplectic Novikov Lie algebra support.
 
 Product tables with 1-based generator indices, the standard symplectic
-form, the four identity checks (Novikov right-commutativity, associativity,
-form compatibility, symplectic 2-cocycle), an aggregate verifier, instances
-read from spec documents, and a deterministic structure search over finite
-coefficient sets that solves the linear identities exactly before it
-verifies anything.
+form, the four identity audits (Novikov right-commutativity, associativity,
+form compatibility, symplectic 2-cocycle), each an ``algebra.TripleAudit``
+of compact entries (a position triple and integer residuals), an aggregate
+verifier, instances read from spec documents, and a deterministic structure
+search over finite coefficient sets that solves the linear identities
+exactly before it verifies anything.
 
 A ``ProductTable`` keeps integer terms by position, as ``IndexedView``
 keeps a bracket, and the product checks sum them over the triples where a
@@ -30,6 +31,7 @@ from lieforge.algebra import (
     AlgebraInstance,
     Element,
     GeneratorId,
+    TripleAudit,
     TripleScan,
     center,
     derived_subalgebra,
@@ -78,7 +80,8 @@ class ProductTable(NamedTuple):
         return [_generator(self, k) for k in range(self.dim)]
 
     def value(self, i: int, j: int) -> Element:
-        return _element(self, self.terms[i - 1][j - 1], self.scale)
+        terms = self.terms[i - 1][j - 1]
+        return Element((_generator(self, k), Fraction(c, self.scale)) for k, c in terms)
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
         return Fraction(dict(self.terms[i - 1][j - 1]).get(k - 1, 0), self.scale)
@@ -87,11 +90,6 @@ class ProductTable(NamedTuple):
 def _generator(p: ProductTable, k: int) -> GeneratorId:
     """e_{k+1}, whose doubled index is 2k + 2."""
     return GeneratorId(p.family, 2 * k + 2)
-
-
-def _element(p: ProductTable, terms: Iterable[tuple[int, int]], d: int) -> Element:
-    """The element with the coefficients ``(k, c)``, c over ``d``, of e_{k+1}."""
-    return Element((_generator(p, k), Fraction(c, d)) for k, c in terms)
 
 
 class SymplecticForm:
@@ -184,31 +182,6 @@ def commutator_bracket(p: ProductTable) -> dict:
     return out
 
 
-class ProductViolation(NamedTuple):
-    triple: tuple[int, int, int]
-    residual: Element
-
-    def describe(self) -> str:
-        return f"{self.triple} residual {self.residual}"
-
-
-class CompatViolation(NamedTuple):
-    triple: tuple[int, int, int]
-    left: Fraction
-    right: Fraction
-
-    def describe(self) -> str:
-        return f"{self.triple} left {self.left} right {self.right}"
-
-
-class FormCocycleViolation(NamedTuple):
-    triple: tuple[int, int, int]
-    total: Fraction
-
-    def describe(self) -> str:
-        return f"{self.triple} cyclic sum {self.total}"
-
-
 def _support(terms, by_j: bool) -> Iterator[tuple[int, int, int]]:
     """The position triples (i, j, k), in ``itertools.product`` order, where
     e_i*e_j or e_i*e_k (e_j*e_k when ``by_j``) is nonzero: every k when
@@ -220,80 +193,88 @@ def _support(terms, by_j: bool) -> Iterator[tuple[int, int, int]]:
             yield i, j, k
 
 
-def _product_violations(p: ProductTable, by_j: bool, found) -> list[ProductViolation]:
+def _product_audit(p: ProductTable, by_j: bool, found) -> TripleAudit:
     """Triples where (e_i*e_j)*e_k differs from (e_i*e_k)*e_j, or from
-    e_i*(e_j*e_k) when ``by_j``, appended to the sink ``found`` (a new list
-    when None) and returned in it; only those of ``_support`` can, and each
-    residual is summed in integers over scale^2."""
+    e_i*(e_j*e_k) when ``by_j``; only those of ``_support`` can, each entry
+    a dict from position to nonzero int over scale^2."""
     terms = p.terms
-    out = [] if found is None else found
-    for i, j, k in _support(terms, by_j):
+    found = [] if found is None else found
+    examined = 0
+    for t in _support(terms, by_j):
+        i, j, k = t
+        examined += 1
         acc: dict[int, int] = {}
-        for t, c in terms[i][j]:
-            for l, d in terms[t][k]:
+        for u, c in terms[i][j]:
+            for l, d in terms[u][k]:
                 acc[l] = acc.get(l, 0) + c * d
-        for t, c in terms[j][k] if by_j else terms[i][k]:
-            for l, d in terms[i][t] if by_j else terms[t][j]:
+        for u, c in terms[j][k] if by_j else terms[i][k]:
+            for l, d in terms[i][u] if by_j else terms[u][j]:
                 acc[l] = acc.get(l, 0) - c * d
         if any(acc.values()):
-            residual = _element(p, acc.items(), p.scale**2)
-            out.append(ProductViolation((i + 1, j + 1, k + 1), residual))
-    return out
+            found.append((t, {l: v for l, v in acc.items() if v}))
+    return TripleAudit(examined, 0, found, p.scale**2, p.generators())
 
 
-def check_novikov(p: ProductTable, found=None) -> list[ProductViolation]:
+def novikov_audit(p: ProductTable, found=None) -> TripleAudit:
     """Triples with (e_i*e_j)*e_k != (e_i*e_k)*e_j.
 
-    Each check of this module hands its violations, in order, to the sink
-    ``found``, any object with ``append`` and ``len``, and returns it; with
-    None, to a new list."""
-    return _product_violations(p, False, found)
+    Each audit of this module hands its entries, in order, to the sink
+    ``found`` (a new list when None), as ``algebra.jacobi_audit`` does, and
+    returns an ``algebra.TripleAudit``; the product and compatibility audits
+    count the ``_support`` triples they walk as examined and skip none."""
+    return _product_audit(p, False, found)
 
 
-def check_associative(p: ProductTable, found=None) -> list[ProductViolation]:
+def associative_audit(p: ProductTable, found=None) -> TripleAudit:
     """Triples with (e_i*e_j)*e_k != e_i*(e_j*e_k)."""
-    return _product_violations(p, True, found)
+    return _product_audit(p, True, found)
 
 
-def check_compat(p: ProductTable, f: SymplecticForm, found=None) -> list[CompatViolation]:
+def compat_audit(p: ProductTable, f: SymplecticForm, found=None) -> TripleAudit:
     """Triples with omega(e_i*e_j, e_k) != omega(e_i, e_j*e_k); only those
-    of ``_support`` with ``by_j`` can, each side an integer over both scales."""
+    of ``_support`` with ``by_j`` can, each entry the two sides (left,
+    right), ints over both scales."""
     if p.dim != f.dim:
         raise ValueError("product/form dimensions do not match")
-    terms, s = p.terms, p.scale * f.scale
+    terms = p.terms
     omega = [dict(row) for row in f.rows]
-    out = [] if found is None else found
-    for i, j, k in _support(terms, by_j=True):
-        left = sum(c * omega[t].get(k, 0) for t, c in terms[i][j])
-        right = sum(c * omega[i].get(t, 0) for t, c in terms[j][k])
+    found = [] if found is None else found
+    examined = 0
+    for t in _support(terms, by_j=True):
+        i, j, k = t
+        examined += 1
+        left = sum(c * omega[u].get(k, 0) for u, c in terms[i][j])
+        right = sum(c * omega[i].get(u, 0) for u, c in terms[j][k])
         if left != right:
-            triple = (i + 1, j + 1, k + 1)
-            out.append(CompatViolation(triple, Fraction(left, s), Fraction(right, s)))
-    return out
+            found.append((t, (left, right)))
+    return TripleAudit(examined, 0, found, p.scale * f.scale, p.generators())
 
 
-def check_symplectic_cocycle(
+def symplectic_cocycle_audit(
     f: SymplecticForm, A: AlgebraInstance, found=None
-) -> list[FormCocycleViolation]:
+) -> TripleAudit:
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
     omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
-    generators are the form's basis in order.  Repeats are included so
-    non-alternating explicit tables stay auditable."""
-    gens, d, n = A.generators, A.view.scale * f.scale, A.dim
+    generators are the form's basis in order, as ``cohomology.cocycle_audit``
+    audits a cochain.  Repeats are included so non-alternating explicit
+    tables stay auditable."""
+    n = A.dim
     # the form's rows are skew already: read as they are, in one column,
-    # each cyclic sum is an integer over d
+    # each cyclic sum is an integer over both scales
     reading = {i * n + j: (0, c) for i, row in enumerate(f.rows) for j, c in row}
     triples = TripleScan(A, "all", True, (divmod(k, n) for k in reading))
-    out = [] if found is None else found
+    found = [] if found is None else found
     for t, row in cyclic_sums(A, triples, reading):
-        triple = tuple(int(gens[u].index) for u in t)
-        out.append(FormCocycleViolation(triple, Fraction(row[0], d)))
-    return out
+        found.append((t, row[0]))
+    return TripleAudit(
+        triples.checkable, triples.skipped, found, A.view.scale * f.scale, A.generators
+    )
 
 
 class VerdictReport(NamedTuple):
     passed: bool
     violations: dict[str, list]
+    audits: dict[str, TripleAudit]
 
     def counts(self) -> dict[str, int]:
         return {k: len(v) for k, v in self.violations.items()}
@@ -302,24 +283,25 @@ class VerdictReport(NamedTuple):
 def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictReport:
     """Aggregate of every defining identity; passes iff all hold.  The form
     is skew and nondegenerate by construction (``SymplecticForm``), so those
-    two counts always read 0.  ``found`` maps the name of a triple check
-    (novikov, associative, compat, symplectic_cocycle) to the sink of its
-    violations, which the report keeps; a check it does not name gets a list."""
+    two counts always read 0.  ``audits`` maps the name of each triple check
+    (novikov, associative, compat, symplectic_cocycle) to its audit, and
+    ``found`` maps a name to the sink the audit keeps as its ``found``; a
+    check it does not name gets a list.  ``violations`` holds each audit's
+    ``found`` under its name."""
     sink = (found or {}).get
-    vio: dict[str, list] = {
-        "novikov": check_novikov(s.product, sink("novikov")),
-        "associative": check_associative(s.product, sink("associative")),
-        "compat": check_compat(s.product, s.form, sink("compat")),
-        "symplectic_cocycle": check_symplectic_cocycle(
+    audits = {
+        "novikov": novikov_audit(s.product, sink("novikov")),
+        "associative": associative_audit(s.product, sink("associative")),
+        "compat": compat_audit(s.product, s.form, sink("compat")),
+        "symplectic_cocycle": symplectic_cocycle_audit(
             s.form, s.bracket, sink("symplectic_cocycle")
         ),
-        "skew": [],
-        "nondegenerate": [],
-        "two_step_solvable": [],
     }
+    vio: dict[str, list] = {name: aud.found for name, aud in audits.items()}
+    vio.update(skew=[], nondegenerate=[], two_step_solvable=[])
     if not is_two_step_solvable(s.bracket):
         vio["two_step_solvable"].append("derived subalgebra is not abelian")
-    return VerdictReport(all(not v for v in vio.values()), vio)
+    return VerdictReport(all(not v for v in vio.values()), vio, audits)
 
 
 def snla_fingerprint(s: SnlaInstance) -> dict[str, int]:

@@ -18,13 +18,13 @@ from lieforge.algebra import (
     Finding,
     GeneratorId,
     TripleScan,
+    TripleViolation,
     bracket,
     gid,
 )
 from lieforge.automorphisms import AutomorphismViolation, ProductPreservationViolation
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
-from lieforge.snla import CompatViolation, ProductViolation
 
 
 def written_entries(A: AlgebraInstance) -> dict:
@@ -467,9 +467,13 @@ def _element(v: list) -> Element:
     return Element((gid("e", l), x) for l, x in enumerate(v) if l and x)
 
 
-def _product_identity(dim: int, coeff: dict, other) -> list[ProductViolation]:
-    """Every triple (i, j, k), in nested-loop order, where (e_i e_j) e_k
-    differs from ``other(c, i, j, k)``, with the difference."""
+def _triple(i: int, j: int, k: int) -> tuple:
+    return gid("e", i), gid("e", j), gid("e", k)
+
+
+def _product_identity(dim: int, coeff: dict, other) -> list[TripleViolation]:
+    """Every triple (e_i, e_j, e_k), in nested-loop order, where
+    (e_i e_j) e_k differs from ``other(c, i, j, k)``, with the difference."""
     c = _constants(dim, coeff)
     r = range(1, dim + 1)
     out = []
@@ -480,11 +484,11 @@ def _product_identity(dim: int, coeff: dict, other) -> list[ProductViolation]:
                 rhs = other(c, i, j, k)
                 residual = _element([a - b for a, b in zip(lhs, rhs)])
                 if residual:
-                    out.append(ProductViolation((i, j, k), residual))
+                    out.append(TripleViolation(_triple(i, j, k), residual))
     return out
 
 
-def naive_right_commutative(dim: int, coeff: dict) -> list[ProductViolation]:
+def naive_right_commutative(dim: int, coeff: dict) -> list[TripleViolation]:
     """Every triple where (e_i e_j) e_k differs from (e_i e_k) e_j, via raw
     structure constants; coeff maps (i,j,k) to the coefficient of e_k in
     e_i e_j."""
@@ -493,16 +497,17 @@ def naive_right_commutative(dim: int, coeff: dict) -> list[ProductViolation]:
     )
 
 
-def naive_associative(dim: int, coeff: dict) -> list[ProductViolation]:
+def naive_associative(dim: int, coeff: dict) -> list[TripleViolation]:
     """Every triple where (e_i e_j) e_k differs from e_i (e_j e_k)."""
     return _product_identity(
         dim, coeff, lambda c, i, j, k: _times(c, dim, _unit(dim, i), c[j][k])
     )
 
 
-def naive_form_compat(dim: int, coeff: dict, matrix) -> list[CompatViolation]:
+def naive_form_compat(dim: int, coeff: dict, matrix) -> list[TripleViolation]:
     """Every triple where omega(e_i e_j, e_k) differs from omega(e_i, e_j e_k),
-    via raw constants; ``matrix`` holds omega(e_a, e_b) at [a-1][b-1]."""
+    with the two sides, via raw constants; ``matrix`` holds omega(e_a, e_b)
+    at [a-1][b-1]."""
     c = _constants(dim, coeff)
     r = range(1, dim + 1)
     out = []
@@ -512,8 +517,8 @@ def naive_form_compat(dim: int, coeff: dict, matrix) -> list[CompatViolation]:
                 left = sum(c[i][j][t] * matrix[t - 1][k - 1] for t in r if c[i][j][t])
                 right = sum(c[j][k][t] * matrix[i - 1][t - 1] for t in r if c[j][k][t])
                 if left != right:
-                    vio = CompatViolation((i, j, k), Fraction(left), Fraction(right))
-                    out.append(vio)
+                    sides = (Fraction(left), Fraction(right))
+                    out.append(TripleViolation(_triple(i, j, k), sides))
     return out
 
 
@@ -540,8 +545,8 @@ def naive_product_preserved(
     return out
 
 
-def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[tuple]:
-    """Every triple i <= j <= k, 1-based, where the cyclic sum
+def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[TripleViolation]:
+    """Every generator triple at positions i <= j <= k where the cyclic sum
     omega([x,y],z) + omega([y,z],x) + omega([z,x],y) of the generators of a
     plain A at those positions is nonzero, with the sum; ``matrix`` holds
     omega(g_a, g_b) at [a-1][b-1]."""
@@ -558,7 +563,7 @@ def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[tuple]:
                     for t, ct in value(gens[a], gens[b]).items():
                         total += ct * matrix[position[t]][c]
                 if total:
-                    out.append(((i + 1, j + 1, k + 1), total))
+                    out.append(TripleViolation((gens[i], gens[j], gens[k]), total))
     return out
 
 

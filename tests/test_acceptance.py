@@ -21,7 +21,7 @@ from oracles import naive_jacobi_failures, pair_values
 from test_specfile import CORRUPT_LINES, _random_doc
 
 from lieforge import cli
-from lieforge.algebra import check_jacobi, derived_subalgebra, gid
+from lieforge.algebra import TripleViolation, derived_subalgebra, gid, jacobi_audit
 from lieforge.automorphisms import (
     CoefficientFamily,
     check_automorphism,
@@ -33,9 +33,9 @@ from lieforge.cohomology import (
     Cochain2,
     LinearEndo,
     central_extension,
-    check_cocycle,
     coboundary2_space,
     cocycle2_space,
+    cocycle_audit,
     derivation_space,
     h2_dimension,
     inner_split,
@@ -43,7 +43,6 @@ from lieforge.cohomology import (
 from lieforge.esvla import EsvlaConfig, paper_cocycles
 from lieforge.linalg import SparseMatrix, matvec, nullspace, rank, solve
 from lieforge.snla import (
-    CompatViolation,
     ProductTable,
     SnlaInstance,
     snla_search,
@@ -94,7 +93,7 @@ def test_acceptance_02_jacobi_oracle_equivalence():
     corpus += [random_table(rng, rng.randint(2, 6)) for _ in range(20)]
     for A in corpus:
         assert A.dim <= 6
-        ours = {v.triple for v in check_jacobi(A, scope="all")}
+        ours = {v.triple for v in jacobi_audit(A, scope="all").violations}
         naive = set(naive_jacobi_failures(A))
         assert ours == naive
 
@@ -110,7 +109,7 @@ def test_acceptance_03_cohomology_exact_values():
     corpus = [heisenberg3(), sl2_type(), filiform4(), borel2()]
     corpus += [abelian(n) for n in range(2, 6)]
     for A in corpus:
-        assert check_jacobi(A, scope="all") == []
+        assert jacobi_audit(A, scope="all").violations == []
         assert len(coboundary2_space(A)) == len(derived_subalgebra(A))
     assert time.perf_counter() - t0 < 5
 
@@ -139,8 +138,8 @@ def test_acceptance_04_extension_iff_cocycle():
                         if c:
                             raw[(gens[a], gens[b])] = c
         w = Cochain2(A.parity, A.convention, raw)
-        ext_ok = check_jacobi(central_extension(A, w), scope="all") == []
-        coc_ok = check_cocycle(A, w, scope="all") == []
+        ext_ok = jacobi_audit(central_extension(A, w), scope="all").violations == []
+        coc_ok = cocycle_audit(A, w, scope="all").violations == []
         assert ext_ok == coc_ok
         both[coc_ok] += 1
     assert both[True] > 0 and both[False] > 0
@@ -165,7 +164,7 @@ def test_acceptance_05_delta_squared_zero():
                     if val:
                         raw[(g, h)] = val
             df = Cochain2(A.parity, A.convention, raw)
-            assert check_cocycle(A, df, scope="all") == []
+            assert cocycle_audit(A, df, scope="all").violations == []
             checked += 1
     assert checked == 200
 
@@ -225,8 +224,9 @@ def test_acceptance_08_snla_hand_cases():
     assert not rep.passed
     assert rep.violations["novikov"] == []
     assert rep.violations["associative"] == []
-    assert rep.violations["compat"] == [
-        CompatViolation((1, 1, 1), Fraction(-1), Fraction(1))
+    e1 = gid("e", 1)
+    assert rep.audits["compat"].violations == [
+        TripleViolation((e1, e1, e1), (Fraction(-1), Fraction(1)))
     ]
 
 

@@ -14,7 +14,6 @@ from lieforge.algebra import (
     bracket,
     center,
     check_alternating,
-    check_jacobi,
     derived_subalgebra,
     gid,
     is_two_step_solvable,
@@ -146,11 +145,11 @@ def test_alternating_symmetric_diagonal_ok_super():
 
 
 def test_jacobi_heisenberg_holds():
-    assert check_jacobi(heisenberg3()) == []
-    assert check_jacobi(filiform4()) == []
-    assert check_jacobi(abelian(5)) == []
-    assert check_jacobi(sl2_type()) == []
-    assert check_jacobi(borel2()) == []
+    assert jacobi_audit(heisenberg3()).violations == []
+    assert jacobi_audit(filiform4()).violations == []
+    assert jacobi_audit(abelian(5)).violations == []
+    assert jacobi_audit(sl2_type()).violations == []
+    assert jacobi_audit(borel2()).violations == []
 
 
 def test_jacobi_witt_interior_holds():
@@ -166,8 +165,8 @@ def test_jacobi_boundary_triples_skipped_not_scored():
 
 
 def test_jacobi_super_diagonal_triples():
-    assert check_jacobi(super_heisenberg()) == []
-    viols = check_jacobi(super_bad())
+    assert jacobi_audit(super_heisenberg()).violations == []
+    viols = jacobi_audit(super_bad()).violations
     assert len(viols) == 1
     y = gid("Y", Fraction(1, 2))
     assert viols[0].triple == (y, y, y)
@@ -180,13 +179,13 @@ def test_jacobi_matches_naive_oracle():
     for dim in (3, 4, 5, 6):
         for _ in range(5):
             A = random_table(rng, dim)
-            lib = {v.triple for v in check_jacobi(A, scope="all")}
+            lib = {v.triple for v in jacobi_audit(A, scope="all").violations}
             assert lib == set(naive_jacobi_failures(A))
 
 
 def test_jacobi_rejects_unknown_scope():
     with pytest.raises(ValueError):
-        check_jacobi(heisenberg3(), scope="everything")
+        jacobi_audit(heisenberg3(), scope="everything")
 
 
 def test_center_heisenberg():

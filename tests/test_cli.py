@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from lieforge import cli, cohomology, esvla, snla, specfile
-from lieforge.algebra import Element, bracket, check_alternating, jacobi_audit
+from lieforge.algebra import Element, TripleAudit, bracket, check_alternating, jacobi_audit
 from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
 from lieforge.cohomology import central_extension
 from oracles import written_entries
@@ -291,7 +291,7 @@ def test_extension_reads_the_cochain_as_the_cocycle_audit_does():
     doc = specfile.parse(SL2X)
     A = specfile.instantiate(doc)
     w = specfile.instantiate_cocycle(doc.cocycles[0], A)
-    assert [v.residual for v in cohomology.check_cocycle(A, w, "all")] == [5]
+    assert [v.residual for v in cohomology.cocycle_audit(A, w, "all").violations] == [5]
     # the extension's z column is w's reading on all 9 ordered pairs
     ext = central_extension(A, w)
     z = ext.generators[-1]
@@ -466,45 +466,53 @@ def test_snla_verify_pass(tmp_path, capsys):
     assert rep.summaries["h2_dim"] == 1
 
 
-def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkeypatch):
-    # a seeded dense product on 16 generators breaks every SNLA identity
-    # hundreds of times; only the 100 shown per code are described, and the
-    # report is the one that describing and sorting every violation gives
+def dense_snla_document(n: int) -> str:
+    """A seeded dense product on n generators, two terms in every product,
+    with the standard form; it breaks every SNLA identity."""
     rng = random.Random(23)
     lines = ["algebra dense convention plain", "family e integer even"]
-    lines += [f"generator e[{i}]" for i in range(1, 17)]
-    for i in range(1, 17):
-        for j in range(1, 17):
-            k, l = rng.sample(range(1, 17), 2)
+    lines += [f"generator e[{i}]" for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            k, l = rng.sample(range(1, n + 1), 2)
             a, b = rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))
             sign = rng.choice("+-")
             lines.append(f"product e[{i}] e[{j}] => {a} e[{k}] {sign} {b} e[{l}]")
+    return "\n".join(lines) + "\n"
+
+
+def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkeypatch):
+    # a seeded dense product on 16 generators breaks every SNLA identity
+    # hundreds of times; only the 100 shown per code are built as violation
+    # objects, and the report is the one that rendering and sorting every
+    # violation gives
     spec = tmp_path / "dense.lie"
-    spec.write_text("\n".join(lines) + "\n")
-    described = Counter()
-    for kind in (snla.ProductViolation, snla.CompatViolation, snla.FormCocycleViolation):
-        real = kind.describe
-        monkeypatch.setattr(
-            kind, "describe", lambda v, real=real: described.update([type(v)]) or real(v)
-        )
+    spec.write_text(dense_snla_document(16))
+    built = []
+    real = TripleAudit.violation
+    monkeypatch.setattr(
+        TripleAudit, "violation", lambda self, e: built.append(e) or real(self, e)
+    )
     code, rep, out = run_cli(["snla", "verify", str(spec)], capsys)
     assert code == 1
     totals = {
-        code: rep.summaries[f"{check}_violations"] for check, code in cli._SNLA_CODES.items()
+        code: rep.summaries[f"{check}_violations"]
+        for check, (code, _) in cli._SNLA_CODES.items()
     }
     assert min(totals.values()) > cli.MAX_PER_CODE
-    assert sum(described.values()) == len(totals) * cli.MAX_PER_CODE
+    assert len(built) == len(totals) * cli.MAX_PER_CODE
     s = snla.snla_from_doc(specfile.parse(spec.read_text()))
-    violations = snla.verify_snla(s).violations
-    every = [
-        cli.ReportFinding("violation", code, cli._triple_loc(v.triple), v.describe())
-        for check, code in cli._SNLA_CODES.items()
-        for v in violations[check]
-    ]
+    verdict = snla.verify_snla(s)
+    every = []
+    for check, (code, shown) in cli._SNLA_CODES.items():
+        for v in verdict.audits[check].violations:
+            t = tuple(int(g.index) for g in v.triple)
+            location, detail = cli._triple_loc(t), shown.format(t, v.residual)
+            every.append(cli.ReportFinding("violation", code, location, detail))
     assert len(every) == sum(totals.values())
     every += [
         cli.ReportFinding("violation", "V_SOLV", "bracket", str(v))
-        for v in violations["two_step_solvable"]
+        for v in verdict.violations["two_step_solvable"]
     ]
     expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
     assert out == expected.to_text()
@@ -1620,11 +1628,11 @@ def seeded_snla_documents() -> list[tuple[str, str]]:
     return docs
 
 
-def snla_verify_transcript(tmp_path, capsys) -> str:
-    """``snla verify`` of each seeded document, text and ``--json``, each
-    followed by its exit code, as ``cli_transcript`` writes it."""
+def snla_verify_transcript(tmp_path, capsys, docs) -> str:
+    """``snla verify`` of each (name, text) document, text and ``--json``,
+    each followed by its exit code, as ``cli_transcript`` writes it."""
     parts = []
-    for name, text in seeded_snla_documents():
+    for name, text in docs:
         spec = tmp_path / f"{name}.lie"
         spec.write_text(text)
         for extra in ([], ["--json"]):
@@ -1638,7 +1646,16 @@ def test_snla_verify_seeded_documents_match_golden(tmp_path, capsys):
     # forms written every way, non-alternating explicit brackets (the form
     # check's repeated triples), dense products and refusals, byte for byte
     golden = (GOLDEN / "snla_verify_seeded.txt").read_text()
-    assert snla_verify_transcript(tmp_path, capsys) == golden
+    assert snla_verify_transcript(tmp_path, capsys, seeded_snla_documents()) == golden
+
+
+def test_snla_verify_dense_document_matches_golden(tmp_path, capsys):
+    # 12 generators: every code is truncated and indices reach 10, so which
+    # 100 findings are shown depends on "(1,10,1)" sorting before "(1,2,1)";
+    # the seeded golden stops at 8 generators and cannot see that order
+    golden = (GOLDEN / "snla_verify_dense12.txt").read_text()
+    docs = [("dense12", dense_snla_document(12))]
+    assert snla_verify_transcript(tmp_path, capsys, docs) == golden
 
 
 def test_esvla_audit_arguments_end_in_a_report(capsys):

@@ -407,7 +407,7 @@ COUNT_CASES = {
     },
     "witt_w8": (lambda: _witt(8), SCOPES),
     "abelian6": (lambda: abelian(6), SCOPES),
-    # the scope check_symplectic_cocycle audits: C(258, 3) triples
+    # the scope symplectic_cocycle_audit walks: C(258, 3) triples
     "zero_product_256": (lambda: _zero_product_bracket(256), [("all", True)]),
 }
 

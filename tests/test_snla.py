@@ -12,25 +12,25 @@ import pytest
 from lieforge.algebra import (
     AlgebraInstance,
     Element,
+    TripleViolation,
     check_alternating,
-    check_jacobi,
     gid,
+    jacobi_audit,
 )
 from lieforge.snla import (
-    CompatViolation,
     ProductTable,
     SnlaInstance,
     SymplecticForm,
-    check_associative,
-    check_compat,
-    check_novikov,
-    check_symplectic_cocycle,
+    associative_audit,
     commutator_bracket,
+    compat_audit,
     linear_constraints,
+    novikov_audit,
     snla_fingerprint,
     snla_from_doc,
     snla_search,
     standard_form,
+    symplectic_cocycle_audit,
     verify_snla,
 )
 from lieforge import snla, specfile
@@ -118,9 +118,9 @@ def test_one_sided_product_stays_one_sided():
     assert commutator_bracket(p) == {(E[1], E[2]): {E[1]: 1}}
     raw = {(1, 2, 1): 1}
     # stored two-sided, e[2].e[1] = -e[1] would break right-commutativity
-    assert check_novikov(p) == naive_right_commutative(2, raw) == []
-    assert check_associative(p) == naive_associative(2, raw) != []
-    assert check_compat(p, standard_form(1)) == naive_form_compat(
+    assert novikov_audit(p).violations == naive_right_commutative(2, raw) == []
+    assert associative_audit(p).violations == naive_associative(2, raw) != []
+    assert compat_audit(p, standard_form(1)).violations == naive_form_compat(
         2, raw, form_matrix(standard_form(1))
     )
 
@@ -247,29 +247,29 @@ def test_commutator_bracket_examples():
 
 
 def test_check_novikov_hand_cases():
-    assert check_novikov(ptable(2, {})) == []
-    assert check_novikov(ptable(2, {(1, 1, 2): 1})) == []
-    assert check_novikov(ProductTable.from_coeffs(1, {(1, 1, 1): 1})) == []
-    bad = check_novikov(ptable(2, {(1, 1, 1): 1, (1, 2, 2): 1}))
-    assert any(v.triple == (1, 1, 2) for v in bad)
+    assert novikov_audit(ptable(2, {})).violations == []
+    assert novikov_audit(ptable(2, {(1, 1, 2): 1})).violations == []
+    assert novikov_audit(ProductTable.from_coeffs(1, {(1, 1, 1): 1})).violations == []
+    bad = novikov_audit(ptable(2, {(1, 1, 1): 1, (1, 2, 2): 1})).violations
+    assert any(v.triple == (E[1], E[1], E[2]) for v in bad)
 
 
 def test_check_associative_hand_cases():
-    assert check_associative(ptable(2, {})) == []
-    assert check_associative(ptable(2, {(1, 1, 2): 1})) == []
+    assert associative_audit(ptable(2, {})).violations == []
+    assert associative_audit(ptable(2, {(1, 1, 2): 1})).violations == []
     # e1 e1 = e1, e1 e2 = e2 is associative but not right-commutative
     p = ptable(2, {(1, 1, 1): 1, (1, 2, 2): 1})
-    assert check_associative(p) == []
-    assert check_novikov(p) != []
+    assert associative_audit(p).violations == []
+    assert novikov_audit(p).violations != []
 
 
 def test_check_compat_hand_case():
     p = ptable(2, {(1, 1, 2): 1})
-    vio = check_compat(p, standard_form(1))
-    assert vio == [CompatViolation((1, 1, 1), Fraction(-1), Fraction(1))]
-    assert check_compat(ptable(2, {}), standard_form(1)) == []
+    vio = compat_audit(p, standard_form(1)).violations
+    assert vio == [TripleViolation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))]
+    assert compat_audit(ptable(2, {}), standard_form(1)).violations == []
     with pytest.raises(ValueError):
-        check_compat(ptable(2, {}), standard_form(2))
+        compat_audit(ptable(2, {}), standard_form(2))
 
 
 def brackets(dim, entries):
@@ -279,16 +279,17 @@ def brackets(dim, entries):
 
 def test_check_symplectic_cocycle_cases():
     f = standard_form(1)
-    assert check_symplectic_cocycle(f, brackets(2, {})) == []
+    assert symplectic_cocycle_audit(f, brackets(2, {})).violations == []
     b = {(E[1], E[2]): {E[1]: 1}}
-    assert check_symplectic_cocycle(f, brackets(2, b)) == []  # dim 2 has no 3-forms
+    # dim 2 has no 3-forms
+    assert symplectic_cocycle_audit(f, brackets(2, b)).violations == []
     # non-alternating diagonal entry is caught via repeats
     d = {(E[1], E[1]): {E[2]: 1}}
-    vio = check_symplectic_cocycle(standard_form(1), brackets(2, d))
-    assert vio and vio[0].triple == (1, 1, 1) and vio[0].total == -3
+    vio = symplectic_cocycle_audit(standard_form(1), brackets(2, d)).violations
+    assert vio and vio[0] == TripleViolation((E[1], E[1], E[1]), -3)
     # dim 4: [e1,e2] = e1 breaks closedness at (1,2,4)
-    vio4 = check_symplectic_cocycle(standard_form(2), brackets(4, b))
-    assert any(v.triple == (1, 2, 4) and v.total == 1 for v in vio4)
+    vio4 = symplectic_cocycle_audit(standard_form(2), brackets(4, b)).violations
+    assert TripleViolation((E[1], E[2], E[4]), 1) in vio4
 
 
 def test_identity_checks_match_oracles():
@@ -304,11 +305,11 @@ def test_identity_checks_match_oracles():
                         if c:
                             coeffs[(i, j, k)] = c
         p = ProductTable.from_coeffs(dim, coeffs)
-        assert (check_novikov(p) == []) == (naive_right_commutative(dim, coeffs) == [])
-        assert (check_associative(p) == []) == (naive_associative(dim, coeffs) == [])
+        assert (not novikov_audit(p).found) == (naive_right_commutative(dim, coeffs) == [])
+        assert (not associative_audit(p).found) == (naive_associative(dim, coeffs) == [])
         if dim % 2 == 0:
             f = standard_form(dim // 2)
-            ours = check_compat(p, f) == []
+            ours = not compat_audit(p, f).found
             assert ours == (naive_form_compat(dim, coeffs, form_matrix(f)) == [])
 
 
@@ -353,7 +354,7 @@ def test_seeded_rational_forms_match_the_oracles(n):
         values = [-1, 2, Fraction(1, 3)]
         raw = {t: rng.choice(values) for t in slots if rng.random() < 0.1}
         p = ptable(n, raw)
-        assert check_compat(p, f) == naive_form_compat(n, raw, m)
+        assert compat_audit(p, f).violations == naive_form_compat(n, raw, m)
         explicit = {
             (gens[i], gens[j]): {gens[k]: Fraction(rng.randint(-2, 2), 3)}
             for i, j in itertools.combinations_with_replacement(range(n), 2)
@@ -364,8 +365,8 @@ def test_seeded_rational_forms_match_the_oracles(n):
             if g != h and rng.random() < 0.5:
                 explicit[(h, g)] = {gens[rng.randrange(n)]: Fraction(rng.randint(-2, 2), 2)}
         for A in (SnlaInstance(n, p, f).bracket, AlgebraInstance("b", gens, explicit)):
-            got = check_symplectic_cocycle(f, A)
-            assert [(v.triple, v.total) for v in got] == naive_form_cocycle(A, m)
+            got = symplectic_cocycle_audit(f, A).violations
+            assert got == naive_form_cocycle(A, m)
         minus = [[-int(a == b) for b in range(n)] for a in range(n)]
         for phi in seeded_maps(rng, n) + [minus]:
             ok, residual = check_symplectomorphism(f, LinearEndo(phi))
@@ -395,10 +396,11 @@ def seeded_maps(rng, dim):
 def assert_matches_oracles(p, raw, form, maps):
     """Every product identity is list-equal to its raw-constant oracle."""
     n = p.dim
-    assert check_novikov(p) == naive_right_commutative(n, raw)
-    assert check_associative(p) == naive_associative(n, raw)
+    assert novikov_audit(p).violations == naive_right_commutative(n, raw)
+    assert associative_audit(p).violations == naive_associative(n, raw)
     if form is not None:
-        assert check_compat(p, form) == naive_form_compat(n, raw, form_matrix(form))
+        want = naive_form_compat(n, raw, form_matrix(form))
+        assert compat_audit(p, form).violations == want
     for m in maps:
         assert check_product_preserved(p, LinearEndo(m)) == naive_product_preserved(
             n, raw, m
@@ -461,7 +463,7 @@ def test_associative_implies_left_symmetric():
     # both associator orders vanish, so the left-symmetric identity is 0 = 0
     for coeffs in ({}, {(1, 1, 1): 1}, {(1, 1, 1): 1, (1, 2, 2): 1}):
         p = ptable(2, coeffs)
-        if check_associative(p) != []:
+        if associative_audit(p).found:
             continue
         c = p.coeff
         for i, j, k, l in itertools.product((1, 2), repeat=4):
@@ -482,10 +484,10 @@ def test_jacobi_from_associativity():
             for k in (1, 2)
         }
         p = ProductTable.from_coeffs(2, coeffs)
-        if check_associative(p):
+        if associative_audit(p).found:
             continue
         A = AlgebraInstance("assoc2", p.generators(), commutator_bracket(p))
-        assert check_jacobi(A, scope="all") == []
+        assert jacobi_audit(A, scope="all").violations == []
         checked += 1
     assert checked > 1
 
@@ -497,8 +499,8 @@ def test_verify_snla_hand_cases():
     s = SnlaInstance(2, ptable(2, {(1, 1, 2): 1}), standard_form(1))
     rep2 = verify_snla(s)
     assert not rep2.passed
-    assert rep2.violations["compat"] == [
-        CompatViolation((1, 1, 1), Fraction(-1), Fraction(1))
+    assert rep2.audits["compat"].violations == [
+        TripleViolation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))
     ]
     failing = {k for k, v in rep2.violations.items() if v}
     assert failing == {"compat"}
