@@ -97,9 +97,9 @@ class SymplecticForm:
     ``rows[i]`` holds the nonzero ``(j, c)`` with omega(e_{i+1}, e_{j+1}) =
     c / ``scale`` by 0-based position, in order of j.  Built from written
     pairs ``((i, j), v)``, 1-based, each completed by omega(e_j, e_i) = -v;
-    refused at the first completion that contradicts a value written (a
-    zero against a nonzero reverse, a nonzero diagonal), then for odd
-    ``dim``, then for rows not of full rank."""
+    refused at the first pair that is a nonzero diagonal or whose completion
+    contradicts a value written (a zero against a nonzero reverse), then for
+    odd ``dim``, then for rows not of full rank."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -109,6 +109,8 @@ class SymplecticForm:
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError(f"index out of range 1..{dim} in {(i, j)}")
             v = rat(v)
+            if i == j and v:
+                raise ValueError(f"diagonal form entry at ({i},{i}) must be 0")
             for a, b, w in ((i, j, v), (j, i, -v)):
                 if written.setdefault((a, b), w) != w:
                     raise ValueError(f"conflicting form entries at ({a},{b})")

@@ -1444,7 +1444,10 @@ DEGENERATE_FORMS = ["form e[1] e[2] => 1", "form e[3] e[4] => 0"]
     "lines, detail",
     [
         (["form e[1] e[2] => 0", "form e[2] e[1] => 1"], "conflicting form entries at (2,1)"),
-        (["form e[1] e[1] => 1", "form e[1] e[2] => 1"], "conflicting form entries at (1,1)"),
+        (
+            ["form e[1] e[1] => 1", "form e[1] e[2] => 1"],
+            "diagonal form entry at (1,1) must be 0",
+        ),
         (["generator e[3]", "form e[1] e[2] => 1"], "symplectic form needs even dimension"),
         (["generator e[3]"], "odd dimension admits no symplectic form"),
         (["generator e[3]", "generator e[4]", *DEGENERATE_FORMS], "form is degenerate"),

@@ -196,12 +196,15 @@ def test_commutator_bracket_is_over_the_product_scale():
 
 
 def test_symplectic_form_validation():
-    # refused in order: a conflicting completion, odd dimension, rank
+    # refused in order: a nonzero diagonal or a conflicting completion,
+    # odd dimension, rank
     cases = [
         (2, [((1, 2), 0), ((2, 1), 1)], "conflicting form entries at (2,1)"),
         (2, [((1, 2), 1), ((2, 1), 1)], "conflicting form entries at (2,1)"),
-        (2, [((1, 1), 1)], "conflicting form entries at (1,1)"),
-        (3, [((2, 2), 1)], "conflicting form entries at (2,2)"),
+        (2, [((1, 1), 1)], "diagonal form entry at (1,1) must be 0"),
+        (3, [((2, 2), 1)], "diagonal form entry at (2,2) must be 0"),
+        (2, [((1, 2), 1), ((2, 1), 1), ((1, 1), 1)], "conflicting form entries at (2,1)"),
+        (2, [((2, 2), 1), ((1, 2), 1), ((2, 1), 1)], "diagonal form entry at (2,2) must be 0"),
         (3, [((1, 2), 1)], "symplectic form needs even dimension"),
         (1, [], "symplectic form needs even dimension"),
         (2, [((1, 2), 0)], "form is degenerate"),
