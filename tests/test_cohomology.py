@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -709,3 +710,101 @@ def test_rescaling_the_basis_changes_no_count(name):
     before, after = written_entries(A), written_entries(B)
     assert all(after[p] != before[p] for p in before)
     assert _basis_free_counts(B) == _basis_free_counts(A)
+
+
+class Closed(NamedTuple):
+    """A plain Lie algebra on e[1]..e[dim], its brackets ``{(i, j): {k: c}}``
+    (1-based, i < j), and the invariants the theorems give it: dim H1 (the
+    abelianisation), the center's dimension, dim H2, dim Der and the inner
+    derivations' dimension."""
+
+    dim: int
+    brackets: dict
+    h1: int
+    center: int
+    h2: int
+    der: int
+    inner: int
+
+
+def heisenberg(k: int) -> Closed:
+    # [x_i, y_i] = z on x_1..x_k, y_1..y_k, z.  H2 is C(2k, 2) - 1 for k >= 2
+    # (Santharoubane) and 2 for h3; Der has dimension (2k+1)(k+1)
+    n = 2 * k + 1
+    brackets = {(i, k + i): {n: 1} for i in range(1, k + 1)}
+    h2 = 2 if k == 1 else comb(2 * k, 2) - 1
+    return Closed(n, brackets, 2 * k, 1, h2, n * (k + 1), 2 * k)
+
+
+def sl2() -> Closed:
+    # semisimple: H1 = H2 = 0 and every derivation inner (Whitehead)
+    return Closed(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, 0, 0, 0, 3, 3)
+
+
+def borel() -> Closed:
+    # [x, y] = y: H2 = Z2 / B2 = 1 / 1, and Der = ad, of dimension 2
+    return Closed(2, {(1, 2): {2: 1}}, 1, 0, 0, 2, 2)
+
+
+def abelian_closed(n: int) -> Closed:
+    return Closed(n, {}, n, n, comb(n, 2), n * n, 0)
+
+
+def direct_sum(a: Closed, b: Closed) -> Closed:
+    """a + b with b's generators after a's.  Kunneth: H2 = H2(a) + H2(b) +
+    H1(a) H1(b); Der = Der(a) + Der(b) + Hom(a/[a,a], Z(b)) + Hom(b/[b,b], Z(a))."""
+    shifted = {
+        (i + a.dim, j + a.dim): {k + a.dim: c for k, c in v.items()}
+        for (i, j), v in b.brackets.items()
+    }
+    return Closed(
+        a.dim + b.dim,
+        {**a.brackets, **shifted},
+        a.h1 + b.h1,
+        a.center + b.center,
+        a.h2 + b.h2 + a.h1 * b.h1,
+        a.der + b.der + a.h1 * b.center + b.h1 * a.center,
+        a.inner + b.inner,
+    )
+
+
+def assert_closed_form(c: Closed) -> None:
+    gens = [gid("e", i) for i in range(1, c.dim + 1)]
+    entries = {
+        (gens[i - 1], gens[j - 1]): {gens[k - 1]: Fraction(v) for k, v in value.items()}
+        for (i, j), value in c.brackets.items()
+    }
+    A = AlgebraInstance("closed", gens, entries)
+    assert h2_dimension(A) == c.h2
+    assert len(cocycle2_space(A)) - len(coboundary2_space(A)) == c.h2
+    ders = derivation_space(A)
+    assert (len(ders), inner_split(A, ders)) == (c.der, (c.inner, c.der - c.inner))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_heisenberg_family_meets_the_closed_forms(k):
+    assert_closed_form(heisenberg(k))
+
+
+def test_sl2_meets_whitehead():
+    assert_closed_form(sl2())
+
+
+PARTS = {
+    "h3": heisenberg(1),
+    "h5": heisenberg(2),
+    "h9": heisenberg(4),
+    "h15": heisenberg(7),
+    "sl2": sl2(),
+    "borel2": borel(),
+    "abelian1": abelian_closed(1),
+    "abelian4": abelian_closed(4),
+}
+
+
+@pytest.mark.parametrize(
+    "left, right", list(itertools.combinations_with_replacement(PARTS, 2))
+)
+def test_direct_sums_meet_kunneth(left, right):
+    # every value is the theorems' own, none is read from the library
+    assert_closed_form(direct_sum(PARTS[left], PARTS[right]))
