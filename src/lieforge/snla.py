@@ -202,18 +202,17 @@ def _product_audit(p: ProductTable, by_j: bool, found) -> TripleAudit:
     terms = p.terms
     found = [] if found is None else found
     examined = 0
-    for t in _support(terms, by_j):
-        i, j, k = t
+    for i, j, k in _support(terms, by_j):
         examined += 1
         acc: dict[int, int] = {}
-        for u, c in terms[i][j]:
-            for l, d in terms[u][k]:
+        for t, c in terms[i][j]:
+            for l, d in terms[t][k]:
                 acc[l] = acc.get(l, 0) + c * d
-        for u, c in terms[j][k] if by_j else terms[i][k]:
-            for l, d in terms[i][u] if by_j else terms[u][j]:
+        for t, c in terms[j][k] if by_j else terms[i][k]:
+            for l, d in terms[i][t] if by_j else terms[t][j]:
                 acc[l] = acc.get(l, 0) - c * d
         if any(acc.values()):
-            found.append((t, {l: v for l, v in acc.items() if v}))
+            found.append(((i, j, k), {l: v for l, v in acc.items() if v}))
     return TripleAudit(examined, 0, found, p.scale**2, p.generators())
 
 
@@ -242,13 +241,12 @@ def compat_audit(p: ProductTable, f: SymplecticForm, found=None) -> TripleAudit:
     omega = [dict(row) for row in f.rows]
     found = [] if found is None else found
     examined = 0
-    for t in _support(terms, by_j=True):
-        i, j, k = t
+    for i, j, k in _support(terms, by_j=True):
         examined += 1
-        left = sum(c * omega[u].get(k, 0) for u, c in terms[i][j])
-        right = sum(c * omega[i].get(u, 0) for u, c in terms[j][k])
+        left = sum(c * omega[t].get(k, 0) for t, c in terms[i][j])
+        right = sum(c * omega[i].get(t, 0) for t, c in terms[j][k])
         if left != right:
-            found.append((t, (left, right)))
+            found.append(((i, j, k), (left, right)))
     return TripleAudit(examined, 0, found, p.scale * f.scale, p.generators())
 
 
