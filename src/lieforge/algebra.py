@@ -10,11 +10,12 @@ generators, all indexed by generator position.  Brackets and scalar
 and a pair given both ways that breaks it is reported, here by
 ``check_alternating``.
 
-Every triple identity visits position triples through one enumerator,
-``TripleScan``, which walks only the triples that can be nonzero when the
-identity names a support and that walk is the cheaper one, and works on
-plain ints, dividing once and building generator objects only for what it
-reports.
+Every triple identity reports through one audit record, ``TripleAudit``,
+and each cyclic one (Jacobi, the cocycle sums) visits position triples
+through one enumerator, ``TripleScan``, which walks only the triples that
+can be nonzero when the identity names a support and that walk is the
+cheaper one; all work on plain ints, dividing once and building generator
+objects only for what is read.
 Window-truncated instances never treat a dropped (out-of-window) bracket
 result as zero: evaluations touching such a pair raise a boundary flag, and
 the enumerator skips and counts those triples instead of reporting fake
