@@ -10,7 +10,7 @@ generators, all indexed by generator position.  Brackets and scalar
 and a pair given both ways that breaks it is reported, here by
 ``check_alternating``.
 
-Every triple identity reports through one audit record, ``TripleAudit``,
+Every pair and triple identity reports through one audit record, ``Audit``,
 and each cyclic one (Jacobi, the cocycle sums) visits position triples
 through one enumerator, ``TripleScan``, which walks only the triples that
 can be nonzero when the identity names a support and that walk is the
@@ -440,35 +440,36 @@ class TripleScan:
         return self._counts()[1]
 
 
-class TripleViolation(NamedTuple):
-    """A generator triple on which a triple identity fails, and its exact
-    residual: an Element (Jacobi, the SNLA products), a Fraction (a scalar
-    identity such as the cocycle one) or a tuple of Fractions (the two
-    sides of form compatibility)."""
+class Violation(NamedTuple):
+    """Where an identity fails, as a tuple of generators (a pair or a
+    triple), and its exact residual: an Element (Jacobi, the alternating
+    rule, the SNLA products), a Fraction (a scalar identity such as the
+    cocycle one) or a tuple of those (the two sides of form compatibility
+    or of a map check)."""
 
-    triple: tuple[GeneratorId, GeneratorId, GeneratorId]
-    residual: Union[Element, Fraction, tuple[Fraction, ...]]
+    at: tuple[GeneratorId, ...]
+    residual: Union[Element, Fraction, tuple]
 
 
-class TripleAudit:
-    """What a triple identity found: the triples it examined, those it
-    skipped because a window-flagged pair clipped them, and its violations
-    in triple order.
+class Audit:
+    """What a pair or triple identity found: the pairs or triples it
+    examined, those it skipped because a window-flagged pair clipped them,
+    and its violations in order.
 
-    ``found`` keeps each violation compactly, as its position triple and its
-    integer residual over ``denominator``: an int for a scalar identity, a
-    tuple of ints for one with two sides, a dict from generator position to
-    nonzero int otherwise.  ``violations``
-    builds the ``TripleViolation`` objects on first read; ``violation``
-    builds one.  An audit given a sink (see ``jacobi_audit``) keeps that
-    sink as ``found``, and ``len(found)`` still counts every violation.
+    ``found`` keeps each violation compactly, as its tuple of positions and
+    its integer residual over ``denominator``: an int for a scalar identity,
+    a dict from generator position to nonzero int for a vector one, or a
+    tuple of those for one with two sides.  ``violations`` builds the
+    ``Violation`` objects on first read; ``violation`` builds one.  An audit
+    given a sink (see ``jacobi_audit``) keeps that sink as ``found``, and
+    ``len(found)`` still counts every violation.
     """
 
     def __init__(
         self,
         examined: int,
         skipped_boundary: int,
-        found: list[tuple[tuple[int, int, int], object]],
+        found: list[tuple[tuple[int, ...], object]],
         denominator: int,
         generators: list[GeneratorId],
     ):
@@ -478,22 +479,23 @@ class TripleAudit:
         self.denominator = denominator
         self.generators = generators
 
-    def violation(self, entry: tuple[tuple[int, int, int], object]) -> TripleViolation:
-        """The violation object of one entry of ``found``: its residual is a
-        Fraction for an int entry, a tuple of Fractions for a tuple and an
-        Element for a dict."""
-        (x, y, z), r = entry
-        gens, d = self.generators, self.denominator
+    def violation(self, entry: tuple[tuple[int, ...], object]) -> Violation:
+        """The violation object of one entry of ``found``."""
+        at, r = entry
+        return Violation(tuple(self.generators[p] for p in at), self._read(r))
+
+    def _read(self, r):
+        """An int as a Fraction, a dict as an Element and a tuple as the
+        tuple of those, each over ``denominator``."""
         if isinstance(r, int):
-            residual = Fraction(r, d)
-        elif isinstance(r, tuple):
-            residual = tuple(Fraction(c, d) for c in r)
-        else:
-            residual = Element({gens[u]: Fraction(v, d) for u, v in r.items()})
-        return TripleViolation((gens[x], gens[y], gens[z]), residual)
+            return Fraction(r, self.denominator)
+        if isinstance(r, tuple):
+            return tuple(map(self._read, r))
+        gens, d = self.generators, self.denominator
+        return Element({gens[u]: Fraction(v, d) for u, v in r.items()})
 
     @cached_property
-    def violations(self) -> list[TripleViolation]:
+    def violations(self) -> list[Violation]:
         return [self.violation(e) for e in self.found]
 
 
@@ -514,32 +516,32 @@ def bracket(A: AlgebraInstance, x: Element, y: Element) -> tuple[Element, bool]:
     return Element({A.generators[k]: v / scale for k, v in acc.items()}), clipped
 
 
-class AlternatingViolation(NamedTuple):
-    left: GeneratorId
-    right: GeneratorId
-    residual: Element
-
-
-def check_alternating(A: AlgebraInstance) -> list[AlternatingViolation]:
+def check_alternating(A: AlgebraInstance, found=None) -> Audit:
     """Check the convention's symmetry axiom on every pair given as written.
 
     For a pair given in both directions the two entries must satisfy
     [h,g] = s*[g,h]; a diagonal entry (g,g) must satisfy (1-s)*[g,g] = 0,
     which constrains it to zero except for odd generators under super.
+    Each pair given both ways is examined; an entry is the pair and the
+    summed residual over ``A.view.scale``, handed to the sink ``found`` as
+    ``jacobi_audit`` hands its triples.
     """
-    terms, odd, scale, gens = A.view.terms, A.view.odd, A.view.scale, A.generators
+    terms, odd = A.view.terms, A.view.odd
     written = {(i, j): terms[i][j] for i, j in A.view.written}
-    out = []
-    for a, b, diff in extend_as_written(written, A.convention, odd.__getitem__, audit=True):
-        residual = Element((gens[k], Fraction(c, scale)) for k, c in diff)
-        if residual:
-            out.append(AlternatingViolation(gens[a], gens[b], residual))
-    return out
+    audit = extend_as_written(written, A.convention, odd.__getitem__, audit=True)
+    found = [] if found is None else found
+    for a, b, diff in audit:
+        total: dict[int, int] = {}
+        for k, c in diff:
+            total[k] = total.get(k, 0) + c
+        if residual := {k: c for k, c in total.items() if c}:
+            found.append(((a, b), residual))
+    return Audit(len(audit), 0, found, A.view.scale, A.generators)
 
 
 def jacobi_audit(
     A: AlgebraInstance, scope: str = "interior", found=None
-) -> TripleAudit:
+) -> Audit:
     """Evaluate the (graded) Jacobi identity on generator triples.
 
     Plain convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over
@@ -585,7 +587,7 @@ def jacobi_audit(
         residual = {u: v for u, v in total.items() if v}
         if residual:
             found.append((t, residual))
-    return TripleAudit(
+    return Audit(
         examined,
         triples.skipped + inner_skipped,
         found,
@@ -628,11 +630,8 @@ def derived_subalgebra(A: AlgebraInstance) -> list[Element]:
     ]
 
 
-def is_two_step_solvable(A: AlgebraInstance) -> bool:
-    """True iff the derived subalgebra is abelian: [[g,h],[g',h']] = 0."""
-    der = derived_subalgebra(A)
-    for u, v in itertools.combinations_with_replacement(der, 2):
-        w, _ = bracket(A, u, v)
-        if w:
-            return False
-    return True
+def is_abelian(A: AlgebraInstance, basis: list[Element]) -> bool:
+    """True iff [u, v] = 0 for every u, v of ``basis``; on the derived
+    subalgebra, iff A is two-step solvable: [[g,h],[g',h']] = 0."""
+    pairs = itertools.combinations_with_replacement(basis, 2)
+    return not any(bracket(A, u, v)[0] for u, v in pairs)

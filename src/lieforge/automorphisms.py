@@ -1,7 +1,10 @@
 """Candidate-map verification: bracket, form, and product preservation,
 plus the scalar coefficient recurrences.
 
-Maps are checked, never searched for.  The coefficient recurrences are
+Maps are checked, never searched for.  The bracket and product checks
+are audits (``algebra.Audit``) over generator pairs, sharing one
+intertwining loop over the map's columns read as integers: compact entries,
+and a violation object only for what is read.  The coefficient recurrences are
 scalar identities on a stored family (a, b, c on integers, d on a
 doubled-index grid); the d-relation mixes integer and half-integer
 indices as displayed, and lookups that miss the stored grid are flagged
@@ -12,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import AlgebraInstance, Element, GeneratorId
+from .algebra import AlgebraInstance, Audit
 from .cohomology import LinearEndo
 from .linalg import SparseMatrix, rank, rat
 from .snla import ProductTable, SymplecticForm
@@ -24,67 +28,68 @@ class SingularMapError(ValueError):
     """A candidate map that is not invertible."""
 
 
-class AutomorphismViolation(NamedTuple):
-    pair: tuple[GeneratorId, GeneratorId]
-    mapped_bracket: Element  # phi([x,y])
-    bracket_of_images: Element  # [phi(x), phi(y)]
-
-    def describe(self) -> str:
-        g, h = self.pair
-        return (
-            f"({g},{h}): phi[x,y] = {self.mapped_bracket} "
-            f"!= [phi x, phi y] = {self.bracket_of_images}"
-        )
+def _integer_columns(phi: LinearEndo) -> tuple[list[dict[int, int]], int]:
+    """phi's columns as integers over e, the lcm of its denominators, and e."""
+    cols = [phi.column(j) for j in range(phi.dim)]
+    e = lcm(*(v.denominator for col in cols for v in col.values()))
+    ints = [{i: v.numerator * (e // v.denominator) for i, v in col.items()} for col in cols]
+    return ints, e
 
 
-def _intertwining_failures(terms, scale, gens, cols, pairs):
-    """The position pairs (i, j) of ``pairs`` where the map with columns
-    ``cols`` fails to intertwine the product ``terms`` (integers over
-    ``scale``, as ``IndexedView.terms``), each with phi(g_i g_j) and
-    phi(g_i) phi(g_j) in the basis ``gens``."""
+def _intertwining_audit(terms, scale, gens, cols, e, pairs, total, found) -> Audit:
+    """The audit of the position pairs (i, j) of ``pairs``, ``total`` of
+    them before any was skipped, where the map with integer columns ``cols``
+    over ``e`` fails to intertwine the product ``terms`` (integers over
+    ``scale``, as ``IndexedView.terms``): each entry is the pair and
+    (phi(g_i g_j), phi(g_i) phi(g_j)), two dicts of nonzero ints over
+    scale * e**2, handed to the sink ``found`` as ``jacobi_audit`` hands
+    its triples."""
+    found = [] if found is None else found
+    examined = 0
     for i, j in pairs:
-        mapped: dict[int, Fraction] = {}  # phi(g_i g_j)
+        examined += 1
+        mapped: dict[int, int] = {}  # phi(g_i g_j)
         for k, ck in terms[i][j]:
+            ck *= e
             for t, v in cols[k].items():
                 mapped[t] = mapped.get(t, 0) + ck * v
-        of_images: dict[int, Fraction] = {}  # phi(g_i) phi(g_j)
+        of_images: dict[int, int] = {}  # phi(g_i) phi(g_j)
         for a, ca in cols[i].items():
             for b, cb in cols[j].items():
                 for t, ct in terms[a][b]:
                     of_images[t] = of_images.get(t, 0) + ca * cb * ct
-        lhs = {gens[t]: v / scale for t, v in mapped.items() if v}
-        rhs = {gens[t]: v / scale for t, v in of_images.items() if v}
+        lhs = {t: v for t, v in mapped.items() if v}
+        rhs = {t: v for t, v in of_images.items() if v}
         if lhs != rhs:
-            yield (i, j), Element(lhs), Element(rhs)
+            found.append(((i, j), (lhs, rhs)))
+    return Audit(examined, total - examined, found, scale * e * e, gens)
 
 
-def check_automorphism(
-    A: AlgebraInstance, phi: LinearEndo
-) -> list[AutomorphismViolation]:
-    """Generator pairs where phi fails to intertwine the bracket.
+def automorphism_audit(A: AlgebraInstance, phi: LinearEndo, found=None) -> Audit:
+    """Generator pairs g <= h (by position) where phi fails to intertwine
+    the bracket.
 
     A singular map raises SingularMapError; pairs whose own bracket is
     window-clipped, or whose image bracket touches a clipped pair, are
-    skipped (their comparison would mix truncation artifacts in).
+    skipped and counted (their comparison would mix truncation artifacts
+    in), and the others examined.
     """
     n = A.dim
     if phi.dim != n:
         raise ValueError(f"map dimension {phi.dim} != algebra dimension {n}")
-    cols = [phi.column(j) for j in range(n)]
+    cols, e = _integer_columns(phi)
     r = rank(SparseMatrix.from_rows(n, cols))  # the transpose: same rank
     if r < n:
         raise SingularMapError(f"singular map: rank {r} < {n}")
-    gens, view, flagged = A.generators, A.view, A.view.flagged
+    view, flagged = A.view, A.view.flagged
     pairs = (
         (i, j)
         for i, j in itertools.combinations_with_replacement(range(n), 2)
         if j not in flagged[i] and all(flagged[a].isdisjoint(cols[j]) for a in cols[i])
     )
-    failures = _intertwining_failures(view.terms, view.scale, gens, cols, pairs)
-    return [
-        AutomorphismViolation((gens[i], gens[j]), lhs, rhs)
-        for (i, j), lhs, rhs in failures
-    ]
+    total = n * (n + 1) // 2
+    gens = A.generators
+    return _intertwining_audit(view.terms, view.scale, gens, cols, e, pairs, total, found)
 
 
 def check_symplectomorphism(
@@ -111,33 +116,15 @@ def check_symplectomorphism(
     return False, residual
 
 
-class ProductPreservationViolation(NamedTuple):
-    pair: tuple[int, int]
-    mapped_product: Element  # phi(x.y)
-    product_of_images: Element  # phi(x).phi(y)
-
-    def describe(self) -> str:
-        i, j = self.pair
-        return (
-            f"({i},{j}): phi(x.y) = {self.mapped_product} "
-            f"!= phi(x).phi(y) = {self.product_of_images}"
-        )
-
-
-def check_product_preserved(
-    p: ProductTable, phi: LinearEndo
-) -> list[ProductPreservationViolation]:
-    """Ordered index pairs where phi(x.y) != phi(x).phi(y)."""
+def product_map_audit(p: ProductTable, phi: LinearEndo, found=None) -> Audit:
+    """Ordered position pairs where phi(x.y) != phi(x).phi(y), all n^2 of
+    them examined."""
     n = p.dim
     if phi.dim != n:
         raise ValueError(f"map dimension {phi.dim} != product dimension {n}")
-    cols = [phi.column(j) for j in range(n)]
-    pairs = itertools.product(range(n), repeat=2)
-    failures = _intertwining_failures(p.terms, p.scale, p.generators(), cols, pairs)
-    return [
-        ProductPreservationViolation((i + 1, j + 1), lhs, rhs)
-        for (i, j), lhs, rhs in failures
-    ]
+    cols, e = _integer_columns(phi)
+    pairs, gens = itertools.product(range(n), repeat=2), p.generators()
+    return _intertwining_audit(p.terms, p.scale, gens, cols, e, pairs, n * n, found)
 
 
 # Most missing indices a refusal lists; the rest are counted.

@@ -19,9 +19,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from . import __version__, esvla, snla, specfile
 from .algebra import (
     AlgebraInstance,
-    AlternatingViolation,
+    Audit,
     Finding,
-    TripleAudit,
     center,
     check_alternating,
     jacobi_audit,
@@ -29,12 +28,12 @@ from .algebra import (
 from .automorphisms import (
     CoefficientFamily,
     SingularMapError,
-    check_automorphism,
-    check_product_preserved,
+    automorphism_audit,
     check_recurrences,
     check_symplectomorphism,
     parse_coeff_file,
     parse_map_file,
+    product_map_audit,
 )
 from .cohomology import (
     central_extension,
@@ -282,22 +281,17 @@ def _refuse_whole_window(doc: specfile.AlgebraSpecDoc, window: Optional[int]):
         _refusing(doc.name, refuse_whole_window, dim)
 
 
-def _pair_loc(g, h) -> str:
-    return f"({g},{h})"
-
-
-def _triple_loc(t) -> str:
-    x, y, z = t
-    return f"({x},{y},{z})"
+def _loc(at) -> str:
+    return "(" + ",".join(map(str, at)) + ")"
 
 
 def _name_ranks(generators: Sequence) -> list[int]:
     """Each position's rank among the generators' names.  A name may be a
     proper prefix of another only when both are digits (index 1 of index
     10; a generator's name ends in ']', which appears nowhere else in it),
-    and in a triple location a name is followed by ',' or ')', which sort
-    below every digit: triple locations compare name by name, as the tuples
-    of their ranks do."""
+    and in a location a name is followed by ',' or ')', which sort below
+    every digit: pair and triple locations compare name by name, as the
+    tuples of their ranks do."""
     order = sorted(range(len(generators)), key=lambda i: str(generators[i]))
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -305,64 +299,56 @@ def _name_ranks(generators: Sequence) -> list[int]:
     return rank
 
 
-def _triple_sink(generators: Sequence) -> Picked:
-    """A sink for the entries of one triple audit over ``generators``,
-    ordered as their triple locations order, by the generators' name ranks."""
-    rank, n = _name_ranks(generators), len(generators)
-
-    def key(entry):
-        (x, y, z), _ = entry
-        return (rank[x] * n + rank[y]) * n + rank[z]
-
-    return Picked(key)
+def _sink(generators: Sequence) -> Picked:
+    """A sink for the entries of one audit over ``generators``, ordered as
+    their locations order, by the tuple of the generators' name ranks."""
+    rank = _name_ranks(generators).__getitem__
+    return Picked(lambda entry: tuple(map(rank, entry[0])))
 
 
-def _add_triple_findings(
-    found: Findings, code: str, audits: list[tuple[str, TripleAudit]]
+def _add_findings(
+    found: Findings,
+    code: str,
+    audits: list[tuple[str, Audit]],
+    shown: str = "residual {1}",
+    indices: bool = False,
 ) -> None:
     """The violations of ``audits``, (prefix, audit) pairs whose ``found``
-    is a ``_triple_sink``, as ``code`` findings located at the prefix and the
-    triple.  A prefix is empty or ends in ':', which no name holds, so
-    locations order by prefix first."""
+    is a ``_sink``, as ``code`` findings located at the prefix and the
+    generators' names, or their indices when ``indices``.  The detail is
+    ``shown`` formatted with the located tuple, the residual and, as
+    ``loc``, the location without its prefix.  A prefix is empty or ends
+    in ':', which no name holds, so locations order by prefix first."""
 
-    def part(prefix: str, aud: TripleAudit):
+    def part(prefix: str, aud: Audit):
         def render(entry):
             v = aud.violation(entry)
-            location = prefix + _triple_loc(v.triple)
-            return ReportFinding("violation", code, location, f"residual {v.residual}")
+            at = tuple(int(g.index) for g in v.at) if indices else v.at
+            loc = _loc(at)
+            detail = shown.format(at, v.residual, loc=loc)
+            return ReportFinding("violation", code, prefix + loc, detail)
 
         return aud.found, render
 
     found.add(code, [part(*a) for a in sorted(audits, key=lambda a: a[0])])
 
 
-def _structure_findings(
-    found: Findings, alternating: list[AlternatingViolation], jac: TripleAudit
-) -> None:
-    found.extend(
-        ReportFinding(
-            "violation", "V_ALT", _pair_loc(v.left, v.right), f"residual {v.residual}"
-        )
-        for v in alternating
-    )
-    _add_triple_findings(found, "V_JACOBI", [("", jac)])
-
-
 def _cmd_check(args, inputs):
     A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
-    alternating = check_alternating(A)
-    jac = jacobi_audit(A, scope="interior", found=_triple_sink(A.generators))
+    alternating = check_alternating(A, _sink(A.generators))
+    jac = jacobi_audit(A, scope="interior", found=_sink(A.generators))
     summaries = {
         "dim": A.dim,
         "boundary_pairs": len(A.boundary_pairs),
-        "alternating_violations": len(alternating),
+        "alternating_violations": len(alternating.found),
         "jacobi_examined": jac.examined,
         "jacobi_skipped": jac.skipped_boundary,
         "jacobi_violations": len(jac.found),
         "center_dim": len(center(A)),
     }
     found = Findings(findings)
-    _structure_findings(found, alternating, jac)
+    _add_findings(found, "V_ALT", [("", alternating)])
+    _add_findings(found, "V_JACOBI", [("", jac)])
     return found, summaries
 
 
@@ -414,13 +400,13 @@ def _cmd_extend(args, inputs):
         ReportFinding(
             "violation",
             "V_SYM",
-            _pair_loc(g, h),
+            _loc((g, h)),
             f"stored values contradict the convention's symmetry: residual {r}",
         )
         for g, h, r in omega.symmetry_violations()
     )
     ext = central_extension(A, omega)
-    jac = jacobi_audit(ext, scope="interior", found=_triple_sink(ext.generators))
+    jac = jacobi_audit(ext, scope="interior", found=_sink(ext.generators))
     summaries = {
         "dim": A.dim,
         "extended_dim": ext.dim,
@@ -429,7 +415,7 @@ def _cmd_extend(args, inputs):
         "center_dim": len(center(ext)),
     }
     found = Findings(findings)
-    _structure_findings(found, [], jac)
+    _add_findings(found, "V_JACOBI", [("", jac)])
     return found, summaries
 
 
@@ -444,12 +430,13 @@ def _cmd_esvla_audit(args, inputs):
         n_index_mode=args.n_index,
     )
     rep = _refusing(
-        "config", esvla.audit_esvla, cfg, lambda A, name: _triple_sink(A.generators)
+        "config", esvla.audit_esvla, cfg, lambda A, name: _sink(A.generators)
     )
     found = Findings(_info_findings(rep.instantiation_findings))
-    _structure_findings(found, rep.alternating, rep.jacobi)
+    _add_findings(found, "V_ALT", [("", rep.alternating)])
+    _add_findings(found, "V_JACOBI", [("", rep.jacobi)])
     cocycles = [(f"{name}:", aud) for name, aud in rep.cocycles.items()]
-    _add_triple_findings(found, "V_COCYCLE", cocycles)
+    _add_findings(found, "V_COCYCLE", cocycles)
     return found, rep.summaries()
 
 
@@ -471,18 +458,11 @@ def _cmd_snla_verify(args, inputs):
     # the generators are e[1]..e[dim] in order, so their names rank as the
     # indices' strings do
     rep = snla.verify_snla(
-        s, {check: _triple_sink(range(1, s.dim + 1)) for check in _SNLA_CODES}
+        s, {check: _sink(range(1, s.dim + 1)) for check in _SNLA_CODES}
     )
     found = Findings()
     for check, (code, shown) in _SNLA_CODES.items():
-
-        def render(entry, aud=rep.audits[check], code=code, shown=shown):
-            v = aud.violation(entry)
-            t = tuple(int(g.index) for g in v.triple)
-            detail = shown.format(t, v.residual)
-            return ReportFinding("violation", code, _triple_loc(t), detail)
-
-        found.add(code, [(rep.audits[check].found, render)])
+        _add_findings(found, code, [("", rep.audits[check])], shown, indices=True)
     found.extend(
         ReportFinding("violation", "V_SOLV", "bracket", str(v))
         for v in rep.violations["two_step_solvable"]
@@ -551,52 +531,37 @@ def _cmd_snla_search(args, inputs):
     return Findings(findings), summaries
 
 
-def _bracket_findings(
-    A: AlgebraInstance, phi, map_name: str
-) -> list[ReportFinding]:
-    """One V_BRACKET finding per generator pair phi fails to intertwine."""
-    return [
-        ReportFinding("violation", "V_BRACKET", _pair_loc(*v.pair), v.describe())
-        for v in _refusing(map_name, check_automorphism, A, phi)
-    ]
-
-
 def _cmd_aut_verify(args, inputs):
     doc = _load_doc(args.spec, inputs)
     map_name = os.path.basename(args.map)
     phi = _refusing(map_name, parse_map_file, _read_input(args.map, inputs))
-    if not (doc.products or doc.forms):
+    is_snla = doc.products or doc.forms
+    if is_snla:
+        s = _refusing(doc.name, snla.snla_from_doc, doc)
+        A, findings = s.bracket, []
+    else:
         A, findings = _instantiate(doc, args.window)
-        brackets = _bracket_findings(A, phi, map_name)
-        summaries = {"dim": A.dim, "bracket_violations": len(brackets)}
-        return Findings(findings + brackets), summaries
-    s = _refusing(doc.name, snla.snla_from_doc, doc)
-    findings = _bracket_findings(s.bracket, phi, map_name)
-    products = _refusing(map_name, check_product_preserved, s.product, phi)
+    brackets = _refusing(map_name, automorphism_audit, A, phi, _sink(A.generators))
+    summaries = {"dim": A.dim, "bracket_violations": len(brackets.found)}
+    found = Findings(findings)
+    shown = "{loc}: phi[x,y] = {1[0]} != [phi x, phi y] = {1[1]}"
+    _add_findings(found, "V_BRACKET", [("", brackets)], shown)
+    if not is_snla:
+        return found, summaries
+    # the product's generators are e[1]..e[dim], located by their indices
+    sink = _sink(range(1, s.dim + 1))
+    products = _refusing(map_name, product_map_audit, s.product, phi, sink)
     ok, residual = _refusing(map_name, check_symplectomorphism, s.form, phi)
-    summaries = {
-        "dim": s.dim,
-        "bracket_violations": len(findings),
-        "product_violations": len(products),
-        "form_preserved": int(ok),
-    }
-    findings.extend(
-        ReportFinding("violation", "V_PRODUCT", _pair_loc(*v.pair), v.describe())
-        for v in products
-    )
+    summaries.update(product_violations=len(products.found), form_preserved=int(ok))
+    shown = "{loc}: phi(x.y) = {1[0]} != phi(x).phi(y) = {1[1]}"
+    _add_findings(found, "V_PRODUCT", [("", products)], shown, indices=True)
     if not ok:
         rows = "; ".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in residual
         )
-        findings.append(
-            ReportFinding(
-                "violation",
-                "V_FORM",
-                "phi^T.Omega.phi",
-                f"differs from Omega by {rows}",
-            )
-        )
-    return Findings(findings), summaries
+        detail = f"differs from Omega by {rows}"
+        found.extend([ReportFinding("violation", "V_FORM", "phi^T.Omega.phi", detail)])
+    return found, summaries
 
 
 def _cmd_aut_recurrences(args, inputs):

@@ -8,9 +8,10 @@ solutions silently.  Cochains and the unknown slots of a 2-cochain system
 are read by the bracket's own as-written rule, ``algebra.extend_as_written``,
 so super-convention cochains are graded-skew; parity-mixing pairs are
 allowed and their verdicts reported without interpreting the grading.  The
-cyclic cocycle sum is written once, in ``cyclic_sums``: the cocycle audit
-runs it on a cochain's reading, the 2-cocycle rows on the slots' reading
-and ``snla.symplectic_cocycle_audit`` on the form's rows, each reading one
+cyclic cocycle sum is written once, in ``cyclic_sums``: the 2-cocycle rows
+run it on the slots' reading, and ``cyclic_audit``, the one audit body of
+``cocycle_audit`` and ``snla.symplectic_cocycle_audit``, on a cochain's
+reading or on the form's rows, each reading one
 (column, integer coefficient) per ordered position pair, over the triples
 ``algebra.TripleScan`` gives for the reading's pairs.  All of it
 runs on the position-indexed view (``AlgebraInstance.view``), whose integer
@@ -29,9 +30,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
+    Audit,
     Element,
     GeneratorId,
-    TripleAudit,
     TripleScan,
     extend_as_written,
     swap_sign,
@@ -471,23 +472,29 @@ def _integer_reading(
 
 def cocycle_audit(
     A: AlgebraInstance, omega: Cochain2, scope: str = "interior", found=None
-) -> TripleAudit:
+) -> Audit:
     """Evaluate the cyclic cocycle identity for a concrete cochain, with
     repeated generators in a triple under super only, as Jacobi does.
     ``found`` is the sink of the violations, as for ``jacobi_audit``: any
     object with ``append`` and ``len``, a new list when None."""
     reading, e = _integer_reading(A, omega)
+    return cyclic_audit(A, reading, e, scope, A.convention == "super", found)
+
+
+def cyclic_audit(
+    A: AlgebraInstance, reading: Mapping, e: int, scope: str, repeats: bool, found=None
+) -> Audit:
+    """The audit of the cyclic cocycle sum of a scalar cochain whose
+    ``reading`` (as ``cyclic_sums`` reads it, in column 0) is over ``e``:
+    the triples of the scope that ``TripleScan`` gives for the reading's
+    pairs, each entry the triple and its sum, an int over scale * e."""
     n = A.dim
-    triples = TripleScan(A, scope, A.convention == "super", (divmod(k, n) for k in reading))
+    triples = TripleScan(A, scope, repeats, (divmod(k, n) for k in reading))
     found = [] if found is None else found
     for t, row in cyclic_sums(A, triples, reading):
         found.append((t, row[0]))
-    return TripleAudit(
-        triples.checkable,
-        triples.skipped,
-        found,
-        A.view.scale * e,
-        A.generators,
+    return Audit(
+        triples.checkable, triples.skipped, found, A.view.scale * e, A.generators
     )
 
 

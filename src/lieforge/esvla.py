@@ -16,10 +16,9 @@ from typing import Callable, NamedTuple, Optional
 from . import specfile
 from .algebra import (
     AlgebraInstance,
-    AlternatingViolation,
+    Audit,
     Element,
     Finding,
-    TripleAudit,
     center,
     check_alternating,
     jacobi_audit,
@@ -134,10 +133,10 @@ class EsvlaAuditReport(NamedTuple):
     boundary_pairs: int
     dropped_terms: int
     instantiation_findings: list[Finding]
-    alternating: list[AlternatingViolation]
-    jacobi: TripleAudit
+    alternating: Audit
+    jacobi: Audit
     center_basis: list[Element]
-    cocycles: dict[str, TripleAudit]
+    cocycles: dict[str, Audit]
     derivations0_dim: int
     inner0_dim: int
     outer0_dim: int
@@ -151,7 +150,7 @@ class EsvlaAuditReport(NamedTuple):
             "boundary_pairs": self.boundary_pairs,
             "dropped_terms": self.dropped_terms,
             "instantiation_findings": len(self.instantiation_findings),
-            "alternating_violations": len(self.alternating),
+            "alternating_violations": len(self.alternating.found),
             "jacobi_examined": self.jacobi.examined,
             "jacobi_skipped": self.jacobi.skipped_boundary,
             "jacobi_violations": len(self.jacobi.found),
@@ -180,9 +179,9 @@ def audit_esvla(cfg: EsvlaConfig, found: Optional[Callable] = None) -> EsvlaAudi
     grade-zero Z2/B2/H2 counts.
 
     ``found(A, name)``, when given, is the sink of the violations of the
-    triple audit ``name`` ("jacobi", or a cocycle's name) over the window's
-    instance A (see ``algebra.jacobi_audit``); without it each audit keeps
-    a list.
+    audit ``name`` ("alternating", "jacobi", or a cocycle's name) over the
+    window's instance A (see ``algebra.jacobi_audit``); without it each
+    audit keeps a list.
     """
     A = build_esvla(cfg)
 
@@ -201,7 +200,7 @@ def audit_esvla(cfg: EsvlaConfig, found: Optional[Callable] = None) -> EsvlaAudi
         boundary_pairs=len(A.boundary_pairs),
         dropped_terms=A.dropped_terms,
         instantiation_findings=A.findings,
-        alternating=check_alternating(A),
+        alternating=check_alternating(A, sink("alternating")),
         jacobi=jacobi_audit(A, scope="interior", found=sink("jacobi")),
         center_basis=center(A),
         cocycles={

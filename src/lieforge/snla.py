@@ -2,7 +2,7 @@
 
 Product tables with 1-based generator indices, the standard symplectic
 form, the four identity audits (Novikov right-commutativity, associativity,
-form compatibility, symplectic 2-cocycle), each an ``algebra.TripleAudit``
+form compatibility, symplectic 2-cocycle), each an ``algebra.Audit``
 of compact entries (a position triple and integer residuals), an aggregate
 verifier, instances read from spec documents, and a deterministic structure
 search over finite coefficient sets that solves the linear identities
@@ -13,9 +13,10 @@ keeps a bracket, and the product checks sum them over the triples where a
 product is nonzero: n^2 steps for a zero product, n^3 for a dense one.
 Each ``SnlaInstance`` builds its bracket once, as an ``AlgebraInstance``:
 the explicit entries of its document, read by ``specfile.instantiate``, or
-else the commutator of its product.  Every check of the bracket reads that
-instance; the form's 2-cocycle check reads the form's integer rows through
-``cohomology.cyclic_sums``, the one cyclic cocycle sum.  A
+else the commutator of its product, and its derived subalgebra at most
+once.  Every check of the bracket reads that instance; the form's
+2-cocycle check reads the form's integer rows through
+``cohomology.cyclic_audit``, the cochain audit's own body.  A
 ``SymplecticForm`` is skew by construction and refuses a degenerate form
 when it is built, so the verifier takes both as given.
 """
@@ -24,20 +25,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from lieforge.algebra import (
     AlgebraInstance,
+    Audit,
     Element,
     GeneratorId,
-    TripleAudit,
-    TripleScan,
     center,
     derived_subalgebra,
-    is_two_step_solvable,
+    is_abelian,
 )
-from lieforge.cohomology import cyclic_sums, h2_dimension
+from lieforge.cohomology import cyclic_audit, h2_dimension
 from lieforge.linalg import SparseMatrix, rank, rat, rref
 from lieforge import specfile
 
@@ -160,6 +161,12 @@ class SnlaInstance:
         self.form = form
         self.bracket = bracket
 
+    @cached_property
+    def derived(self) -> list[Element]:
+        """The derived subalgebra of the bracket, built once: the verifier
+        and the fingerprint both read it."""
+        return derived_subalgebra(self.bracket)
+
 
 def commutator_bracket(p: ProductTable) -> dict:
     """[e_i, e_j] = e_i*e_j - e_j*e_i for i < j, as entries ``{(g, h): {t: c}}``
@@ -195,7 +202,7 @@ def _support(terms, by_j: bool) -> Iterator[tuple[int, int, int]]:
             yield i, j, k
 
 
-def _product_audit(p: ProductTable, by_j: bool, found) -> TripleAudit:
+def _product_audit(p: ProductTable, by_j: bool, found) -> Audit:
     """Triples where (e_i*e_j)*e_k differs from (e_i*e_k)*e_j, or from
     e_i*(e_j*e_k) when ``by_j``; only those of ``_support`` can, each entry
     a dict from position to nonzero int over scale^2."""
@@ -213,25 +220,25 @@ def _product_audit(p: ProductTable, by_j: bool, found) -> TripleAudit:
                 acc[l] = acc.get(l, 0) - c * d
         if any(acc.values()):
             found.append(((i, j, k), {l: v for l, v in acc.items() if v}))
-    return TripleAudit(examined, 0, found, p.scale**2, p.generators())
+    return Audit(examined, 0, found, p.scale**2, p.generators())
 
 
-def novikov_audit(p: ProductTable, found=None) -> TripleAudit:
+def novikov_audit(p: ProductTable, found=None) -> Audit:
     """Triples with (e_i*e_j)*e_k != (e_i*e_k)*e_j.
 
     Each audit of this module hands its entries, in order, to the sink
     ``found`` (a new list when None), as ``algebra.jacobi_audit`` does, and
-    returns an ``algebra.TripleAudit``; the product and compatibility audits
+    returns an ``algebra.Audit``; the product and compatibility audits
     count the ``_support`` triples they walk as examined and skip none."""
     return _product_audit(p, False, found)
 
 
-def associative_audit(p: ProductTable, found=None) -> TripleAudit:
+def associative_audit(p: ProductTable, found=None) -> Audit:
     """Triples with (e_i*e_j)*e_k != e_i*(e_j*e_k)."""
     return _product_audit(p, True, found)
 
 
-def compat_audit(p: ProductTable, f: SymplecticForm, found=None) -> TripleAudit:
+def compat_audit(p: ProductTable, f: SymplecticForm, found=None) -> Audit:
     """Triples with omega(e_i*e_j, e_k) != omega(e_i, e_j*e_k); only those
     of ``_support`` with ``by_j`` can, each entry the two sides (left,
     right), ints over both scales."""
@@ -247,12 +254,12 @@ def compat_audit(p: ProductTable, f: SymplecticForm, found=None) -> TripleAudit:
         right = sum(c * omega[i].get(t, 0) for t, c in terms[j][k])
         if left != right:
             found.append(((i, j, k), (left, right)))
-    return TripleAudit(examined, 0, found, p.scale * f.scale, p.generators())
+    return Audit(examined, 0, found, p.scale * f.scale, p.generators())
 
 
 def symplectic_cocycle_audit(
     f: SymplecticForm, A: AlgebraInstance, found=None
-) -> TripleAudit:
+) -> Audit:
     """Triples i <= j <= k with nonzero cyclic sum omega([x,y],z) +
     omega([y,z],x) + omega([z,x],y) for the bracket of ``A``, whose
     generators are the form's basis in order, as ``cohomology.cocycle_audit``
@@ -262,19 +269,13 @@ def symplectic_cocycle_audit(
     # the form's rows are skew already: read as they are, in one column,
     # each cyclic sum is an integer over both scales
     reading = {i * n + j: (0, c) for i, row in enumerate(f.rows) for j, c in row}
-    triples = TripleScan(A, "all", True, (divmod(k, n) for k in reading))
-    found = [] if found is None else found
-    for t, row in cyclic_sums(A, triples, reading):
-        found.append((t, row[0]))
-    return TripleAudit(
-        triples.checkable, triples.skipped, found, A.view.scale * f.scale, A.generators
-    )
+    return cyclic_audit(A, reading, f.scale, "all", True, found)
 
 
 class VerdictReport(NamedTuple):
     passed: bool
     violations: dict[str, list]
-    audits: dict[str, TripleAudit]
+    audits: dict[str, Audit]
 
     def counts(self) -> dict[str, int]:
         return {k: len(v) for k, v in self.violations.items()}
@@ -299,7 +300,7 @@ def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictRepo
     }
     vio: dict[str, list] = {name: aud.found for name, aud in audits.items()}
     vio.update(skew=[], nondegenerate=[], two_step_solvable=[])
-    if not is_two_step_solvable(s.bracket):
+    if not is_abelian(s.bracket, s.derived):
         vio["two_step_solvable"].append("derived subalgebra is not abelian")
     return VerdictReport(all(not v for v in vio.values()), vio, audits)
 
@@ -310,7 +311,7 @@ def snla_fingerprint(s: SnlaInstance) -> dict[str, int]:
     over ``MAX_UNKNOWNS`` is refused before the other two are built."""
     A = s.bracket
     h2 = h2_dimension(A)
-    return {"center": len(center(A)), "derived": len(derived_subalgebra(A)), "h2": h2}
+    return {"center": len(center(A)), "derived": len(s.derived), "h2": h2}
 
 
 def _slot_list(dim: int) -> list[tuple[int, int, int]]:

@@ -18,11 +18,10 @@ from lieforge.algebra import (
     Finding,
     GeneratorId,
     TripleScan,
-    TripleViolation,
+    Violation,
     bracket,
     gid,
 )
-from lieforge.automorphisms import AutomorphismViolation, ProductPreservationViolation
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix
 
@@ -384,10 +383,10 @@ def check_derivation(A: AlgebraInstance, D) -> list[tuple]:
     return out
 
 
-def check_automorphism(A: AlgebraInstance, phi) -> list[AutomorphismViolation]:
+def check_automorphism(A: AlgebraInstance, phi) -> list[Violation]:
     """Generator pairs g <= h (by position) where phi([g,h]) differs from
-    [phi g, phi h], by generator-keyed table lookups and the bilinear
-    ``bracket``.  A singular map raises ValueError; a pair is skipped when
+    [phi g, phi h], with the two sides, by generator-keyed table lookups
+    and the bilinear ``bracket``.  A singular map raises ValueError; a pair is skipped when
     its own bracket or any bracket of image terms is window-flagged."""
     n = A.dim
     if phi.dim != n:
@@ -411,7 +410,7 @@ def check_automorphism(A: AlgebraInstance, phi) -> list[AutomorphismViolation]:
             if clipped:
                 continue
             if lhs != rhs:
-                out.append(AutomorphismViolation((g, h), lhs, rhs))
+                out.append(Violation((g, h), (lhs, rhs)))
     return out
 
 
@@ -471,7 +470,7 @@ def _triple(i: int, j: int, k: int) -> tuple:
     return gid("e", i), gid("e", j), gid("e", k)
 
 
-def _product_identity(dim: int, coeff: dict, other) -> list[TripleViolation]:
+def _product_identity(dim: int, coeff: dict, other) -> list[Violation]:
     """Every triple (e_i, e_j, e_k), in nested-loop order, where
     (e_i e_j) e_k differs from ``other(c, i, j, k)``, with the difference."""
     c = _constants(dim, coeff)
@@ -484,11 +483,11 @@ def _product_identity(dim: int, coeff: dict, other) -> list[TripleViolation]:
                 rhs = other(c, i, j, k)
                 residual = _element([a - b for a, b in zip(lhs, rhs)])
                 if residual:
-                    out.append(TripleViolation(_triple(i, j, k), residual))
+                    out.append(Violation(_triple(i, j, k), residual))
     return out
 
 
-def naive_right_commutative(dim: int, coeff: dict) -> list[TripleViolation]:
+def naive_right_commutative(dim: int, coeff: dict) -> list[Violation]:
     """Every triple where (e_i e_j) e_k differs from (e_i e_k) e_j, via raw
     structure constants; coeff maps (i,j,k) to the coefficient of e_k in
     e_i e_j."""
@@ -497,14 +496,14 @@ def naive_right_commutative(dim: int, coeff: dict) -> list[TripleViolation]:
     )
 
 
-def naive_associative(dim: int, coeff: dict) -> list[TripleViolation]:
+def naive_associative(dim: int, coeff: dict) -> list[Violation]:
     """Every triple where (e_i e_j) e_k differs from e_i (e_j e_k)."""
     return _product_identity(
         dim, coeff, lambda c, i, j, k: _times(c, dim, _unit(dim, i), c[j][k])
     )
 
 
-def naive_form_compat(dim: int, coeff: dict, matrix) -> list[TripleViolation]:
+def naive_form_compat(dim: int, coeff: dict, matrix) -> list[Violation]:
     """Every triple where omega(e_i e_j, e_k) differs from omega(e_i, e_j e_k),
     with the two sides, via raw constants; ``matrix`` holds omega(e_a, e_b)
     at [a-1][b-1]."""
@@ -518,15 +517,15 @@ def naive_form_compat(dim: int, coeff: dict, matrix) -> list[TripleViolation]:
                 right = sum(c[j][k][t] * matrix[i - 1][t - 1] for t in r if c[j][k][t])
                 if left != right:
                     sides = (Fraction(left), Fraction(right))
-                    out.append(TripleViolation(_triple(i, j, k), sides))
+                    out.append(Violation(_triple(i, j, k), sides))
     return out
 
 
 def naive_product_preserved(
     dim: int, coeff: dict, matrix
-) -> list[ProductPreservationViolation]:
-    """Every ordered pair (i, j) where phi(e_i e_j) differs from
-    phi(e_i) phi(e_j), via raw constants; phi(e_b) = sum over a of
+) -> list[Violation]:
+    """Every ordered pair (e_i, e_j) where phi(e_i e_j) differs from
+    phi(e_i) phi(e_j), with the two sides, via raw constants; phi(e_b) = sum over a of
     matrix[a-1][b-1] e_a."""
     c = _constants(dim, coeff)
     r = range(1, dim + 1)
@@ -541,11 +540,11 @@ def naive_product_preserved(
             rhs = _times(c, dim, image[i], image[j])
             lhs, rhs = _element(lhs), _element(rhs)
             if lhs != rhs:
-                out.append(ProductPreservationViolation((i, j), lhs, rhs))
+                out.append(Violation((gid("e", i), gid("e", j)), (lhs, rhs)))
     return out
 
 
-def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[TripleViolation]:
+def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[Violation]:
     """Every generator triple at positions i <= j <= k where the cyclic sum
     omega([x,y],z) + omega([y,z],x) + omega([z,x],y) of the generators of a
     plain A at those positions is nonzero, with the sum; ``matrix`` holds
@@ -563,7 +562,7 @@ def naive_form_cocycle(A: AlgebraInstance, matrix) -> list[TripleViolation]:
                     for t, ct in value(gens[a], gens[b]).items():
                         total += ct * matrix[position[t]][c]
                 if total:
-                    out.append(TripleViolation((gens[i], gens[j], gens[k]), total))
+                    out.append(Violation((gens[i], gens[j], gens[k]), total))
     return out
 
 

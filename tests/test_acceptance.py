@@ -21,13 +21,13 @@ from oracles import naive_jacobi_failures, pair_values
 from test_specfile import CORRUPT_LINES, _random_doc
 
 from lieforge import cli
-from lieforge.algebra import TripleViolation, derived_subalgebra, gid, jacobi_audit
+from lieforge.algebra import Violation, derived_subalgebra, gid, jacobi_audit
 from lieforge.automorphisms import (
     CoefficientFamily,
-    check_automorphism,
-    check_product_preserved,
+    automorphism_audit,
     check_recurrences,
     check_symplectomorphism,
+    product_map_audit,
 )
 from lieforge.cohomology import (
     Cochain2,
@@ -93,7 +93,7 @@ def test_acceptance_02_jacobi_oracle_equivalence():
     corpus += [random_table(rng, rng.randint(2, 6)) for _ in range(20)]
     for A in corpus:
         assert A.dim <= 6
-        ours = {v.triple for v in jacobi_audit(A, scope="all").violations}
+        ours = {v.at for v in jacobi_audit(A, scope="all").violations}
         naive = set(naive_jacobi_failures(A))
         assert ours == naive
 
@@ -226,7 +226,7 @@ def test_acceptance_08_snla_hand_cases():
     assert rep.violations["associative"] == []
     e1 = gid("e", 1)
     assert rep.audits["compat"].violations == [
-        TripleViolation((e1, e1, e1), (Fraction(-1), Fraction(1)))
+        Violation((e1, e1, e1), (Fraction(-1), Fraction(1)))
     ]
 
 
@@ -267,9 +267,9 @@ def test_acceptance_09_snla_search_catalog():
 def test_acceptance_10_automorphism_suite():
     t0 = time.perf_counter()
     for A in (heisenberg3(), sl2_type(), filiform4(), witt_window(3)):
-        assert check_automorphism(A, LinearEndo.identity(A.dim)) == []
+        assert automorphism_audit(A, LinearEndo.identity(A.dim)).violations == []
     zero2 = ProductTable.from_coeffs(2, {})
-    assert check_product_preserved(zero2, LinearEndo.identity(2)) == []
+    assert product_map_audit(zero2, LinearEndo.identity(2)).violations == []
     form = standard_form(1)
     ok, _ = check_symplectomorphism(form, LinearEndo.identity(2))
     assert ok

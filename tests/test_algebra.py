@@ -16,7 +16,7 @@ from lieforge.algebra import (
     check_alternating,
     derived_subalgebra,
     gid,
-    is_two_step_solvable,
+    is_abelian,
     jacobi_audit,
 )
 from algebra_fixtures import (
@@ -124,24 +124,24 @@ def test_bracket_bilinear_random():
 
 
 def test_alternating_abelian_empty():
-    assert check_alternating(abelian(4)) == []
+    assert check_alternating(abelian(4)).violations == []
 
 
 def test_alternating_witt_consistent_both_directions():
-    assert check_alternating(witt_window(3)) == []
+    assert check_alternating(witt_window(3)).violations == []
 
 
 def test_alternating_symmetric_diagonal_flagged_plain():
     A = super_pair(same_sign=False)
-    viols = check_alternating(A)
+    viols = check_alternating(A).violations
     assert len(viols) == 1
     y = gid("Y", Fraction(1, 2))
-    assert viols[0].left == y and viols[0].right == y
+    assert viols[0].at == (y, y)
     assert viols[0].residual == Element.of(gid("L", 1), 4)
 
 
 def test_alternating_symmetric_diagonal_ok_super():
-    assert check_alternating(super_pair(same_sign=True)) == []
+    assert check_alternating(super_pair(same_sign=True)).violations == []
 
 
 def test_jacobi_heisenberg_holds():
@@ -169,7 +169,7 @@ def test_jacobi_super_diagonal_triples():
     viols = jacobi_audit(super_bad()).violations
     assert len(viols) == 1
     y = gid("Y", Fraction(1, 2))
-    assert viols[0].triple == (y, y, y)
+    assert viols[0].at == (y, y, y)
     # graded sum is 3 * (-1) * [Y,[Y,Y]] = -3Y
     assert viols[0].residual == Element.of(y, -3)
 
@@ -179,7 +179,7 @@ def test_jacobi_matches_naive_oracle():
     for dim in (3, 4, 5, 6):
         for _ in range(5):
             A = random_table(rng, dim)
-            lib = {v.triple for v in jacobi_audit(A, scope="all").violations}
+            lib = {v.at for v in jacobi_audit(A, scope="all").violations}
             assert lib == set(naive_jacobi_failures(A))
 
 
@@ -222,25 +222,26 @@ def test_derived_heisenberg():
     der = derived_subalgebra(A)
     assert len(der) == 1
     assert der[0].terms == {gid("e", 3): Fraction(1)}
-    assert is_two_step_solvable(A)
+    assert is_abelian(A, der)
 
 
 def test_derived_abelian_empty():
     assert derived_subalgebra(abelian(3)) == []
-    assert is_two_step_solvable(abelian(3))
+    assert is_abelian(abelian(3), [])
 
 
 def test_derived_sl2_full_not_solvable():
     A = sl2_type()
-    assert len(derived_subalgebra(A)) == 3
-    assert not is_two_step_solvable(A)
+    der = derived_subalgebra(A)
+    assert len(der) == 3
+    assert not is_abelian(A, der)
 
 
 def test_derived_borel2():
     A = borel2()
     der = derived_subalgebra(A)
     assert len(der) == 1
-    assert is_two_step_solvable(A)
+    assert is_abelian(A, der)
 
 
 def test_instance_validates_table_generators():

@@ -12,12 +12,12 @@ from lieforge.automorphisms import (
     CoefficientFamily,
     RecurrenceViolation,
     SingularMapError,
-    check_automorphism,
-    check_product_preserved,
+    automorphism_audit,
     check_recurrences,
     check_symplectomorphism,
     parse_coeff_file,
     parse_map_file,
+    product_map_audit,
 )
 from lieforge.cohomology import LinearEndo
 from lieforge.snla import ProductTable, standard_form
@@ -78,33 +78,33 @@ def scaling_family(alpha, window):
 def test_automorphism_identity_and_rotation():
     A = heisenberg3()
     e1, e2, e3 = A.generators
-    assert check_automorphism(A, LinearEndo.identity(3)) == []
+    assert automorphism_audit(A, LinearEndo.identity(3)).violations == []
     # e1 -> e2, e2 -> -e1 fixes e3 = [e1,e2]
     rot = endo(A, {e1: Element.of(e2), e2: Element.of(e1, -1), e3: Element.of(e3)})
-    assert check_automorphism(A, rot) == []
+    assert automorphism_audit(A, rot).violations == []
 
 
 def test_automorphism_center_scaling_fails():
     A = heisenberg3()
     e1, e2, e3 = A.generators
     phi = endo(A, {e1: Element.of(e1), e2: Element.of(e2), e3: Element.of(e3, 2)})
-    viols = check_automorphism(A, phi)
+    viols = automorphism_audit(A, phi).violations
     assert len(viols) == 1
     v = viols[0]
-    assert v.pair == (e1, e2)
-    assert v.mapped_bracket == Element.of(e3, 2)
-    assert v.bracket_of_images == Element.of(e3)
+    assert v.at == (e1, e2)
+    # phi[x,y], then [phi x, phi y]
+    assert v.residual == (Element.of(e3, 2), Element.of(e3))
 
 
 def test_automorphism_rejects_bad_maps():
     # the CLI reports E_SINGULAR by the error's type, never by its text
     A = heisenberg3()
     with pytest.raises(SingularMapError, match="rank 2 < 3"):
-        check_automorphism(
+        automorphism_audit(
             A, LinearEndo([[1, 0, 0], [0, 1, 0], [0, 1, 0]])
         )
     with pytest.raises(ValueError, match="dimension") as exc:
-        check_automorphism(A, LinearEndo.identity(4))
+        automorphism_audit(A, LinearEndo.identity(4))
     assert not isinstance(exc.value, SingularMapError)
 
 
@@ -112,8 +112,10 @@ def test_automorphism_windowed_scaling():
     # phi(L_m) = alpha^m L_m intertwines (n-m)L_{m+n}; clipped pairs are
     # skipped so the truncation verdict is clean
     A = witt_window(4)
-    assert check_automorphism(A, witt_scaling(A, F(3))) == []
-    assert check_automorphism(A, witt_scaling(A, F(3), at_zero=2)) != []
+    audit = automorphism_audit(A, witt_scaling(A, F(3)))
+    assert audit.violations == [] and audit.skipped_boundary > 0
+    assert audit.examined + audit.skipped_boundary == A.dim * (A.dim + 1) // 2
+    assert automorphism_audit(A, witt_scaling(A, F(3), at_zero=2)).violations != []
 
 
 def random_map(rng, n, density):
@@ -176,15 +178,15 @@ def test_check_automorphism_matches_generator_keyed_reference(name):
             expected = oracles.check_automorphism(A, phi)
         except ValueError as e:
             with pytest.raises(ValueError) as got:
-                check_automorphism(A, phi)
+                automorphism_audit(A, phi)
             assert str(got.value) == str(e)
             continue
-        assert check_automorphism(A, phi) == expected
+        assert automorphism_audit(A, phi).violations == expected
         compared += 1
     assert compared > 1
     if name.startswith("witt"):
         # clipped pairs are skipped and the bad scaling still fails
-        assert A.boundary_pairs and check_automorphism(A, maps[-1])
+        assert A.boundary_pairs and automorphism_audit(A, maps[-1]).violations
 
 
 def test_symplectomorphism_examples():
@@ -219,18 +221,18 @@ def test_sp2_is_sl2():
 def test_product_preserved_examples():
     zero = ProductTable.from_coeffs(2, {})
     any_phi = LinearEndo([[1, 2], [3, 4]])
-    assert check_product_preserved(zero, any_phi) == []
+    assert product_map_audit(zero, any_phi).violations == []
 
     p = ProductTable.from_coeffs(2, {(1, 1, 2): 1})  # e1.e1 = e2
-    assert check_product_preserved(p, LinearEndo.identity(2)) == []
-    assert check_product_preserved(p, LinearEndo([[2, 0], [0, 4]])) == []
-    viols = check_product_preserved(p, LinearEndo([[2, 0], [0, 5]]))
-    assert [v.pair for v in viols] == [(1, 1)]
-    e2 = gid("e", 2)
-    assert viols[0].mapped_product == Element.of(e2, 5)
-    assert viols[0].product_of_images == Element.of(e2, 4)
+    assert product_map_audit(p, LinearEndo.identity(2)).violations == []
+    assert product_map_audit(p, LinearEndo([[2, 0], [0, 4]])).violations == []
+    viols = product_map_audit(p, LinearEndo([[2, 0], [0, 5]])).violations
+    e1, e2 = gid("e", 1), gid("e", 2)
+    assert [v.at for v in viols] == [(e1, e1)]
+    # phi(x.y), then phi(x).phi(y)
+    assert viols[0].residual == (Element.of(e2, 5), Element.of(e2, 4))
     with pytest.raises(ValueError, match="dimension"):
-        check_product_preserved(p, LinearEndo.identity(3))
+        product_map_audit(p, LinearEndo.identity(3))
 
 
 def test_coefficient_family_validation():
@@ -329,11 +331,11 @@ def test_automorphisms_compose_on_h3():
 
     maps = [sample() for _ in range(6)]
     for phi in maps:
-        assert check_automorphism(A, phi) == []
+        assert automorphism_audit(A, phi).violations == []
         inv = LinearEndo(invert_dense(matrix(phi)))
-        assert check_automorphism(A, inv) == []
+        assert automorphism_audit(A, inv).violations == []
     for phi, psi in zip(maps, maps[1:]):
-        assert check_automorphism(A, compose(phi, psi)) == []
+        assert automorphism_audit(A, compose(phi, psi)).violations == []
 
 
 def sl2_sample(rng):

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from lieforge import cli, cohomology, esvla, snla, specfile
-from lieforge.algebra import Element, TripleAudit, bracket, check_alternating, jacobi_audit
-from lieforge.automorphisms import MAX_RECURRENCE_WINDOW
-from lieforge.cohomology import central_extension
+from lieforge import algebra, cli, cohomology, esvla, snla, specfile
+from lieforge.algebra import Audit, Element, bracket, check_alternating, jacobi_audit
+from lieforge.automorphisms import MAX_RECURRENCE_WINDOW, automorphism_audit, product_map_audit
+from lieforge.cohomology import LinearEndo, central_extension
 from oracles import written_entries
 
 REPO = Path(__file__).resolve().parent.parent
@@ -489,9 +489,9 @@ def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkey
     spec = tmp_path / "dense.lie"
     spec.write_text(dense_snla_document(16))
     built = []
-    real = TripleAudit.violation
+    real = Audit.violation
     monkeypatch.setattr(
-        TripleAudit, "violation", lambda self, e: built.append(e) or real(self, e)
+        Audit, "violation", lambda self, e: built.append(e) or real(self, e)
     )
     code, rep, out = run_cli(["snla", "verify", str(spec)], capsys)
     assert code == 1
@@ -506,8 +506,8 @@ def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkey
     every = []
     for check, (code, shown) in cli._SNLA_CODES.items():
         for v in verdict.audits[check].violations:
-            t = tuple(int(g.index) for g in v.triple)
-            location, detail = cli._triple_loc(t), shown.format(t, v.residual)
+            t = tuple(int(g.index) for g in v.at)
+            location, detail = cli._loc(t), shown.format(t, v.residual)
             every.append(cli.ReportFinding("violation", code, location, detail))
     assert len(every) == sum(totals.values())
     every += [
@@ -1502,15 +1502,21 @@ def test_snla_verify_wide_refusal_counts_its_unknowns_once(tmp_path, monkeypatch
 
 def test_snla_verify_refusal_builds_no_center_or_derived(tmp_path, monkeypatch, capsys):
     # the fingerprint's H2 count is refused first, so a refused document
-    # pays for neither of the two results its report never shows
+    # pays for neither of the two results its report never shows; one that
+    # is verified builds its derived subalgebra once, for the fingerprint
+    # and the two-step solvability check alike
     calls = Counter()
-    for name in ("center", "derived_subalgebra"):
+    for module, name in (
+        (snla, "center"),
+        (snla, "derived_subalgebra"),
+        (algebra, "derived_subalgebra"),
+    ):
 
-        def counting(A, real=getattr(snla, name), name=name):
+        def counting(A, real=getattr(module, name), name=name):
             calls[name] += 1
             return real(A)
 
-        monkeypatch.setattr(snla, name, counting)
+        monkeypatch.setattr(module, name, counting)
     code, _, _ = run_cli(["snla", "verify", SNLA_BAD], capsys)
     assert (code, calls) == (1, Counter(center=1, derived_subalgebra=1))
     calls.clear()
@@ -1661,6 +1667,96 @@ def test_snla_verify_dense_document_matches_golden(tmp_path, capsys):
     assert snla_verify_transcript(tmp_path, capsys, docs) == golden
 
 
+WITT_TEXT = (SAMPLES / "witt.lie").read_text()
+
+
+def doubling(dim: int) -> list[list[int]]:
+    """The rows of the map 2·I on ``dim`` generators."""
+    return [[2 * (i == j) for j in range(dim)] for i in range(dim)]
+
+
+def aut_verify_transcript(tmp_path, capsys) -> str:
+    """``aut verify`` with the map 2·I, text and ``--json``, each followed
+    by its exit code, on Witt at W = 12 (dim 25) and on the dense
+    12-generator SNLA document."""
+    runs = [
+        ("witt", WITT_TEXT, 25, ["--window", "12"]),
+        ("dense12", dense_snla_document(12), 12, []),
+    ]
+    parts = []
+    for name, text, dim, extra in runs:
+        spec, m = tmp_path / f"{name}.lie", tmp_path / f"double{dim}.map"
+        spec.write_text(text)
+        write_map(m, doubling(dim))
+        for json_flag in ([], ["--json"]):
+            argv = ["aut", "verify", str(spec), "--map", str(m), *extra, *json_flag]
+            code, _, out = run_cli(argv, capsys)
+            line = " ".join(["aut verify", spec.name, "--map", m.name, *extra, *json_flag])
+            parts.append(f"$ lieforge {line}\n{out}exit {code}\n")
+    return "\n".join(parts)
+
+
+def test_aut_verify_truncated_pairs_match_golden(tmp_path, capsys):
+    # 228 V_BRACKET on Witt, and 66 V_BRACKET plus 144 V_PRODUCT on the
+    # dense document, whose indices reach 12: which 100 pairs are shown
+    # depends on "(e[1],e[10])" sorting before "(e[1],e[2])" and on
+    # "(1,10)" before "(1,2)"; cli_reports.txt shows one pair of each
+    golden = (GOLDEN / "aut_verify_truncated.txt").read_text()
+    assert aut_verify_transcript(tmp_path, capsys) == golden
+
+
+@pytest.mark.parametrize("case", ["witt30", "dense12"])
+def test_aut_verify_renders_only_the_findings_it_shows(case, tmp_path, capsys, monkeypatch):
+    # the map 2·I breaks every nonzero bracket and product; only the
+    # findings shown are built as violation objects, and the report is the
+    # one that rendering and sorting every violation gives
+    if case == "witt30":
+        spec, dim, extra = tmp_path / "witt.lie", 61, ["--window", "30"]
+        spec.write_text(WITT_TEXT)
+    else:
+        spec, dim, extra = tmp_path / "dense12.lie", 12, []
+        spec.write_text(dense_snla_document(12))
+    m = tmp_path / "double.map"
+    write_map(m, doubling(dim))
+    built = []
+    real = Audit.violation
+    monkeypatch.setattr(Audit, "violation", lambda self, e: built.append(e) or real(self, e))
+    code, rep, out = run_cli(["aut", "verify", str(spec), "--map", str(m), *extra], capsys)
+    monkeypatch.undo()
+    assert code == 1
+    phi = LinearEndo(doubling(dim))
+    doc = specfile.parse(spec.read_text())
+    if case == "witt30":
+        A, s = specfile.instantiate(doc, window=30), None
+    else:
+        s = snla.snla_from_doc(doc)
+        A = s.bracket
+    every = [
+        cli.ReportFinding(
+            "violation",
+            "V_BRACKET",
+            cli._loc(v.at),
+            f"{cli._loc(v.at)}: phi[x,y] = {v.residual[0]} != [phi x, phi y] = {v.residual[1]}",
+        )
+        for v in automorphism_audit(A, phi).violations
+    ]
+    assert len(every) == rep.summaries["bracket_violations"]
+    if s is None:
+        assert len(every) > cli.MAX_PER_CODE and len(built) == cli.MAX_PER_CODE
+    else:
+        products = product_map_audit(s.product, phi).violations
+        assert len(products) == rep.summaries["product_violations"] > cli.MAX_PER_CODE
+        assert len(built) == len(every) + cli.MAX_PER_CODE
+        for v in products:
+            loc = cli._loc(int(g.index) for g in v.at)
+            detail = f"{loc}: phi(x.y) = {v.residual[0]} != phi(x).phi(y) = {v.residual[1]}"
+            every.append(cli.ReportFinding("violation", "V_PRODUCT", loc, detail))
+        [form] = [f for f in rep.findings if f.code == "V_FORM"]
+        every.append(form)
+    expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
+    assert out == expected.to_text()
+
+
 def test_esvla_audit_arguments_end_in_a_report(capsys):
     # every window from -2 to 6, huge and non-integer ones, under both
     # conventions and both --n-index modes; seeded draws leave an option
@@ -1705,7 +1801,7 @@ ESVLA_DOC = str(REPO / "src" / "lieforge" / "data" / "esvla.lie")
 
 def _located(code: str, violations, prefix: str = "") -> list[tuple[str, str, str]]:
     return [
-        (code, prefix + cli._triple_loc(v.triple), f"residual {v.residual}")
+        (code, prefix + cli._loc(v.at), f"residual {v.residual}")
         for v in violations
     ]
 
@@ -1721,10 +1817,7 @@ def _every_finding(case: str) -> list[tuple[str, str, str]]:
         mode = words[3] if len(words) > 3 else "strict"
         rep = esvla.audit_esvla(esvla.EsvlaConfig(window, words[1], mode))
         out = [(f.code, f.location, f.detail) for f in rep.instantiation_findings]
-        out += [
-            ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
-            for v in rep.alternating
-        ]
+        out += _located("V_ALT", rep.alternating.violations)
         out += _located("V_JACOBI", rep.jacobi.violations)
         for name, aud in sorted(rep.cocycles.items()):
             out += _located("V_COCYCLE", aud.violations, f"{name}:")
@@ -1733,10 +1826,7 @@ def _every_finding(case: str) -> list[tuple[str, str, str]]:
     A = specfile.instantiate(doc, window=int(words[1]) if len(words) > 1 else 8)
     out = [(f.code, f.location, f.detail) for f in A.findings]
     if words[0] == "check":
-        out += [
-            ("V_ALT", f"({v.left},{v.right})", f"residual {v.residual}")
-            for v in check_alternating(A)
-        ]
+        out += _located("V_ALT", check_alternating(A).violations)
         return out + _located("V_JACOBI", jacobi_audit(A).violations)
     [w1] = [c for c in doc.cocycles if c.name == "w1"]
     ext = central_extension(A, specfile.instantiate_cocycle(w1, A))
@@ -1819,8 +1909,9 @@ def test_esvla_audit_holds_a_bounded_number_of_findings(monkeypatch, capsys):
 
 
 def test_name_rank_order_is_location_order():
-    # a triple location compares as the tuple of its generators' name ranks,
-    # over every generator of the esvla window-8 instance and its extension
+    # a pair or triple location compares as the tuple of its generators'
+    # name ranks, over every generator of the esvla window-8 instance and
+    # its extension
     doc = specfile.parse(Path(ESVLA_DOC).read_text())
     A = specfile.instantiate(doc, window=8)
     [w1] = [c for c in doc.cocycles if c.name == "w1"]
@@ -1830,11 +1921,12 @@ def test_name_rank_order_is_location_order():
         rank, n = cli._name_ranks(gens), len(gens)
         for i in range(n):
             for j in range(n):
-                for shared in range(3):
+                for size, shared in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
                     head = [rng.randrange(n) for _ in range(shared)]
-                    s = head + [i] + [rng.randrange(n) for _ in range(2 - shared)]
-                    t = head + [j] + [rng.randrange(n) for _ in range(2 - shared)]
-                    by_name = cli._triple_loc([gens[p] for p in s]) < cli._triple_loc(
+                    tail = size - 1 - shared
+                    s = head + [i] + [rng.randrange(n) for _ in range(tail)]
+                    t = head + [j] + [rng.randrange(n) for _ in range(tail)]
+                    by_name = cli._loc([gens[p] for p in s]) < cli._loc(
                         [gens[p] for p in t]
                     )
                     assert by_name == ([rank[p] for p in s] < [rank[p] for p in t])
@@ -1884,7 +1976,7 @@ def _order_free_facts(text: str, tmp_path, capsys):
         summaries[command] = rep.summaries
     violations = Counter()
     for v in jacobi_audit(specfile.instantiate(specfile.parse(text))).violations:
-        names = tuple(sorted(map(str, v.triple)))
+        names = tuple(sorted(map(str, v.at)))
         violations[names, frozenset((str(v.residual), str(v.residual.scale(-1))))] += 1
     return summaries, violations
 

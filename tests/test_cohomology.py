@@ -158,7 +158,7 @@ def test_bracket_table_and_cochain_agree(convention, g, h, sign):
     raw = {(g, h): Fraction(2), (h, g): Fraction(5)}
     A = finite_instance("t", gens, {p: {Z0: v} for p, v in raw.items()}, parity, convention)
     expected = (1 - sign) * 5 if g == h else 5 - sign * 2
-    alt = [(v.left, v.right, v.residual) for v in check_alternating(A)]
+    alt = [(*v.at, v.residual) for v in check_alternating(A).violations]
     both = Cochain2(parity, convention, raw)
     sym = [(a, b, Element.of(Z0, r)) for a, b, r in both.symmetry_violations()]
     assert alt == sym == ([(g, h, Element.of(Z0, expected))] if expected else [])
@@ -172,7 +172,7 @@ def test_bracket_table_and_cochain_agree(convention, g, h, sign):
     for a in pair:
         probe = finite_instance("p", [*gens, p, q], {(p, q): {a: 1}}, parity, convention)
         audit = cocycle_audit(probe, both, "all")
-        assert {v.triple: v.residual for v in audit.violations} == {
+        assert {v.at: v.residual for v in audit.violations} == {
             (b, p, q): both.value(a, b) for b in pair if both.value(a, b)
         }
         for b in pair:
@@ -435,7 +435,7 @@ def test_central_extension_cochain_stored_against_the_table(cocycle):
     omega = specfile.instantiate_cocycle(doc.cocycles[0], A)
     ext = central_extension(A, omega)
     e, h, z = gid("e", 0), gid("h", 0), gid("Z", 0)
-    assert check_alternating(ext) == []
+    assert check_alternating(ext).violations == []
     assert pair_value(ext, e, h) == Element({e: -2, z: 1})
     assert pair_value(ext, h, e) == Element({e: 2, z: -1})
 
@@ -611,8 +611,8 @@ def _parity_facts(doc, window):
     A = specfile.instantiate(doc, window=window)
     jac = jacobi_audit(A, "interior")
     facts = {
-        "alternating": {(v.left, v.right, v.residual) for v in check_alternating(A)},
-        "jacobi": {(v.triple, v.residual) for v in jac.violations},
+        "alternating": {(v.at, v.residual) for v in check_alternating(A).violations},
+        "jacobi": {(v.at, v.residual) for v in jac.violations},
         "center": len(center(A)),
         "z2": len(cocycle2_space(A)),
         "b2": len(coboundary2_space(A)),
@@ -670,8 +670,8 @@ def _basis_free_counts(A: AlgebraInstance) -> dict:
     out = {
         "center": len(center(A)),
         "derivations": (len(ders), *inner_split(A, ders)),
-        "jacobi": (jac.examined, jac.skipped_boundary, {v.triple for v in jac.violations}),
-        "alternating": len(check_alternating(A)),
+        "jacobi": (jac.examined, jac.skipped_boundary, {v.at for v in jac.violations}),
+        "alternating": len(check_alternating(A).found),
     }
     for grade_zero in (False, True):
         z2 = len(cocycle2_space(A, grade_zero))

@@ -138,10 +138,10 @@ def _window_violations(cfg):
     every Jacobi and w1-w3 violation on the window's interior triples."""
     A = esvla.build_esvla(cfg)
     jac = jacobi_audit(A, "interior")
-    found = {("jacobi", v.triple, str(v.residual)) for v in jac.violations}
+    found = {("jacobi", v.at, str(v.residual)) for v in jac.violations}
     for name, omega in esvla._cocycles_for(A).items():
         audit = cocycle_audit(A, omega, "interior")
-        found |= {(name, v.triple, str(v.residual)) for v in audit.violations}
+        found |= {(name, v.at, str(v.residual)) for v in audit.violations}
     return jac.examined, found
 
 
@@ -192,7 +192,7 @@ def _audit_up_to_order(cfg):
         for v in audit.violations:
             r = v.residual
             minus = r.scale(-1) if isinstance(r, Element) else -r
-            names = tuple(sorted(map(str, v.triple)))
+            names = tuple(sorted(map(str, v.at)))
             found[name, names, frozenset((str(r), str(minus)))] += 1
     return rep.summaries(), found
 
@@ -223,7 +223,7 @@ def test_w3_cyclic_matches_hand_expansion(mode):
     rep = esvla.audit_esvla(cfg)
     aud = rep.cocycles["w3"]
     assert aud.skipped_boundary == 0
-    got = {v.triple: v.residual for v in aud.violations}
+    got = {v.at: v.residual for v in aud.violations}
     hits = 0
     for p in range(-2, 3):
         for m in range(-2, 3):
@@ -239,7 +239,7 @@ def test_w3_cyclic_matches_hand_expansion(mode):
 
 def test_jacobi_residuals_hand_cases():
     rep = esvla.audit_esvla(esvla.EsvlaConfig(window=4))
-    got = {v.triple: v.residual for v in rep.jacobi.violations}
+    got = {v.at: v.residual for v in rep.jacobi.violations}
     # [L,[L,Y]] chain: (n-m) L-L convention is sign-incompatible with the
     # (m/2-n) L-Y coefficient, leaving residual Y[-7/2]
     trip = (gid("L", -2), gid("L", -1), Y(-1))
@@ -248,20 +248,20 @@ def test_jacobi_residuals_hand_cases():
     trip = (gid("M", 1), Y(-1), Y(1))
     assert got[trip] == Element.of(gid("M", 1), -2)
     ext = esvla.audit_esvla(esvla.EsvlaConfig(window=4, n_index_mode="extended"))
-    got_ext = {v.triple: v.residual for v in ext.jacobi.violations}
+    got_ext = {v.at: v.residual for v in ext.jacobi.violations}
     assert got_ext[trip] == Element.of(gid("M", 1), -2)
 
 
 def test_alternating_by_convention():
     sup = esvla.build_esvla(esvla.EsvlaConfig(window=3))
-    assert check_alternating(sup) == []
+    assert check_alternating(sup).violations == []
     plain = esvla.build_esvla(esvla.EsvlaConfig(window=3, convention="plain"))
-    viols = check_alternating(plain)
+    viols = check_alternating(plain).violations
     assert viols  # [Y_a, Y_a] = 2 L_{2a} contradicts plain alternation
-    diag = [v for v in viols if v.left == v.right == Y(1)]
+    diag = [v for v in viols if v.at == (Y(1), Y(1))]
     assert len(diag) == 1
     rep = esvla.audit_esvla(esvla.EsvlaConfig(window=3, convention="plain"))
-    assert rep.alternating
+    assert rep.alternating.violations == viols
 
 
 def test_audit_w4_strict_frozen():

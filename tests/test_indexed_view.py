@@ -69,7 +69,7 @@ def _jacobi_as_oracle(audit):
     return (
         audit.examined,
         audit.skipped_boundary,
-        [(v.triple, v.residual.terms) for v in audit.violations],
+        [(v.at, v.residual.terms) for v in audit.violations],
     )
 
 
@@ -77,7 +77,7 @@ def _cocycle_as_oracle(audit):
     return (
         audit.examined,
         audit.skipped_boundary,
-        [(v.triple, v.residual) for v in audit.violations],
+        [(v.at, v.residual) for v in audit.violations],
     )
 
 

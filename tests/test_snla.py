@@ -12,7 +12,7 @@ import pytest
 from lieforge.algebra import (
     AlgebraInstance,
     Element,
-    TripleViolation,
+    Violation,
     check_alternating,
     gid,
     jacobi_audit,
@@ -34,7 +34,7 @@ from lieforge.snla import (
     verify_snla,
 )
 from lieforge import snla, specfile
-from lieforge.automorphisms import check_product_preserved, check_symplectomorphism
+from lieforge.automorphisms import check_symplectomorphism, product_map_audit
 from lieforge.cohomology import LinearEndo
 from lieforge.linalg import SparseMatrix, matvec, rank
 from oracles import (
@@ -246,7 +246,7 @@ def test_commutator_bracket_examples():
     assert b == {(E[1], E[2]): {E[1]: 1}}
     # alternating by construction
     s = SnlaInstance(2, ptable(2, {(1, 2, 1): 1}), standard_form(1))
-    assert check_alternating(s.bracket) == []
+    assert check_alternating(s.bracket).violations == []
 
 
 def test_check_novikov_hand_cases():
@@ -254,7 +254,7 @@ def test_check_novikov_hand_cases():
     assert novikov_audit(ptable(2, {(1, 1, 2): 1})).violations == []
     assert novikov_audit(ProductTable.from_coeffs(1, {(1, 1, 1): 1})).violations == []
     bad = novikov_audit(ptable(2, {(1, 1, 1): 1, (1, 2, 2): 1})).violations
-    assert any(v.triple == (E[1], E[1], E[2]) for v in bad)
+    assert any(v.at == (E[1], E[1], E[2]) for v in bad)
 
 
 def test_check_associative_hand_cases():
@@ -269,7 +269,7 @@ def test_check_associative_hand_cases():
 def test_check_compat_hand_case():
     p = ptable(2, {(1, 1, 2): 1})
     vio = compat_audit(p, standard_form(1)).violations
-    assert vio == [TripleViolation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))]
+    assert vio == [Violation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))]
     assert compat_audit(ptable(2, {}), standard_form(1)).violations == []
     with pytest.raises(ValueError):
         compat_audit(ptable(2, {}), standard_form(2))
@@ -289,10 +289,10 @@ def test_check_symplectic_cocycle_cases():
     # non-alternating diagonal entry is caught via repeats
     d = {(E[1], E[1]): {E[2]: 1}}
     vio = symplectic_cocycle_audit(standard_form(1), brackets(2, d)).violations
-    assert vio and vio[0] == TripleViolation((E[1], E[1], E[1]), -3)
+    assert vio and vio[0] == Violation((E[1], E[1], E[1]), -3)
     # dim 4: [e1,e2] = e1 breaks closedness at (1,2,4)
     vio4 = symplectic_cocycle_audit(standard_form(2), brackets(4, b)).violations
-    assert TripleViolation((E[1], E[2], E[4]), 1) in vio4
+    assert Violation((E[1], E[2], E[4]), 1) in vio4
 
 
 def test_identity_checks_match_oracles():
@@ -405,9 +405,8 @@ def assert_matches_oracles(p, raw, form, maps):
         want = naive_form_compat(n, raw, form_matrix(form))
         assert compat_audit(p, form).violations == want
     for m in maps:
-        assert check_product_preserved(p, LinearEndo(m)) == naive_product_preserved(
-            n, raw, m
-        )
+        audit = product_map_audit(p, LinearEndo(m))
+        assert audit.violations == naive_product_preserved(n, raw, m)
 
 
 def doc_constants(doc):
@@ -503,7 +502,7 @@ def test_verify_snla_hand_cases():
     rep2 = verify_snla(s)
     assert not rep2.passed
     assert rep2.audits["compat"].violations == [
-        TripleViolation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))
+        Violation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))
     ]
     failing = {k for k, v in rep2.violations.items() if v}
     assert failing == {"compat"}

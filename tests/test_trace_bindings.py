@@ -42,13 +42,13 @@ def test_triple_counters_read_the_audit_record_only(monkeypatch):
     # the traced triple counts are the audits' examined and skipped triples,
     # read without building a single violation object
     from lieforge import esvla
-    from lieforge.algebra import TripleAudit
+    from lieforge.algebra import Audit
 
     counters = _load_trace_run(monkeypatch).COUNTERS
     built = []
-    real = TripleAudit.violation
+    real = Audit.violation
     monkeypatch.setattr(
-        TripleAudit, "violation", lambda self, e: built.append(e) or real(self, e)
+        Audit, "violation", lambda self, e: built.append(e) or real(self, e)
     )
     rep = esvla.audit_esvla(esvla.EsvlaConfig(6))
     read = [("algebra.jacobi", "jacobi_audit", rep.jacobi)]
