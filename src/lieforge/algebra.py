@@ -28,7 +28,7 @@ import itertools
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from lieforge.linalg import SparseMatrix, rat, rref
 from lieforge.linalg import nullspace  # unused; perfbench/trace_run.py LAYERS wraps it
@@ -442,10 +442,11 @@ class TripleScan:
 
 class Violation(NamedTuple):
     """Where an identity fails, as a tuple of generators (a pair or a
-    triple), and its exact residual: an Element (Jacobi, the alternating
-    rule, the SNLA products), a Fraction (a scalar identity such as the
-    cocycle one) or a tuple of those (the two sides of form compatibility
-    or of a map check)."""
+    triple; for the coefficient recurrences, a pair of indices), and its
+    exact residual: an Element (Jacobi, the alternating rule, the SNLA
+    products), a Fraction (a scalar identity such as the cocycle one) or a
+    tuple of those (the two sides of form compatibility, of a map check or
+    of a recurrence)."""
 
     at: tuple[GeneratorId, ...]
     residual: Union[Element, Fraction, tuple]
@@ -457,9 +458,10 @@ class Audit:
     and its violations in order.
 
     ``found`` keeps each violation compactly, as its tuple of positions and
-    its integer residual over ``denominator``: an int for a scalar identity,
-    a dict from generator position to nonzero int for a vector one, or a
-    tuple of those for one with two sides.  ``violations`` builds the
+    its integer residual over ``denominator``: an int for a scalar identity
+    (or a Fraction over 1, as the cochain symmetry and the recurrences keep
+    theirs), a dict from generator position to nonzero int for a vector one,
+    or a tuple of those for one with two sides.  ``violations`` builds the
     ``Violation`` objects on first read; ``violation`` builds one.  An audit
     given a sink (see ``jacobi_audit``) keeps that sink as ``found``, and
     ``len(found)`` still counts every violation.
@@ -471,7 +473,7 @@ class Audit:
         skipped_boundary: int,
         found: list[tuple[tuple[int, ...], object]],
         denominator: int,
-        generators: list[GeneratorId],
+        generators: Sequence,
     ):
         self.examined = examined
         self.skipped_boundary = skipped_boundary
@@ -485,9 +487,9 @@ class Audit:
         return Violation(tuple(self.generators[p] for p in at), self._read(r))
 
     def _read(self, r):
-        """An int as a Fraction, a dict as an Element and a tuple as the
-        tuple of those, each over ``denominator``."""
-        if isinstance(r, int):
+        """An int or Fraction as a Fraction, a dict as an Element and a
+        tuple as the tuple of those, each over ``denominator``."""
+        if isinstance(r, (int, Fraction)):
             return Fraction(r, self.denominator)
         if isinstance(r, tuple):
             return tuple(map(self._read, r))

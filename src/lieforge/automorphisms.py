@@ -6,9 +6,10 @@ are audits (``algebra.Audit``) over generator pairs, sharing one
 intertwining loop over the map's columns read as integers: compact entries,
 and a violation object only for what is read.  The coefficient recurrences are
 scalar identities on a stored family (a, b, c on integers, d on a
-doubled-index grid); the d-relation mixes integer and half-integer
-indices as displayed, and lookups that miss the stored grid are flagged
-as violations rather than repaired.
+doubled-index grid), audited the same way over index pairs, one audit per
+relation; the d-relation mixes integer and half-integer indices as
+displayed, and lookups that miss the stored grid are flagged as violations
+rather than repaired.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .algebra import AlgebraInstance, Audit
 from .cohomology import LinearEndo
@@ -130,7 +131,7 @@ def product_map_audit(p: ProductTable, phi: LinearEndo, found=None) -> Audit:
 # Most missing indices a refusal lists; the rest are counted.
 SHOWN_MISSING = 8
 
-# Widest window check_recurrences evaluates: it visits (2W+1)^2 index pairs,
+# Widest window recurrence_audit evaluates: it visits (2W+1)^2 index pairs,
 # about 1.7 s at W = 128 on a 2-CPU machine.
 MAX_RECURRENCE_WINDOW = 128
 
@@ -187,16 +188,9 @@ class CoefficientFamily:
         )
 
 
-class RecurrenceViolation(NamedTuple):
-    relation: str  # a | b | c | d
-    pair: tuple[int, int]
-    lhs: Optional[Fraction]
-    rhs: Optional[Fraction]
-    note: str = ""
-
-
-def check_recurrences(cf: CoefficientFamily) -> list[RecurrenceViolation]:
-    """Evaluate the four displayed recurrences over the window.
+def recurrence_audit(cf: CoefficientFamily, found=None) -> dict[str, Audit]:
+    """Evaluate the four displayed recurrences over the window, one audit
+    per relation, keyed "a" to "d".
 
     a_{m+n} = a_m a_n, b_{m+n} = a_m b_n + b_m a_n, and the same shape
     for c, on every pair with m, n, m+n in the window.  The d-relation
@@ -204,46 +198,54 @@ def check_recurrences(cf: CoefficientFamily) -> list[RecurrenceViolation]:
     reads d at integer indices, and a family storing d only on its
     half-integer grid gets a violation per unevaluable pair.  A window
     over MAX_RECURRENCE_WINDOW is refused with ValueError.
+
+    Each audit's generators are the window's integers, so an entry's
+    positions (m + W, n + W) read back as the pair (m, n).  Its residual
+    is the two sides (lhs, rhs), Fractions over 1, or (lhs,) alone for a
+    d pair whose right side reads d at an integer index the family does
+    not store.  ``found`` maps a relation to the sink of its entries, as
+    for ``snla.verify_snla``; a relation it does not name gets a list.
     """
     W = cf.window
     if W > MAX_RECURRENCE_WINDOW:
         raise ValueError(f"window {W} exceeds the bound {MAX_RECURRENCE_WINDOW}")
-    out = []
+    found = found or {}
+    fa, fb, fc, fd = (found.get(rel, []) for rel in "abcd")
     grid = range(-W, W + 1)
+    by_abc = by_d = 0  # the pairs examined by a, b and c, and by d
     for m in grid:
         for n in grid:
+            at = (m + W, n + W)
             if abs(m + n) <= W:
+                by_abc += 1
                 lhs, rhs = cf.a[m + n], cf.a[m] * cf.a[n]
                 if lhs != rhs:
-                    out.append(RecurrenceViolation("a", (m, n), lhs, rhs))
+                    fa.append((at, (lhs, rhs)))
                 lhs = cf.b[m + n]
                 rhs = cf.a[m] * cf.b[n] + cf.b[m] * cf.a[n]
                 if lhs != rhs:
-                    out.append(RecurrenceViolation("b", (m, n), lhs, rhs))
+                    fb.append((at, (lhs, rhs)))
                 lhs = cf.c[m + n]
                 rhs = cf.a[m] * cf.c[n] + cf.c[m] * cf.a[n]
                 if lhs != rhs:
-                    out.append(RecurrenceViolation("c", (m, n), lhs, rhs))
+                    fc.append((at, (lhs, rhs)))
             target = 2 * (m + n) + 1
             if abs(target) <= 2 * W:
+                by_d += 1
                 lhs = cf.d[target]
                 dm, dn = cf.d.get(2 * m), cf.d.get(2 * n)
                 if dm is None or dn is None:
-                    out.append(
-                        RecurrenceViolation(
-                            "d",
-                            (m, n),
-                            lhs,
-                            None,
-                            note="right side reads d at an integer index "
-                            "the family does not store",
-                        )
-                    )
+                    fd.append((at, (lhs,)))
                     continue
                 rhs = (Fraction(m, 2) - n) * dm * dn
                 if lhs != rhs:
-                    out.append(RecurrenceViolation("d", (m, n), lhs, rhs))
-    return out
+                    fd.append((at, (lhs, rhs)))
+    return {
+        "a": Audit(by_abc, 0, fa, 1, grid),
+        "b": Audit(by_abc, 0, fb, 1, grid),
+        "c": Audit(by_abc, 0, fc, 1, grid),
+        "d": Audit(by_d, 0, fd, 1, grid),
+    }
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

@@ -29,11 +29,11 @@ from .automorphisms import (
     CoefficientFamily,
     SingularMapError,
     automorphism_audit,
-    check_recurrences,
     check_symplectomorphism,
     parse_coeff_file,
     parse_map_file,
     product_map_audit,
+    recurrence_audit,
 )
 from .cohomology import (
     central_extension,
@@ -42,6 +42,7 @@ from .cohomology import (
     derivation_space,
     inner_split,
     refuse_whole_window,
+    symmetry_audit,
 )
 from .linalg import rat
 
@@ -310,22 +311,24 @@ def _add_findings(
     found: Findings,
     code: str,
     audits: list[tuple[str, Audit]],
-    shown: str = "residual {1}",
+    shown: str | Callable = "residual {1}",
     indices: bool = False,
 ) -> None:
     """The violations of ``audits``, (prefix, audit) pairs whose ``found``
     is a ``_sink``, as ``code`` findings located at the prefix and the
     generators' names, or their indices when ``indices``.  The detail is
     ``shown`` formatted with the located tuple, the residual and, as
-    ``loc``, the location without its prefix.  A prefix is empty or ends
-    in ':', which no name holds, so locations order by prefix first."""
+    ``loc``, the location without its prefix; a ``shown`` that is not a
+    string is called with them.  A prefix is empty or ends in ':' or '@',
+    which no name holds, so locations order by prefix first."""
+    detail_of = shown.format if isinstance(shown, str) else shown
 
     def part(prefix: str, aud: Audit):
         def render(entry):
             v = aud.violation(entry)
             at = tuple(int(g.index) for g in v.at) if indices else v.at
             loc = _loc(at)
-            detail = shown.format(at, v.residual, loc=loc)
+            detail = detail_of(at, v.residual, loc=loc)
             return ReportFinding("violation", code, prefix + loc, detail)
 
         return aud.found, render
@@ -396,15 +399,7 @@ def _cmd_extend(args, inputs):
             "no such cocycle name in the document and no such file",
         )
     omega = specfile.instantiate_cocycle(decl, A)
-    findings.extend(
-        ReportFinding(
-            "violation",
-            "V_SYM",
-            _loc((g, h)),
-            f"stored values contradict the convention's symmetry: residual {r}",
-        )
-        for g, h, r in omega.symmetry_violations()
-    )
+    symmetry = symmetry_audit(omega, A, _sink(A.generators))
     ext = central_extension(A, omega)
     jac = jacobi_audit(ext, scope="interior", found=_sink(ext.generators))
     summaries = {
@@ -415,6 +410,8 @@ def _cmd_extend(args, inputs):
         "center_dim": len(center(ext)),
     }
     found = Findings(findings)
+    shown = "stored values contradict the convention's symmetry: residual {1}"
+    _add_findings(found, "V_SYM", [("", symmetry)], shown)
     _add_findings(found, "V_JACOBI", [("", jac)])
     return found, summaries
 
@@ -463,10 +460,9 @@ def _cmd_snla_verify(args, inputs):
     found = Findings()
     for check, (code, shown) in _SNLA_CODES.items():
         _add_findings(found, code, [("", rep.audits[check])], shown, indices=True)
-    found.extend(
-        ReportFinding("violation", "V_SOLV", "bracket", str(v))
-        for v in rep.violations["two_step_solvable"]
-    )
+    if not rep.solvable:
+        detail = "derived subalgebra is not abelian"
+        found.extend([ReportFinding("violation", "V_SOLV", "bracket", detail)])
     summaries = {"dim": s.dim}
     summaries.update(
         {f"{k}_violations": v for k, v in sorted(rep.counts().items())}
@@ -581,22 +577,25 @@ def _cmd_aut_recurrences(args, inputs):
             {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
             W,
         )
-    viols = _refusing(name, check_recurrences, cf)
-    findings = [
-        ReportFinding(
-            "violation",
-            "V_REC",
-            f"{v.relation}@({v.pair[0]},{v.pair[1]})",
-            v.note if v.note else f"{v.lhs} != {v.rhs}",
-        )
-        for v in viols
-    ]
-    summaries = {"window": cf.window, "violations": len(viols)}
-    for rel in ("a", "b", "c", "d"):
-        summaries[f"{rel}_violations"] = sum(
-            1 for v in viols if v.relation == rel
-        )
-    return Findings(findings), summaries
+    # the audits' generators are the window's integers, located as they are
+    sinks = {rel: _sink(range(-cf.window, cf.window + 1)) for rel in "abcd"}
+    audits = _refusing(name, recurrence_audit, cf, sinks)
+    summaries = {
+        "window": cf.window,
+        "violations": sum(len(aud.found) for aud in audits.values()),
+    }
+    summaries.update({f"{rel}_violations": len(aud.found) for rel, aud in audits.items()})
+    found = Findings()
+    parts = [(f"{rel}@", aud) for rel, aud in audits.items()]
+    _add_findings(found, "V_REC", parts, _recurrence_detail)
+    return found, summaries
+
+
+def _recurrence_detail(at, sides, loc) -> str:
+    """A recurrence's two sides, or why its right side cannot be read."""
+    if len(sides) == 1:
+        return "right side reads d at an integer index the family does not store"
+    return f"{sides[0]} != {sides[1]}"
 
 
 def _canonical_coefficients(text: str) -> str:

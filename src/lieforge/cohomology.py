@@ -124,7 +124,7 @@ class Cochain2:
 
     It is read by the bracket's own rule, ``algebra.extend_as_written``
     (skew for plain, graded-skew for super); ``parity`` maps family symbol to
-    0 or 1, unlisted families even.  ``symmetry_violations`` reports stored
+    0 or 1, unlisted families even.  ``symmetry_audit`` reports stored
     pairs that contradict the symmetry, so as-written data remains auditable.
     ``raw`` is read only, since the reading is built from it on first use.
     Two cochains are equal when they read the same.
@@ -169,18 +169,27 @@ class Cochain2:
         """omega(g,h) as stored, extending a one-sided entry by symmetry."""
         return self._read().get((g, h), Fraction(0))
 
-    def symmetry_violations(self) -> list[tuple[GeneratorId, GeneratorId, Fraction]]:
-        """Stored pairs violating the symmetry: (g, h, residual) with g <= h,
-        residual = stored(h,g) - s*stored(g,h), or (1-s)*stored(g,g)."""
-        audit = extend_as_written(self.raw, self.convention, self._odd, audit=True)
-        return [(g, h, r) for g, h, r in audit if r]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain2)
             and self.convention == other.convention
             and self._read() == other._read()
         )
+
+
+def symmetry_audit(omega: Cochain2, A: AlgebraInstance, found=None) -> Audit:
+    """The pairs g <= h (by generator order) that omega stores both ways,
+    diagonals included, audited as ``algebra.check_alternating`` audits a
+    bracket's: each such pair examined, and an entry for each that breaks
+    the symmetry, its positions in A and its residual
+    stored(h,g) - s*stored(g,h), or (1-s)*stored(g,g), a Fraction over 1,
+    handed to the sink ``found``."""
+    audit = extend_as_written(omega.raw, omega.convention, omega._odd, audit=True)
+    found = [] if found is None else found
+    for g, h, r in audit:
+        if r:
+            found.append(((A.position(g), A.position(h)), r))
+    return Audit(len(audit), 0, found, 1, A.generators)
 
 
 def ad_matrix(A: AlgebraInstance, x: Union[GeneratorId, Element]) -> LinearEndo:

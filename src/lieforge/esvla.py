@@ -98,17 +98,13 @@ class PaperCocycles(NamedTuple):
         return (("w1", self.omega1), ("w2", self.omega2), ("w3", self.omega3))
 
 
-def paper_cocycles(cfg: EsvlaConfig) -> PaperCocycles:
-    """Evaluate the bundled cocycle declarations over the window's grid.
+def _cocycles_for(A: AlgebraInstance) -> PaperCocycles:
+    """Evaluate the bundled cocycle declarations over A's generators.
 
     Entries are stored on every ordered pair the declaration matches, so a
     symmetric display (w1 on Y,Y pairs) stores both orders and one-sided
     displays (w2, w3) extend by the convention on lookup.
     """
-    return _cocycles_for(build_esvla(cfg))
-
-
-def _cocycles_for(A: AlgebraInstance) -> PaperCocycles:
     by_name = {c.name: c for c in _bundled_doc().cocycles}
     missing = [k for k in ("w1", "w2", "w3") if k not in by_name]
     if missing:

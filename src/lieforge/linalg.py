@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rank, nullspace, solve.
+"""Exact rational linear algebra: rank, rref and nullspace.
 
 Every scalar is an exact int or ``fractions.Fraction``; nothing here ever
 rounds.  A ``SparseMatrix`` stores one dict per row, so the integer rows the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 # Most decimal digits a literal may have: an integer token of a ``.lie``
 # document, or a rational string such as ``-3/2`` or ``1.5e3``, whose exponent
@@ -124,11 +124,6 @@ class SparseMatrix:
         m.rows, m.cols, m._data = len(rows), cols, rows
         return m
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     @property
     def entries(self) -> dict[tuple[int, int], Union[int, Fraction]]:
         """The nonzero entries keyed ``(row, col)``, as a new dict."""
@@ -173,12 +168,6 @@ class Echelon(NamedTuple):
                 if free != c:
                     basis[free][c] = -coeff
         return list(basis.values())
-
-
-def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
-    if len(v) != m.cols:
-        raise ValueError("dimension mismatch")
-    return [sum((a * rat(v[c]) for c, a in row.items()), Fraction(0)) for row in m._data]
 
 
 def echelon(cols: int, rows: Iterable[Mapping[int, object]]) -> Echelon:
@@ -268,22 +257,3 @@ def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     are dense lists; ``Echelon.kernel`` gives the same basis sparse."""
     zero = Fraction(0)
     return [[vec.get(c, zero) for c in range(m.cols)] for vec in rref(m).kernel(m.cols)]
-
-
-def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
-    """Some exact solution of m x = b, or None when inconsistent.  Free
-    variables are set to zero."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length must equal row count")
-    aug = [dict(row) for row in m._data]
-    for row, v in zip(aug, b):
-        f = v if type(v) is int else rat(v)
-        if f:
-            row[m.cols] = f
-    ech = rref(SparseMatrix.from_rows(m.cols + 1, aug))
-    if m.cols in ech.pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, c in enumerate(ech.pivots):
-        x[c] = ech.rows[i].get(m.cols, Fraction(0))
-    return x

@@ -274,11 +274,15 @@ def symplectic_cocycle_audit(
 
 class VerdictReport(NamedTuple):
     passed: bool
-    violations: dict[str, list]
     audits: dict[str, Audit]
+    solvable: bool
 
     def counts(self) -> dict[str, int]:
-        return {k: len(v) for k, v in self.violations.items()}
+        """Violations per check: each audit's, 0 for the form's skewness and
+        nondegeneracy, and 1 for two-step solvability when it fails."""
+        counts = {name: len(aud.found) for name, aud in self.audits.items()}
+        counts.update(skew=0, nondegenerate=0, two_step_solvable=int(not self.solvable))
+        return counts
 
 
 def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictReport:
@@ -287,8 +291,8 @@ def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictRepo
     two counts always read 0.  ``audits`` maps the name of each triple check
     (novikov, associative, compat, symplectic_cocycle) to its audit, and
     ``found`` maps a name to the sink the audit keeps as its ``found``; a
-    check it does not name gets a list.  ``violations`` holds each audit's
-    ``found`` under its name."""
+    check it does not name gets a list.  ``solvable`` is whether the
+    bracket is two-step solvable."""
     sink = (found or {}).get
     audits = {
         "novikov": novikov_audit(s.product, sink("novikov")),
@@ -298,11 +302,9 @@ def verify_snla(s: SnlaInstance, found: Optional[Mapping] = None) -> VerdictRepo
             s.form, s.bracket, sink("symplectic_cocycle")
         ),
     }
-    vio: dict[str, list] = {name: aud.found for name, aud in audits.items()}
-    vio.update(skew=[], nondegenerate=[], two_step_solvable=[])
-    if not is_abelian(s.bracket, s.derived):
-        vio["two_step_solvable"].append("derived subalgebra is not abelian")
-    return VerdictReport(all(not v for v in vio.values()), vio, audits)
+    solvable = is_abelian(s.bracket, s.derived)
+    passed = solvable and not any(aud.found for aud in audits.values())
+    return VerdictReport(passed, audits, solvable)
 
 
 def snla_fingerprint(s: SnlaInstance) -> dict[str, int]:

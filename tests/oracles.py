@@ -2,7 +2,9 @@
 
 These deliberately reimplement the checks with naive nested loops and no
 shared helper code, so a bug in the library's iteration or sign handling
-cannot cancel against itself in the tests.
+cannot cancel against itself in the tests.  The module also keeps the
+helpers that only tests call: ``matvec``, ``solve`` (which reads
+``linalg.rref``), ``transpose`` and ``paper_cocycles``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,43 @@ from lieforge.algebra import (
     bracket,
     gid,
 )
+from lieforge import esvla
 from lieforge.cohomology import Cochain2
-from lieforge.linalg import SparseMatrix
+from lieforge.linalg import SparseMatrix, rat, rref
+
+
+def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return [sum((a * rat(v[c]) for c, a in row.items()), Fraction(0)) for row in m._data]
+
+
+def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
+    """Some exact solution of m x = b, or None when inconsistent.  Free
+    variables are set to zero."""
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length must equal row count")
+    aug = [dict(row) for row in m._data]
+    for row, v in zip(aug, b):
+        f = v if type(v) is int else rat(v)
+        if f:
+            row[m.cols] = f
+    ech = rref(SparseMatrix.from_rows(m.cols + 1, aug))
+    if m.cols in ech.pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, c in enumerate(ech.pivots):
+        x[c] = ech.rows[i].get(m.cols, Fraction(0))
+    return x
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def paper_cocycles(cfg: esvla.EsvlaConfig) -> esvla.PaperCocycles:
+    """The bundled cocycle declarations evaluated over the window's grid."""
+    return esvla._cocycles_for(esvla.build_esvla(cfg))
 
 
 def written_entries(A: AlgebraInstance) -> dict:

@@ -10,14 +10,13 @@ import pytest
 from lieforge.algebra import Element, gid
 from lieforge.automorphisms import (
     CoefficientFamily,
-    RecurrenceViolation,
     SingularMapError,
     automorphism_audit,
-    check_recurrences,
     check_symplectomorphism,
     parse_coeff_file,
     parse_map_file,
     product_map_audit,
+    recurrence_audit,
 )
 from lieforge.cohomology import LinearEndo
 from lieforge.snla import ProductTable, standard_form
@@ -247,10 +246,19 @@ def test_coefficient_family_validation():
         CoefficientFamily(grid, grid, grid, {1: 0}, 1)
 
 
+def recurrence_violations(cf):
+    """Every violation of the four relations, as (relation, (m, n), sides)."""
+    return [
+        (rel, v.at, v.residual)
+        for rel, aud in recurrence_audit(cf).items()
+        for v in aud.violations
+    ]
+
+
 def test_recurrences_scaling_families():
-    assert check_recurrences(scaling_family(1, 4)) == []
-    assert check_recurrences(scaling_family(2, 8)) == []
-    assert check_recurrences(scaling_family(F(5, 7), 3)) == []
+    assert recurrence_violations(scaling_family(1, 4)) == []
+    assert recurrence_violations(scaling_family(2, 8)) == []
+    assert recurrence_violations(scaling_family(F(5, 7), 3)) == []
 
 
 def test_recurrences_b_relation():
@@ -264,7 +272,7 @@ def test_recurrences_b_relation():
         d={k: F(0) for k in range(-2 * W, 2 * W + 1)},
         window=W,
     )
-    assert check_recurrences(cf) == []
+    assert recurrence_violations(cf) == []
 
 
 def test_recurrences_linear_a_fails():
@@ -277,9 +285,9 @@ def test_recurrences_linear_a_fails():
         d={k: F(0) for k in range(-2 * W, 2 * W + 1)},
         window=W,
     )
-    viols = check_recurrences(cf)
-    assert RecurrenceViolation("a", (1, 1), F(2), F(1)) in viols
-    assert all(v.relation == "a" for v in viols)
+    viols = recurrence_violations(cf)
+    assert ("a", (1, 1), (F(2), F(1))) in viols
+    assert all(rel == "a" for rel, _, _ in viols)
 
 
 def test_d_relation_reads_integer_indices_literally():
@@ -292,10 +300,11 @@ def test_d_relation_reads_integer_indices_literally():
         d={k: F(1) for k in (-1, 1)},
         window=W,
     )
-    viols = [v for v in check_recurrences(half_only) if v.relation == "d"]
-    # every pair with |m+n+1/2| <= 1 hits the missing integer-index reads
-    assert len(viols) == 5
-    assert all("integer index" in v.note for v in viols)
+    audit = recurrence_audit(half_only)["d"]
+    # every pair with |m+n+1/2| <= 1 hits the missing integer-index reads,
+    # and keeps only its left side
+    assert audit.examined == len(audit.found) == 5
+    assert all(len(v.residual) == 1 for v in audit.violations)
 
     full = CoefficientFamily(
         a={n: F(1) for n in grid},
@@ -304,9 +313,9 @@ def test_d_relation_reads_integer_indices_literally():
         d={k: F(1) for k in range(-2 * W, 2 * W + 1)},
         window=W,
     )
-    viols = [v for v in check_recurrences(full) if v.relation == "d"]
+    viols = recurrence_audit(full)["d"].violations
     # lhs is 1 everywhere; rhs (m/2 - n) equals 1 only at (0,-1)
-    assert [v.pair for v in viols] == [(-1, 0), (-1, 1), (0, 0), (1, -1)]
+    assert [v.at for v in viols] == [(-1, 0), (-1, 1), (0, 0), (1, -1)]
 
 
 def test_automorphisms_compose_on_h3():
@@ -429,10 +438,10 @@ def test_parse_coeff_file():
     assert cf.window == 1
     assert cf.a == {-1: F(1, 2), 0: F(1), 1: F(2)}
     assert cf.d == {-1: F(0), 1: F(0)}
-    viols = check_recurrences(cf)
+    viols = recurrence_violations(cf)
     # a is the geometric family 2^n restricted to the window: a/b/c clean,
     # d stored half-grid-only so every d evaluation flags the index mix
-    assert all(v.relation == "d" and v.note for v in viols)
+    assert all(rel == "d" and len(sides) == 1 for rel, _, sides in viols)
     assert len(viols) == 5
 
     with pytest.raises(ValueError, match="expected 'window"):

@@ -13,6 +13,7 @@ import subprocess
 import signal
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +22,14 @@ import pytest
 
 from lieforge import algebra, cli, cohomology, esvla, snla, specfile
 from lieforge.algebra import Audit, Element, bracket, check_alternating, jacobi_audit
-from lieforge.automorphisms import MAX_RECURRENCE_WINDOW, automorphism_audit, product_map_audit
-from lieforge.cohomology import LinearEndo, central_extension
+from lieforge.automorphisms import (
+    MAX_RECURRENCE_WINDOW,
+    automorphism_audit,
+    parse_coeff_file,
+    product_map_audit,
+    recurrence_audit,
+)
+from lieforge.cohomology import LinearEndo, central_extension, symmetry_audit
 from oracles import written_entries
 
 REPO = Path(__file__).resolve().parent.parent
@@ -510,10 +517,9 @@ def test_snla_verify_renders_only_the_findings_it_shows(tmp_path, capsys, monkey
             location, detail = cli._loc(t), shown.format(t, v.residual)
             every.append(cli.ReportFinding("violation", code, location, detail))
     assert len(every) == sum(totals.values())
-    every += [
-        cli.ReportFinding("violation", "V_SOLV", "bracket", str(v))
-        for v in verdict.violations["two_step_solvable"]
-    ]
+    if not verdict.solvable:
+        detail = "derived subalgebra is not abelian"
+        every.append(cli.ReportFinding("violation", "V_SOLV", "bracket", detail))
     expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
     assert out == expected.to_text()
 
@@ -1755,6 +1761,171 @@ def test_aut_verify_renders_only_the_findings_it_shows(case, tmp_path, capsys, m
         every.append(form)
     expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
     assert out == expected.to_text()
+
+
+def coef_file_text(window: int, a: dict, b: dict, c: dict, d: dict) -> str:
+    """A coefficient file of the families a, b and c, keyed by integer
+    index, and d, keyed by doubled index."""
+    lines = [f"window {window}"]
+    for name, family in (("a", a), ("b", b), ("c", c)):
+        lines += [f"coef {name} {n} {v}" for n, v in family.items()]
+    lines += [f"coef d {Fraction(k, 2)} {v}" for k, v in d.items()]
+    return "\n".join(lines) + "\n"
+
+
+def failing_family(window: int) -> str:
+    """a = 2 and b = c = 1 on the window's integers and d = 1 on its
+    half-integers only: every a, b and c pair fails, and every d pair reads
+    d at an integer index the file does not store."""
+    grid = range(-window, window + 1)
+    half = range(-2 * window + 1, 2 * window, 2)
+    ones = dict.fromkeys(grid, 1)
+    return coef_file_text(window, dict.fromkeys(grid, 2), ones, ones, dict.fromkeys(half, 1))
+
+
+def mixed_family() -> str:
+    """Window 3: a_n = 3^n but a_-3 = 1/26, b_n = n 3^n but b_1 = 7/2,
+    c = 0 but c_-2 = -1/3, and d = k/4 at doubled index k but unset at
+    index -3 and 3: 69 findings over all four relations, 12 of them d pairs
+    that cannot be evaluated."""
+    grid = range(-3, 4)
+    a = {n: Fraction(3) ** n for n in grid}
+    a[-3] = Fraction(1, 26)
+    b = {n: n * Fraction(3) ** n for n in grid}
+    b[1] = Fraction(7, 2)
+    c = dict.fromkeys(grid, 0)
+    c[-2] = Fraction(-1, 3)
+    d = {k: Fraction(k, 4) for k in range(-5, 6)}
+    return coef_file_text(3, a, b, c, d)
+
+
+def aut_recurrences_transcript(tmp_path, capsys) -> str:
+    """Text and ``--json``, each followed by its exit code, of
+    ``aut recurrences`` on the failing family at W = 128, whole and at
+    ``--window 10``, and on the mixed family; then of ``extend`` at
+    ``--window 40`` of Witt by a cocycle whose stored values break the
+    symmetry on all 3,321 pairs."""
+    spec = tmp_path / "witt_sym.lie"
+    spec.write_text(WITT_TEXT + "cocycle w L[m] L[n] => 1\n")
+    runs = []
+    for name, text, extra in (
+        ("failing128", failing_family(128), []),
+        ("failing128", failing_family(128), ["--window", "10"]),
+        ("mixed3", mixed_family(), []),
+    ):
+        f = tmp_path / f"{name}.coef"
+        f.write_text(text)
+        runs.append((["aut", "recurrences", "--file", str(f), *extra], f.name))
+    runs.append((["extend", str(spec), "--cocycle", "w", "--window", "40"], spec.name))
+    parts = []
+    for argv, name in runs:
+        for json_flag in ([], ["--json"]):
+            code, _, out = run_cli([*argv, *json_flag], capsys)
+            line = " ".join(name if os.path.isabs(w) else w for w in [*argv, *json_flag])
+            parts.append(f"$ lieforge {line}\n{out}exit {code}\n")
+    return "\n".join(parts)
+
+
+def test_aut_recurrences_truncated_findings_match_golden(tmp_path, capsys):
+    # 198,019 V_REC findings with negative indices and d pairs that cannot
+    # be evaluated, where which 100 are shown depends on "a@(-1,-10)"
+    # sorting before "a@(-1,-2)"; the same file at window 10; a mixed
+    # family of 69; and 3,321 V_SYM findings of an extension
+    golden = (GOLDEN / "aut_recurrences_truncated.txt").read_text()
+    assert aut_recurrences_transcript(tmp_path, capsys) == golden
+
+
+@pytest.mark.parametrize("case", ["recurrences", "extend"])
+def test_recurrences_and_symmetry_render_only_the_findings_they_show(
+    case, tmp_path, capsys, monkeypatch
+):
+    # every a, b, c and d pair of the failing family at W = 20 fails (5,023
+    # V_REC), as does every stored pair of the W = 40 Witt cochain (3,321
+    # V_SYM); only the findings shown are built as violation objects, and
+    # the report is the one that rendering and sorting every violation gives
+    if case == "recurrences":
+        coef = tmp_path / "failing20.coef"
+        coef.write_text(failing_family(20))
+        argv = ["aut", "recurrences", "--file", str(coef)]
+    else:
+        spec = tmp_path / "witt_sym.lie"
+        spec.write_text(WITT_TEXT + "cocycle w L[m] L[n] => 1\n")
+        argv = ["extend", str(spec), "--cocycle", "w", "--window", "40"]
+    built = []
+    real = Audit.violation
+    monkeypatch.setattr(Audit, "violation", lambda self, e: built.append(e) or real(self, e))
+    code, rep, out = run_cli(argv, capsys)
+    monkeypatch.undo()
+    assert code == 1 and len(built) == cli.MAX_PER_CODE
+    if case == "recurrences":
+        unread = "right side reads d at an integer index the family does not store"
+        every = [
+            cli.ReportFinding(
+                "violation",
+                "V_REC",
+                f"{rel}@{cli._loc(v.at)}",
+                f"{v.residual[0]} != {v.residual[1]}" if len(v.residual) == 2 else unread,
+            )
+            for rel, aud in recurrence_audit(parse_coeff_file(coef.read_text())).items()
+            for v in aud.violations
+        ]
+        assert len(every) == rep.summaries["violations"] == 5023
+    else:
+        doc = specfile.parse(spec.read_text())
+        A = specfile.instantiate(doc, window=40)
+        omega = specfile.instantiate_cocycle(doc.cocycles[0], A)
+        shown = "stored values contradict the convention's symmetry: residual"
+        every = [
+            cli.ReportFinding("violation", "V_SYM", cli._loc(v.at), f"{shown} {v.residual}")
+            for v in symmetry_audit(omega, A).violations
+        ]
+        assert rep.summaries["jacobi_violations"] == 0
+    assert len(every) > cli.MAX_PER_CODE
+    expected = cli._finalize(rep.command, rep.inputs, cli.Findings(every), rep.summaries)
+    assert out == expected.to_text()
+
+
+def test_aut_recurrences_holds_a_bounded_number_of_findings(tmp_path):
+    # the failing family at W = 64 has 49,859 violations; rendered as
+    # findings before 100 were kept, they peaked at 18.4 MiB traced
+    coef = tmp_path / "failing64.coef"
+    coef.write_text(failing_family(64))
+    tracemalloc.start()
+    try:
+        code, rep = cli.run(["aut", "recurrences", "--file", str(coef)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, rep.summaries["violations"]) == (1, 49_859)
+    assert peak < 4 * 2**20
+
+
+def test_recurrence_sink_order_is_location_order():
+    # an index is a name that may be a proper prefix of another ("-1" of
+    # "-10"); in a location it is followed by ',' or ')', which sort below
+    # every digit.  For every window the command accepts, the indices order
+    # by name rank as they order followed by either character, so a
+    # location "(m,n)" orders as the pair of ranks; each part's prefix
+    # "a@" to "d@" orders the relations before a name is read.  Whole
+    # locations are compared at a few windows, the widest included.
+    for W in range(1, MAX_RECURRENCE_WINDOW + 1):
+        grid = range(-W, W + 1)
+        rank = cli._name_ranks(grid)
+        by_rank = sorted(grid, key=lambda m: rank[m + W])
+        for end in (",", ")"):
+            assert by_rank == sorted(grid, key=lambda m: f"{m}{end}")
+    for W in (1, 2, 9, 10, 11, 99, 100, MAX_RECURRENCE_WINDOW):
+        grid = range(-W, W + 1)
+        key = cli._sink(grid).key
+        entries = [
+            (f"{rel}@", ((p, q), None))
+            for rel in "abcd"
+            for p in range(len(grid))
+            for q in range(len(grid))
+        ]
+        by_parts = sorted(entries, key=lambda e: (e[0], key(e[1])))
+        by_location = sorted(entries, key=lambda e: e[0] + cli._loc(grid[p] for p in e[1][0]))
+        assert by_parts == by_location
 
 
 def test_esvla_audit_arguments_end_in_a_report(capsys):

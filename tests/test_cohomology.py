@@ -20,6 +20,7 @@ from lieforge.algebra import (
     check_alternating,
     derived_subalgebra,
     gid,
+    Violation,
     jacobi_audit,
     swap_sign,
 )
@@ -34,6 +35,7 @@ from lieforge.cohomology import (
     derivation_space,
     h2_dimension,
     inner_split,
+    symmetry_audit,
 )
 from algebra_fixtures import (
     abelian,
@@ -118,14 +120,21 @@ def test_cochain_value_extends_by_symmetry():
 
 
 def test_cochain_symmetry_violations():
-    w = Cochain2(raw={(E1, E2): 1, (E2, E1): 1})
-    vs = w.symmetry_violations()
-    assert len(vs) == 1 and vs[0][2] == 2
+    A = heisenberg3()
+    w = Cochain2(raw={(E1, E2): 1, (E2, E1): 1, (E1, E3): 2})
+    audit = symmetry_audit(w, A)
+    assert audit.examined == 1 and audit.violations == [Violation((E1, E2), 2)]
     d = Cochain2(raw={(E1, E1): 3})
-    assert d.symmetry_violations()[0][2] == 6
+    assert symmetry_audit(d, A).violations == [Violation((E1, E1), 6)]
     Y = gid("Y", Fraction(1, 2))
     ok = Cochain2(parity={"Y": 1}, convention="super", raw={(Y, Y): 3})
-    assert ok.symmetry_violations() == []
+    odd = AlgebraInstance("y", [Y], {}, parity={"Y": 1}, convention="super")
+    assert symmetry_audit(ok, odd).found == []
+    # a pair is oriented by generator order, not by position
+    L = gid("L", 1)
+    swapped = AlgebraInstance("yl", [Y, L], {})
+    both = Cochain2(raw={(Y, L): 1, (L, Y): 2})
+    assert symmetry_audit(both, swapped).found == [((1, 0), 3)]
 
 
 L1, Y1, Y3 = gid("L", 1), gid("Y", Fraction(1, 2)), gid("Y", Fraction(3, 2))
@@ -160,7 +169,7 @@ def test_bracket_table_and_cochain_agree(convention, g, h, sign):
     expected = (1 - sign) * 5 if g == h else 5 - sign * 2
     alt = [(*v.at, v.residual) for v in check_alternating(A).violations]
     both = Cochain2(parity, convention, raw)
-    sym = [(a, b, Element.of(Z0, r)) for a, b, r in both.symmetry_violations()]
+    sym = [(*v.at, Element.of(Z0, v.residual)) for v in symmetry_audit(both, A).violations]
     assert alt == sym == ([(g, h, Element.of(Z0, expected))] if expected else [])
     # the extension by the both-ways cochain and its cocycle audit read it
     # as ``value`` does on every ordered pair; with [p,q] = a the cyclic sum
@@ -195,7 +204,7 @@ def test_extension_z_column_is_the_cochain_reading():
             if rng.random() < 0.4
         }
         omega = Cochain2(A.parity, A.convention, raw)
-        contradicted += bool(omega.symmetry_violations())
+        contradicted += bool(symmetry_audit(omega, A).found)
         ext = central_extension(A, omega)
         z, value = ext.generators[-1], pair_values(ext)
         for g, h in itertools.product(A.generators, repeat=2):

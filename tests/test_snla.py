@@ -36,10 +36,11 @@ from lieforge.snla import (
 from lieforge import snla, specfile
 from lieforge.automorphisms import check_symplectomorphism, product_map_audit
 from lieforge.cohomology import LinearEndo
-from lieforge.linalg import SparseMatrix, matvec, rank
+from lieforge.linalg import SparseMatrix, rank
 from oracles import (
     brute_force_snla_pass,
     brute_force_snla_search,
+    matvec,
     naive_associative,
     naive_form_cocycle,
     naive_form_compat,
@@ -504,7 +505,7 @@ def test_verify_snla_hand_cases():
     assert rep2.audits["compat"].violations == [
         Violation((E[1], E[1], E[1]), (Fraction(-1), Fraction(1)))
     ]
-    failing = {k for k, v in rep2.violations.items() if v}
+    failing = {k for k, n in rep2.counts().items() if n}
     assert failing == {"compat"}
 
 
@@ -513,7 +514,7 @@ def test_verify_explicit_bracket():
     s = SnlaInstance(2, ptable(2, {}), standard_form(1), table)
     assert s.bracket is table
     rep = verify_snla(s)
-    assert rep.violations["symplectic_cocycle"] != []
+    assert len(rep.audits["symplectic_cocycle"].found) > 0
     with pytest.raises(ValueError):
         SnlaInstance(4, ptable(2, {}), standard_form(2))
     with pytest.raises(ValueError):
