@@ -224,7 +224,8 @@ class AlgebraInstance:
     algebras (None for genuinely finite algebras).  ``boundary_pairs``
     records the ordered generator pairs whose bracket lost at least one
     out-of-window term at instantiation time; ``dropped_terms`` counts the
-    lost terms.
+    lost terms.  ``findings`` holds the instantiation findings, kept as given
+    (a sink that holds only some of them still counts all with ``len``).
     """
 
     def __init__(
@@ -239,7 +240,7 @@ class AlgebraInstance:
         interior_margin: int = 2,
         boundary_pairs: Iterable[tuple[GeneratorId, GeneratorId]] = (),
         dropped_terms: int = 0,
-        findings: Iterable[Finding] = (),
+        findings: Optional[list[Finding]] = None,
     ):
         if convention not in ("plain", "super"):
             raise ValueError(f"unknown convention {convention!r}")
@@ -251,7 +252,7 @@ class AlgebraInstance:
         self.interior_margin = interior_margin
         self.boundary_pairs = set(boundary_pairs)
         self.dropped_terms = dropped_terms
-        self.findings = list(findings)
+        self.findings = [] if findings is None else findings
         self._pos = {g: i for i, g in enumerate(self.generators)}
         if len(self._pos) != len(self.generators):
             raise ValueError("duplicate generators")

@@ -10,17 +10,15 @@ equal inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from . import __version__, esvla, snla, specfile
 from .algebra import (
     AlgebraInstance,
     Audit,
-    Finding,
     center,
     check_alternating,
     jacobi_audit,
@@ -243,6 +241,7 @@ def _read_input(path: str, inputs: list[tuple[str, str]]) -> str:
             data = fh.read()
     except OSError as e:
         raise Refusal("E_INPUT", name, f"cannot read file: {e.strerror}") from None
+    import hashlib  # only a read input is digested, so snla search never loads it
     inputs.append((name, hashlib.sha256(data).hexdigest()))
     try:
         return data.decode("utf-8")
@@ -260,17 +259,23 @@ def _load_doc(path: str, inputs: list[tuple[str, str]]) -> specfile.AlgebraSpecD
         raise Refusal("E_PARSE", location, str(e)) from None
 
 
-def _info_findings(found: list[Finding]) -> list[ReportFinding]:
-    """Instantiation findings, such as dropped ill-kinded terms, as info."""
-    return [ReportFinding("info", f.code, f.location, f.detail) for f in found]
+def _instantiation_findings(kept: Picked) -> Findings:
+    """A report's findings, holding as info the instantiation findings
+    streamed into ``kept``: the ill-kinded terms dropped, E_KIND, the only
+    code ``specfile.instantiate`` finds."""
+    found = Findings()
+    found.add("E_KIND", [(kept, lambda f: ReportFinding("info", *f))])
+    return found
 
 
 def _instantiate(
     doc: specfile.AlgebraSpecDoc, window: Optional[int]
-) -> tuple[AlgebraInstance, list[ReportFinding]]:
-    """The document's instance and the info findings of instantiating it."""
-    A = _refusing(doc.name, specfile.instantiate, doc, window=window)
-    return A, _info_findings(A.findings)
+) -> tuple[AlgebraInstance, Findings]:
+    """The document's instance and a report's findings holding those of
+    instantiating it."""
+    kept = Picked(attrgetter("location"))
+    A = _refusing(doc.name, specfile.instantiate, doc, window=window, found=kept)
+    return A, _instantiation_findings(kept)
 
 
 def _refuse_whole_window(doc: specfile.AlgebraSpecDoc, window: Optional[int]):
@@ -337,7 +342,7 @@ def _add_findings(
 
 
 def _cmd_check(args, inputs):
-    A, findings = _instantiate(_load_doc(args.spec, inputs), args.window)
+    A, found = _instantiate(_load_doc(args.spec, inputs), args.window)
     alternating = check_alternating(A, _sink(A.generators))
     jac = jacobi_audit(A, scope="interior", found=_sink(A.generators))
     summaries = {
@@ -349,7 +354,6 @@ def _cmd_check(args, inputs):
         "jacobi_violations": len(jac.found),
         "center_dim": len(center(A)),
     }
-    found = Findings(findings)
     _add_findings(found, "V_ALT", [("", alternating)])
     _add_findings(found, "V_JACOBI", [("", jac)])
     return found, summaries
@@ -359,16 +363,16 @@ def _cmd_cohomology(args, inputs):
     doc = _load_doc(args.spec, inputs)
     if not args.grade_zero:
         _refuse_whole_window(doc, args.window)
-    A, findings = _instantiate(doc, args.window)
+    A, found = _instantiate(doc, args.window)
     z2 = len(_refusing(doc.name, cocycle2_space, A, grade_zero=args.grade_zero))
     b2 = len(coboundary2_space(A, grade_zero=args.grade_zero))
-    return Findings(findings), {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
+    return found, {"dim": A.dim, "z2": z2, "b2": b2, "h2": z2 - b2}
 
 
 def _cmd_derivations(args, inputs):
     doc = _load_doc(args.spec, inputs)
     _refuse_whole_window(doc, args.window)
-    A, findings = _instantiate(doc, args.window)
+    A, found = _instantiate(doc, args.window)
     ders = _refusing(doc.name, derivation_space, A)
     inner, outer = inner_split(A, ders)
     summaries = {
@@ -377,12 +381,12 @@ def _cmd_derivations(args, inputs):
         "inner": inner,
         "outer": outer,
     }
-    return Findings(findings), summaries
+    return found, summaries
 
 
 def _cmd_extend(args, inputs):
     doc = _load_doc(args.spec, inputs)
-    A, findings = _instantiate(doc, args.window)
+    A, found = _instantiate(doc, args.window)
     decls = {c.name: c for c in doc.cocycles}
     if args.cocycle in decls:
         decl = decls[args.cocycle]
@@ -409,7 +413,6 @@ def _cmd_extend(args, inputs):
         "jacobi_violations": len(jac.found),
         "center_dim": len(center(ext)),
     }
-    found = Findings(findings)
     shown = "stored values contradict the convention's symmetry: residual {1}"
     _add_findings(found, "V_SYM", [("", symmetry)], shown)
     _add_findings(found, "V_JACOBI", [("", jac)])
@@ -417,6 +420,7 @@ def _cmd_extend(args, inputs):
 
 
 def _cmd_esvla_audit(args, inputs):
+    import hashlib
     digest = hashlib.sha256(esvla.bundled_source()).hexdigest()
     inputs.append((esvla.DOC_NAME, digest))
     cfg = _refusing(
@@ -426,10 +430,15 @@ def _cmd_esvla_audit(args, inputs):
         convention=args.convention,
         n_index_mode=args.n_index,
     )
+    kept = Picked(attrgetter("location"))
     rep = _refusing(
-        "config", esvla.audit_esvla, cfg, lambda A, name: _sink(A.generators)
+        "config",
+        esvla.audit_esvla,
+        cfg,
+        lambda A, name: _sink(A.generators),
+        findings=kept,
     )
-    found = Findings(_info_findings(rep.instantiation_findings))
+    found = _instantiation_findings(kept)
     _add_findings(found, "V_ALT", [("", rep.alternating)])
     _add_findings(found, "V_JACOBI", [("", rep.jacobi)])
     cocycles = [(f"{name}:", aud) for name, aud in rep.cocycles.items()]
@@ -534,12 +543,11 @@ def _cmd_aut_verify(args, inputs):
     is_snla = doc.products or doc.forms
     if is_snla:
         s = _refusing(doc.name, snla.snla_from_doc, doc)
-        A, findings = s.bracket, []
+        A, found = s.bracket, Findings()
     else:
-        A, findings = _instantiate(doc, args.window)
+        A, found = _instantiate(doc, args.window)
     brackets = _refusing(map_name, automorphism_audit, A, phi, _sink(A.generators))
     summaries = {"dim": A.dim, "bracket_violations": len(brackets.found)}
-    found = Findings(findings)
     shown = "{loc}: phi[x,y] = {1[0]} != [phi x, phi y] = {1[1]}"
     _add_findings(found, "V_BRACKET", [("", brackets)], shown)
     if not is_snla:
@@ -720,3 +728,22 @@ def run(argv: list[str]) -> tuple[int, Optional[Report]]:
 def main(argv: Optional[list[str]] = None) -> int:
     code, _ = run(sys.argv[1:] if argv is None else argv)
     return code
+
+
+def main_and_exit() -> NoReturn:
+    """The process entry point: ``main``, then flush stdout and stderr and
+    exit with its code at once.  Tearing the interpreter down would only
+    free modules (the package registers no atexit handler and writes no
+    file but stdout and stderr), yet costs every command a few
+    milliseconds.  A flush that fails, as into a closed pipe, ends the
+    process as the interpreter ends one whose flush at exit fails: through
+    ``sys.exit`` with status 120.  Not with the report's code, because a
+    failed flush may discard what it held, and the interpreter's own flush
+    at exit would then succeed."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(120)
+    os._exit(code)

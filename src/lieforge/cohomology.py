@@ -542,5 +542,5 @@ def central_extension(A: AlgebraInstance, omega: Cochain2) -> AlgebraInstance:
         interior_margin=A.interior_margin,
         boundary_pairs=A.boundary_pairs,
         dropped_terms=A.dropped_terms,
-        findings=list(A.findings),
+        findings=A.findings,
     )

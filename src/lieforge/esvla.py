@@ -10,7 +10,6 @@ and never extrapolate to the untruncated algebra.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from typing import Callable, NamedTuple, Optional
 
 from . import specfile
@@ -69,6 +68,7 @@ class EsvlaConfig(_EsvlaFields):
 @lru_cache(maxsize=1)
 def bundled_source() -> bytes:
     """The bundled document as stored, read once."""
+    from importlib import resources  # only the esvla commands read it
     return resources.files("lieforge").joinpath(f"data/{DOC_NAME}").read_bytes()
 
 
@@ -77,13 +77,15 @@ def _bundled_doc() -> specfile.AlgebraSpecDoc:
     return specfile.parse(bundled_source().decode("utf-8"))
 
 
-def build_esvla(cfg: EsvlaConfig) -> AlgebraInstance:
-    """Instantiate the bundled document over the window |index| <= W."""
+def build_esvla(cfg: EsvlaConfig, found=None) -> AlgebraInstance:
+    """Instantiate the bundled document over the window |index| <= W;
+    ``found`` is the sink of the instantiation findings, as in
+    ``specfile.instantiate``."""
     doc = _bundled_doc()
     if doc.convention != cfg.convention:
         doc = doc._replace(convention=cfg.convention)
     return specfile.instantiate(
-        doc, window=cfg.window, kind_mode=cfg.n_index_mode
+        doc, window=cfg.window, kind_mode=cfg.n_index_mode, found=found
     )
 
 
@@ -165,7 +167,9 @@ class EsvlaAuditReport(NamedTuple):
         return out
 
 
-def audit_esvla(cfg: EsvlaConfig, found: Optional[Callable] = None) -> EsvlaAuditReport:
+def audit_esvla(
+    cfg: EsvlaConfig, found: Optional[Callable] = None, findings=None
+) -> EsvlaAuditReport:
     """Run every window-level check once and collect the results.
 
     Covers: as-written alternating audit, graded Jacobi on interior
@@ -177,9 +181,10 @@ def audit_esvla(cfg: EsvlaConfig, found: Optional[Callable] = None) -> EsvlaAudi
     ``found(A, name)``, when given, is the sink of the violations of the
     audit ``name`` ("alternating", "jacobi", or a cocycle's name) over the
     window's instance A (see ``algebra.jacobi_audit``); without it each
-    audit keeps a list.
+    audit keeps a list.  ``findings`` is the sink of the instantiation
+    findings (see ``build_esvla``).
     """
-    A = build_esvla(cfg)
+    A = build_esvla(cfg, findings)
 
     def sink(name: str):
         return None if found is None else found(A, name)

@@ -868,13 +868,16 @@ def instantiate(
     doc: AlgebraSpecDoc,
     window: Optional[int] = None,
     kind_mode: str = "strict",
+    found=None,
 ) -> AlgebraInstance:
     """Evaluate rules and entries into a finite AlgebraInstance.
 
     kind_mode governs rule terms whose result index does not match the
     declared kind of the result family (integer family receiving m+n+1/2):
-    "strict" drops each occurrence with a finding, "extended" widens the
-    family to carry both integer and half-integer indices.
+    "strict" drops each occurrence with an E_KIND finding, "extended" widens
+    the family to carry both integer and half-integer indices.  ``found`` is
+    the sink of those findings, the instance's ``findings``: any object with
+    ``append`` and ``len``, a new list when None.
 
     Every rule coefficient and entry value is an integer over one
     document-wide denominator, so each rule term is evaluated as integer
@@ -913,7 +916,7 @@ def instantiate(
         return c.numerator * (scale // c.denominator)
 
     entries: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, int]] = {}
-    findings: list[Finding] = []
+    findings = [] if found is None else found
     boundary: set[tuple[GeneratorId, GeneratorId]] = set()
     dropped = 0
 

@@ -787,6 +787,49 @@ def test_ill_kinded_terms_are_reported(command, tmp_path, capsys):
     assert "[info] E_KIND rule@4 [L[-1],L[0]]" in out
 
 
+def test_instantiation_findings_are_held_bounded(tmp_path, monkeypatch):
+    # every L pair's term lands on an integer index of the half family Y:
+    # 16,641 E_KIND findings at W = 64.  Rendered as findings before 100
+    # were kept, they peaked at 6.2 MiB traced
+    text = (
+        "algebra kind convention plain\n"
+        "family L integer even\n"
+        "family Y half even\n"
+        "rule L[m] L[n] => 1 Y[m+n]\n"
+    )
+    spec = tmp_path / "kind.lie"
+    spec.write_text(text)
+    rendered = Counter()
+
+    class Counted(cli.ReportFinding):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            rendered[fields[1]] += 1
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(cli, "ReportFinding", Counted)
+    tracemalloc.start()
+    try:
+        code, rep = cli.run(["cohomology", str(spec), "--grade-zero", "--window", "64"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert rendered["E_KIND"] == 100
+    assert rep.findings[-1] == (
+        "info",
+        "I_TRUNCATED",
+        "E_KIND",
+        "showing 100 of 16641 findings; exact counts are in summaries",
+    )
+    assert peak < 3 * 2**20
+    every = specfile.instantiate(specfile.parse(text), window=64).findings
+    assert [("info", *f) for f in sorted(every, key=lambda f: f.location)[:100]] == [
+        f for f in rep.findings if f.code == "E_KIND"
+    ]
+
+
 def test_snla_search_frozen_catalog(capsys):
     code, rep, _ = run_cli(
         ["snla", "search", "--dim", "2", "--coeffs=-1,0,1"], capsys
@@ -849,13 +892,14 @@ def test_snla_search_dim4_budget(capsys):
 
 def test_cli_import_starts_no_process_pool():
     # every module the import adds costs start-up time and memory on every
-    # command: 19 on Python 3.11.7.  Records are NamedTuples or plain
+    # command: 16 on Python 3.11.7.  Records are NamedTuples or plain
     # classes, so neither dataclasses nor the inspect, ast and dis modules it
-    # imports are loaded, and json is imported by the --json report alone.
+    # imports are loaded; json is imported by the --json report alone, and
+    # hashlib (with OpenSSL) only where an input is digested.
     probe = (
         "import sys; before = set(sys.modules); import lieforge.cli; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'dataclasses', 'inspect', 'json') if m in sys.modules)); "
+        "'dataclasses', 'inspect', 'json', 'hashlib', '_hashlib') if m in sys.modules)); "
         "print(len(set(sys.modules) - before))"
     )
     proc = subprocess.run(
@@ -864,7 +908,34 @@ def test_cli_import_starts_no_process_pool():
     assert proc.returncode == 0, proc.stderr
     loaded, added = proc.stdout.split("\n", 1)
     assert loaded == "[]"
-    assert int(added) <= 19
+    assert int(added) <= 16
+
+
+@pytest.mark.parametrize(
+    "flags, code, modules",
+    [
+        # without `site`, which may load importlib.resources for a .pth file
+        (["-S"], "import lieforge.cli", ("importlib.resources", "hashlib", "json")),
+        # a search reads no file, so it digests none
+        (
+            [],
+            "from lieforge import cli; "
+            "cli.run(['snla', 'search', '--dim', '2', '--coeffs=-1,0,1'])",
+            ("hashlib", "_hashlib"),
+        ),
+    ],
+    ids=["import-without-site", "snla-search"],
+)
+def test_modules_load_only_when_used(flags, code, modules):
+    probe = f"{code}; import sys; print([m for m in {modules} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_trace_layers_name_callables():
@@ -1128,6 +1199,75 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
+
+
+# stdout is block-buffered in a child whose environment lacks
+# PYTHONUNBUFFERED, so a report left unflushed at exit would be lost; COLUMNS
+# fixes the width of argparse's help
+PROCESS_ENV = {
+    **{k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"},
+    "COLUMNS": "80",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_holds, stderr_holds",
+    [
+        # a 49 kB report, several times the pipe's buffer
+        (["esvla", "audit", "--window", "8", "--json"], 1, '"verdict": "fail"', ""),
+        (["check", H3], 0, "verdict: pass", ""),
+        (["check", "{tmp}/missing.lie"], 2, "E_INPUT missing.lie: cannot read", ""),
+        (["snla", "search", "--dim", "2"], 2, "", "required: --coeffs"),
+        (["--help"], 0, "usage: lieforge", ""),
+    ],
+    ids=["esvla-json", "check", "missing-file", "usage-error", "help"],
+)
+def test_process_writes_what_run_writes(
+    argv, code, stdout_holds, stderr_holds, tmp_path, capsys, monkeypatch
+):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieforge", *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO),
+        env=PROCESS_ENV,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(argv)[0] == code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr, proc.returncode) == (
+        captured.out,
+        captured.err,
+        code,
+    )
+    assert stdout_holds in proc.stdout and stderr_holds in proc.stderr
+    assert bool(proc.stdout) != bool(proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", H3], ["esvla", "audit", "--window", "3"]],
+    # a failed flush keeps the 262 bytes of the first report in the pipe's
+    # 4 kB buffer, but discards the 6.9 kB of the second, after which the
+    # interpreter's own flush at exit succeeds
+    ids=["report-within-the-buffer", "report-over-the-buffer"],
+)
+def test_report_into_a_closed_pipe_exits_120(argv):
+    # the status the interpreter gives when its flush at exit fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieforge", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=str(REPO),
+            env=PROCESS_ENV,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 120, proc.stderr
 
 
 def test_reports_have_no_absolute_paths(tmp_path, capsys):
