@@ -560,10 +560,15 @@ def jacobi_audit(
     """
     sup = A.convention == "super"
     terms, flagged, odd = A.view.terms, A.view.flagged, A.view.odd
-    # no support: a triple whose inner bracket the window clipped counts as
-    # skipped, and only a full scan visits every such triple
-    triples = TripleScan(A, scope, repeats=sup)
-    examined = 0
+    # the term [a,[b,c]] reads row a at each k of [b,c], so it is nonzero,
+    # or clipped inside, only where terms[a][k] is nonzero or k in flagged[a]
+    support = (
+        (k, a)
+        for a, row in enumerate(terms)
+        for k, pair in enumerate(row)
+        if pair or k in flagged[a]
+    )
+    triples = TripleScan(A, scope, sup, support)
     inner_skipped = 0
     found = [] if found is None else found
     for t in triples:
@@ -586,12 +591,11 @@ def jacobi_audit(
         if clipped:
             inner_skipped += 1
             continue
-        examined += 1
         residual = {u: v for u, v in total.items() if v}
         if residual:
             found.append((t, residual))
     return Audit(
-        examined,
+        triples.checkable - inner_skipped,
         triples.skipped + inner_skipped,
         found,
         A.view.scale**2,

@@ -258,7 +258,8 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_map_file(text: str) -> LinearEndo:
-    """Plain-text matrix: first line "dim d", then d rows of d rationals."""
+    """Plain-text matrix: first line "dim d", then d rows of d rationals,
+    read straight into the map's columns of nonzero entries."""
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty map file")
@@ -274,16 +275,19 @@ def parse_map_file(text: str) -> LinearEndo:
         raise ValueError(f"line {ln}: dimension must be >= 1")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    matrix = []
-    for ln, body in lines[1:]:
+    cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for i, (ln, body) in enumerate(lines[1:]):
         toks = body.split()
         if len(toks) != n:
             raise ValueError(f"line {ln}: expected {n} entries, got {len(toks)}")
         try:
-            matrix.append([rat(t) for t in toks])
+            for col, t in zip(cols, toks):
+                # a plain "0", most entries of a sparse map, reads as nothing
+                if t != "0" and (f := rat(t)):
+                    col[i] = f
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {ln}: bad rational entry") from None
-    return LinearEndo(matrix)
+    return LinearEndo.from_columns(cols)
 
 
 def parse_coeff_file(text: str) -> CoefficientFamily:

@@ -443,7 +443,7 @@ def _cmd_esvla_audit(args, inputs):
     _add_findings(found, "V_JACOBI", [("", rep.jacobi)])
     cocycles = [(f"{name}:", aud) for name, aud in rep.cocycles.items()]
     _add_findings(found, "V_COCYCLE", cocycles)
-    return found, rep.summaries()
+    return found, rep.summaries
 
 
 # Each SNLA check's code, and how a finding shows its violation: the
@@ -576,15 +576,8 @@ def _cmd_aut_recurrences(args, inputs):
         detail = f"file defines window {cf.window}, cannot widen to {W}"
         raise Refusal("E_INPUT", name, detail)
     if W is not None and W < cf.window:
-        cf = _refusing(
-            name,
-            CoefficientFamily,
-            {k: v for k, v in cf.a.items() if abs(k) <= W},
-            {k: v for k, v in cf.b.items() if abs(k) <= W},
-            {k: v for k, v in cf.c.items() if abs(k) <= W},
-            {k: v for k, v in cf.d.items() if abs(k) <= 2 * W},
-            W,
-        )
+        # the audits read no index past the window, nor d past twice it
+        cf = _refusing(name, CoefficientFamily, cf.a, cf.b, cf.c, cf.d, W)
     # the audits' generators are the window's integers, located as they are
     sinks = {rel: _sink(range(-cf.window, cf.window + 1)) for rel in "abcd"}
     audits = _refusing(name, recurrence_audit, cf, sinks)

@@ -17,13 +17,11 @@ from .algebra import (
     AlgebraInstance,
     Audit,
     Element,
-    Finding,
     center,
     check_alternating,
     jacobi_audit,
 )
 from .cohomology import (
-    Cochain2,
     coboundary2_space,
     cocycle2_space,
     cocycle_audit,
@@ -89,82 +87,22 @@ def build_esvla(cfg: EsvlaConfig, found=None) -> AlgebraInstance:
     )
 
 
-class PaperCocycles(NamedTuple):
-    """The three displayed 2-cocycles evaluated over one window's grid."""
-
-    omega1: Cochain2
-    omega2: Cochain2
-    omega3: Cochain2
-
-    def items(self) -> tuple[tuple[str, Cochain2], ...]:
-        return (("w1", self.omega1), ("w2", self.omega2), ("w3", self.omega3))
-
-
-def _cocycles_for(A: AlgebraInstance) -> PaperCocycles:
-    """Evaluate the bundled cocycle declarations over A's generators.
-
-    Entries are stored on every ordered pair the declaration matches, so a
-    symmetric display (w1 on Y,Y pairs) stores both orders and one-sided
-    displays (w2, w3) extend by the convention on lookup.
-    """
-    by_name = {c.name: c for c in _bundled_doc().cocycles}
-    missing = [k for k in ("w1", "w2", "w3") if k not in by_name]
-    if missing:
-        raise RuntimeError(f"bundled document lacks cocycles {missing}")
-    return PaperCocycles(
-        instantiate_cocycle(by_name["w1"], A),
-        instantiate_cocycle(by_name["w2"], A),
-        instantiate_cocycle(by_name["w3"], A),
-    )
-
-
 class EsvlaAuditReport(NamedTuple):
-    """Everything the window-level audit measures, verdicts included.
+    """Everything the window-level audit measures, verdicts included: the
+    audits, the window's center, and ``summaries``, the counts the report
+    prints, in the order it prints them.  Each displayed cocycle's audit is
+    keyed by its declaration's name in the bundled document.
 
     ``h2_grade0`` is dim Z2 - dim B2 on grade-zero cochains of the window;
     when Jacobi fails on the window some coboundaries are not cocycles, so
     the number is bookkeeping, not a cohomology dimension.
     """
 
-    config: EsvlaConfig
-    dim: int
-    boundary_pairs: int
-    dropped_terms: int
-    instantiation_findings: list[Finding]
     alternating: Audit
     jacobi: Audit
     center_basis: list[Element]
     cocycles: dict[str, Audit]
-    derivations0_dim: int
-    inner0_dim: int
-    outer0_dim: int
-    z2_grade0: int
-    b2_grade0: int
-    h2_grade0: int
-
-    def summaries(self) -> dict[str, int]:
-        out = {
-            "dim": self.dim,
-            "boundary_pairs": self.boundary_pairs,
-            "dropped_terms": self.dropped_terms,
-            "instantiation_findings": len(self.instantiation_findings),
-            "alternating_violations": len(self.alternating.found),
-            "jacobi_examined": self.jacobi.examined,
-            "jacobi_skipped": self.jacobi.skipped_boundary,
-            "jacobi_violations": len(self.jacobi.found),
-            "center_dim": len(self.center_basis),
-            "derivations_grade0": self.derivations0_dim,
-            "inner_grade0": self.inner0_dim,
-            "outer_grade0": self.outer0_dim,
-            "z2_grade0": self.z2_grade0,
-            "b2_grade0": self.b2_grade0,
-            "h2_grade0": self.h2_grade0,
-        }
-        for name, aud in sorted(self.cocycles.items()):
-            out[f"{name}_examined"] = aud.examined
-            out[f"{name}_skipped"] = aud.skipped_boundary
-            out[f"{name}_violations"] = len(aud.found)
-        return out
+    summaries: dict[str, int]
 
 
 def audit_esvla(
@@ -173,10 +111,11 @@ def audit_esvla(
     """Run every window-level check once and collect the results.
 
     Covers: as-written alternating audit, graded Jacobi on interior
-    triples, the window's center, the cyclic cocycle identity for each
-    displayed cocycle on interior triples, grade-zero derivations with
-    their inner/outer split against ad of the index-0 generators, and the
-    grade-zero Z2/B2/H2 counts.
+    triples, the window's center, the cyclic cocycle identity on interior
+    triples for each cocycle the bundled document declares (evaluated over
+    the window's generators, in document order), grade-zero derivations
+    with their inner/outer split against ad of the index-0 generators, and
+    the grade-zero Z2/B2/H2 counts.
 
     ``found(A, name)``, when given, is the sink of the violations of the
     audit ``name`` ("alternating", "jacobi", or a cocycle's name) over the
@@ -189,29 +128,39 @@ def audit_esvla(
     def sink(name: str):
         return None if found is None else found(A, name)
 
-    pc = _cocycles_for(A)
     ders = derivation_space(A, grade_restriction=0)
     index0 = [g for g in A.generators if g.doubled_index == 0]
     inner0, outer0 = inner_split(A, ders, ad_generators=index0)
     z2 = len(cocycle2_space(A, grade_zero=True))
     b2 = len(coboundary2_space(A, grade_zero=True))
-    return EsvlaAuditReport(
-        config=cfg,
-        dim=A.dim,
-        boundary_pairs=len(A.boundary_pairs),
-        dropped_terms=A.dropped_terms,
-        instantiation_findings=A.findings,
-        alternating=check_alternating(A, sink("alternating")),
-        jacobi=jacobi_audit(A, scope="interior", found=sink("jacobi")),
-        center_basis=center(A),
-        cocycles={
-            name: cocycle_audit(A, om, scope="interior", found=sink(name))
-            for name, om in pc.items()
-        },
-        derivations0_dim=len(ders),
-        inner0_dim=inner0,
-        outer0_dim=outer0,
-        z2_grade0=z2,
-        b2_grade0=b2,
-        h2_grade0=z2 - b2,
-    )
+    alternating = check_alternating(A, sink("alternating"))
+    jacobi = jacobi_audit(A, scope="interior", found=sink("jacobi"))
+    center_basis = center(A)
+    cocycles = {
+        c.name: cocycle_audit(
+            A, instantiate_cocycle(c, A), scope="interior", found=sink(c.name)
+        )
+        for c in _bundled_doc().cocycles
+    }
+    summaries = {
+        "dim": A.dim,
+        "boundary_pairs": len(A.boundary_pairs),
+        "dropped_terms": A.dropped_terms,
+        "instantiation_findings": len(A.findings),
+        "alternating_violations": len(alternating.found),
+        "jacobi_examined": jacobi.examined,
+        "jacobi_skipped": jacobi.skipped_boundary,
+        "jacobi_violations": len(jacobi.found),
+        "center_dim": len(center_basis),
+        "derivations_grade0": len(ders),
+        "inner_grade0": inner0,
+        "outer_grade0": outer0,
+        "z2_grade0": z2,
+        "b2_grade0": b2,
+        "h2_grade0": z2 - b2,
+    }
+    for name, aud in cocycles.items():
+        summaries[f"{name}_examined"] = aud.examined
+        summaries[f"{name}_skipped"] = aud.skipped_boundary
+        summaries[f"{name}_violations"] = len(aud.found)
+    return EsvlaAuditReport(alternating, jacobi, center_basis, cocycles, summaries)

@@ -4,7 +4,7 @@ These deliberately reimplement the checks with naive nested loops and no
 shared helper code, so a bug in the library's iteration or sign handling
 cannot cancel against itself in the tests.  The module also keeps the
 helpers that only tests call: ``matvec``, ``solve`` (which reads
-``linalg.rref``), ``transpose`` and ``paper_cocycles``.
+``linalg.rref``), ``transpose``, ``bundled_cocycles`` and ``paper_cocycles``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from lieforge.algebra import (
 from lieforge import esvla
 from lieforge.cohomology import Cochain2
 from lieforge.linalg import SparseMatrix, rat, rref
+from lieforge.specfile import instantiate_cocycle
 
 
 def matvec(m: SparseMatrix, v: list) -> list[Fraction]:
@@ -58,9 +59,15 @@ def transpose(m: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
 
 
-def paper_cocycles(cfg: esvla.EsvlaConfig) -> esvla.PaperCocycles:
+def bundled_cocycles(A: AlgebraInstance) -> dict[str, Cochain2]:
+    """The bundled cocycle declarations evaluated over A's generators,
+    keyed by their names in document order."""
+    return {c.name: instantiate_cocycle(c, A) for c in esvla._bundled_doc().cocycles}
+
+
+def paper_cocycles(cfg: esvla.EsvlaConfig) -> dict[str, Cochain2]:
     """The bundled cocycle declarations evaluated over the window's grid."""
-    return esvla._cocycles_for(esvla.build_esvla(cfg))
+    return bundled_cocycles(esvla.build_esvla(cfg))
 
 
 def written_entries(A: AlgebraInstance) -> dict:

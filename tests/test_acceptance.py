@@ -200,15 +200,15 @@ def test_acceptance_06_esvla_audit_golden(capsys):
 
 def test_acceptance_07_paper_cocycle_values():
     pc = paper_cocycles(EsvlaConfig(window=4))
-    assert pc.omega1.value(Y(1), Y(-1)) == 1
-    assert pc.omega2.value(gid("L", 2), Y(-5)) == 1
+    assert pc["w1"].value(Y(1), Y(-1)) == 1
+    assert pc["w2"].value(gid("L", 2), Y(-5)) == 1
     for m in range(-4, 5):
         for r2 in range(-7, 8, 2):
             n = Fraction(r2, 2) - Fraction(1, 2)
             expected = Fraction(1) if m + n + 1 == 0 else Fraction(0)
-            assert pc.omega3.value(gid("M", m), Y(r2)) == expected
-    assert pc.omega1.value(Y(1), Y(3)) == 0
-    assert pc.omega2.value(gid("L", 0), Y(-1)) == 0
+            assert pc["w3"].value(gid("M", m), Y(r2)) == expected
+    assert pc["w1"].value(Y(1), Y(3)) == 0
+    assert pc["w2"].value(gid("L", 0), Y(-1)) == 0
 
 
 def test_acceptance_08_snla_hand_cases():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,34 @@ def test_parse_map_file():
         parse_map_file("dim 2\n1 0\n0 x")
     with pytest.raises(ValueError, match="empty"):
         parse_map_file("# nothing\n")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_parsed_map_is_the_dense_map(seed):
+    # fractions, negatives and zeros, written in the forms a file may use
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    words = ["0", "-0", "0/5", "1", "-1", "3", "-7/2", "2/4", "-5/3", "+4"]
+    rows = [[rng.choice(words) for _ in range(n)] for _ in range(n)]
+    text = f"dim {n}\n" + "\n".join(" ".join(row) for row in rows) + "\n"
+    assert parse_map_file(text) == LinearEndo([[F(w) for w in row] for row in rows])
+
+
+def test_parse_map_file_holds_no_dense_matrix():
+    # the identity at n = 300 held 90,000 Fractions, 5.1 MiB traced, when
+    # read as dense rows first
+    n = 300
+    text = f"dim {n}\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        phi = parse_map_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi == LinearEndo.identity(n)
+    assert peak < 2**20
 
 
 def test_parse_coeff_file():

@@ -1096,6 +1096,42 @@ def test_aut_recurrences_window_restriction(tmp_path, capsys):
     assert "cannot widen" in rep.findings[0].detail
 
 
+def test_aut_recurrences_narrowed_file_reads_as_one_written_at_the_window(
+    tmp_path, capsys
+):
+    # seeded W = 4 values, d on integer and half-integer indices, most of
+    # them failing; --window W must audit exactly the data a file written at
+    # window W holds (every index within W, d's doubled index within 2W)
+    rng = random.Random(4)
+    values = ["0", "1", "-1", "2", "1/2", "-3/2"]
+    data = {rel: {k: rng.choice(values) for k in range(-4, 5)} for rel in "abc"}
+    data["d"] = {k: rng.choice(values) for k in range(-8, 9)}
+
+    def written(window):
+        lines = [f"window {window}"]
+        for rel, stored in data.items():
+            reach = 2 * window if rel == "d" else window
+            key = (lambda k: Fraction(k, 2)) if rel == "d" else str
+            lines += [f"coef {rel} {key(k)} {v}" for k, v in stored.items() if abs(k) <= reach]
+        path = tmp_path / f"w{window}.coef"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    wide = written(4)
+    seen = []
+    for window in (1, 2, 3):
+        argv = ["aut", "recurrences", "--file", wide, "--window", str(window)]
+        code, narrowed, _ = run_cli(argv, capsys)
+        direct = run_cli(["aut", "recurrences", "--file", written(window)], capsys)[1]
+        assert code == 1
+        # the reports differ only in their command lines and inputs
+        assert narrowed._replace(command="", inputs=[]) == direct._replace(
+            command="", inputs=[]
+        )
+        seen.append(narrowed.summaries["violations"])
+    assert seen == sorted(seen) and seen[0] > 0
+
+
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_aut_recurrences_window_below_one_is_an_input_error(window, tmp_path, capsys):
     p = coeff_file(tmp_path, 2, lambda n: Fraction(2) ** n)
@@ -2126,8 +2162,9 @@ def _every_finding(case: str) -> list[tuple[str, str, str]]:
     if words[0] == "esvla":
         window = int(words[2]) if len(words) > 2 else 8
         mode = words[3] if len(words) > 3 else "strict"
-        rep = esvla.audit_esvla(esvla.EsvlaConfig(window, words[1], mode))
-        out = [(f.code, f.location, f.detail) for f in rep.instantiation_findings]
+        cfg = esvla.EsvlaConfig(window, words[1], mode)
+        rep = esvla.audit_esvla(cfg)
+        out = [(f.code, f.location, f.detail) for f in esvla.build_esvla(cfg).findings]
         out += _located("V_ALT", rep.alternating.violations)
         out += _located("V_JACOBI", rep.jacobi.violations)
         for name, aud in sorted(rep.cocycles.items()):

@@ -4,6 +4,7 @@ the table itself and against a generator-keyed oracle."""
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,7 @@ from lieforge.linalg import SparseMatrix, echelon, rref
 from lieforge.specfile import instantiate, parse
 from oracles import (
     blockwise_rational_rref,
+    bundled_cocycles,
     full_scan_cocycle_rows,
     naive_windowed_audit,
     pair_values,
@@ -390,8 +392,49 @@ def test_scan_path_follows_the_cost_rule(monkeypatch):
         assert _paths(monkeypatch, lambda: list(_cocycle_rows(A, unknowns))) == [path]
     # esvla W=8: each displayed cocycle names few pairs, so its audit narrows
     B = esvla.build_esvla(esvla.EsvlaConfig(8))
-    for _, omega in esvla._cocycles_for(B).items():
+    for _, omega in bundled_cocycles(B).items():
         assert _paths(monkeypatch, lambda: cocycle_audit(B, omega)) == ["narrowed"]
+
+
+WITT_AND_INERT_Y = """algebra witt_y convention plain
+family L integer even
+family Y integer even
+rule L[m] L[n] => (n - m) L[m+n]
+"""
+
+
+def test_jacobi_scan_path_follows_the_cost_rule(monkeypatch):
+    # esvla W=8: walking the producers of its bracketing pairs takes more
+    # steps than the interior has triples, so Jacobi scans in full
+    B = esvla.build_esvla(esvla.EsvlaConfig(8))
+    assert _paths(monkeypatch, lambda: jacobi_audit(B)) == ["full"]
+    # Witt plus a family Y that brackets with nothing: only L triples can be
+    # nonzero or clipped, so Jacobi walks the producers, and counts the
+    # whole scope as the oracle's full walk does
+    for window, examined, skipped in ((4, 696, 120), (6, 2202, 398)):
+        A = instantiate(parse(WITT_AND_INERT_Y), window=window)
+        audit = []
+        assert _paths(monkeypatch, lambda: audit.append(jacobi_audit(A, "all"))) == [
+            "narrowed"
+        ]
+        assert _jacobi_as_oracle(audit[0]) == naive_windowed_audit(A, "all")
+        assert (audit[0].examined, audit[0].skipped_boundary) == (examined, skipped)
+
+
+def test_jacobi_of_a_bracket_with_no_terms_walks_no_triple(monkeypatch):
+    # every rule term has coefficient 0: no pair brackets and none is
+    # clipped, so the C(250, 3) interior triples are counted, not walked
+    doc = parse(WITT_AND_INERT_Y.replace("(n - m) L[m+n]", "0 Y[m+n]"))
+    A = instantiate(doc, window=64)
+    t0 = time.perf_counter()
+    audit = []
+    assert _paths(monkeypatch, lambda: audit.append(jacobi_audit(A))) == ["narrowed"]
+    assert time.perf_counter() - t0 < 1
+    assert (audit[0].examined, audit[0].skipped_boundary, audit[0].found) == (
+        2_573_000,
+        0,
+        [],
+    )
 
 
 def _zero_product_bracket(dim):
