@@ -629,8 +629,6 @@ def derived_subalgebra(A: AlgebraInstance) -> list[Element]:
     (in-window)."""
     terms = A.view.terms
     rows = [dict(terms[i][j]) for i, j in A.view.written]
-    if not rows:
-        return []
     ech = rref(SparseMatrix.from_rows(A.dim, rows))
     return [
         Element({A.generators[c]: v for c, v in row.items()}) for row in ech.rows

@@ -179,14 +179,6 @@ class CoefficientFamily:
         odd = range(-2 * window + 1, 2 * window, 2)
         _require("d undefined at half-integer doubled indices", odd, self.d)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoefficientFamily)
-            and self.window == other.window
-            and (self.a, self.b, self.c, self.d)
-            == (other.a, other.b, other.c, other.d)
-        )
-
 
 def recurrence_audit(cf: CoefficientFamily, found=None) -> dict[str, Audit]:
     """Evaluate the four displayed recurrences over the window, one audit
@@ -221,14 +213,10 @@ def recurrence_audit(cf: CoefficientFamily, found=None) -> dict[str, Audit]:
                 lhs, rhs = cf.a[m + n], cf.a[m] * cf.a[n]
                 if lhs != rhs:
                     fa.append((at, (lhs, rhs)))
-                lhs = cf.b[m + n]
-                rhs = cf.a[m] * cf.b[n] + cf.b[m] * cf.a[n]
-                if lhs != rhs:
-                    fb.append((at, (lhs, rhs)))
-                lhs = cf.c[m + n]
-                rhs = cf.a[m] * cf.c[n] + cf.c[m] * cf.a[n]
-                if lhs != rhs:
-                    fc.append((at, (lhs, rhs)))
+                for x, fx in ((cf.b, fb), (cf.c, fc)):
+                    lhs, rhs = x[m + n], cf.a[m] * x[n] + x[m] * cf.a[n]
+                    if lhs != rhs:
+                        fx.append((at, (lhs, rhs)))
             target = 2 * (m + n) + 1
             if abs(target) <= 2 * W:
                 by_d += 1

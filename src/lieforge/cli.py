@@ -222,6 +222,15 @@ class Refusal(Exception):
         self.finding = ReportFinding("error", code, location, detail)
 
 
+def _failure(command: str, e: Exception) -> ReportFinding:
+    """The error finding of an exception a command did not refuse, located
+    at the command: E_LIMIT when memory or the recursion depth ran out,
+    E_INTERNAL for any other; the detail is its type and message."""
+    code = "E_LIMIT" if isinstance(e, (MemoryError, RecursionError)) else "E_INTERNAL"
+    detail = ": ".join(filter(None, (type(e).__name__, str(e))))
+    return ReportFinding("error", code, command, detail)
+
+
 def _refusing(location: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with a ValueError it raises refused at
     ``location``: E_SINGULAR for a singular map, E_INPUT otherwise."""
@@ -701,7 +710,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> tuple[int, Optional[Report]]:
-    """Dispatch one invocation; prints the report and returns its code."""
+    """Dispatch one invocation; prints the report and returns its code.
+    An exception a command raises becomes the one error finding of an
+    exit-2 report; only KeyboardInterrupt and SystemExit pass through."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -713,6 +724,8 @@ def run(argv: list[str]) -> tuple[int, Optional[Report]]:
         found, summaries = args.func(args, inputs)
     except Refusal as r:
         found, summaries = Findings([r.finding]), {}
+    except Exception as e:
+        found, summaries = Findings([_failure(args.words, e)]), {}
     report = _finalize(command, inputs, found, summaries)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code(), report

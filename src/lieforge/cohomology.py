@@ -300,8 +300,6 @@ def inner_split(
     given space; when every ad map is itself a derivation (Jacobi holds)
     this equals dim span{ad_g} = dim A - dim center(A).
     """
-    if not ders:
-        return 0, 0
     n = A.dim
     gens = ad_generators if ad_generators is not None else A.generators
 
@@ -309,14 +307,11 @@ def inner_split(
         # entry (i, j) of the map sits in column i * n + j of the rank rows
         return {i * n + j: v for j in range(n) for i, v in D.column(j).items()}
 
-    def rank_of(rows: list[dict[int, Fraction]]) -> int:
-        return rank(SparseMatrix.from_rows(n * n, rows)) if rows else 0
-
     ad_rows = [nonzero_entries(ad_matrix(A, g)) for g in gens]
     der_rows = [nonzero_entries(d) for d in ders]
-    r_ad = rank_of(ad_rows)
+    r_ad = rank(SparseMatrix.from_rows(n * n, ad_rows))
     r_der = len(ders)  # a basis: its vectors are independent
-    r_union = rank_of(ad_rows + der_rows)
+    r_union = rank(SparseMatrix.from_rows(n * n, ad_rows + der_rows))
     inner = r_ad + r_der - r_union
     return inner, r_der - inner
 
@@ -443,18 +438,14 @@ def coboundary2_space(A: AlgebraInstance, grade_zero: bool = False) -> list[Coch
     """
     unknowns = _cochain_unknowns(A, grade_zero)
     vectors = _coboundary_vectors(A, unknowns, grade_zero)
-    if not vectors:
-        return []
     ech = rref(SparseMatrix.from_rows(len(unknowns), vectors))
     slots = list(unknowns)
     return [_cochain_from_vector(A, slots, row) for row in ech.rows]
 
 
 def h2_dimension(A: AlgebraInstance, grade_zero: bool = False) -> int:
-    """dim Z2 - dim B2 (0 immediately for dim <= 1 algebras), counted from
-    the ranks of the two systems: no basis cochain is built."""
-    if A.dim <= 1:
-        return 0
+    """dim Z2 - dim B2 on every instance, counted from the ranks of the two
+    systems the bases are read from: no basis cochain is built."""
     unknowns = _cochain_unknowns(A, grade_zero)
     z2 = len(unknowns) - len(echelon(len(unknowns), _cocycle_rows(A, unknowns)).pivots)
     vectors = _coboundary_vectors(A, unknowns, grade_zero)

@@ -136,16 +136,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(map(len, self._data))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
-
 
 class Echelon(NamedTuple):
     """Canonical reduced row echelon form: unit pivots, zeros above and below."""

@@ -232,6 +232,9 @@ class FamilyDecl(NamedTuple):
     kind: str  # integer | half
     parity: str  # even | odd
 
+    def render(self) -> str:
+        return f"family {self.symbol} {self.kind} {self.parity}"
+
 
 class GenPat(NamedTuple):
     family: str
@@ -740,22 +743,10 @@ def _validate(doc: AlgebraSpecDoc) -> None:
 
 
 def render(doc: AlgebraSpecDoc) -> str:
-    """Canonical text; parse(render(doc)) is structurally equal to doc."""
+    """Canonical text: the header, then every record of the fields after
+    it, in field order; parse(render(doc)) is structurally equal to doc."""
     lines = [f"algebra {doc.name} convention {doc.convention}"]
-    for f in doc.families:
-        lines.append(f"family {f.symbol} {f.kind} {f.parity}")
-    for g in doc.generators:
-        lines.append(g.render())
-    for r in doc.rules:
-        lines.append(r.render())
-    for e in doc.entries:
-        lines.append(e.render())
-    for e in doc.products:
-        lines.append(e.render())
-    for f in doc.forms:
-        lines.append(f.render())
-    for c in doc.cocycles:
-        lines.append(c.render())
+    lines += (record.render() for records in doc[2:] for record in records)
     return "\n".join(lines) + "\n"
 
 

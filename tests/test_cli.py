@@ -156,6 +156,20 @@ def test_cohomology_heisenberg(capsys):
     assert rep.summaries == {"dim": 3, "z2": 3, "b2": 1, "h2": 2}
 
 
+def test_cohomology_of_one_odd_generator(tmp_path, capsys):
+    # the even graded-symmetric form on one odd generator is closed and no
+    # bracket makes it a coboundary, so h2 is 1, as h2_dimension counts it
+    spec = tmp_path / "odd1.lie"
+    spec.write_text(
+        "algebra odd1 convention super\nfamily Y integer odd\ngenerator Y[0]\n"
+    )
+    code, rep, _ = run_cli(["cohomology", str(spec)], capsys)
+    assert code == 0
+    assert rep.summaries == {"dim": 1, "z2": 1, "b2": 0, "h2": 1}
+    A = specfile.instantiate(specfile.parse(spec.read_text()))
+    assert cohomology.h2_dimension(A) == 1
+
+
 def test_derivations_heisenberg(capsys):
     code, rep, _ = run_cli(["derivations", H3], capsys)
     assert code == 0
@@ -2344,3 +2358,293 @@ def test_declaration_order_changes_no_count(name, tmp_path, capsys):
         assert _order_free_facts(text, tmp_path, capsys) == want, text
     if name == "esvla-3-table":
         assert want[0]["check"]["jacobi_violations"] > 100
+
+
+# Relabelling an explicit document: its family lines permuted, each family's
+# indices renamed by a permutation, and its generator lines shuffled.  An
+# instance orders its generators by family line, then by index, so the
+# first two move every position, while permuting the generator lines alone
+# moves none.  Every count is basis-free, and each finding names the
+# renamed generators, so the audits' entries agree once the names are read
+# back; this runs TripleScan's sorted rotations, narrowing,
+# extend_as_written and the Picked sinks on position orders the sample
+# documents never use.
+
+
+def _random_table_text(rng: random.Random, families, both_ways=False) -> str:
+    """An explicit table over ``families``, (symbol, odd, count) triples,
+    generator s[i] for i = 1..count, under super when a family is odd: each
+    pair, odd diagonals included, brackets into generators of its parity
+    with probability 0.6.  With ``both_ways`` about half the pairs are
+    written both ways, the reverse half the time by the convention's
+    symmetry and otherwise drawn afresh, and one even diagonal is written;
+    no pair is written twice in the same order."""
+    convention = "super" if any(odd for _, odd, _ in families) else "plain"
+    lines = [f"algebra random convention {convention}"]
+    lines += [f"family {f} integer {'odd' if odd else 'even'}" for f, odd, _ in families]
+    gens = [(f"{f}[{i}]", odd) for f, odd, count in families for i in range(1, count + 1)]
+    lines += [f"generator {g}" for g, _ in gens]
+
+    def terms(odd):
+        targets = [g for g, o in gens if o == odd]
+        picked = rng.sample(targets, min(len(targets), rng.randint(1, 2)))
+        return [(rng.choice([-3, -2, -1, 1, 2, 3]), t) for t in picked]
+
+    def entry(g, h, value):
+        lines.append(f"entry {g} {h} => " + " ".join(f"{c} {t}" for c, t in value))
+
+    for a, (g, g_odd) in enumerate(gens):
+        for h, h_odd in gens[a:]:
+            if g == h and not g_odd or rng.random() > 0.6:
+                continue
+            value = terms(g_odd != h_odd)
+            entry(g, h, value)
+            if both_ways and g != h and rng.random() < 0.5:
+                s = 1 if g_odd and h_odd else -1
+                agrees = rng.random() < 0.5
+                entry(h, g, [(s * c, t) for c, t in value] if agrees else terms(g_odd != h_odd))
+    if both_ways:
+        g = gens[0][0]
+        entry(g, g, [(1, gens[1][0])])
+    return "\n".join(lines) + "\n"
+
+
+def _relabelling_documents() -> dict[str, str]:
+    docs = {
+        "heisenberg": (
+            "algebra heisenberg convention plain\nfamily e integer even\n"
+            "generator e[1]\ngenerator e[2]\ngenerator e[3]\n"
+            "entry e[1] e[2] => 1 e[3]\n"
+        ),
+        "sl2": (
+            "algebra sl2 convention plain\nfamily e integer even\n"
+            "family f integer even\nfamily h integer even\n"
+            "generator e[0]\ngenerator f[0]\ngenerator h[0]\n"
+            "entry e[0] f[0] => 1 h[0]\nentry h[0] e[0] => 2 e[0]\n"
+            "entry h[0] f[0] => -2 f[0]\n"
+        ),
+        "heisenberg-super": (
+            "algebra sh convention super\nfamily Y half odd\nfamily Z integer even\n"
+            "generator Y[1/2]\ngenerator Z[0]\nentry Y[1/2] Y[1/2] => 1 Z[0]\n"
+        ),
+    }
+    for seed in range(3):
+        rng = random.Random(seed)
+        docs[f"plain-{seed}"] = _random_table_text(rng, [("e", 0, 4), ("f", 0, 3)])
+        docs[f"super-{seed}"] = _random_table_text(rng, [("e", 0, 3), ("o", 1, 3)])
+    return docs
+
+
+RELABELLING = _relabelling_documents()
+
+
+def _move_lines(lines: list[str], prefix: str, rng: random.Random, key=None) -> None:
+    """Permute the lines starting with ``prefix`` among their places, in
+    the order of ``key`` or at random."""
+    at = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    moved = [lines[i] for i in at]
+    moved = sorted(moved, key=key) if key else rng.sample(moved, len(moved))
+    for i, line in zip(at, moved):
+        lines[i] = line
+
+
+def _relabelled(text: str, rng: random.Random, family_order=None) -> tuple[str, dict]:
+    """``text`` relabelled, its family lines in ``family_order`` (their
+    symbols) or shuffled, and each new generator name's old name."""
+    lines = text.splitlines()
+    key = family_order and (lambda line: family_order.index(line.split()[1]))
+    _move_lines(lines, "family ", rng, key)
+    indices: dict[str, list[str]] = {}
+    for line in lines:
+        if line.startswith("generator "):
+            family, _, index = line.split()[1][:-1].partition("[")
+            indices.setdefault(family, []).append(index)
+    rename = {}
+    for family, old in indices.items():
+        new = rng.sample(old, len(old))
+        rename.update({f"{family}[{a}]": f"{family}[{b}]" for a, b in zip(old, new)})
+    lines = [re.sub(r"\w+\[[^\]]*\]", lambda m: rename[m[0]], line) for line in lines]
+    _move_lines(lines, "generator ", rng)
+    return "\n".join(lines) + "\n", {new: old for old, new in rename.items()}
+
+
+def _summaries(text: str, tmp_path, capsys) -> dict:
+    spec = tmp_path / "relabelled.lie"
+    spec.write_text(text)
+    out = {}
+    for argv in (["check"], ["cohomology"], ["cohomology", "--grade-zero"], ["derivations"]):
+        code, rep, _ = run_cli([*argv, str(spec)], capsys)
+        out[" ".join(argv)] = (code, rep.summaries)
+    return out
+
+
+def _named_entries(A, old=None) -> Counter:
+    """The Jacobi and alternating entries of A by generator names, read
+    back through ``old`` (new name to old) and each put in name order.
+    With s(p, q) the swap sign, a pair's residual [q,p] - s[p,q] becomes
+    -s(p, q) times itself when p and q trade places.  A triple's residual
+    J(x, y, z) is invariant under rotation, and (-1)^{|x||z|} J(x, y, z)
+    changes by s(p, q) when two adjacent generators p, q trade places, so
+    the triple is read through that factor (plain: s = -1)."""
+    odd = A.view.odd
+    names = [str(g) for g in A.generators]
+    names = [old[g] for g in names] if old else names
+    entries = Counter()
+    for tag, audit in (("jacobi", jacobi_audit(A)), ("alternating", check_alternating(A))):
+        for entry in audit.found:
+            order, sign, pair = list(entry[0]), 1, len(entry[0]) == 2
+            if not pair:
+                sign = -1 if odd[order[0]] and odd[order[2]] else 1
+            for end in range(len(order) - 1, 0, -1):
+                for k in range(end):
+                    p, q = order[k], order[k + 1]
+                    if names[p] > names[q]:
+                        order[k], order[k + 1] = q, p
+                        s = algebra.swap_sign(A.convention, odd[p], odd[q])
+                        sign *= -s if pair else s
+            residual = audit.violation(entry).residual.terms.items()
+            residual = frozenset((names[A.position(t)], sign * c) for t, c in residual)
+            entries[tag, tuple(names[p] for p in order), residual] += 1
+    return entries
+
+
+def _instance(text: str):
+    return specfile.instantiate(specfile.parse(text))
+
+
+@pytest.mark.parametrize("name", RELABELLING)
+def test_relabelling_changes_no_count_and_maps_every_finding(name, tmp_path, capsys):
+    text = RELABELLING[name]
+    want = _summaries(text, tmp_path, capsys)
+    entries = _named_entries(_instance(text))
+    rng = random.Random(name)
+    orders = set()
+    for _ in range(4):
+        moved, old = _relabelled(text, rng)
+        B = _instance(moved)
+        orders.add(tuple(old[str(g)] for g in B.generators))
+        assert _summaries(moved, tmp_path, capsys) == want, moved
+        assert _named_entries(B, old) == entries, moved
+    assert len(orders) > 1  # the relabellings moved generators
+    if name.startswith(("plain-", "super-")):
+        assert want["check"][1]["jacobi_violations"] > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relabelling_maps_alternating_findings(seed):
+    # pairs written both ways, some against the symmetry: the entries of the
+    # alternating audit map to the relabelled pairs with the swap sign
+    for families in ([("e", 0, 3), ("f", 0, 2)], [("e", 0, 3), ("o", 1, 3)]):
+        text = _random_table_text(random.Random(seed), families, both_ways=True)
+        A = _instance(text)
+        want = Counter(k for k in _named_entries(A).elements() if k[0] == "alternating")
+        assert len(check_alternating(A).found) == sum(want.values()) > 0
+        rng = random.Random(seed)
+        for _ in range(4):
+            moved, old = _relabelled(text, rng)
+            got = _named_entries(_instance(moved), old)
+            assert Counter(k for k in got.elements() if k[0] == "alternating") == want
+
+
+@pytest.mark.parametrize("family_order", ["ae", "ea"])
+def test_relabelled_report_shows_the_first_findings_by_location(family_order, tmp_path, capsys):
+    # more Jacobi violations than a sink holds (MERGE_AT): with a[1] first,
+    # the triples that locate first arrive after a hundred others but before
+    # the sink's first cut; the report must still show the MAX_PER_CODE first
+    # by location among all of them, each as rendered
+    text = _random_table_text(random.Random(7), [("a", 0, 1), ("e", 0, 23)])
+    rng = random.Random(7)
+    for _ in range(2):
+        moved, _ = _relabelled(text, rng, family_order)
+        audit = jacobi_audit(_instance(moved))
+        every = sorted((cli._loc(v.at), f"residual {v.residual}") for v in audit.violations)
+        assert len(every) > cli.MERGE_AT
+        spec = tmp_path / "many.lie"
+        spec.write_text(moved)
+        code, rep, _ = run_cli(["check", str(spec)], capsys)
+        shown = [(f.location, f.detail) for f in rep.findings if f.code == "V_JACOBI"]
+        assert code == 1
+        assert shown == every[: cli.MAX_PER_CODE]
+        assert rep.summaries["jacobi_violations"] == len(every)
+
+
+# The exit-code contract at the CLI boundary: an exception a command does not
+# refuse is reported, never a traceback with exit 1.  Each binding is patched
+# where its caller binds it, and every command listed reaches it.
+
+
+def _fault_sites(tmp_path) -> dict[tuple[object, str], list[list[str]]]:
+    m = tmp_path / "id.map"
+    write_map(m, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    coef = coeff_file(tmp_path, 2, lambda n: Fraction(2) ** n)
+    check, cohom = ["check", H3], ["cohomology", H3]
+    extend = ["extend", H3_EXT, "--cocycle", "w"]
+    audit = ["esvla", "audit", "--window", "3"]
+    aut = ["aut", "verify", H3, "--map", str(m)]
+    verify = ["snla", "verify", SNLA_BAD]
+    return {
+        (cli, "jacobi_audit"): [check, extend],
+        (cli, "parse_map_file"): [aut],
+        (cli, "recurrence_audit"): [["aut", "recurrences", "--file", str(coef)]],
+        (cohomology, "echelon"): [cohom, ["cohomology", H3, "--grade-zero"], audit, verify],
+        (specfile, "instantiate"): [check, cohom, ["derivations", H3], extend, aut, audit],
+        (snla, "verify_snla"): [verify],
+    }
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(MemoryError, "E_LIMIT"), (RecursionError, "E_LIMIT"), (ZeroDivisionError, "E_INTERNAL")],
+)
+def test_an_unexpected_exception_is_an_error_report(exc, code, tmp_path, monkeypatch, capsys):
+    for (module, name), commands in _fault_sites(tmp_path).items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, _raising(exc))
+            for argv in commands:
+                for json_flag in ([], ["--json"]):
+                    got, rep = cli.run(argv + json_flag)
+                    out, err = capsys.readouterr()
+                    words = " ".join(argv[: 2 if argv[0] in ("esvla", "snla", "aut") else 1])
+                    finding = cli.ReportFinding("error", code, words, f"{exc.__name__}: injected")
+                    assert (got, rep.verdict, rep.findings) == (2, "error", [finding]), argv
+                    assert err == ""
+                    assert out == (rep.to_json() if json_flag else rep.to_text())
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_through_the_cli(exc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "jacobi_audit", _raising(exc))
+    with pytest.raises(exc):
+        cli.run(["check", H3])
+    assert capsys.readouterr().out == ""
+
+
+def test_running_out_of_address_space_is_an_error_report():
+    # the cap holds in the child only; compiling the 2,047-generator window
+    # fails to allocate within about a second, long before any triple
+    import resource
+
+    cap = 100 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieforge", "check", WITT, "--window", "1023"],
+        capture_output=True,
+        env=CHILD_ENV,
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr.decode()[-2000:]
+    assert b"verdict: error" in proc.stdout
+    assert b"[error] E_LIMIT check: MemoryError" in proc.stdout
+    assert time.perf_counter() - start < 5

@@ -58,6 +58,7 @@ from oracles import (
     pair_values,
     written_entries,
 )
+from test_indexed_view import FIXTURES
 
 E1, E2, E3 = gid("e", 1), gid("e", 2), gid("e", 3)
 
@@ -504,6 +505,34 @@ def test_h2_degenerate_dims():
     one = finite_instance("one", [E1], {})
     assert cocycle2_space(one) == []
     assert h2_dimension(one) == 0
+
+
+def _h2_instances() -> dict[str, AlgebraInstance]:
+    cases = {name: make() for name, make in FIXTURES.items()}
+    cases.update({f"witt{w}": witt_window(w) for w in range(3, 7)})
+    for w, convention in itertools.product((4, 5), ("plain", "super")):
+        cfg = esvla.EsvlaConfig(w, convention=convention)
+        cases[f"esvla{w}_{convention}"] = esvla.build_esvla(cfg)
+    cases["abelian1"] = abelian(1)
+    cases["empty"] = finite_instance("empty", [], {})
+    # one odd generator: every even graded-symmetric form is closed, and
+    # there is no bracket to be a coboundary (Fuks 1986, ch. 1)
+    cases["odd1"] = finite_instance("odd1", [gid("Y", 0)], {}, {"Y": 1}, "super")
+    return cases
+
+
+@pytest.mark.parametrize("grade_zero", [False, True])
+def test_h2_is_z2_minus_b2_on_every_instance(grade_zero):
+    # h2_dimension counts ranks; the two bases are built from the same
+    # systems, so their sizes must give the same difference everywhere
+    counts = {}
+    for name, A in _h2_instances().items():
+        z2 = len(cocycle2_space(A, grade_zero=grade_zero))
+        b2 = len(coboundary2_space(A, grade_zero=grade_zero))
+        assert h2_dimension(A, grade_zero=grade_zero) == z2 - b2, name
+        counts[name] = (z2, b2)
+    assert counts["odd1"] == (1, 0)
+    assert counts["empty"] == counts["abelian1"] == (0, 0)
 
 
 def test_unknown_limit_refuses_before_any_row(monkeypatch):

@@ -1,6 +1,7 @@
 """The per-layer tracing of perfbench/trace_run.py wraps names bound in the
 package's modules; each of them must still resolve to a callable, or a
-layer's metrics silently read None."""
+layer's metrics silently read None, and still be called by the workloads
+that reach its layer, or they silently read zero."""
 
 from __future__ import annotations
 
@@ -65,3 +66,42 @@ def test_triple_counters_read_the_audit_record_only(monkeypatch):
         assert audit.examined > 0 and audit.found
     assert built == []
     assert len(rep.jacobi.violations) == len(built) == len(rep.jacobi.found)
+
+
+# The layers each benchmark workload reaches with seed 0.  A name that stays
+# bound but is no longer called would read zero without any error, so each
+# workload runs under perfbench's own wrappers.  Update these sets whenever
+# the benchmark's layers or workloads change.
+FIRED = {
+    "esvla_audit": {
+        "algebra.alternating",
+        "algebra.center",
+        "algebra.jacobi",
+        "cohomology.assembly",
+        "cohomology.cocycle_audit",
+        "esvla.cocycles",
+        "linalg.eliminate",
+        "specfile.instantiate",
+    },
+    "witt_cohomology": {"cohomology.assembly", "linalg.eliminate", "specfile.instantiate"},
+    "snla_search": {"linalg.eliminate", "snla.search"},
+}
+
+
+def test_every_layer_is_called_by_the_workloads(monkeypatch, tmp_path, capsys):
+    from lieforge import cli
+
+    trace_run = _load_trace_run(monkeypatch)
+    assert set(trace_run.WORKLOADS) == set(FIRED)
+    assert set().union(*FIRED.values()) == set(trace_run.LAYERS)
+    for name, prepare in trace_run.WORKLOADS.items():
+        prep = prepare(0, tmp_path)
+        bindings, tracer = trace_run.Bindings(), trace_run.Tracer()
+        bindings.install(tracer)
+        try:
+            code = cli.main(prep.argv)
+        finally:
+            bindings.remove()
+        assert prep.check(code, capsys.readouterr().out) == [], name
+        assert bindings.unmeasured == {}
+        assert {span[0] for span in tracer.spans} == FIRED[name], name
